@@ -188,7 +188,7 @@ def cmd_huckel(args) -> int:
     if args.show_poly:
         print(f"symbolic: {symbolic_form(sp)}")
     try:
-        levels = energy_levels(system, args.alpha, args.beta, tol=args.tol)
+        levels = energy_levels(sp, args.alpha, args.beta, tol=args.tol)
     except NoConvergence as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

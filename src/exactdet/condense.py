@@ -19,13 +19,17 @@ result.
 Mitigation plans are tried in a fixed order so results are reproducible:
 
 1. identity (no interior zeros to begin with),
-2. cyclic row rotations by 1 .. n-1 positions (each recorded as adjacent
-   swaps, the elementary form replay needs),
+2. cyclic row rotations by 1 .. n-1 positions,
 3. cyclic column rotations,
 4. combined row and column rotations,
 5. additive repair: for each surviving interior zero, add a row (or failing
    that, a column) holding a nonzero entry at the offending position, with
    the scale escalating 1, 2, 3, ... on repeated failure at one position.
+
+A rotation by r rows and c columns is applied as one index permutation of
+the rows and columns.  Only the accepted plan is logged, as the (r + c)(n - 1)
+adjacent swaps that ``replay_log`` re-applies, so its sign is
+(-1)^((r + c)(n - 1)).
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``; ``condensation_det`` wraps budget exhaustion in
@@ -102,13 +106,6 @@ class MitigationLog:
 
 
 @dataclass(frozen=True)
-class MitigationPolicy:
-    """Knobs for the restart loop; restart_budget None means 2n."""
-
-    restart_budget: int | None = None
-
-
-@dataclass(frozen=True)
 class CondensationTrace:
     """Everything a condensation run produced.
 
@@ -177,28 +174,11 @@ def _step_with_star(current, divisor_interior, ops, warn=None):
     return stage, star
 
 
-def _interior_clean(m: Matrix) -> bool:
-    inner = m.interior()
-    return all(
-        not inner[i, j].is_zero()
-        for i in range(inner.n_rows)
-        for j in range(inner.n_cols)
-    )
-
-
-def _apply_rotation(m: Matrix, row_shift: int, col_shift: int):
-    """Rotate rows up / columns left cyclically, as logged adjacent swaps."""
-    ops = []
-    cur = m
-    for _ in range(row_shift):
-        for i in range(cur.n_rows - 1):
-            cur = cur.swap_rows(i, i + 1)
-            ops.append(("swap_rows", i, i + 1))
-    for _ in range(col_shift):
-        for j in range(cur.n_cols - 1):
-            cur = cur.swap_cols(j, j + 1)
-            ops.append(("swap_cols", j, j + 1))
-    return cur, ops
+def _rotation_swaps(n: int, row_shift: int, col_shift: int) -> list:
+    """Adjacent swaps that rotate rows up / columns left cyclically."""
+    row_swaps = [("swap_rows", i, i + 1) for _ in range(row_shift) for i in range(n - 1)]
+    col_swaps = [("swap_cols", j, j + 1) for _ in range(col_shift) for j in range(n - 1)]
+    return row_swaps + col_swaps
 
 
 def _additive_repair(m: Matrix, salt: int):
@@ -271,31 +251,33 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
         raise TooSmall("mitigation needs n >= 3 (smaller sizes have no interior)")
     excluded = set(exclude)
     n = a.n_rows
+    rows = a.rows()
     for plan in _plans(n):
         if plan in excluded:
             continue
-        kind = plan[0]
-        if kind == "rot":
-            cand, ops = _apply_rotation(a, plan[1], plan[2])
-            if _interior_clean(cand):
-                return cand, MitigationLog(ops, plan)
-        else:
+        if plan[0] == "add":
             cand, ops = _additive_repair(a, plan[1])
             return cand, MitigationLog(ops, plan)
+        _, r, c = plan
+        rotated = [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
+        if any(e.is_zero() for row in rotated[1:-1] for e in row[1:-1]):
+            continue
+        if r == c == 0:
+            return a, MitigationLog((), plan)
+        return Matrix(rotated), MitigationLog(_rotation_swaps(n, r, c), plan)
     raise UnremovableZero("every mitigation plan failed or was excluded")
 
 
-def condensation_det(a: Matrix, policy: MitigationPolicy | None = None):
+def condensation_det(a: Matrix):
     """Determinant of ``a`` by condensation; returns (value, trace).
 
     Runs mitigation first, restarts under a fresh plan whenever a zero
-    divisor appears mid-run (up to the restart budget, default 2n), and
-    multiplies the result by the accumulated swap sign.  Raises
-    FallbackRequired when the strategy is exhausted.
+    divisor appears mid-run (at most 2n restarts), and multiplies the result
+    by the accumulated swap sign.  Raises FallbackRequired when the strategy
+    is exhausted.
     """
     if not a.is_square:
         raise ValueError("condensation needs a square matrix")
-    policy = policy or MitigationPolicy()
     n = a.n_rows
     ops = OpCount()
     if n == 1:
@@ -304,7 +286,7 @@ def condensation_det(a: Matrix, policy: MitigationPolicy | None = None):
         stage = condense_step(a, None, ops)
         return stage[0, 0], CondensationTrace((a, stage), (), MitigationLog(), ops)
 
-    budget = policy.restart_budget if policy.restart_budget is not None else 2 * n
+    budget = 2 * n
     excluded = []
     restarts = []
     warn = [False]

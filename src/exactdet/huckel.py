@@ -194,14 +194,13 @@ def _horner(cs, z):
     return acc
 
 
-def energy_levels(system: PiSystem, alpha: float, beta: float, tol: float = 1e-10):
-    """Sorted real energy levels E = alpha - beta * x over the roots x."""
+def energy_levels(sp: SecularPolynomial, alpha: float, beta: float, tol: float = 1e-10):
+    """Sorted real energy levels E = alpha - beta * x over the roots x of ``sp``."""
     if beta == 0:
         raise ValueError("beta must be nonzero")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    p = secular_polynomial(system).coeffs
-    cs = [float(c) for c in p.coeffs]
+    cs = [float(c) for c in sp.coeffs.coeffs]
     roots = durand_kerner(cs, tol=tol)
     for r in roots:
         if abs(_horner([complex(c) for c in cs], r)) > tol:

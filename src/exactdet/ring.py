@@ -319,34 +319,6 @@ def _frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-# Functional spellings of the ring operations.  The operators above are the
-# idiomatic interface; these exist so generic code and tests can treat the
-# operation set as first-class values.
-
-def add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def sub(a: Scalar, b: Scalar) -> Scalar:
-    return a - b
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def neg(a: Scalar) -> Scalar:
-    return -a
-
-
-def exact_div(a: Scalar, b: Scalar) -> Scalar:
-    return a.exact_div(b)
-
-
-def is_zero(a: Scalar) -> bool:
-    return a.is_zero()
-
-
 def parse_scalar(token: str, tolerance: float = DEFAULT_TOLERANCE) -> Scalar:
     """Parse one scalar token.
 

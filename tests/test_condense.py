@@ -8,7 +8,6 @@ from exactdet.condense import (
     CondensationTrace,
     FallbackRequired,
     MitigationLog,
-    MitigationPolicy,
     OpCount,
     UnremovableZero,
     condensation_det,
@@ -80,8 +79,9 @@ class TestCondenseStep:
 
 class TestMitigation:
     def test_clean_interior_is_identity_plan(self):
-        out, log = mitigate_interior_zeros(int_matrix(CLEAN4))
-        assert out == int_matrix(CLEAN4)
+        m = int_matrix(CLEAN4)
+        out, log = mitigate_interior_zeros(m)
+        assert out is m
         assert log.operations == ()
         assert log.plan == ("rot", 0, 0)
         assert log.sign == 1
@@ -130,6 +130,45 @@ class TestMitigation:
     def test_replay_matches_returned_matrix(self):
         m = int_matrix([[(i + j) % 2 for j in range(4)] for i in range(4)])
         out, log = mitigate_interior_zeros(m)
+        assert replay_log(m, log) == out
+
+    def test_every_rotation_plan_logs_its_swaps(self):
+        # entries in 1..9 leave every rotation's interior clean, so excluding
+        # the plans before it reaches each rotation plan in turn
+        rng = random.Random(7)
+        for n in (5, 6, 7):
+            m = int_matrix([[rng.randint(1, 9) for _ in range(n)] for _ in range(n)])
+            order = (
+                [("rot", 0, 0)]
+                + [("rot", r, 0) for r in range(1, n)]
+                + [("rot", 0, c) for c in range(1, n)]
+                + [("rot", r, c) for r in range(1, n) for c in range(1, n)]
+            )
+            for k, plan in enumerate(order):
+                out, log = mitigate_interior_zeros(m, exclude=order[:k])
+                assert log.plan == plan
+                _, r, c = plan
+                assert len(log.operations) == (r + c) * (n - 1)
+                assert log.sign == (-1) ** ((r + c) * (n - 1))
+                assert replay_log(m, log) == out
+
+    def test_rejected_plans_build_no_matrix(self, monkeypatch):
+        # only the interior entry a[2][2] is nonzero, so the five plans before
+        # ("rot", 1, 1) are rejected; the accepted one builds the only Matrix
+        m = int_matrix([[1, 0, 1], [0, 0, 0], [1, 0, 1]])
+        built = []
+        original = Matrix.__init__
+
+        def counting_init(self, rows):
+            built.append(1)
+            original(self, rows)
+
+        monkeypatch.setattr(Matrix, "__init__", counting_init)
+        out, log = mitigate_interior_zeros(m)
+        monkeypatch.undo()
+        assert log.plan == ("rot", 1, 1)
+        assert len(built) == 1
+        assert out == int_matrix([[0, 0, 0], [0, 1, 1], [0, 1, 1]])
         assert replay_log(m, log) == out
 
 
@@ -264,11 +303,6 @@ class TestCondensationDet:
         z = int_matrix([[0] * 4 for _ in range(4)])
         with pytest.raises(FallbackRequired):
             condensation_det(z)
-
-    def test_restart_budget_policy(self):
-        z = int_matrix([[0] * 4 for _ in range(4)])
-        with pytest.raises(FallbackRequired):
-            condensation_det(z, MitigationPolicy(restart_budget=0))
 
     def test_real_matrix_and_division_warning(self):
         rows = [[1.0, 2.0, 3.0], [4.0, 1e-7, 6.0], [7.0, 8.0, 10.0]]

@@ -136,7 +136,7 @@ class TestDurandKerner:
 class TestEnergyLevels:
     def test_chain3_closed_form(self):
         alpha, beta = -1.0, -0.5
-        levels = energy_levels(PiSystem.chain(3), alpha, beta)
+        levels = energy_levels(secular_polynomial(PiSystem.chain(3)), alpha, beta)
         expected = sorted(
             [alpha + math.sqrt(2) * beta, alpha, alpha - math.sqrt(2) * beta]
         )
@@ -144,23 +144,25 @@ class TestEnergyLevels:
 
     def test_reduced_roots_chain3(self):
         alpha, beta = 0.7, -1.3
-        levels = energy_levels(PiSystem.chain(3), alpha, beta)
+        levels = energy_levels(secular_polynomial(PiSystem.chain(3)), alpha, beta)
         xs = sorted((alpha - e) / beta for e in levels)
         assert xs == pytest.approx([-math.sqrt(2), 0.0, math.sqrt(2)], abs=1e-10)
 
     def test_single_atom(self):
-        assert energy_levels(PiSystem.chain(1), -2.0, -1.0) == pytest.approx([-2.0])
+        sp = secular_polynomial(PiSystem.chain(1))
+        assert energy_levels(sp, -2.0, -1.0) == pytest.approx([-2.0])
 
     def test_chain2(self):
-        assert energy_levels(PiSystem.chain(2), 0.0, 1.0) == pytest.approx([-1.0, 1.0])
+        sp = secular_polynomial(PiSystem.chain(2))
+        assert energy_levels(sp, 0.0, 1.0) == pytest.approx([-1.0, 1.0])
 
     def test_beta_zero_rejected(self):
         with pytest.raises(ValueError):
-            energy_levels(PiSystem.chain(2), -1.0, 0.0)
+            energy_levels(secular_polynomial(PiSystem.chain(2)), -1.0, 0.0)
 
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
-            energy_levels(PiSystem.chain(2), -1.0, -1.0, tol=0.0)
+            energy_levels(secular_polynomial(PiSystem.chain(2)), -1.0, -1.0, tol=0.0)
 
 
 class TestSymbolicForm:

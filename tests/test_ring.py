@@ -13,14 +13,8 @@ from exactdet.ring import (
     InexactDivision,
     Polynomial,
     RingMismatch,
-    add,
-    exact_div,
     format_scalar,
-    is_zero,
-    mul,
-    neg,
     parse_scalar,
-    sub,
 )
 
 
@@ -30,31 +24,31 @@ def poly(*coeffs):
 
 class TestAdd:
     def test_integers(self):
-        assert add(ExactInteger(2), ExactInteger(3)) == ExactInteger(5)
+        assert ExactInteger(2) + ExactInteger(3) == ExactInteger(5)
 
     def test_rationals_lowest_terms(self):
-        s = add(ExactRational(1, 2), ExactRational(1, 3))
+        s = ExactRational(1, 2) + ExactRational(1, 3)
         assert s == ExactRational(5, 6)
         assert s.value.denominator == 6
 
     def test_polynomial_cancellation_trims(self):
-        s = add(poly(1, 0, 1), poly(0, 0, -1))
+        s = poly(1, 0, 1) + poly(0, 0, -1)
         assert s == poly(1)
         assert s.degree == 0
 
     def test_mismatch(self):
         with pytest.raises(RingMismatch):
-            add(ExactInteger(1), ExactRational(1, 2))
+            ExactInteger(1) + ExactRational(1, 2)
         with pytest.raises(RingMismatch):
-            add(poly(1), ExactInteger(1))
+            poly(1) + ExactInteger(1)
 
 
 class TestMul:
     def test_integers(self):
-        assert mul(ExactInteger(4), ExactInteger(1)) == ExactInteger(4)
+        assert ExactInteger(4) * ExactInteger(1) == ExactInteger(4)
 
     def test_monomials(self):
-        assert mul(poly(0, 1), poly(0, 1)) == poly(0, 0, 1)
+        assert poly(0, 1) * poly(0, 1) == poly(0, 0, 1)
 
     def test_product_against_convolution_oracle(self):
         # brute-force convolution, independent of Polynomial.__mul__
@@ -64,78 +58,78 @@ class TestMul:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
         assert out == [-1, -1, 1, 1]
-        assert mul(poly(*a), poly(*b)) == poly(-1, -1, 1, 1)
+        assert poly(*a) * poly(*b) == poly(-1, -1, 1, 1)
 
 
 class TestSub:
     def test_integers(self):
-        assert sub(ExactInteger(10), ExactInteger(-4)) == ExactInteger(14)
+        assert ExactInteger(10) - ExactInteger(-4) == ExactInteger(14)
 
     def test_zero(self):
-        assert is_zero(sub(ExactInteger(5), ExactInteger(5)))
+        assert (ExactInteger(5) - ExactInteger(5)).is_zero()
 
     def test_polynomials(self):
-        assert sub(poly(0, 0, 0, 1), poly(0, 0, 0, 1)) == Polynomial()
+        assert poly(0, 0, 0, 1) - poly(0, 0, 0, 1) == Polynomial()
 
 
 class TestExactDiv:
     def test_integers(self):
-        assert exact_div(ExactInteger(14), ExactInteger(1)) == ExactInteger(14)
-        assert exact_div(ExactInteger(-48), ExactInteger(3)) == ExactInteger(-16)
+        assert ExactInteger(14).exact_div(ExactInteger(1)) == ExactInteger(14)
+        assert ExactInteger(-48).exact_div(ExactInteger(3)) == ExactInteger(-16)
 
     def test_zero_numerator(self):
-        assert exact_div(ExactInteger(0), ExactInteger(7)) == ExactInteger(0)
+        assert ExactInteger(0).exact_div(ExactInteger(7)) == ExactInteger(0)
 
     def test_polynomial_quotient(self):
         # (x^4 - 2x^2) / x = x^3 - 2x
-        assert exact_div(poly(0, 0, -2, 0, 1), poly(0, 1)) == poly(0, -2, 0, 1)
+        assert poly(0, 0, -2, 0, 1).exact_div(poly(0, 1)) == poly(0, -2, 0, 1)
 
     def test_inexact_integer(self):
         with pytest.raises(InexactDivision):
-            exact_div(ExactInteger(7), ExactInteger(2))
+            ExactInteger(7).exact_div(ExactInteger(2))
 
     def test_inexact_polynomial(self):
         with pytest.raises(InexactDivision):
-            exact_div(poly(1, 0, 1), poly(0, 1))
+            poly(1, 0, 1).exact_div(poly(0, 1))
 
     def test_zero_divisor(self):
         with pytest.raises(DivisionByZero):
-            exact_div(ExactInteger(1), ExactInteger(0))
+            ExactInteger(1).exact_div(ExactInteger(0))
         with pytest.raises(DivisionByZero):
-            exact_div(poly(1), Polynomial())
+            poly(1).exact_div(Polynomial())
         with pytest.raises(DivisionByZero):
-            exact_div(ExactRational(1), ExactRational(0))
+            ExactRational(1).exact_div(ExactRational(0))
 
     def test_real_below_tolerance_counts_as_zero(self):
         with pytest.raises(DivisionByZero):
-            exact_div(ApproxReal(1.0, 1e-12), ApproxReal(1e-15, 1e-12))
+            ApproxReal(1.0, 1e-12).exact_div(ApproxReal(1e-15, 1e-12))
 
     def test_real_plain_division(self):
-        q = exact_div(ApproxReal(1.0), ApproxReal(4.0))
+        q = ApproxReal(1.0).exact_div(ApproxReal(4.0))
         assert q.value == 0.25
 
 
 class TestIsZero:
     def test_integer(self):
-        assert is_zero(ExactInteger(0))
-        assert not is_zero(ExactInteger(-1))
+        assert ExactInteger(0).is_zero()
+        assert not ExactInteger(-1).is_zero()
 
     def test_real_tolerance(self):
-        assert is_zero(ApproxReal(1e-15, 1e-12))
-        assert not is_zero(ApproxReal(1e-10, 1e-12))
+        assert ApproxReal(1e-15, 1e-12).is_zero()
+        assert not ApproxReal(1e-10, 1e-12).is_zero()
 
     def test_polynomial(self):
-        assert not is_zero(poly(0, 1))
-        assert is_zero(Polynomial())
+        assert not poly(0, 1).is_zero()
+        assert Polynomial().is_zero()
 
 
 class TestNeg:
     def test_integer(self):
-        assert neg(ExactInteger(163)) == ExactInteger(-163)
-        assert neg(ExactInteger(0)) == ExactInteger(0)
+        assert -ExactInteger(163) == ExactInteger(-163)
+        assert -ExactInteger(0) == ExactInteger(0)
 
     def test_polynomial(self):
-        assert neg(poly(0, -2, 0, 1)) == poly(0, 2, 0, -1)
+        assert -poly(0, -2, 0, 1) == poly(0, 2, 0, -1)
 
 
 ints = st.integers(min_value=-50, max_value=50)
@@ -147,33 +141,33 @@ small_polys = st.lists(ints, min_size=0, max_size=4).map(Polynomial)
 @given(a=ints, b=nonzero_ints)
 def test_integer_div_roundtrip(a, b):
     prod = ExactInteger(a * b)
-    assert mul(exact_div(prod, ExactInteger(b)), ExactInteger(b)) == prod
+    assert prod.exact_div(ExactInteger(b)) * ExactInteger(b) == prod
 
 
 @given(a=rationals, b=rationals.filter(lambda r: not r.is_zero()))
 def test_rational_div_roundtrip_and_canonical_form(a, b):
-    q = exact_div(a, b)
-    assert mul(q, b) == a
+    q = a.exact_div(b)
+    assert q * b == a
     assert q.value.denominator > 0
     assert math.gcd(q.value.numerator, q.value.denominator) == 1
 
 
 @given(p=small_polys, q=small_polys.filter(lambda p: not p.is_zero()))
 def test_polynomial_div_roundtrip(p, q):
-    prod = mul(p, q)
-    assert mul(exact_div(prod, q), q) == prod
+    prod = p * q
+    assert prod.exact_div(q) * q == prod
 
 
 @given(p=small_polys.filter(lambda p: not p.is_zero()),
        q=small_polys.filter(lambda p: not p.is_zero()))
 def test_degree_law(p, q):
-    assert mul(p, q).degree == p.degree + q.degree
+    assert (p * q).degree == p.degree + q.degree
 
 
 @given(a=st.one_of(ints.map(ExactInteger), rationals, small_polys,
                    st.floats(-1e6, 1e6).map(ApproxReal)))
 def test_self_subtraction_is_zero(a):
-    assert is_zero(sub(a, a))
+    assert (a - a).is_zero()
 
 
 class TestText:
