@@ -39,6 +39,7 @@ A matrix that defeats all of this (e.g. the zero matrix) raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .matrix import Matrix, TooSmall
 from .ring import ApproxReal, DivisionByZero, InexactDivision, format_scalar
@@ -110,18 +111,30 @@ class CondensationTrace:
     """Everything a condensation run produced.
 
     ``stages[k]`` is the (n-k) x (n-k) stage matrix; ``starred[k-2]`` is the
-    pre-division matrix belonging to ``stages[k]`` for k >= 2.  ``restarts``
-    lists (stage, position) pairs for every zero divisor that forced a
-    restart; ``division_warning`` is set when a real-arithmetic division used
-    a divisor within 1000x of the zero tolerance.
+    pre-division matrix belonging to ``stages[k]`` for k >= 2.  Only the
+    stages are stored: the pre-division matrices are recomputed from them on
+    first access and then cached.  ``restarts`` lists (stage, position) pairs
+    for every zero divisor that forced a restart; ``division_warning`` is set
+    when a real-arithmetic division used a divisor within 1000x of the zero
+    tolerance.
     """
 
     stages: tuple
-    starred: tuple
     mitigation: MitigationLog
     ops: OpCount
     restarts: tuple = ()
     division_warning: bool = False
+
+    @cached_property
+    def starred(self) -> tuple:
+        return tuple(Matrix(_minor_rows(s)) for s in self.stages[1:-1])
+
+
+def _minor_rows(m: Matrix):
+    """Rows of the 2x2 consecutive-minor determinants of ``m``."""
+    rows = m.rows()
+    for top, bottom in zip(rows, rows[1:]):
+        yield [a * d - b * c for a, b, c, d in zip(top, top[1:], bottom, bottom[1:])]
 
 
 def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:
@@ -129,49 +142,32 @@ def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:
 
     ``divisor_interior`` is None exactly on the first round.  Zero or inexact
     divisions are re-raised with the offending (i, j) position attached, which
-    is what the restart logic keys on.
+    is what the restart logic keys on; ``ops`` then counts every minor up to
+    and including the failing one, and the divisions before it.
     """
-    stage, _ = _step_with_star(current, divisor_interior, ops)
-    return stage
-
-
-def _step_with_star(current, divisor_interior, ops, warn=None):
     if not current.is_square or current.n_rows < 2:
         raise ValueError("condense_step needs a square matrix, n >= 2")
-    k = current.n_rows
+    w = current.n_rows - 1
     if divisor_interior is not None and (
-        divisor_interior.n_rows != k - 1 or divisor_interior.n_cols != k - 1
+        divisor_interior.n_rows != w or divisor_interior.n_cols != w
     ):
         raise ValueError("divisor interior must be (k-1) x (k-1)")
-    star_rows = []
     out_rows = []
-    for i in range(k - 1):
-        star_row = []
-        out_row = []
-        for j in range(k - 1):
-            det2 = current[i, j] * current[i + 1, j + 1] - current[i, j + 1] * current[i + 1, j]
-            ops.mults += 2
-            ops.adds += 1
-            star_row.append(det2)
-            if divisor_interior is None:
-                out_row.append(det2)
-                continue
-            d = divisor_interior[i, j]
-            if warn is not None and isinstance(d, ApproxReal):
-                if abs(d.value) < 1e3 * d.tolerance:
-                    warn[0] = True
-            try:
-                out_row.append(det2.exact_div(d))
-            except DivisionByZero as e:
-                raise DivisionByZero(str(e), position=(i, j)) from e
-            except InexactDivision as e:
-                raise InexactDivision(str(e), position=(i, j)) from e
-            ops.divs += 1
-        star_rows.append(star_row)
-        out_rows.append(out_row)
-    stage = Matrix(out_rows)
-    star = Matrix(star_rows) if divisor_interior is not None else None
-    return stage, star
+    for i, row in enumerate(_minor_rows(current)):
+        if divisor_interior is not None:
+            for j, d in enumerate(divisor_interior.rows()[i]):
+                try:
+                    row[j] = row[j].exact_div(d)
+                except (DivisionByZero, InexactDivision) as e:
+                    ops.mults += 2 * (j + 1)
+                    ops.adds += j + 1
+                    ops.divs += j
+                    raise type(e)(str(e), position=(i, j)) from e
+            ops.divs += w
+        ops.mults += 2 * w
+        ops.adds += w
+        out_rows.append(row)
+    return Matrix(out_rows)
 
 
 def _rotation_swaps(n: int, row_shift: int, col_shift: int) -> list:
@@ -181,42 +177,48 @@ def _rotation_swaps(n: int, row_shift: int, col_shift: int) -> list:
     return row_swaps + col_swaps
 
 
-def _additive_repair(m: Matrix, salt: int):
+def _additive_repair(matrix_rows, salt: int):
     """Clear interior zeros by adding scaled rows/columns.
 
     ``salt`` shifts the starting scale so successive restart rounds produce
-    distinct transforms.  Raises UnremovableZero when a zero has no nonzero
-    source in its row or column, or when the repair budget runs out.
+    distinct transforms.  The additions are applied in place to a copy of
+    ``matrix_rows``, with the expression order of ``Matrix.add_scaled_row``
+    and ``add_scaled_col``, and one ``Matrix`` is built at the end.  Raises
+    UnremovableZero when a zero has no nonzero source in its row or column,
+    or when the repair budget runs out.
     """
-    n = m.n_rows
+    rows = [list(r) for r in matrix_rows]
+    n = len(rows)
     ops = []
     attempts = {}
     for _ in range(4 * n * n):
-        zero_at = None
-        for i in range(1, n - 1):
-            for j in range(1, n - 1):
-                if m[i, j].is_zero():
-                    zero_at = (i, j)
-                    break
-            if zero_at:
-                break
+        zero_at = next(
+            (
+                (i, j)
+                for i in range(1, n - 1)
+                for j in range(1, n - 1)
+                if rows[i][j].is_zero()
+            ),
+            None,
+        )
         if zero_at is None:
-            return m, ops
+            return Matrix(rows), ops
         i, j = zero_at
         attempts[zero_at] = attempts.get(zero_at, 0) + 1
-        c = m[0, 0].from_int(salt + attempts[zero_at])
+        c = rows[0][0].from_int(salt + attempts[zero_at])
         src = next(
-            (s for s in range(n) if s != i and not m[s, j].is_zero()), None
+            (s for s in range(n) if s != i and not rows[s][j].is_zero()), None
         )
         if src is not None:
-            m = m.add_scaled_row(src, i, c)
+            rows[i] = [d + c * s for d, s in zip(rows[i], rows[src])]
             ops.append(("add_scaled_row", src, i, c))
             continue
         src = next(
-            (t for t in range(n) if t != j and not m[i, t].is_zero()), None
+            (t for t in range(n) if t != j and not rows[i][t].is_zero()), None
         )
         if src is not None:
-            m = m.add_scaled_col(src, j, c)
+            for r in rows:
+                r[j] = r[j] + c * r[src]
             ops.append(("add_scaled_col", src, j, c))
             continue
         raise UnremovableZero(
@@ -256,7 +258,7 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
         if plan in excluded:
             continue
         if plan[0] == "add":
-            cand, ops = _additive_repair(a, plan[1])
+            cand, ops = _additive_repair(rows, plan[1])
             return cand, MitigationLog(ops, plan)
         _, r, c = plan
         rotated = [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
@@ -271,40 +273,42 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
 def condensation_det(a: Matrix):
     """Determinant of ``a`` by condensation; returns (value, trace).
 
-    Runs mitigation first, restarts under a fresh plan whenever a zero
-    divisor appears mid-run (at most 2n restarts), and multiplies the result
-    by the accumulated swap sign.  Raises FallbackRequired when the strategy
-    is exhausted.
+    Runs mitigation first (for n >= 3; smaller sizes have no interior),
+    restarts under a fresh plan whenever a zero divisor appears mid-run (at
+    most 2n restarts), and multiplies the result by the accumulated swap
+    sign.  Raises FallbackRequired when the strategy is exhausted.
     """
     if not a.is_square:
         raise ValueError("condensation needs a square matrix")
     n = a.n_rows
+    real = isinstance(a[0, 0], ApproxReal)
     ops = OpCount()
-    if n == 1:
-        return a[0, 0], CondensationTrace((a,), (), MitigationLog(), ops)
-    if n == 2:
-        stage = condense_step(a, None, ops)
-        return stage[0, 0], CondensationTrace((a, stage), (), MitigationLog(), ops)
-
     budget = 2 * n
     excluded = []
     restarts = []
-    warn = [False]
+    warning = False
     for _ in range(budget + 1):
-        try:
-            a0, log = mitigate_interior_zeros(a, exclude=excluded)
-        except UnremovableZero as e:
-            raise FallbackRequired(str(e)) from e
+        if n < 3:
+            a0, log = a, MitigationLog()
+        else:
+            try:
+                a0, log = mitigate_interior_zeros(a, exclude=excluded)
+            except UnremovableZero as e:
+                raise FallbackRequired(str(e)) from e
         stages = [a0]
-        starred = []
         k = 0
         try:
             for k in range(1, n):
                 divisor = stages[k - 2].interior() if k >= 2 else None
-                stage, star = _step_with_star(stages[k - 1], divisor, ops, warn)
-                stages.append(stage)
-                if star is not None:
-                    starred.append(star)
+                if real and divisor is not None:
+                    # a zero divisor is inside this bound too, so an aborted
+                    # attempt always sets the warning
+                    warning = warning or any(
+                        abs(d.value) < 1e3 * d.tolerance
+                        for row in divisor.rows()
+                        for d in row
+                    )
+                stages.append(condense_step(stages[k - 1], divisor, ops))
         except DivisionByZero as e:
             restarts.append((k, e.position))
             excluded.append(log.plan)
@@ -312,9 +316,7 @@ def condensation_det(a: Matrix):
         result = stages[-1][0, 0]
         if log.sign < 0:
             result = -result
-        trace = CondensationTrace(
-            tuple(stages), tuple(starred), log, ops, tuple(restarts), warn[0]
-        )
+        trace = CondensationTrace(tuple(stages), log, ops, tuple(restarts), warning)
         return result, trace
     raise FallbackRequired(
         f"no clean condensation path within {budget} restarts"

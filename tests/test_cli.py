@@ -10,6 +10,65 @@ RESTART4 = str(FIXTURES / "restart4.txt")
 ALLYL = str(FIXTURES / "allyl.edges")
 
 
+GOLDEN_CLEAN4 = """\
+-82
+stage 0 (4 x 4)
+4 2 0 -3
+1 1 2 2
+0 -1 3 -1
+1 2 5 1
+stage 1 (3 x 3)
+2 4 6
+-1 5 -8
+1 -11 8
+stage 2 (pre-division)
+14 -62
+6 -48
+stage 2 (2 x 2)
+14 -31
+-6 -16
+stage 3 (pre-division)
+-410
+stage 3 (1 x 1)
+-82
+sign: +1
+mults: 28
+divs: 5
+adds: 14
+"""
+
+GOLDEN_RESTART4 = """\
+-163
+stage 0 (4 x 4)
+-1 3 6 -3
+5 1 2 0
+-2 1 -1 1
+0 1 0 4
+stage 1 (3 x 3)
+-16 0 6
+7 -3 2
+-2 1 -4
+stage 2 (pre-division)
+48 18
+1 10
+stage 2 (2 x 2)
+48 9
+1 -10
+stage 3 (pre-division)
+-489
+stage 3 (1 x 1)
+163
+restart: zero divisor at stage 3, minor (0, 0)
+swap_rows 0 1
+swap_rows 1 2
+swap_rows 2 3
+sign: -1
+mults: 56
+divs: 9
+adds: 28
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -59,6 +118,17 @@ class TestDet:
         assert "mults: 28\n" in out
         assert "divs: 5\n" in out
         assert "adds: 14\n" in out
+
+    def test_golden_trace_and_counts_clean4(self, capsys):
+        code, out, err = run(capsys, "det", CLEAN4, "--trace", "--count-ops")
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_CLEAN4
+
+    def test_golden_trace_and_counts_restart4(self, capsys):
+        # the counts include the attempt aborted at stage 3
+        code, out, err = run(capsys, "det", RESTART4, "--trace", "--count-ops")
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_RESTART4
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"

@@ -1,9 +1,11 @@
+import contextlib
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from exactdet import condense
 from exactdet.condense import (
     CondensationTrace,
     FallbackRequired,
@@ -37,6 +39,23 @@ def clean_adds(n):
     return sum(k * k for k in range(1, n))
 
 
+@contextlib.contextmanager
+def matrices_built(monkeypatch):
+    """Collects one entry per ``Matrix`` constructed inside the block."""
+    built = []
+    original = Matrix.__init__
+
+    def counting_init(self, rows):
+        built.append(1)
+        original(self, rows)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    try:
+        yield built
+    finally:
+        monkeypatch.undo()
+
+
 class TestCondenseStep:
     def test_first_step_no_division(self):
         ops = OpCount()
@@ -60,10 +79,18 @@ class TestCondenseStep:
         assert out == int_matrix([[-82]])
 
     def test_zero_divisor_carries_position(self):
-        ops = OpCount()
-        with pytest.raises(DivisionByZero) as err:
-            condense_step(int_matrix([[1, 2], [3, 4]]), int_matrix([[0]]), ops)
-        assert err.value.position == (0, 0)
+        # (current, divisor, failing position, ops spent up to the failure);
+        # in the 3x3 step the minors at (0, 0) and (0, 1) divide before (1, 0)
+        cases = [
+            ([[1, 2], [3, 4]], [[0]], (0, 0), OpCount(mults=2, divs=0, adds=1)),
+            (STAGE1, [[1, 1], [0, 1]], (1, 0), OpCount(mults=6, divs=2, adds=3)),
+        ]
+        for current, divisor, position, spent in cases:
+            ops = OpCount()
+            with pytest.raises(DivisionByZero) as err:
+                condense_step(int_matrix(current), int_matrix(divisor), ops)
+            assert err.value.position == position
+            assert ops == spent
 
     def test_inexact_division_carries_position(self):
         # 3*1 - 1*1 = 2 is not divisible by 4; 2x2 at (0, 0) is the culprit
@@ -102,11 +129,14 @@ class TestMitigation:
             cofactor_det(m) if log.sign == 1 else -cofactor_det(m)
         )
 
-    def test_checkerboard_needs_additions(self):
+    def test_checkerboard_needs_additions(self, monkeypatch):
         # every cyclic 2x2 interior block of this pattern contains zeros,
         # so all rotation plans fail and additive repair must kick in
         m = int_matrix([[(i + j) % 2 for j in range(4)] for i in range(4)])
-        out, log = mitigate_interior_zeros(m)
+        with matrices_built(monkeypatch) as built:
+            out, log = mitigate_interior_zeros(m)
+        # the repair works on raw rows and builds only the returned Matrix
+        assert len(built) == 1
         assert log.plan == ("add", 0)
         assert all(op[0].startswith("add") for op in log.operations)
         assert log.sign == 1
@@ -156,16 +186,8 @@ class TestMitigation:
         # only the interior entry a[2][2] is nonzero, so the five plans before
         # ("rot", 1, 1) are rejected; the accepted one builds the only Matrix
         m = int_matrix([[1, 0, 1], [0, 0, 0], [1, 0, 1]])
-        built = []
-        original = Matrix.__init__
-
-        def counting_init(self, rows):
-            built.append(1)
-            original(self, rows)
-
-        monkeypatch.setattr(Matrix, "__init__", counting_init)
-        out, log = mitigate_interior_zeros(m)
-        monkeypatch.undo()
+        with matrices_built(monkeypatch) as built:
+            out, log = mitigate_interior_zeros(m)
         assert log.plan == ("rot", 1, 1)
         assert len(built) == 1
         assert out == int_matrix([[0, 0, 0], [0, 1, 1], [0, 1, 1]])
@@ -204,13 +226,21 @@ class TestCondensationDet:
         assert trace.restarts == ()
         assert trace.mitigation.sign == 1
 
-    def test_1x1_and_2x2(self):
+    def test_1x1_and_2x2(self, monkeypatch):
+        # sizes without an interior never reach mitigation
+        def no_mitigation(*args, **kwargs):
+            raise AssertionError("mitigation called for n < 3")
+
+        monkeypatch.setattr(condense, "mitigate_interior_zeros", no_mitigation)
         det1, trace1 = condensation_det(int_matrix([[7]]))
         assert det1 == ExactInteger(7)
         assert len(trace1.stages) == 1
         det2, trace2 = condensation_det(int_matrix([[1, 2], [3, 4]]))
         assert det2 == ExactInteger(-2)
         assert trace2.ops == OpCount(mults=2, divs=0, adds=1)
+        for trace in (trace1, trace2):
+            assert repr(trace.mitigation) == "MitigationLog([], plan=None)"
+            assert trace.starred == ()
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -310,6 +340,12 @@ class TestCondensationDet:
         det, trace = condensation_det(m)
         assert trace.division_warning
         assert det.value == pytest.approx(52.0, abs=1e-4)
+        # the aborted attempt's zero divisor trips the warning on its own
+        m = Matrix([[ApproxReal(float(v)) for v in r] for r in RESTART4])
+        det, trace = condensation_det(m)
+        assert det == ApproxReal(-163.0)
+        assert trace.restarts == ((3, (0, 0)),)
+        assert trace.division_warning
 
     def test_rational_matrix_equivalence(self):
         from exactdet.ring import ExactRational

@@ -1,0 +1,71 @@
+"""Byte-for-byte guard for refactors of the condensation engine.
+
+A seeded sweep over all four rings and the Hückel chains 3-10 goes through
+``condensation_det``.  For each case the determinant, the rendered trace,
+the mitigation log, the restarts, the op counts and the division warning
+(or the ``FallbackRequired`` message) are hashed together, so a change to any
+output of any case changes the digest.  ``EXPECTED`` was produced by the
+engine that still stored the pre-division matrices and kept two stage
+kernels.
+"""
+
+import hashlib
+import random
+
+from exactdet.condense import FallbackRequired, condensation_det, render_trace
+from exactdet.huckel import PiSystem, secular_matrix
+from exactdet.matrix import Matrix, int_matrix
+from exactdet.ring import ApproxReal, ExactRational, Polynomial
+
+SEED = 2026
+# 0.0 is an interior zero; 1e-7 is nonzero but trips the division warning
+REALS = (0.0, 1e-7, 1.0, -1.0, 0.5, 2.5, -3.0)
+EXPECTED = "cfaf3ee4851ce6b6c0a88d680c304f69800e4c54de1b7b94b3af1466a0d39451"
+
+
+def square(n, entry):
+    return Matrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def sweep_cases(rng):
+    for n in range(1, 8):
+        for _ in range(25):
+            yield int_matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    for n in range(2, 6):
+        for _ in range(10):
+            yield square(n, lambda: ExactRational(rng.randint(-4, 4), rng.randint(1, 3)))
+            yield square(n, lambda: ApproxReal(rng.choice(REALS)))
+    for n in range(2, 5):
+        for _ in range(10):
+            yield square(
+                n, lambda: Polynomial([rng.randint(-2, 2) for _ in range(rng.randint(0, 2))])
+            )
+    for k in range(3, 11):
+        yield secular_matrix(PiSystem.chain(k))
+
+
+def case_record(m) -> str:
+    try:
+        det, trace = condensation_det(m)
+    except FallbackRequired as e:
+        return f"fallback: {e}"
+    return "\n".join([
+        repr(det),
+        render_trace(trace),
+        repr(trace.mitigation),
+        repr(trace.restarts),
+        repr(trace.ops),
+        repr(trace.division_warning),
+    ])
+
+
+def sweep_digest() -> str:
+    h = hashlib.sha256()
+    for m in sweep_cases(random.Random(SEED)):
+        h.update(case_record(m).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_seeded_sweep_digest():
+    assert sweep_digest() == EXPECTED
