@@ -14,7 +14,8 @@ clears them with determinant-preserving elementary operations before the run
 starts; if a zero only surfaces in a later stage, ``condensation_det``
 restarts from the original matrix under the next untried transform.  Swap
 parity is tracked in a ``MitigationLog`` whose sign multiplies the final
-result.
+result.  One function, ``_apply_operation``, applies a logged operation to a
+list of row lists in place; additive repair and ``replay_log`` both use it.
 
 Mitigation plans are tried in a fixed order so results are reproducible:
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matrix import Matrix, TooSmall
+from .matrix import IndexOutOfRange, Matrix, TooSmall
 from .ring import ApproxReal, DivisionByZero, InexactDivision, format_scalar
 
 
@@ -66,11 +67,6 @@ class OpCount:
     @property
     def muldiv(self) -> int:
         return self.mults + self.divs
-
-    def merge(self, other: "OpCount") -> None:
-        self.mults += other.mults
-        self.divs += other.divs
-        self.adds += other.adds
 
     def __eq__(self, other):
         return (
@@ -104,6 +100,41 @@ class MitigationLog:
 
     def __repr__(self):
         return f"MitigationLog({list(self.operations)!r}, plan={self.plan!r})"
+
+
+def _apply_operation(rows: list, op: tuple) -> None:
+    """Apply one ``MitigationLog`` operation to a list of row lists, in place.
+
+    Indices come from the log, which ``replay_log`` takes from its caller, so
+    they are checked: an index outside the matrix (negative ones included)
+    or equal source and destination raises IndexOutOfRange, and an unknown
+    kind raises ValueError.
+    """
+    kind = op[0]
+    if kind in ("swap_rows", "add_scaled_row"):
+        axis, size = "row", len(rows)
+    elif kind in ("swap_cols", "add_scaled_col"):
+        axis, size = "column", len(rows[0])
+    else:
+        raise ValueError(f"unknown mitigation operation {kind!r}")
+    src, dst = op[1], op[2]
+    for k in (src, dst):
+        if not 0 <= k < size:
+            raise IndexOutOfRange(f"{axis} {k} outside 0..{size - 1}")
+    if src == dst:
+        raise IndexOutOfRange(f"{kind} needs two distinct {axis}s")
+    if kind == "swap_rows":
+        rows[src], rows[dst] = rows[dst], rows[src]
+    elif kind == "swap_cols":
+        for r in rows:
+            r[src], r[dst] = r[dst], r[src]
+    elif kind == "add_scaled_row":
+        c = op[3]
+        rows[dst] = [d + c * s for d, s in zip(rows[dst], rows[src])]
+    else:
+        c = op[3]
+        for r in rows:
+            r[dst] = r[dst] + c * r[src]
 
 
 @dataclass(frozen=True)
@@ -182,8 +213,8 @@ def _additive_repair(matrix_rows, salt: int):
 
     ``salt`` shifts the starting scale so successive restart rounds produce
     distinct transforms.  The additions are applied in place to a copy of
-    ``matrix_rows``, with the expression order of ``Matrix.add_scaled_row``
-    and ``add_scaled_col``, and one ``Matrix`` is built at the end.  Raises
+    ``matrix_rows`` by ``_apply_operation``, the applier ``replay_log`` uses,
+    and one ``Matrix`` is built at the end.  Raises
     UnremovableZero when a zero has no nonzero source in its row or column,
     or when the repair budget runs out.
     """
@@ -210,20 +241,18 @@ def _additive_repair(matrix_rows, salt: int):
             (s for s in range(n) if s != i and not rows[s][j].is_zero()), None
         )
         if src is not None:
-            rows[i] = [d + c * s for d, s in zip(rows[i], rows[src])]
-            ops.append(("add_scaled_row", src, i, c))
-            continue
-        src = next(
-            (t for t in range(n) if t != j and not rows[i][t].is_zero()), None
-        )
-        if src is not None:
-            for r in rows:
-                r[j] = r[j] + c * r[src]
-            ops.append(("add_scaled_col", src, j, c))
-            continue
-        raise UnremovableZero(
-            f"interior zero at ({i}, {j}) has no nonzero row or column source"
-        )
+            op = ("add_scaled_row", src, i, c)
+        else:
+            src = next(
+                (t for t in range(n) if t != j and not rows[i][t].is_zero()), None
+            )
+            if src is None:
+                raise UnremovableZero(
+                    f"interior zero at ({i}, {j}) has no nonzero row or column source"
+                )
+            op = ("add_scaled_col", src, j, c)
+        _apply_operation(rows, op)
+        ops.append(op)
     raise UnremovableZero("additive repair budget exhausted")
 
 
@@ -325,20 +354,10 @@ def condensation_det(a: Matrix):
 
 def replay_log(a: Matrix, log: MitigationLog) -> Matrix:
     """Re-apply a mitigation log to a matrix (trace reproducibility)."""
-    m = a
+    rows = [list(r) for r in a.rows()]
     for op in log.operations:
-        kind = op[0]
-        if kind == "swap_rows":
-            m = m.swap_rows(op[1], op[2])
-        elif kind == "swap_cols":
-            m = m.swap_cols(op[1], op[2])
-        elif kind == "add_scaled_row":
-            m = m.add_scaled_row(op[1], op[2], op[3])
-        elif kind == "add_scaled_col":
-            m = m.add_scaled_col(op[1], op[2], op[3])
-        else:
-            raise ValueError(f"unknown mitigation operation {kind!r}")
-    return m
+        _apply_operation(rows, op)
+    return Matrix(rows)
 
 
 def _matrix_body(m: Matrix) -> str:

@@ -2,8 +2,9 @@
 condensation algorithm is phrased in.
 
 A ``Matrix`` is an immutable rectangular array whose entries all live in one
-ring.  Row operations return new matrices; nothing is mutated in place, so a
-condensation trace can keep every intermediate stage intact.
+ring; nothing is mutated in place, so a condensation trace can keep every
+intermediate stage intact.  Elementary row and column operations are not
+methods here: ``condense.replay_log`` applies them from a ``MitigationLog``.
 
 Submatrix terms used throughout the package:
 
@@ -129,52 +130,6 @@ class Matrix:
         self._check_col(j)
         return Matrix(
             r[:j] + r[j + 1 :] for k, r in enumerate(self._rows) if k != i
-        )
-
-    def swap_rows(self, i: int, j: int) -> "Matrix":
-        """Rows i and j exchanged; the caller owns the (-1) determinant factor."""
-        self._check_row(i)
-        self._check_row(j)
-        if i == j:
-            raise IndexOutOfRange("swap needs two distinct rows")
-        rows = list(self._rows)
-        rows[i], rows[j] = rows[j], rows[i]
-        return Matrix(rows)
-
-    def swap_cols(self, i: int, j: int) -> "Matrix":
-        self._check_col(i)
-        self._check_col(j)
-        if i == j:
-            raise IndexOutOfRange("swap needs two distinct columns")
-        return Matrix(
-            tuple(
-                r[j] if k == i else (r[i] if k == j else r[k])
-                for k in range(self.n_cols)
-            )
-            for r in self._rows
-        )
-
-    def add_scaled_row(self, src: int, dst: int, c: Scalar) -> "Matrix":
-        """Row dst becomes dst + c*src; determinant is unchanged."""
-        self._check_row(src)
-        self._check_row(dst)
-        if src == dst:
-            raise IndexOutOfRange("source and destination rows must differ")
-        rows = list(self._rows)
-        rows[dst] = tuple(d + c * s for d, s in zip(rows[dst], rows[src]))
-        return Matrix(rows)
-
-    def add_scaled_col(self, src: int, dst: int, c: Scalar) -> "Matrix":
-        self._check_col(src)
-        self._check_col(dst)
-        if src == dst:
-            raise IndexOutOfRange("source and destination columns must differ")
-        return Matrix(
-            tuple(
-                r[k] + c * r[src] if k == dst else r[k]
-                for k in range(self.n_cols)
-            )
-            for r in self._rows
         )
 
 

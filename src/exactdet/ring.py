@@ -88,6 +88,10 @@ class ExactInteger(Scalar):
         self._same_ring(other)
         return ExactInteger(self.value + other.value)
 
+    def __sub__(self, other):
+        self._same_ring(other)
+        return ExactInteger(self.value - other.value)
+
     def __mul__(self, other):
         self._same_ring(other)
         return ExactInteger(self.value * other.value)
@@ -138,6 +142,10 @@ class ExactRational(Scalar):
         self._same_ring(other)
         return ExactRational._wrap(self.value + other.value)
 
+    def __sub__(self, other):
+        self._same_ring(other)
+        return ExactRational._wrap(self.value - other.value)
+
     def __mul__(self, other):
         self._same_ring(other)
         return ExactRational._wrap(self.value * other.value)
@@ -183,6 +191,10 @@ class ApproxReal(Scalar):
     def __add__(self, other):
         self._same_ring(other)
         return ApproxReal(self.value + other.value, self._tol(other))
+
+    def __sub__(self, other):
+        self._same_ring(other)
+        return ApproxReal(self.value - other.value, self._tol(other))
 
     def __mul__(self, other):
         self._same_ring(other)

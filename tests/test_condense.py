@@ -18,7 +18,7 @@ from exactdet.condense import (
     render_trace,
     replay_log,
 )
-from exactdet.matrix import Matrix, int_matrix
+from exactdet.matrix import IndexOutOfRange, Matrix, int_matrix
 from exactdet.oracle import bareiss_det, cofactor_det
 from exactdet.ring import ApproxReal, DivisionByZero, ExactInteger, InexactDivision
 
@@ -431,6 +431,39 @@ def test_replay_det_relation(m, data):
 def test_replay_empty_log_is_identity():
     m = int_matrix(CLEAN4)
     assert replay_log(m, MitigationLog()) == m
+
+
+def test_replay_builds_one_matrix(monkeypatch):
+    # the (9, 9) rotation of a 10 x 10 matrix is 162 logged swaps
+    n = 10
+    m = int_matrix([[i * n + j for j in range(n)] for i in range(n)])
+    log = MitigationLog(condense._rotation_swaps(n, 9, 9))
+    assert len(log.operations) == 162
+    with matrices_built(monkeypatch) as built:
+        out = replay_log(m, log)
+    assert len(built) == 1
+    rows = [list(r) for r in m.rows()]
+    assert out == Matrix([row[9:] + row[:9] for row in rows[9:] + rows[:9]])
+
+
+@pytest.mark.parametrize(
+    "kind", ["swap_rows", "swap_cols", "add_scaled_row", "add_scaled_col"]
+)
+def test_replay_rejects_bad_indices(kind):
+    # 3 x 5, so an index past the rows is still a valid column and vice versa
+    m = int_matrix([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [11, 12, 13, 14, 15]])
+    size = 3 if "row" in kind else 5
+    extra = () if kind.startswith("swap") else (ExactInteger(2),)
+    for src, dst in [(size, 0), (0, size), (-1, 0), (0, -1), (1, 1)]:
+        with pytest.raises(IndexOutOfRange):
+            replay_log(m, MitigationLog([(kind, src, dst) + extra]))
+    replay_log(m, MitigationLog([(kind, size - 1, 0) + extra]))
+
+
+def test_replay_rejects_unknown_kind():
+    m = int_matrix(CLEAN4)
+    with pytest.raises(ValueError, match="unknown mitigation operation 'rot'"):
+        replay_log(m, MitigationLog([("rot", 1, 0)]))
 
 
 class TestRenderTrace:

@@ -71,6 +71,25 @@ class TestSub:
     def test_polynomials(self):
         assert poly(0, 0, 0, 1) - poly(0, 0, 0, 1) == Polynomial()
 
+    def test_rationals(self):
+        d = ExactRational(1, 2) - ExactRational(5, 6)
+        assert d == ExactRational(-1, 3)
+        assert d.value.denominator == 3
+
+    def test_reals_keep_larger_tolerance(self):
+        d = ApproxReal(2.5, 1e-9) - ApproxReal(0.75, 1e-6)
+        assert d.value == 1.75
+        assert d.tolerance == 1e-6
+        assert (ApproxReal(2.5, 1e-6) - ApproxReal(0.75, 1e-9)).tolerance == 1e-6
+
+    def test_mismatch(self):
+        with pytest.raises(RingMismatch):
+            ExactInteger(1) - ExactRational(1, 2)
+        with pytest.raises(RingMismatch):
+            ApproxReal(1.0) - ExactInteger(1)
+        with pytest.raises(RingMismatch):
+            poly(1) - ExactRational(1)
+
 
 class TestExactDiv:
     def test_integers(self):
@@ -168,6 +187,25 @@ def test_degree_law(p, q):
                    st.floats(-1e6, 1e6).map(ApproxReal)))
 def test_self_subtraction_is_zero(a):
     assert (a - a).is_zero()
+
+
+reals = st.builds(ApproxReal, st.floats(-1e6, 1e6), st.sampled_from([1e-12, 1e-9, 1e-6]))
+
+
+@given(pair=st.one_of(
+    st.tuples(ints.map(ExactInteger), ints.map(ExactInteger)),
+    st.tuples(rationals, rationals),
+    st.tuples(reals, reals),
+    st.tuples(small_polys, small_polys),
+))
+def test_subtraction_is_adding_the_negation(pair):
+    a, b = pair
+    d, s = a - b, a + (-b)
+    assert type(d) is type(s)
+    assert d == s
+    if isinstance(d, ApproxReal):
+        assert d.tolerance == s.tolerance
+        assert math.copysign(1.0, d.value) == math.copysign(1.0, s.value)
 
 
 class TestText:

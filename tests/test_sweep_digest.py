@@ -12,7 +12,12 @@ kernels.
 import hashlib
 import random
 
-from exactdet.condense import FallbackRequired, condensation_det, render_trace
+from exactdet.condense import (
+    FallbackRequired,
+    condensation_det,
+    render_trace,
+    replay_log,
+)
 from exactdet.huckel import PiSystem, secular_matrix
 from exactdet.matrix import Matrix, int_matrix
 from exactdet.ring import ApproxReal, ExactRational, Polynomial
@@ -69,3 +74,19 @@ def sweep_digest() -> str:
 
 def test_seeded_sweep_digest():
     assert sweep_digest() == EXPECTED
+
+
+def test_seeded_sweep_replay_agrees():
+    condensed = with_ops = with_additions = 0
+    for m in sweep_cases(random.Random(SEED)):
+        try:
+            _, trace = condensation_det(m)
+        except FallbackRequired:
+            continue
+        ops = trace.mitigation.operations
+        assert replay_log(m, trace.mitigation) == trace.stages[0]
+        condensed += 1
+        with_ops += bool(ops)
+        with_additions += any(op[0].startswith("add") for op in ops)
+    # the sweep reaches every kind of log: empty, swaps only, and additions
+    assert (condensed, with_ops, with_additions) == (270, 110, 40)
