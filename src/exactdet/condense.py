@@ -9,6 +9,13 @@ the (i, j) entry of stage k is itself the determinant of the (k+1) x (k+1)
 connected minor of stage 0 anchored at (i, j), so over the integers every
 intermediate stays an integer.
 
+The stage kernel, ``_condense_rows``, computes on native values (see
+``ring.NativeRing``): ``condensation_det`` unwraps the mitigated matrix once
+per attempt, keeps only the previous two stages as lists of native rows and
+wraps only the result.  A ``CondensationTrace`` stores stage 0; its stages and
+pre-division matrices are recomputed through the same kernel when first read.
+``condense_step`` is the same kernel for ``Matrix`` arguments.
+
 Interior zeros are the method's one failure mode.  ``mitigate_interior_zeros``
 clears them with determinant-preserving elementary operations before the run
 starts; if a zero only surfaces in a later stage, ``condensation_det``
@@ -41,9 +48,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .matrix import IndexOutOfRange, Matrix, TooSmall
-from .ring import ApproxReal, DivisionByZero, InexactDivision, format_scalar
+from .ring import (
+    DivisionByZero,
+    InexactDivision,
+    NativeRing,
+    format_scalar,
+    native_ring,
+)
 
 
 class UnremovableZero(ValueError):
@@ -141,64 +155,100 @@ def _apply_operation(rows: list, op: tuple) -> None:
 class CondensationTrace:
     """Everything a condensation run produced.
 
+    ``mitigated`` is stage 0, the matrix the run condensed after mitigation.
     ``stages[k]`` is the (n-k) x (n-k) stage matrix; ``starred[k-2]`` is the
-    pre-division matrix belonging to ``stages[k]`` for k >= 2.  Only the
-    stages are stored: the pre-division matrices are recomputed from them on
-    first access and then cached.  ``restarts`` lists (stage, position) pairs
-    for every zero divisor that forced a restart; ``division_warning`` is set
-    when a real-arithmetic division used a divisor within 1000x of the zero
-    tolerance.
+    pre-division matrix belonging to ``stages[k]`` for k >= 2.  The run keeps
+    only two live stages, so neither is stored: both are recomputed from
+    ``mitigated`` through the stage kernel on first access and then cached,
+    and reading them leaves ``ops`` unchanged.  ``restarts`` lists
+    (stage, position) pairs for every zero divisor that forced a restart;
+    ``division_warning`` is set when a real-arithmetic division used a
+    divisor within 1000x of the zero tolerance.
     """
 
-    stages: tuple
+    mitigated: Matrix
     mitigation: MitigationLog
     ops: OpCount
     restarts: tuple = ()
     division_warning: bool = False
 
     @cached_property
+    def stages(self) -> tuple:
+        ring = native_ring(self.mitigated.rows())
+        rows = ring.unwrap(self.mitigated.rows())
+        later = _stage_rows(rows, ring, OpCount())
+        return (self.mitigated,) + tuple(_to_matrix(ring, s) for s in later)
+
+    @cached_property
     def starred(self) -> tuple:
-        return tuple(Matrix(_minor_rows(s)) for s in self.stages[1:-1])
+        return tuple(condense_step(s, None, OpCount()) for s in self.stages[1:-1])
 
 
-def _minor_rows(m: Matrix):
-    """Rows of the 2x2 consecutive-minor determinants of ``m``."""
-    rows = m.rows()
-    for top, bottom in zip(rows, rows[1:]):
-        yield [a * d - b * c for a, b, c, d in zip(top, top[1:], bottom, bottom[1:])]
+def _to_matrix(ring: NativeRing, rows) -> Matrix:
+    return Matrix([list(map(ring.wrap, r)) for r in rows])
+
+
+def _condense_rows(current, divisor, ring: NativeRing, ops: OpCount) -> list:
+    """The stage kernel: one condensation round on native rows.
+
+    Each entry is a 2x2 consecutive minor of ``current``, divided row by row
+    by ``divisor`` (the interior rows of the stage two rounds back, None on
+    the first round).  On a failed division at (i, j), ``ops`` counts every
+    minor up to and including the failing one, and the divisions before it.
+    """
+    w = len(current) - 1
+    out = []
+    for i, (top, bottom) in enumerate(zip(current, current[1:])):
+        row = [a * d - b * c for a, b, c, d in zip(top, top[1:], bottom, bottom[1:])]
+        if divisor is not None:
+            try:
+                row = ring.divide_row(row, divisor[i], i)
+            except (DivisionByZero, InexactDivision) as e:
+                j = e.position[1]
+                ops.mults += 2 * (j + 1)
+                ops.adds += j + 1
+                ops.divs += j
+                raise
+            ops.divs += w
+        ops.mults += 2 * w
+        ops.adds += w
+        out.append(row)
+    return out
+
+
+def _stage_rows(rows, ring: NativeRing, ops: OpCount):
+    """Yield stages 1 .. n-1 of the native rows ``rows`` (stage 0).
+
+    Only the previous two stages are kept: the one to condense and the one
+    whose interior divides it.
+    """
+    prev, current = None, rows
+    for _ in range(len(rows) - 1):
+        divisor = None if prev is None else [r[1:-1] for r in prev[1:-1]]
+        prev, current = current, _condense_rows(current, divisor, ring, ops)
+        yield current
 
 
 def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:
     """One condensation round: 2x2 minor determinants, divided elementwise.
 
     ``divisor_interior`` is None exactly on the first round.  Zero or inexact
-    divisions are re-raised with the offending (i, j) position attached, which
-    is what the restart logic keys on; ``ops`` then counts every minor up to
-    and including the failing one, and the divisions before it.
+    divisions raise with the offending (i, j) position attached, which is
+    what the restart logic keys on; ``ops`` then counts every minor up to and
+    including the failing one, and the divisions before it.  A divisor from
+    another ring than ``current`` raises RingMismatch.
     """
     if not current.is_square or current.n_rows < 2:
         raise ValueError("condense_step needs a square matrix, n >= 2")
     w = current.n_rows - 1
-    if divisor_interior is not None and (
-        divisor_interior.n_rows != w or divisor_interior.n_cols != w
-    ):
-        raise ValueError("divisor interior must be (k-1) x (k-1)")
-    out_rows = []
-    for i, row in enumerate(_minor_rows(current)):
-        if divisor_interior is not None:
-            for j, d in enumerate(divisor_interior.rows()[i]):
-                try:
-                    row[j] = row[j].exact_div(d)
-                except (DivisionByZero, InexactDivision) as e:
-                    ops.mults += 2 * (j + 1)
-                    ops.adds += j + 1
-                    ops.divs += j
-                    raise type(e)(str(e), position=(i, j)) from e
-            ops.divs += w
-        ops.mults += 2 * w
-        ops.adds += w
-        out_rows.append(row)
-    return Matrix(out_rows)
+    divisor_rows = ()
+    if divisor_interior is not None:
+        if divisor_interior.n_rows != w or divisor_interior.n_cols != w:
+            raise ValueError("divisor interior must be (k-1) x (k-1)")
+        divisor_rows = divisor_interior.rows()
+    ring = native_ring(current.rows() + divisor_rows)
+    divisor = None if divisor_interior is None else ring.unwrap(divisor_rows)
+    return _to_matrix(ring, _condense_rows(ring.unwrap(current.rows()), divisor, ring, ops))
 
 
 def _rotation_swaps(n: int, row_shift: int, col_shift: int) -> list:
@@ -305,12 +355,13 @@ def condensation_det(a: Matrix):
     Runs mitigation first (for n >= 3; smaller sizes have no interior),
     restarts under a fresh plan whenever a zero divisor appears mid-run (at
     most 2n restarts), and multiplies the result by the accumulated swap
-    sign.  Raises FallbackRequired when the strategy is exhausted.
+    sign.  Each attempt unwraps the mitigated matrix once, keeps two live
+    stages of native values and wraps only the result.  Raises
+    FallbackRequired when the strategy is exhausted.
     """
     if not a.is_square:
         raise ValueError("condensation needs a square matrix")
     n = a.n_rows
-    real = isinstance(a[0, 0], ApproxReal)
     ops = OpCount()
     budget = 2 * n
     excluded = []
@@ -324,28 +375,25 @@ def condensation_det(a: Matrix):
                 a0, log = mitigate_interior_zeros(a, exclude=excluded)
             except UnremovableZero as e:
                 raise FallbackRequired(str(e)) from e
-        stages = [a0]
-        k = 0
+        ring = native_ring(a0.rows())
+        rows = ring.unwrap(a0.rows())
         try:
-            for k in range(1, n):
-                divisor = stages[k - 2].interior() if k >= 2 else None
-                if real and divisor is not None:
-                    # a zero divisor is inside this bound too, so an aborted
-                    # attempt always sets the warning
+            for k, stage in enumerate(chain([rows], _stage_rows(rows, ring, ops))):
+                if ring.tolerance is not None:
+                    # an interior entry divides two rounds on; a zero divisor
+                    # is inside this bound too, so an aborted attempt always
+                    # sets the warning
                     warning = warning or any(
-                        abs(d.value) < 1e3 * d.tolerance
-                        for row in divisor.rows()
-                        for d in row
+                        abs(d) < 1e3 * ring.tolerance for r in stage[1:-1] for d in r[1:-1]
                     )
-                stages.append(condense_step(stages[k - 1], divisor, ops))
         except DivisionByZero as e:
-            restarts.append((k, e.position))
+            restarts.append((k + 1, e.position))
             excluded.append(log.plan)
             continue
-        result = stages[-1][0, 0]
+        result = ring.wrap(stage[0][0])
         if log.sign < 0:
             result = -result
-        trace = CondensationTrace(tuple(stages), log, ops, tuple(restarts), warning)
+        trace = CondensationTrace(a0, log, ops, tuple(restarts), warning)
         return result, trace
     raise FallbackRequired(
         f"no clean condensation path within {budget} restarts"
@@ -368,7 +416,7 @@ def _matrix_body(m: Matrix) -> str:
 
 def render_trace(trace: CondensationTrace) -> str:
     """Serialize a trace: stage blocks, restart notes, mitigation log, sign."""
-    n = trace.stages[0].n_rows
+    n = trace.mitigated.n_rows
     lines = []
     for k, stage in enumerate(trace.stages):
         if k >= 2:

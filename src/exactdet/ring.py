@@ -21,11 +21,24 @@ integers and polynomials the divisor must divide exactly; a nonzero
 remainder raises ``InexactDivision``, which deliberately surfaces instead of
 being masked by a silent switch to rationals (an inexact division means a
 logic bug or an unhandled interior zero upstream).
+
+The condensation stage kernel does not compute on these wrappers.  A
+``NativeRing`` describes one matrix's ring, and the kernel works on native
+values: ``int``, ``Fraction`` and ``float``, and ``Polynomial`` objects
+themselves.  A real matrix then has one zero tolerance, the largest among its
+entries, where scalar arithmetic gives each result the larger tolerance of its
+two operands.  The two agree when every entry has the same tolerance, which
+``parse_matrix`` always gives.  With mixed tolerances, every stage entry and
+the determinant carry the matrix's tolerance, and every zero test and division
+warning of the kernel uses it: a divisor below that tolerance counts as zero,
+and forces a restart, even where the tolerances of its own operands are
+smaller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -72,9 +85,6 @@ class Scalar:
     def from_int(self, k: int):
         """A constant of this scalar's ring (used to build row-op factors)."""
         raise NotImplementedError
-
-    def __sub__(self, other):
-        return self + (-other)
 
 
 class ExactInteger(Scalar):
@@ -256,6 +266,14 @@ class Polynomial(Scalar):
             out[i] += c
         return Polynomial(out)
 
+    def __sub__(self, other):
+        self._same_ring(other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [Fraction(0)] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return Polynomial(out)
+
     def __mul__(self, other):
         self._same_ring(other)
         a, b = self.coeffs, other.coeffs
@@ -325,6 +343,103 @@ class Polynomial(Scalar):
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+class NativeRing(NamedTuple):
+    """One matrix's ring, for arithmetic on native values.
+
+    The stage kernel computes on ``int``, ``Fraction`` and ``float`` values,
+    and on ``Polynomial`` objects themselves, rather than on one ``Scalar``
+    wrapper per entry.  ``unwrap(rows)`` gives the native rows of a matrix,
+    ``wrap(value)`` the scalar of one native value, and
+    ``divide_row(row, divisors, i)`` the entrywise exact quotients of row i;
+    a failing division raises ``DivisionByZero`` or ``InexactDivision`` with
+    the message ``exact_div`` gives and position (i, j) of the first failing
+    entry.  ``tolerance`` is the zero tolerance of a real matrix, else None.
+    """
+
+    unwrap: Callable
+    wrap: Callable
+    divide_row: Callable
+    tolerance: float | None = None
+
+
+def native_ring(rows) -> NativeRing:
+    """The ``NativeRing`` of a nonempty sequence of rows of scalars.
+
+    Raises RingMismatch when the scalars belong to more than one ring, so
+    unwrapped values never mix rings.  A real matrix gets one tolerance, the
+    largest among its entries.
+    """
+    first = rows[0][0]
+    kind = type(first)
+    for r in rows:
+        for e in r:
+            if type(e) is not kind:
+                first._same_ring(e)
+    if kind is ExactInteger:
+        return NativeRing(_values, ExactInteger, _divide_integers)
+    if kind is ExactRational:
+        return NativeRing(_values, ExactRational._wrap, _divide_rationals)
+    if kind is ApproxReal:
+        tol = max(e.tolerance for r in rows for e in r)
+        return NativeRing(
+            _values, lambda v: ApproxReal(v, tol), _real_divider(tol), tol
+        )
+    if kind is Polynomial:
+        return NativeRing(_same, _same, _divide_polynomials)
+    raise TypeError(f"not a scalar: {first!r}")
+
+
+def _values(rows):
+    return [[e.value for e in r] for r in rows]
+
+
+def _same(x):
+    return x
+
+
+def _divide_integers(row, divisors, i):
+    # every quotient at once; only a failure walks the row to its first failing entry
+    try:
+        qr = [divmod(x, d) for x, d in zip(row, divisors)]
+        exact = [q for q, r in qr if not r]
+        if len(exact) == len(qr):
+            return exact
+    except ZeroDivisionError:
+        pass
+    for j, (x, d) in enumerate(zip(row, divisors)):
+        if d == 0:
+            raise DivisionByZero("integer division by zero", (i, j))
+        if x % d:
+            raise InexactDivision(f"{d} does not divide {x}", (i, j))
+
+
+def _divide_rationals(row, divisors, i):
+    try:
+        return [x / d for x, d in zip(row, divisors)]
+    except ZeroDivisionError:
+        raise DivisionByZero("rational division by zero", (i, divisors.index(0))) from None
+
+
+def _real_divider(tol):
+    def divide_row(row, divisors, i):
+        for j, d in enumerate(divisors):
+            if abs(d) < tol:
+                raise DivisionByZero("real division by (near-)zero", (i, j))
+        return [x / d for x, d in zip(row, divisors)]
+
+    return divide_row
+
+
+def _divide_polynomials(row, divisors, i):
+    out = []
+    for j, (x, d) in enumerate(zip(row, divisors)):
+        try:
+            out.append(x.exact_div(d))
+        except (DivisionByZero, InexactDivision) as e:
+            raise type(e)(str(e), (i, j)) from e
+    return out
 
 
 def _frac_str(f: Fraction) -> str:

@@ -20,7 +20,16 @@ from exactdet.condense import (
 )
 from exactdet.matrix import IndexOutOfRange, Matrix, int_matrix
 from exactdet.oracle import bareiss_det, cofactor_det
-from exactdet.ring import ApproxReal, DivisionByZero, ExactInteger, InexactDivision
+from exactdet.ring import (
+    DEFAULT_TOLERANCE,
+    ApproxReal,
+    DivisionByZero,
+    ExactInteger,
+    ExactRational,
+    InexactDivision,
+    Polynomial,
+    RingMismatch,
+)
 
 from test_matrix import CLEAN4, RESTART4, identity
 
@@ -54,6 +63,44 @@ def matrices_built(monkeypatch):
         yield built
     finally:
         monkeypatch.undo()
+
+
+RINGS = ["integer", "rational", "real", "polynomial"]
+# small entries, so zero divisors turn up in every ring
+ENTRIES = {
+    "integer": lambda rng: ExactInteger(rng.randint(-3, 3)),
+    "rational": lambda rng: ExactRational(rng.randint(-3, 3), rng.randint(1, 3)),
+    "real": lambda rng: ApproxReal(
+        rng.choice([0.0, 1e-12]) if rng.random() < 0.15 else rng.uniform(-4, 4)
+    ),
+    "polynomial": lambda rng: Polynomial(
+        [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+    ),
+}
+
+
+def scalar_step(current, divisor):
+    """One condensation round on Scalar entries, entry by entry."""
+    rows = current.rows()
+    out = []
+    for i in range(current.n_rows - 1):
+        row = []
+        for j in range(current.n_cols - 1):
+            a, b = rows[i][j], rows[i][j + 1]
+            c, d = rows[i + 1][j], rows[i + 1][j + 1]
+            minor = a * d - b * c
+            if divisor is not None:
+                try:
+                    minor = minor.exact_div(divisor[i, j])
+                except DivisionByZero as e:
+                    raise DivisionByZero(str(e), position=(i, j)) from e
+            row.append(minor)
+        out.append(row)
+    return Matrix(out)
+
+
+def entry_reprs(m):
+    return [[repr(e) for e in row] for row in m.rows()]
 
 
 class TestCondenseStep:
@@ -98,10 +145,68 @@ class TestCondenseStep:
         with pytest.raises(InexactDivision) as err:
             condense_step(int_matrix([[3, 1], [1, 1]]), int_matrix([[4]]), ops)
         assert err.value.position == (0, 0)
+        assert str(err.value) == "4 does not divide 2"
 
     def test_divisor_shape_checked(self):
         with pytest.raises(ValueError):
             condense_step(int_matrix(STAGE1), int_matrix([[1]]), OpCount())
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_agrees_with_scalar_formula(self, ring):
+        # every stage of seeded condensations, and the failing step of those
+        # that hit a zero divisor, against (a*d - b*c).exact_div(e) per entry
+        rng = random.Random(sum(map(ord, ring)))
+        entry = ENTRIES[ring]
+        divided = failed = 0
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(12):
+                stages = [Matrix([[entry(rng) for _ in range(n)] for _ in range(n)])]
+                for k in range(1, n):
+                    divisor = stages[k - 2].interior() if k >= 2 else None
+                    try:
+                        expected = scalar_step(stages[k - 1], divisor)
+                    except DivisionByZero as e:
+                        with pytest.raises(DivisionByZero) as err:
+                            condense_step(stages[k - 1], divisor, OpCount())
+                        assert err.value.position == e.position
+                        assert str(err.value) == str(e)
+                        failed += 1
+                        break
+                    out = condense_step(stages[k - 1], divisor, OpCount())
+                    assert entry_reprs(out) == entry_reprs(expected)
+                    divided += divisor is not None
+                    stages.append(out)
+        # both outcomes are reached: divided stages and zero divisors
+        assert divided > 20 and failed > 10
+
+    @pytest.mark.parametrize("ring", ["rational", "real", "polynomial"])
+    def test_zero_divisor_in_every_ring(self, ring):
+        # the integer case of test_zero_divisor_carries_position in the other
+        # rings: rational 0, a real below the 1e-9 tolerance, the zero polynomial
+        wrap = {
+            "rational": ExactRational,
+            "real": ApproxReal,
+            "polynomial": lambda v: Polynomial([v]),
+        }[ring]
+        zero = {"real": ApproxReal(1e-12), "polynomial": Polynomial()}.get(ring, wrap(0))
+        current = Matrix([[wrap(v) for v in row] for row in STAGE1])
+        divisor = Matrix([[wrap(1), wrap(1)], [zero, wrap(1)]])
+        ops = OpCount()
+        with pytest.raises(DivisionByZero) as err:
+            condense_step(current, divisor, ops)
+        assert err.value.position == (1, 0)
+        assert ops == OpCount(mults=6, divs=2, adds=3)
+
+    def test_ring_mismatch_with_divisor(self):
+        rational = Matrix([[ExactRational(v) for v in row] for row in [[1, 1], [1, 1]]])
+        with pytest.raises(RingMismatch):
+            condense_step(int_matrix(STAGE1), rational, OpCount())
+        with pytest.raises(RingMismatch):
+            condense_step(
+                Matrix([[ExactRational(v) for v in row] for row in STAGE1]),
+                int_matrix([[1, 1], [1, 1]]),
+                OpCount(),
+            )
 
 
 class TestMitigation:
@@ -346,6 +451,39 @@ class TestCondensationDet:
         assert det == ApproxReal(-163.0)
         assert trace.restarts == ((3, (0, 0)),)
         assert trace.division_warning
+
+    def test_real_tolerance_reaches_det(self):
+        # the entries' tolerance comes back on the determinant, and 1e-6
+        # moves neither the restart nor the warning of the default tolerance
+        def run(tol):
+            return condensation_det(
+                Matrix([[ApproxReal(float(v), tol) for v in r] for r in RESTART4])
+            )
+
+        det, trace = run(1e-6)
+        _, default = run(DEFAULT_TOLERANCE)
+        assert repr(det) == "ApproxReal(-163.0, tolerance=1e-06)"
+        assert trace.restarts == default.restarts == ((3, (0, 0)),)
+        assert trace.division_warning and default.division_warning
+
+    def test_clean_run_builds_no_matrix(self, monkeypatch):
+        # stages live as native rows; only reading trace.stages builds them
+        rng = random.Random(20)
+        m = int_matrix(
+            [[rng.randint(-10**6, 10**6) for _ in range(20)] for _ in range(20)]
+        )
+        with matrices_built(monkeypatch) as built:
+            det, trace = condensation_det(m)
+        assert len(built) == 0
+        assert trace.mitigation.plan == ("rot", 0, 0)
+        assert det == bareiss_det(m)
+        ops = repr(trace.ops)
+        stages = [replay_log(m, trace.mitigation)]
+        for k in range(1, 20):
+            divisor = stages[k - 2].interior() if k >= 2 else None
+            stages.append(condense_step(stages[k - 1], divisor, OpCount()))
+        assert list(trace.stages) == stages
+        assert repr(trace.ops) == ops
 
     def test_rational_matrix_equivalence(self):
         from exactdet.ring import ExactRational
