@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 parse/argument error, 3 non-square matrix,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .condense import FallbackRequired, OpCount, condensation_det, render_trace
@@ -48,7 +49,9 @@ def _sizes(text: str):
     return lo, hi
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="exactdet",
         description="Exact determinants by condensation, with oracles and a Hückel solver.",

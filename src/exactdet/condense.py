@@ -68,29 +68,17 @@ class FallbackRequired(RuntimeError):
     """Condensation gave up; use an oracle determinant instead."""
 
 
+@dataclass(slots=True)
 class OpCount:
     """Running tally of ring operations consumed by a determinant run."""
 
-    __slots__ = ("mults", "divs", "adds")
-
-    def __init__(self, mults: int = 0, divs: int = 0, adds: int = 0):
-        self.mults = mults
-        self.divs = divs
-        self.adds = adds
+    mults: int = 0
+    divs: int = 0
+    adds: int = 0
 
     @property
     def muldiv(self) -> int:
         return self.mults + self.divs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OpCount)
-            and (self.mults, self.divs, self.adds)
-            == (other.mults, other.divs, other.adds)
-        )
-
-    def __repr__(self):
-        return f"OpCount(mults={self.mults}, divs={self.divs}, adds={self.adds})"
 
 
 class MitigationLog:

@@ -26,6 +26,7 @@ from .ring import (
     ExactRational,
     Scalar,
     format_scalar,
+    native_ring,
     parse_scalar,
 )
 
@@ -58,12 +59,7 @@ class Matrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        first = rows[0][0]
-        if not isinstance(first, Scalar):
-            raise TypeError(f"entries must be scalars, got {type(first).__name__}")
-        kind = type(first)
-        if any(type(e) is not kind for r in rows for e in r):
-            raise TypeError("all entries must belong to one ring")
+        native_ring(rows)  # raises TypeError unless all entries share one ring
         self.n_rows = len(rows)
         self.n_cols = width
         self._rows = rows

@@ -25,16 +25,15 @@ def cofactor_det(a: Matrix, ops: OpCount | None = None):
     """Determinant by first-row Laplace expansion (no zero skipping)."""
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
-    return _cofactor(a, ops if ops is not None else OpCount())
+    return _cofactor(a.rows(), ops if ops is not None else OpCount())
 
 
-def _cofactor(a, ops):
-    n = a.n_rows
-    if n == 1:
-        return a[0, 0]
+def _cofactor(rows, ops):
+    if len(rows) == 1:
+        return rows[0][0]
     total = None
-    for j in range(n):
-        term = a[0, j] * _cofactor(a.delete_row_col(0, j), ops)
+    for j, x in enumerate(rows[0]):
+        term = x * _cofactor([r[:j] + r[j + 1 :] for r in rows[1:]], ops)
         ops.mults += 1
         if total is None:
             total = term

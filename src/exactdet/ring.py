@@ -22,6 +22,16 @@ remainder raises ``InexactDivision``, which deliberately surfaces instead of
 being masked by a silent switch to rationals (an inexact division means a
 logic bug or an unhandled interior zero upstream).
 
+Each ring's rules are stated once.  ``integer_quotient``,
+``rational_quotient`` and ``real_quotient`` are the number rings' exact
+quotients, and ``Polynomial.exact_div`` the polynomial one: each holds its
+ring's zero-divisor test and division messages, and takes the ring's zero
+tolerance (None for the exact rings).  A scalar's ``exact_div`` and the
+kernel's ``NativeRing.divide_row`` both call them.  The number scalars share
+their arithmetic, ``==`` and ``hash`` through ``_Number``, and
+``native_ring`` is the one check that entries share a ring, for ``Matrix``
+and the kernel alike.
+
 The condensation stage kernel does not compute on these wrappers.  A
 ``NativeRing`` describes one matrix's ring, and the kernel works on native
 values: ``int``, ``Fraction`` and ``float``, and ``Polynomial`` objects
@@ -64,7 +74,11 @@ class InexactDivision(ArithmeticError):
 
 
 class Scalar:
-    """Base class for ring elements.  Values are immutable."""
+    """Base class for ring elements.  Values are immutable.
+
+    Every scalar has ``+``, ``-``, ``*``, unary ``-``, ``exact_div``,
+    ``is_zero`` and ``from_int``; its operands must come from its own ring.
+    """
 
     __slots__ = ()
     ring = "abstract"
@@ -76,160 +90,120 @@ class Scalar:
                 f"{getattr(other, 'ring', type(other).__name__)}"
             )
 
-    def exact_div(self, other):
-        raise NotImplementedError
 
-    def is_zero(self):
-        raise NotImplementedError
+def integer_quotient(x: int, d: int, tolerance=None) -> int:
+    """x / d over the integers; d must divide x."""
+    if d == 0:
+        raise DivisionByZero("integer division by zero")
+    q, r = divmod(x, d)
+    if r:
+        raise InexactDivision(f"{d} does not divide {x}")
+    return q
 
-    def from_int(self, k: int):
-        """A constant of this scalar's ring (used to build row-op factors)."""
-        raise NotImplementedError
+
+def rational_quotient(x: Fraction, d: Fraction, tolerance=None) -> Fraction:
+    if d == 0:
+        raise DivisionByZero("rational division by zero")
+    return x / d
 
 
-class ExactInteger(Scalar):
+def real_quotient(x: float, d: float, tolerance: float) -> float:
+    """x / d, where a divisor below ``tolerance`` in magnitude counts as zero."""
+    if abs(d) < tolerance:
+        raise DivisionByZero("real division by (near-)zero")
+    return x / d
+
+
+class _Number(Scalar):
+    """A scalar holding one native number ``value``.
+
+    A ring names its ``_quotient`` and gives its constructor and ``repr``;
+    reals also replace the exact rings' ``_result`` and ``is_zero`` below.
+    """
+
     __slots__ = ("value",)
-    ring = "integer"
+    tolerance = None  # the zero tolerance; only reals have one
 
-    def __init__(self, value: int):
-        self.value = int(value)
-
-    def __add__(self, other):
-        self._same_ring(other)
-        return ExactInteger(self.value + other.value)
-
-    def __sub__(self, other):
-        self._same_ring(other)
-        return ExactInteger(self.value - other.value)
-
-    def __mul__(self, other):
-        self._same_ring(other)
-        return ExactInteger(self.value * other.value)
-
-    def __neg__(self):
-        return ExactInteger(-self.value)
-
-    def exact_div(self, other):
-        self._same_ring(other)
-        if other.value == 0:
-            raise DivisionByZero("integer division by zero")
-        q, r = divmod(self.value, other.value)
-        if r != 0:
-            raise InexactDivision(f"{other.value} does not divide {self.value}")
-        return ExactInteger(q)
+    @classmethod
+    def _result(cls, value, other=None):
+        out = cls.__new__(cls)
+        out.value = value
+        return out
 
     def is_zero(self):
         return self.value == 0
 
-    def from_int(self, k):
-        return ExactInteger(k)
+    def __add__(self, other):
+        self._same_ring(other)
+        return self._result(self.value + other.value, other)
+
+    def __sub__(self, other):
+        self._same_ring(other)
+        return self._result(self.value - other.value, other)
+
+    def __mul__(self, other):
+        self._same_ring(other)
+        return self._result(self.value * other.value, other)
+
+    def __neg__(self):
+        return self._result(-self.value, self)
+
+    def exact_div(self, other):
+        self._same_ring(other)
+        return self._result(self._quotient(self.value, other.value, other.tolerance), other)
+
+    def from_int(self, k: int):
+        """A constant of this scalar's ring (used to build row-op factors)."""
+        return self._result(type(self.value)(k), self)
 
     def __eq__(self, other):
-        return isinstance(other, ExactInteger) and self.value == other.value
+        return type(other) is type(self) and self.value == other.value
 
     def __hash__(self):
-        return hash(("int", self.value))
+        return hash((self.ring, self.value))
+
+
+class ExactInteger(_Number):
+    __slots__ = ()
+    ring = "integer"
+    _quotient = staticmethod(integer_quotient)
+
+    def __init__(self, value: int):
+        self.value = int(value)
 
     def __repr__(self):
         return f"ExactInteger({self.value})"
 
 
-class ExactRational(Scalar):
-    __slots__ = ("value",)
+class ExactRational(_Number):
+    __slots__ = ()
     ring = "rational"
+    _quotient = staticmethod(rational_quotient)
 
     def __init__(self, numerator, denominator=1):
         # Fraction keeps lowest terms and a positive denominator for us.
         self.value = Fraction(numerator, denominator)
 
-    @classmethod
-    def _wrap(cls, frac):
-        out = cls.__new__(cls)
-        out.value = frac
-        return out
-
-    def __add__(self, other):
-        self._same_ring(other)
-        return ExactRational._wrap(self.value + other.value)
-
-    def __sub__(self, other):
-        self._same_ring(other)
-        return ExactRational._wrap(self.value - other.value)
-
-    def __mul__(self, other):
-        self._same_ring(other)
-        return ExactRational._wrap(self.value * other.value)
-
-    def __neg__(self):
-        return ExactRational._wrap(-self.value)
-
-    def exact_div(self, other):
-        self._same_ring(other)
-        if other.value == 0:
-            raise DivisionByZero("rational division by zero")
-        return ExactRational._wrap(self.value / other.value)
-
-    def is_zero(self):
-        return self.value == 0
-
-    def from_int(self, k):
-        return ExactRational(k)
-
-    def __eq__(self, other):
-        return isinstance(other, ExactRational) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("rat", self.value))
-
     def __repr__(self):
         return f"ExactRational({self.value.numerator}, {self.value.denominator})"
 
 
-class ApproxReal(Scalar):
+class ApproxReal(_Number):
     """Double-precision value with the zero-tolerance of its computation."""
 
-    __slots__ = ("value", "tolerance")
+    __slots__ = ("tolerance",)
     ring = "real"
+    _quotient = staticmethod(real_quotient)
 
     def __init__(self, value: float, tolerance: float = DEFAULT_TOLERANCE):
         self.value = float(value)
         self.tolerance = float(tolerance)
 
-    def _tol(self, other):
-        return max(self.tolerance, other.tolerance)
-
-    def __add__(self, other):
-        self._same_ring(other)
-        return ApproxReal(self.value + other.value, self._tol(other))
-
-    def __sub__(self, other):
-        self._same_ring(other)
-        return ApproxReal(self.value - other.value, self._tol(other))
-
-    def __mul__(self, other):
-        self._same_ring(other)
-        return ApproxReal(self.value * other.value, self._tol(other))
-
-    def __neg__(self):
-        return ApproxReal(-self.value, self.tolerance)
-
-    def exact_div(self, other):
-        self._same_ring(other)
-        if other.is_zero():
-            raise DivisionByZero("real division by (near-)zero")
-        return ApproxReal(self.value / other.value, self._tol(other))
+    def _result(self, value, other):
+        return ApproxReal(value, max(self.tolerance, other.tolerance))
 
     def is_zero(self):
         return abs(self.value) < self.tolerance
-
-    def from_int(self, k):
-        return ApproxReal(float(k), self.tolerance)
-
-    def __eq__(self, other):
-        return isinstance(other, ApproxReal) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("real", self.value))
 
     def __repr__(self):
         return f"ApproxReal({self.value!r}, tolerance={self.tolerance!r})"
@@ -351,44 +325,63 @@ class NativeRing(NamedTuple):
     The stage kernel computes on ``int``, ``Fraction`` and ``float`` values,
     and on ``Polynomial`` objects themselves, rather than on one ``Scalar``
     wrapper per entry.  ``unwrap(rows)`` gives the native rows of a matrix,
-    ``wrap(value)`` the scalar of one native value, and
-    ``divide_row(row, divisors, i)`` the entrywise exact quotients of row i;
-    a failing division raises ``DivisionByZero`` or ``InexactDivision`` with
-    the message ``exact_div`` gives and position (i, j) of the first failing
-    entry.  ``tolerance`` is the zero tolerance of a real matrix, else None.
+    ``wrap(value)`` the scalar of one native value, and ``quotient`` is the
+    ring's exact quotient, the one its scalars' ``exact_div`` calls.
+    ``divide_all(row, divisors, tolerance)``, where a ring has it, divides a
+    whole row at once and gives None when some division fails.
+    ``tolerance`` is the zero tolerance of a real matrix, else None.
     """
 
     unwrap: Callable
     wrap: Callable
-    divide_row: Callable
+    quotient: Callable
+    divide_all: Callable | None = None
     tolerance: float | None = None
+
+    def divide_row(self, row, divisors, i):
+        """The entrywise exact quotients of row i.
+
+        A failing division raises ``DivisionByZero`` or ``InexactDivision``
+        with the message of ``quotient`` and position (i, j) of the first
+        failing entry.
+        """
+        if self.divide_all is not None:
+            out = self.divide_all(row, divisors, self.tolerance)
+            if out is not None:
+                return out
+        out = []
+        for j, (x, d) in enumerate(zip(row, divisors)):
+            try:
+                out.append(self.quotient(x, d, self.tolerance))
+            except (DivisionByZero, InexactDivision) as e:
+                e.position = (i, j)
+                raise
+        return out
 
 
 def native_ring(rows) -> NativeRing:
     """The ``NativeRing`` of a nonempty sequence of rows of scalars.
 
-    Raises RingMismatch when the scalars belong to more than one ring, so
-    unwrapped values never mix rings.  A real matrix gets one tolerance, the
-    largest among its entries.
+    Raises TypeError when the entries are not scalars, and RingMismatch when
+    they belong to more than one ring, so unwrapped values never mix rings.
+    A real matrix gets one tolerance, the largest among its entries.
     """
     first = rows[0][0]
     kind = type(first)
+    if kind not in (ExactInteger, ExactRational, ApproxReal, Polynomial):
+        raise TypeError(f"entries must be scalars, got {kind.__name__}")
     for r in rows:
         for e in r:
             if type(e) is not kind:
                 first._same_ring(e)
     if kind is ExactInteger:
-        return NativeRing(_values, ExactInteger, _divide_integers)
+        return NativeRing(_values, ExactInteger._result, integer_quotient, _divide_integers)
     if kind is ExactRational:
-        return NativeRing(_values, ExactRational._wrap, _divide_rationals)
+        return NativeRing(_values, ExactRational._result, rational_quotient, _divide_rationals)
     if kind is ApproxReal:
         tol = max(e.tolerance for r in rows for e in r)
-        return NativeRing(
-            _values, lambda v: ApproxReal(v, tol), _real_divider(tol), tol
-        )
-    if kind is Polynomial:
-        return NativeRing(_same, _same, _divide_polynomials)
-    raise TypeError(f"not a scalar: {first!r}")
+        return NativeRing(_values, lambda v: ApproxReal(v, tol), real_quotient, _divide_reals, tol)
+    return NativeRing(_same, _same, _polynomial_quotient)
 
 
 def _values(rows):
@@ -399,47 +392,34 @@ def _same(x):
     return x
 
 
-def _divide_integers(row, divisors, i):
-    # every quotient at once; only a failure walks the row to its first failing entry
+def _polynomial_quotient(x, d, tolerance=None):
+    return x.exact_div(d)
+
+
+# Whole-row divisions: every quotient at once, or None when one fails, and
+# only then does ``divide_row`` walk the row with the ring's quotient.
+
+
+def _divide_integers(row, divisors, tolerance):
     try:
         qr = [divmod(x, d) for x, d in zip(row, divisors)]
-        exact = [q for q, r in qr if not r]
-        if len(exact) == len(qr):
-            return exact
     except ZeroDivisionError:
-        pass
-    for j, (x, d) in enumerate(zip(row, divisors)):
-        if d == 0:
-            raise DivisionByZero("integer division by zero", (i, j))
-        if x % d:
-            raise InexactDivision(f"{d} does not divide {x}", (i, j))
+        return None
+    exact = [q for q, r in qr if not r]
+    return exact if len(exact) == len(qr) else None
 
 
-def _divide_rationals(row, divisors, i):
+def _divide_rationals(row, divisors, tolerance):
     try:
         return [x / d for x, d in zip(row, divisors)]
     except ZeroDivisionError:
-        raise DivisionByZero("rational division by zero", (i, divisors.index(0))) from None
+        return None
 
 
-def _real_divider(tol):
-    def divide_row(row, divisors, i):
-        for j, d in enumerate(divisors):
-            if abs(d) < tol:
-                raise DivisionByZero("real division by (near-)zero", (i, j))
-        return [x / d for x, d in zip(row, divisors)]
-
-    return divide_row
-
-
-def _divide_polynomials(row, divisors, i):
-    out = []
-    for j, (x, d) in enumerate(zip(row, divisors)):
-        try:
-            out.append(x.exact_div(d))
-        except (DivisionByZero, InexactDivision) as e:
-            raise type(e)(str(e), (i, j)) from e
-    return out
+def _divide_reals(row, divisors, tolerance):
+    if any(abs(d) < tolerance for d in divisors):
+        return None
+    return [x / d for x, d in zip(row, divisors)]
 
 
 def _frac_str(f: Fraction) -> str:

@@ -1,7 +1,9 @@
+import argparse
 import pathlib
 
 import pytest
 
+from exactdet import cli
 from exactdet.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -261,3 +263,18 @@ class TestHuckel:
         code, _, err = run(capsys, "huckel", "--chain", "3", "--alpha", "-1", "--beta", "-1")
         assert code == 5
         assert "settle" in err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert run(capsys, "det", CLEAN4) == (0, "-82\n", "")
+    assert run(capsys, "det", RESTART4) == (0, "-163\n", "")
+    assert built.count("exactdet") == 1

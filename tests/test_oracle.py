@@ -9,6 +9,7 @@ from exactdet.matrix import Matrix, TooSmall, int_matrix
 from exactdet.oracle import bareiss_det, cofactor_det, count_ratio, jacobi_check
 from exactdet.ring import ExactInteger, ExactRational, Polynomial
 
+from test_condense import matrices_built
 from test_matrix import CLEAN4, RESTART4, identity
 
 
@@ -37,6 +38,17 @@ class TestCofactorDet:
         cofactor_det(m, ops)
         assert ops.mults == cofactor_mults(n)
         assert ops.divs == 0
+
+    def test_recursion_builds_no_matrix(self, monkeypatch):
+        rng = random.Random(6)
+        m = int_matrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)])
+        ops = OpCount()
+        with matrices_built(monkeypatch) as built:
+            det = cofactor_det(m, ops)
+        assert built == []
+        assert det == bareiss_det(m)
+        # M(6) = 1236 and A(n) = n * A(n-1) + n - 1, A(1) = 0
+        assert ops == OpCount(mults=1236, divs=0, adds=719)
 
     def test_rational_ring(self):
         m = Matrix([[ExactRational(1, 2), ExactRational(1, 3)],

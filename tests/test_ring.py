@@ -208,6 +208,37 @@ def test_subtraction_is_adding_the_negation(pair):
         assert math.copysign(1.0, d.value) == math.copysign(1.0, s.value)
 
 
+class TestEquality:
+    def test_rings_never_equal(self):
+        ones = [ExactInteger(1), ExactRational(1), ApproxReal(1.0), poly(1)]
+        for i, a in enumerate(ones):
+            for j, b in enumerate(ones):
+                assert (a == b) == (i == j)
+                assert (a != b) == (i != j)
+
+    def test_real_equality_ignores_tolerance(self):
+        assert ApproxReal(2.5, 1e-9) == ApproxReal(2.5, 1e-3)
+        assert ApproxReal(2.5, 1e-9) != ApproxReal(2.25, 1e-9)
+
+    def test_equal_values_hash_equal(self):
+        assert hash(ExactRational(2, 4)) == hash(ExactRational(1, 2))
+        assert hash(ApproxReal(0.5, 1e-9)) == hash(ApproxReal(0.5, 1e-3))
+        assert len({ExactInteger(3), ExactInteger(3), poly(3), poly(3)}) == 2
+
+    @given(pair=st.one_of(
+        st.tuples(ints.map(ExactInteger), ints.map(ExactInteger)),
+        st.tuples(rationals, rationals),
+        st.tuples(reals, reals),
+        st.tuples(small_polys, small_polys),
+    ))
+    def test_equal_scalars_hash_equal(self, pair):
+        a, b = pair
+        if a == b:
+            assert hash(a) == hash(b)
+        assert a * b == b * a
+        assert hash(a * b) == hash(b * a)
+
+
 class TestText:
     @pytest.mark.parametrize(
         "token,expected",
