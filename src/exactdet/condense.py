@@ -57,6 +57,7 @@ from .ring import (
     NativeRing,
     format_scalar,
     native_ring,
+    real_zero_bound,
 )
 
 
@@ -371,8 +372,9 @@ def condensation_det(a: Matrix):
                     # an interior entry divides two rounds on; a zero divisor
                     # is inside this bound too, so an aborted attempt always
                     # sets the warning
+                    near = real_zero_bound(1e3 * ring.tolerance)
                     warning = warning or any(
-                        abs(d) < 1e3 * ring.tolerance for r in stage[1:-1] for d in r[1:-1]
+                        abs(d) < near for r in stage[1:-1] for d in r[1:-1]
                     )
         except DivisionByZero as e:
             restarts.append((k + 1, e.position))

@@ -6,10 +6,14 @@ A scalar is an immutable value in exactly one ring:
 * ``ExactRational``  -- ``fractions.Fraction``, always in lowest terms with
   a positive denominator.
 * ``ApproxReal``     -- a ``float`` together with the zero-tolerance of the
-  computation it belongs to; ``is_zero`` means ``|value| < tolerance``.
-* ``Polynomial``     -- univariate polynomial with ``Fraction`` coefficients,
+  computation it belongs to; ``is_zero`` means ``|value| < tolerance`` or
+  ``value == 0`` (``real_zero_bound``).
+* ``Polynomial``     -- univariate polynomial with rational coefficients,
   stored densely lowest degree first with no trailing zeros (the zero
-  polynomial is the empty coefficient tuple).
+  polynomial is the empty coefficient tuple).  A coefficient is an ``int``
+  where integral and a ``Fraction`` otherwise, so the integer polynomials
+  the Hückel matrices give compute in plain ``int``; ``repr``, ``==`` and
+  ``hash`` do not depend on which type holds a coefficient.
 
 Arithmetic never mixes rings: combining scalars of different types raises
 ``RingMismatch`` instead of coercing.  The one place a promotion is allowed
@@ -26,11 +30,11 @@ Each ring's rules are stated once.  ``integer_quotient``,
 ``rational_quotient`` and ``real_quotient`` are the number rings' exact
 quotients, and ``Polynomial.exact_div`` the polynomial one: each holds its
 ring's zero-divisor test and division messages, and takes the ring's zero
-tolerance (None for the exact rings).  A scalar's ``exact_div`` and the
-kernel's ``NativeRing.divide_row`` both call them.  The number scalars share
-their arithmetic, ``==`` and ``hash`` through ``_Number``, and
-``native_ring`` is the one check that entries share a ring, for ``Matrix``
-and the kernel alike.
+tolerance (None for the exact rings).  ``real_zero_bound`` is the one zero
+rule of the reals.  A scalar's ``exact_div`` and the kernel's
+``NativeRing.divide_row`` both call them.  The number scalars share their
+arithmetic, ``==`` and ``hash`` through ``_Number``, and ``native_ring`` is
+the one check that entries share a ring, for ``Matrix`` and the kernel alike.
 
 The condensation stage kernel does not compute on these wrappers.  A
 ``NativeRing`` describes one matrix's ring, and the kernel works on native
@@ -47,10 +51,12 @@ smaller.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 DEFAULT_TOLERANCE = 1e-9
+_SMALLEST_FLOAT = math.ulp(0.0)
 
 
 class RingMismatch(TypeError):
@@ -107,9 +113,20 @@ def rational_quotient(x: Fraction, d: Fraction, tolerance=None) -> Fraction:
     return x / d
 
 
+def real_zero_bound(tolerance: float) -> float:
+    """The real zero rule: x is zero when ``abs(x) < real_zero_bound(tolerance)``.
+
+    The bound is the tolerance, but at least the smallest positive float, so
+    that x is zero when it is below the tolerance in magnitude or exactly
+    zero.  The floor matters only at a zero tolerance, where an exact 0.0
+    would otherwise count as nonzero.
+    """
+    return max(tolerance, _SMALLEST_FLOAT)
+
+
 def real_quotient(x: float, d: float, tolerance: float) -> float:
-    """x / d, where a divisor below ``tolerance`` in magnitude counts as zero."""
-    if abs(d) < tolerance:
+    """x / d, where a divisor that the real zero rule counts as zero raises."""
+    if abs(d) < real_zero_bound(tolerance):
         raise DivisionByZero("real division by (near-)zero")
     return x / d
 
@@ -203,7 +220,7 @@ class ApproxReal(_Number):
         return ApproxReal(value, max(self.tolerance, other.tolerance))
 
     def is_zero(self):
-        return abs(self.value) < self.tolerance
+        return abs(self.value) < real_zero_bound(self.tolerance)
 
     def __repr__(self):
         return f"ApproxReal({self.value!r}, tolerance={self.tolerance!r})"
@@ -212,18 +229,30 @@ class ApproxReal(_Number):
 class Polynomial(Scalar):
     """Dense univariate polynomial over the rationals.
 
-    ``coeffs`` is a tuple of ``Fraction``, lowest degree first, with no
-    trailing zeros; ``()`` is the zero polynomial.
+    ``coeffs`` is a tuple of coefficients, lowest degree first, with no
+    trailing zeros; ``()`` is the zero polynomial.  A coefficient is an
+    ``int`` where integral and a ``Fraction`` otherwise.  The constructor
+    converts each coefficient once and arithmetic does not re-check them: a
+    result computed from ``int`` coefficients holds a ``Fraction`` only where
+    a quotient coefficient is not integral, and one computed from
+    ``Fraction`` coefficients may hold an integral ``Fraction``.  ``repr``,
+    ``==`` and ``hash`` depend on the values only, not on which type holds
+    them.
     """
 
     __slots__ = ("coeffs",)
     ring = "polynomial"
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = _trimmed([_coefficient(c) for c in coeffs])
+
+    @classmethod
+    def _result(cls, cs):
+        """The polynomial of the list ``cs`` of ``int`` and ``Fraction``
+        coefficients, which only has its trailing zeros stripped."""
+        out = cls.__new__(cls)
+        out.coeffs = _trimmed(cs)
+        return out
 
     @property
     def degree(self) -> int:
@@ -235,32 +264,32 @@ class Polynomial(Scalar):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return self._result(out)
 
     def __sub__(self, other):
         self._same_ring(other)
         a, b = self.coeffs, other.coeffs
-        out = list(a) + [Fraction(0)] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return Polynomial(out)
+        out = [x - y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        out.extend(-y for y in b[len(a):])
+        return self._result(out)
 
     def __mul__(self, other):
         self._same_ring(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Polynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return self._result([])
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Polynomial(out)
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return self._result(out)
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return self._result([-c for c in self.coeffs])
 
     def exact_div(self, other):
         self._same_ring(other)
@@ -270,16 +299,19 @@ class Polynomial(Scalar):
         den = other.coeffs
         dd = len(den) - 1
         lead = den[-1]
-        q = [Fraction(0)] * max(len(rem) - dd, 0)
+        q = [0] * max(len(rem) - dd, 0)
         for k in range(len(rem) - dd - 1, -1, -1):
-            factor = rem[k + dd] / lead
-            q[k] = factor
-            if factor:
-                for i, c in enumerate(den):
-                    rem[k + i] -= factor * c
-        if any(c != 0 for c in rem[:dd]):
+            top = rem[k + dd]
+            if top:
+                factor, r = divmod(top, lead)
+                if r:
+                    factor = Fraction(top, lead)
+                q[k] = factor
+                for i, c in enumerate(den, k):
+                    rem[i] -= factor * c
+        if any(rem[:dd]):
             raise InexactDivision("polynomial division left a remainder")
-        return Polynomial(q)
+        return self._result(q)
 
     def is_zero(self):
         return not self.coeffs
@@ -294,7 +326,7 @@ class Polynomial(Scalar):
         return hash(("poly", self.coeffs))
 
     def __repr__(self):
-        return f"Polynomial({list(self.coeffs)!r})"
+        return f"Polynomial({[Fraction(c) for c in self.coeffs]!r})"
 
     def __str__(self):
         if not self.coeffs:
@@ -417,12 +449,27 @@ def _divide_rationals(row, divisors, tolerance):
 
 
 def _divide_reals(row, divisors, tolerance):
-    if any(abs(d) < tolerance for d in divisors):
+    bound = real_zero_bound(tolerance)
+    if any(abs(d) < bound for d in divisors):
         return None
     return [x / d for x, d in zip(row, divisors)]
 
 
-def _frac_str(f: Fraction) -> str:
+def _coefficient(c):
+    """A polynomial coefficient: an ``int`` when integral, else a ``Fraction``."""
+    if type(c) is int:
+        return c
+    f = c if isinstance(c, Fraction) else Fraction(c)
+    return f.numerator if f.denominator == 1 else f
+
+
+def _trimmed(cs) -> tuple:
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _frac_str(f: Fraction | int) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 

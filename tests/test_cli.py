@@ -70,6 +70,23 @@ divs: 9
 adds: 28
 """
 
+# chain 8 defeats every mitigation plan, so this is the Bareiss fallback route
+GOLDEN_CHAIN8 = """\
+polynomial: x^8 - 7*x^6 + 15*x^4 - 10*x^2 + 1
+coefficients: 1 0 -10 0 15 0 -7 0 1
+method: bareiss
+symbolic: (alpha-E)^8 - 7*(alpha-E)^6*beta^2 + 15*(alpha-E)^4*beta^4 - 10*(alpha-E)^2*beta^6 + beta^8
+energy levels:
+-1.9396926207859086
+-1.7660444431189777
+-1.4999999999999998
+-1.1736481776669303
+-0.8263518223330697
+-0.5000000000000002
+-0.23395555688102232
+-0.06030737921409135
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -217,6 +234,14 @@ class TestHuckel:
         assert levels[1] == pytest.approx(-1.0, abs=1e-10)
         assert levels[2] == pytest.approx(-1.0 + 0.5 * 2**0.5, abs=1e-10)
         assert err == ""  # physical signs: no warning
+
+    def test_chain8_fallback_golden(self, capsys):
+        code, out, err = run(
+            capsys, "huckel", "--chain", "8", "--alpha", "-1.0", "--beta", "-0.5",
+            "--show-poly",
+        )
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_CHAIN8
 
     def test_chain1(self, capsys):
         code, out, _ = run(capsys, "huckel", "--chain", "1", "--alpha", "-2.5", "--beta", "-1.0")

@@ -466,6 +466,20 @@ class TestCondensationDet:
         assert trace.restarts == default.restarts == ((3, (0, 0)),)
         assert trace.division_warning and default.division_warning
 
+    def test_zero_tolerance_counts_exact_zero(self):
+        # at tolerance 0 only an exact 0.0 is zero: it is mitigated up front,
+        # and a zero divisor mid-run restarts and still sets the warning
+        rows = [[1, 2, 3], [4, 0, 6], [7, 8, 9]]
+        m = Matrix([[ApproxReal(float(v), 0.0) for v in r] for r in rows])
+        det, trace = condensation_det(m)
+        assert det == bareiss_det(m) == ApproxReal(60.0)
+        assert trace.mitigation.operations != ()
+        m = Matrix([[ApproxReal(float(v), 0.0) for v in r] for r in RESTART4])
+        det, trace = condensation_det(m)
+        assert repr(det) == "ApproxReal(-163.0, tolerance=0.0)"
+        assert trace.restarts == ((3, (0, 0)),)
+        assert trace.division_warning
+
     def test_clean_run_builds_no_matrix(self, monkeypatch):
         # stages live as native rows; only reading trace.stages builds them
         rng = random.Random(20)

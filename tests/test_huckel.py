@@ -112,6 +112,16 @@ class TestSecularPolynomial:
         cs = secular_polynomial(PiSystem.chain(n)).coeffs.coeffs
         assert cs[n - 1] == 0
 
+    def test_coefficients_are_ints(self):
+        # the secular matrix lives in Z[x], and so do condensation's and
+        # Bareiss's minors (chain 8 falls back to Bareiss)
+        sp = secular_polynomial(PiSystem.chain(8))
+        assert sp.method == "bareiss"
+        assert all(type(c) is int for c in sp.coeffs.coeffs)
+        assert all(
+            type(c) is int for c in secular_polynomial(PiSystem.chain(5)).coeffs.coeffs
+        )
+
 
 class TestDurandKerner:
     def test_quadratic(self):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from exactdet.ring import (
@@ -127,6 +127,10 @@ class TestExactDiv:
         q = ApproxReal(1.0).exact_div(ApproxReal(4.0))
         assert q.value == 0.25
 
+    def test_polynomial_quotient_over_the_rationals(self):
+        assert poly(1).exact_div(poly(2)) == poly(Fraction(1, 2))
+        assert poly(0, 3, 1).exact_div(poly(0, 2)) == poly(Fraction(3, 2), Fraction(1, 2))
+
 
 class TestIsZero:
     def test_integer(self):
@@ -136,6 +140,23 @@ class TestIsZero:
     def test_real_tolerance(self):
         assert ApproxReal(1e-15, 1e-12).is_zero()
         assert not ApproxReal(1e-10, 1e-12).is_zero()
+
+    @given(x=st.floats(allow_infinity=True, allow_nan=True),
+           tol=st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 1.0]))
+    @example(x=0.0, tol=0.0)
+    @example(x=-0.0, tol=0.0)
+    @example(x=5e-324, tol=0.0)
+    @example(x=1e-300, tol=0.0)
+    def test_real_zero_rule(self, x, tol):
+        # below the tolerance in magnitude, or exactly zero: an exact 0.0 is
+        # zero even at a zero tolerance
+        is_zero = abs(x) < tol or x == 0
+        assert ApproxReal(x, tol).is_zero() == is_zero
+        if is_zero:
+            with pytest.raises(DivisionByZero, match="real division by"):
+                ApproxReal(1.0, tol).exact_div(ApproxReal(x, tol))
+        else:
+            ApproxReal(x, tol).exact_div(ApproxReal(x, tol))
 
     def test_polynomial(self):
         assert not poly(0, 1).is_zero()
@@ -154,7 +175,8 @@ class TestNeg:
 ints = st.integers(min_value=-50, max_value=50)
 nonzero_ints = ints.filter(lambda v: v != 0)
 rationals = st.builds(ExactRational, ints, nonzero_ints)
-small_polys = st.lists(ints, min_size=0, max_size=4).map(Polynomial)
+coefficients = st.one_of(ints, st.fractions(-50, 50, max_denominator=6))
+small_polys = st.lists(coefficients, min_size=0, max_size=4).map(Polynomial)
 
 
 @given(a=ints, b=nonzero_ints)
@@ -280,3 +302,35 @@ class TestText:
         assert str(poly(-1, 0, 1)) == "x^2 - 1"
         assert str(Polynomial()) == "0"
         assert str(poly(Fraction(1, 2))) == "1/2"
+
+
+class TestPolynomialCoefficients:
+    def test_integral_coefficients_are_ints(self):
+        p = Polynomial([Fraction(4, 2), Fraction(-3, 1), True, 0.5])
+        assert p.coeffs == (2, -3, 1, Fraction(1, 2))
+        assert [type(c) for c in p.coeffs] == [int, int, int, Fraction]
+
+    def test_integer_arithmetic_stays_int(self):
+        p = (poly(1, -2, 3) * poly(0, 1) - poly(4)) + -poly(1, 1)
+        q = (p * poly(-3, 2)).exact_div(poly(-3, 2))
+        assert q == p
+        assert all(type(c) is int for c in p.coeffs + q.coeffs)
+
+    def test_repr_prints_fractions(self):
+        assert repr(Polynomial([0, 1])) == "Polynomial([Fraction(0, 1), Fraction(1, 1)])"
+        assert repr(poly(Fraction(-1, 2), 0, 3)) == (
+            "Polynomial([Fraction(-1, 2), Fraction(0, 1), Fraction(3, 1)])"
+        )
+        assert repr(Polynomial()) == "Polynomial([])"
+
+    def test_value_semantics_ignore_coefficient_type(self):
+        built = poly(1, 2)
+        assert poly(Fraction(2, 2), Fraction(6, 3)) == built
+        half = poly(Fraction(1, 2), 1)
+        summed = half + half  # Q[x] arithmetic may leave integral Fractions
+        assert type(summed.coeffs[0]) is Fraction
+        assert summed == built and built == summed
+        assert hash(summed) == hash(built)
+        assert repr(summed) == repr(built)
+        assert str(summed) == str(built)
+        assert len({summed, built}) == 1
