@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .condense import FallbackRequired, OpCount, condensation_det, render_trace
@@ -156,6 +157,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_huckel(args) -> int:
+    for name in ("alpha", "beta", "tol"):
+        if not math.isfinite(getattr(args, name)):
+            print(f"error: {name} must be finite", file=sys.stderr)
+            return EXIT_PARSE
     if args.beta == 0.0:
         print("error: beta must be nonzero", file=sys.stderr)
         return EXIT_PARSE

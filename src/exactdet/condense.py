@@ -16,6 +16,15 @@ wraps only the result.  A ``CondensationTrace`` stores stage 0; its stages and
 pre-division matrices are recomputed through the same kernel when first read.
 ``condense_step`` is the same kernel for ``Matrix`` arguments.
 
+Rational matrices condense on integers, where no ``Fraction`` pays a gcd
+per operation.  ``condensation_det`` multiplies row i of each attempt by
+L_i, the lcm of that row's denominators, runs the integer kernel and divides
+by the product of the L_i once, at the end.  Stage k entry (i, j) of the
+scaled rows is L_i ... L_{i+k} times the rational one, so the zeros, and with
+them mitigation, restarts and the op counts, are those of the rational run,
+and every division is still checked for exactness.  A trace keeps the
+rational matrix and recomputes its ``Fraction`` stages when read.
+
 Interior zeros are the method's one failure mode.  ``mitigate_interior_zeros``
 clears them with determinant-preserving elementary operations before the run
 starts; if a zero only surfaces in a later stage, ``condensation_det``
@@ -49,14 +58,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from math import lcm, prod
 
 from .matrix import IndexOutOfRange, Matrix, TooSmall
 from .ring import (
+    INTEGERS,
     DivisionByZero,
+    ExactRational,
     InexactDivision,
     NativeRing,
     format_scalar,
     native_ring,
+    rational_quotient,
     real_zero_bound,
 )
 
@@ -218,6 +231,14 @@ def _stage_rows(rows, ring: NativeRing, ops: OpCount):
         yield current
 
 
+def _cleared_rows(rows):
+    """Rational rows as integer rows, row i times L_i, the lcm of its
+    denominators; returns them and the product of the L_i."""
+    scales = [lcm(*(x.denominator for x in r)) for r in rows]
+    cleared = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)]
+    return cleared, prod(scales)
+
+
 def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:
     """One condensation round: 2x2 minor determinants, divided elementwise.
 
@@ -345,8 +366,10 @@ def condensation_det(a: Matrix):
     restarts under a fresh plan whenever a zero divisor appears mid-run (at
     most 2n restarts), and multiplies the result by the accumulated swap
     sign.  Each attempt unwraps the mitigated matrix once, keeps two live
-    stages of native values and wraps only the result.  Raises
-    FallbackRequired when the strategy is exhausted.
+    stages of native values and wraps only the result.  A rational attempt
+    runs on integer rows, each row times the lcm of its denominators, and
+    divides by the product of those scales once (see ``_cleared_rows``).
+    Raises FallbackRequired when the strategy is exhausted.
     """
     if not a.is_square:
         raise ValueError("condensation needs a square matrix")
@@ -366,6 +389,10 @@ def condensation_det(a: Matrix):
                 raise FallbackRequired(str(e)) from e
         ring = native_ring(a0.rows())
         rows = ring.unwrap(a0.rows())
+        scale = None
+        if ring.quotient is rational_quotient:
+            rows, scale = _cleared_rows(rows)
+            ring = INTEGERS
         try:
             for k, stage in enumerate(chain([rows], _stage_rows(rows, ring, ops))):
                 if ring.tolerance is not None:
@@ -380,7 +407,8 @@ def condensation_det(a: Matrix):
             restarts.append((k + 1, e.position))
             excluded.append(log.plan)
             continue
-        result = ring.wrap(stage[0][0])
+        det = stage[0][0]
+        result = ring.wrap(det) if scale is None else ExactRational(det, scale)
         if log.sign < 0:
             result = -result
         trace = CondensationTrace(a0, log, ops, tuple(restarts), warning)

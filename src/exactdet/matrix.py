@@ -157,10 +157,12 @@ def parse_matrix(text: str, tolerance=None) -> Matrix:
     """Parse the whitespace matrix format.
 
     ``#`` starts a comment; an optional first line ``n m`` fixes the shape,
-    otherwise every non-blank line is one row.  The ring is inferred from the
-    tokens: any ``/`` makes the file rational (integer tokens are promoted,
-    the one permitted promotion), any ``.`` or exponent makes it real; mixing
-    rational and real tokens is an error.
+    otherwise every non-blank line is one row.  When the lines also read as a
+    square matrix without a header (``1 2`` over ``3 4``), the square reading
+    wins.  The ring is inferred from the tokens: any ``/`` makes the file
+    rational (integer tokens are promoted, the one permitted promotion), any
+    ``.`` or exponent makes it real; mixing rational and real tokens is an
+    error.
     """
     from .ring import DEFAULT_TOLERANCE
 
@@ -175,7 +177,8 @@ def parse_matrix(text: str, tolerance=None) -> Matrix:
 
     header = None
     first = lines[0][1]
-    if len(first) == 2:
+    square = len(lines) == len(first) and all(len(toks) == len(first) for _, toks in lines)
+    if len(first) == 2 and not square:
         try:
             n, m = int(first[0]), int(first[1])
         except ValueError:
@@ -223,8 +226,12 @@ def parse_matrix(text: str, tolerance=None) -> Matrix:
 
 
 def format_matrix(a: Matrix) -> str:
-    """Render a matrix in the text format, always with the ``n m`` header."""
-    out = [f"{a.n_rows} {a.n_cols}"]
-    for row in a.rows():
-        out.append(" ".join(format_scalar(e) for e in row))
-    return "\n".join(out) + "\n"
+    """Render a matrix in the text format, always with the ``n m`` header.
+
+    A 1 x 2 matrix puts its entries on two lines: ``1 2`` over one line of
+    two would read back as a square matrix.
+    """
+    body = [" ".join(format_scalar(e) for e in row) for row in a.rows()]
+    if (a.n_rows, a.n_cols) == (1, 2):
+        body = body[0].split()
+    return "\n".join([f"{a.n_rows} {a.n_cols}", *body]) + "\n"

@@ -407,7 +407,7 @@ def native_ring(rows) -> NativeRing:
             if type(e) is not kind:
                 first._same_ring(e)
     if kind is ExactInteger:
-        return NativeRing(_values, ExactInteger._result, integer_quotient, _divide_integers)
+        return INTEGERS
     if kind is ExactRational:
         return NativeRing(_values, ExactRational._result, rational_quotient, _divide_rationals)
     if kind is ApproxReal:
@@ -453,6 +453,11 @@ def _divide_reals(row, divisors, tolerance):
     if any(abs(d) < bound for d in divisors):
         return None
     return [x / d for x, d in zip(row, divisors)]
+
+
+# The integer matrices' ring; ``condensation_det`` also condenses rational
+# matrices on it, once it has cleared their denominators.
+INTEGERS = NativeRing(_values, ExactInteger._result, integer_quotient, _divide_integers)
 
 
 def _coefficient(c):

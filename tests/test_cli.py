@@ -9,6 +9,7 @@ from exactdet.cli import main
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 CLEAN4 = str(FIXTURES / "clean4.txt")
 RESTART4 = str(FIXTURES / "restart4.txt")
+RATIONAL_RESTART4 = str(FIXTURES / "rational_restart4.txt")
 ALLYL = str(FIXTURES / "allyl.edges")
 
 
@@ -64,6 +65,44 @@ restart: zero divisor at stage 3, minor (0, 0)
 swap_rows 0 1
 swap_rows 1 2
 swap_rows 2 3
+sign: -1
+mults: 56
+divs: 9
+adds: 28
+"""
+
+# needs a rotation up front, then restarts once under it
+GOLDEN_RATIONAL_RESTART4 = """\
+486/35
+stage 0 (4 x 4)
+0/1 0/1 1/1 4/1
+6/7 -1/1 -3/8 -3/2
+0/1 1/1 -3/5 -3/5
+4/1 6/1 -3/4 0/1
+stage 1 (3 x 3)
+0/1 1/1 0/1
+6/7 39/40 -27/40
+-4/1 57/20 -9/20
+stage 2 (pre-division)
+-6/7 -27/40
+222/35 297/200
+stage 2 (2 x 2)
+6/7 9/5
+222/35 -99/40
+stage 3 (pre-division)
+-9477/700
+stage 3 (1 x 1)
+-486/35
+restart: zero divisor at stage 3, minor (0, 0)
+swap_rows 0 1
+swap_rows 1 2
+swap_rows 2 3
+swap_cols 0 1
+swap_cols 1 2
+swap_cols 2 3
+swap_cols 0 1
+swap_cols 1 2
+swap_cols 2 3
 sign: -1
 mults: 56
 divs: 9
@@ -148,6 +187,17 @@ class TestDet:
         code, out, err = run(capsys, "det", RESTART4, "--trace", "--count-ops")
         assert (code, err) == (0, "")
         assert out == GOLDEN_RESTART4
+
+    def test_golden_trace_and_counts_rational_restart4(self, capsys):
+        code, out, err = run(capsys, "det", RATIONAL_RESTART4, "--trace", "--count-ops")
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_RATIONAL_RESTART4
+
+    @pytest.mark.parametrize("text,expected", [("1 2\n3 4\n", "-2\n"), ("2 1\n5 7\n", "9\n")])
+    def test_square_reading_beats_header(self, capsys, tmp_path, text, expected):
+        f = tmp_path / "two.txt"
+        f.write_text(text)
+        assert run(capsys, "det", str(f)) == (0, expected, "")
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
@@ -264,6 +314,33 @@ class TestHuckel:
         code, _, err = run(capsys, "huckel", "--chain", "2", "--alpha", "-1", "--beta", "0")
         assert code == 2
         assert "beta" in err
+
+    def test_infinite_tol_exit_2(self, capsys):
+        # an infinite tol would stop root finding at once and print wrong levels
+        code, out, err = run(
+            capsys, "huckel", "--chain", "3", "--alpha", "-1.0", "--beta", "-0.5",
+            "--tol", "inf",
+        )
+        assert (code, out) == (2, "")
+        assert "tol must be finite" in err
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("alpha", "nan"),
+            ("alpha", "inf"),
+            ("beta", "nan"),
+            ("beta", "-inf"),
+            ("tol", "nan"),
+            ("tol", "inf"),
+        ],
+    )
+    def test_non_finite_number_exit_2(self, capsys, option, value):
+        values = {"alpha": "-1.0", "beta": "-0.5", "tol": "1e-10", option: value}
+        argv = [f"--{k}={v}" for k, v in values.items()]
+        code, out, err = run(capsys, "huckel", "--chain", "3", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} must be finite\n"
 
     def test_bad_edge_file_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.edges"

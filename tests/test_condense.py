@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from exactdet import condense
+from exactdet import ring as ring_module
 from exactdet.condense import (
     CondensationTrace,
     FallbackRequired,
@@ -515,6 +516,59 @@ class TestCondensationDet:
             except FallbackRequired:
                 det = bareiss_det(m)
             assert det == cofactor_det(m)
+
+    def test_rational_run_divides_only_integers(self, monkeypatch):
+        rng = random.Random(12)
+        m = Matrix(
+            [
+                [ExactRational(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(12)]
+                for _ in range(12)
+            ]
+        )
+
+        def no_fraction_division(*args):
+            raise AssertionError("the kernel divided Fractions")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ring_module, "_divide_rationals", no_fraction_division)
+            det, trace = condensation_det(m)
+        assert (trace.restarts, trace.mitigation.plan) == ((), ("rot", 0, 0))
+        assert det == bareiss_det(m)
+        assert trace.ops == OpCount(
+            mults=clean_mults(12), divs=clean_divs(12), adds=clean_adds(12)
+        )
+        stages = [m]
+        for k in range(1, 12):
+            divisor = stages[k - 2].interior() if k >= 2 else None
+            stages.append(condense_step(stages[k - 1], divisor, OpCount()))
+        assert list(trace.stages) == stages
+
+    def test_rational_matrices_with_zeros_match_bareiss(self):
+        # zero numerators make rotations and restarts occur
+        rng = random.Random(5)
+        rotated = restarted = 0
+        for n in range(3, 13):
+            for _ in range(3):
+                m = Matrix(
+                    [
+                        [
+                            ExactRational(
+                                rng.choice((0, rng.randint(-99, 99))), rng.randint(1, 99)
+                            )
+                            for _ in range(n)
+                        ]
+                        for _ in range(n)
+                    ]
+                )
+                try:
+                    det, trace = condensation_det(m)
+                except FallbackRequired:
+                    continue
+                assert det == bareiss_det(m)
+                plan = trace.mitigation.plan
+                rotated += plan[0] == "rot" and plan[1:] != (0, 0)
+                restarted += bool(trace.restarts)
+        assert rotated and restarted
 
     def test_polynomial_matrix_equivalence(self):
         from exactdet.ring import Polynomial

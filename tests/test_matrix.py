@@ -207,6 +207,16 @@ class TestTextFormat:
         m = parse_matrix("2 2\n1 2 3 4\n")
         assert m == int_matrix([[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize(
+        "text,rows", [("1 2\n3 4\n", [[1, 2], [3, 4]]), ("2 1\n5 7\n", [[2, 1], [5, 7]])]
+    )
+    def test_square_reading_beats_header(self, text, rows):
+        assert parse_matrix(text) == int_matrix(rows)
+
+    def test_header_kept_when_lines_are_not_square(self):
+        assert parse_matrix("2 2\n1 2\n3 4\n") == int_matrix([[1, 2], [3, 4]])
+        assert parse_matrix("1 1\n5\n") == int_matrix([[5]])
+
     def test_rational_promotion(self):
         m = parse_matrix("1/2 3\n4 5\n")
         assert all(isinstance(e, ExactRational) for r in m.rows() for e in r)
@@ -238,6 +248,8 @@ class TestTextFormat:
             [[1, 2], [3, 4]],
             [[7]],
             CLEAN4,
+            [[3, 4]],
+            [[3], [4]],
         ],
     )
     def test_round_trip_integers(self, rows):
