@@ -43,10 +43,11 @@ Mitigation plans are tried in a fixed order so results are reproducible:
    that, a column) holding a nonzero entry at the offending position, with
    the scale escalating 1, 2, 3, ... on repeated failure at one position.
 
-A rotation by r rows and c columns is applied as one index permutation of
-the rows and columns.  Only the accepted plan is logged, as the (r + c)(n - 1)
-adjacent swaps that ``replay_log`` re-applies, so its sign is
-(-1)^((r + c)(n - 1)).
+Rotations are judged on the input's zero set: rotating by r rows and c
+columns clears the interior exactly when each zero lies in row r or r - 1 or
+in column c or c - 1 (mod n).  Only the accepted plan is applied, as one index
+permutation, and logged as the (r + c)(n - 1) adjacent swaps that
+``replay_log`` re-applies, so its sign is (-1)^((r + c)(n - 1)).
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``; ``condensation_det`` wraps budget exhaustion in
@@ -332,9 +333,9 @@ def _plans(n: int):
 def mitigate_interior_zeros(a: Matrix, exclude=()):
     """Transform ``a`` so its interior holds no zeros; return (matrix, log).
 
-    Plans are tried in the fixed order documented at module level; ``exclude``
-    skips plans already consumed by earlier restarts.  Raises UnremovableZero
-    when no remaining plan succeeds.
+    Plans are tried in the fixed order documented at module level, rotations
+    judged on the zero set of ``a``; ``exclude`` skips plans already consumed
+    by earlier restarts.  Raises UnremovableZero when no plan succeeds.
     """
     if not a.is_square:
         raise TooSmall("mitigation needs a square matrix")
@@ -343,6 +344,7 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
     excluded = set(exclude)
     n = a.n_rows
     rows = a.rows()
+    zeros = [(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e.is_zero()]
     for plan in _plans(n):
         if plan in excluded:
             continue
@@ -350,11 +352,11 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
             cand, ops = _additive_repair(rows, plan[1])
             return cand, MitigationLog(ops, plan)
         _, r, c = plan
-        rotated = [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
-        if any(e.is_zero() for row in rotated[1:-1] for e in row[1:-1]):
+        if any(i not in (r, (r - 1) % n) and j not in (c, (c - 1) % n) for i, j in zeros):
             continue
         if r == c == 0:
             return a, MitigationLog((), plan)
+        rotated = [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
         return Matrix(rotated), MitigationLog(_rotation_swaps(n, r, c), plan)
     raise UnremovableZero("every mitigation plan failed or was excluded")
 

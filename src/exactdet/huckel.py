@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .condense import FallbackRequired, condensation_det
 from .matrix import Matrix, ParseError
 from .oracle import bareiss_det
-from .ring import Polynomial, _frac_str
+from .ring import Polynomial, power_text, terms_text
 
 
 class NoConvergence(RuntimeError):
@@ -216,27 +216,6 @@ def symbolic_form(sp: SecularPolynomial) -> str:
     highest degree first with unit coefficients omitted.
     """
     n = sp.degree
-    parts = []
-    for k in range(n, -1, -1):
-        c = sp.coeffs.coeffs[k] if k < len(sp.coeffs.coeffs) else 0
-        if c == 0:
-            continue
-        factors = []
-        if k == 1:
-            factors.append("(alpha-E)")
-        elif k >= 2:
-            factors.append(f"(alpha-E)^{k}")
-        b = n - k
-        if b == 1:
-            factors.append("beta")
-        elif b >= 2:
-            factors.append(f"beta^{b}")
-        mag = abs(c)
-        if mag != 1 or not factors:
-            factors.insert(0, _frac_str(mag))
-        term = "*".join(factors)
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
+    return terms_text(
+        sp.coeffs.coeffs, lambda k: power_text("(alpha-E)", k) + power_text("beta", n - k)
+    )

@@ -207,7 +207,10 @@ def parse_matrix(text: str, tolerance=None) -> Matrix:
         if has_rational and isinstance(s, ExactInteger):
             s = ExactRational(s.value)
         elif has_real and isinstance(s, ExactInteger):
-            s = ApproxReal(float(s.value), tol)
+            try:
+                s = ApproxReal(float(s.value), tol)
+            except OverflowError as e:
+                raise ParseError("integer token too large for a real", line=lineno) from e
         return s
 
     if header:

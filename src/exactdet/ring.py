@@ -329,26 +329,7 @@ class Polynomial(Scalar):
         return f"Polynomial({[Fraction(c) for c in self.coeffs]!r})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            body = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            mag = abs(c)
-            if mag == 1 and body:
-                term = body
-            elif body:
-                term = f"{_frac_str(mag)}*{body}"
-            else:
-                term = _frac_str(mag)
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        return terms_text(self.coeffs, lambda k: power_text("x", k))
 
 
 class NativeRing(NamedTuple):
@@ -475,30 +456,90 @@ def _trimmed(cs) -> tuple:
 
 
 def _frac_str(f: Fraction | int) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    num = _int_text(f.numerator)
+    return num if f.denominator == 1 else f"{num}/{_int_text(f.denominator)}"
+
+
+def power_text(base: str, k: int) -> list:
+    """The text factors of base^k: none for k = 0."""
+    return [] if k == 0 else [base if k == 1 else f"{base}^{k}"]
+
+
+def terms_text(coeffs, factors) -> str:
+    """The sum of c_k times the factors ``factors(k)``, highest degree first.
+
+    Zero terms are skipped, a unit magnitude is dropped where a term has
+    factors, and the sign is written ``-t`` first and `` + t``/`` - t`` after.
+    """
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        fs = factors(k)
+        term = "*".join(fs if abs(c) == 1 and fs else [_frac_str(abs(c)), *fs])
+        if parts:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+        else:
+            parts.append(term if c > 0 else f"-{term}")
+    return " ".join(parts) or "0"
+
+
+# Integers and text convert in halves split at a power of ten where the
+# interpreter's int/str digit limit (4300 digits by default) refuses them;
+# the limit is interpreter-wide, so it is left as it is.
+
+
+def _int_text(v: int) -> str:
+    """``str(v)``, for any number of digits."""
+    try:
+        return str(v)
+    except ValueError:
+        if v < 0:
+            return "-" + _int_text(-v)
+        m = v.bit_length() * 3 // 20  # about half the digits
+        high, low = divmod(v, 10**m)
+        return _int_text(high) + _int_text(low).zfill(m)
+
+
+def _text_int(text: str) -> int:
+    """``int(text)``, for any number of plain decimal digits."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        m = len(digits) // 2
+        value = _text_int(digits[:-m]) * 10**m + _text_int(digits[-m:])
+        return -value if text[0] == "-" else value
 
 
 def parse_scalar(token: str, tolerance: float = DEFAULT_TOLERANCE) -> Scalar:
     """Parse one scalar token.
 
     ``p/q`` is rational, anything with a ``.`` or an exponent is real,
-    otherwise a (signed) integer.  Polynomials have no text syntax; they are
-    only ever built programmatically.
+    otherwise a (signed) integer.  A real must be finite as a double.
+    Polynomials have no text syntax; they are only ever built
+    programmatically.
     """
     token = token.strip()
     if "/" in token:
         num, _, den = token.partition("/")
         try:
-            return ExactRational(int(num), int(den))
+            return ExactRational(_text_int(num), _text_int(den))
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"bad rational token {token!r}") from e
     if "." in token or "e" in token or "E" in token:
         try:
-            return ApproxReal(float(token), tolerance)
+            value = float(token)
         except ValueError as e:
             raise ValueError(f"bad real token {token!r}") from e
+        if not math.isfinite(value):
+            raise ValueError(f"bad real token {token!r}")
+        return ApproxReal(value, tolerance)
     try:
-        return ExactInteger(int(token))
+        return ExactInteger(_text_int(token))
     except ValueError as e:
         raise ValueError(f"bad integer token {token!r}") from e
 
@@ -510,9 +551,9 @@ def format_scalar(a: Scalar) -> str:
     round-trip; reals use ``repr`` which keeps a ``.`` or exponent.
     """
     if isinstance(a, ExactInteger):
-        return str(a.value)
+        return _int_text(a.value)
     if isinstance(a, ExactRational):
-        return f"{a.value.numerator}/{a.value.denominator}"
+        return f"{_int_text(a.value.numerator)}/{_int_text(a.value.denominator)}"
     if isinstance(a, ApproxReal):
         return repr(a.value)
     if isinstance(a, Polynomial):

@@ -1,5 +1,7 @@
 import argparse
+import decimal
 import pathlib
+import random
 
 import pytest
 
@@ -127,6 +129,11 @@ energy levels:
 """
 
 
+def decimal_text(v):
+    """Decimal digits of an int, past the interpreter's int-to-str limit."""
+    return str(decimal.Decimal(v))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -205,6 +212,44 @@ class TestDet:
         code, _, err = run(capsys, "det", str(f))
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("method", ["auto", "condense", "bareiss", "cofactor"])
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("1e400 2.0 3.0\n4.0 5.0 6.0\n7.0 8.0 1e400\n", 1),
+            ("1e400 1.0\n1e400 3.0\n", 1),
+            ("1.0 2.0\n3.0 -" + "9" * 400 + "\n", 2),
+        ],
+        ids=["3x3-1e400", "2x2-1e400", "400-digit-integer"],
+    )
+    def test_real_beyond_double_exit_2(self, capsys, tmp_path, method, text, line):
+        # a real entry no double can hold must not reach the arithmetic,
+        # which printed inf or nan with exit 0
+        f = tmp_path / "huge.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "det", str(f), "--method", method)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {f}: line {line}: ")
+
+    def test_integers_beyond_str_digit_limit(self, capsys, tmp_path):
+        # 3000-digit entries give a 6000-digit determinant, past the
+        # interpreter's default int/str conversion limit of 4300 digits
+        rng = random.Random(11)
+        rows = [[rng.randrange(10**2999, 10**3000) for _ in range(2)] for _ in range(2)]
+        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        f = tmp_path / "long.txt"
+        f.write_text("\n".join(" ".join(map(decimal_text, r)) for r in rows) + "\n")
+        for method in ("auto", "bareiss", "cofactor"):
+            assert run(capsys, "det", str(f), "--method", method) == (
+                0, decimal_text(det) + "\n", ""
+            )
+
+    def test_integer_token_beyond_str_digit_limit(self, capsys, tmp_path):
+        f = tmp_path / "long.txt"
+        f.write_text("2 0\n0 " + "9" * 5000 + "\n")
+        code, out, err = run(capsys, "det", str(f))
+        assert (code, out, err) == (0, "1" + "9" * 4999 + "8\n", "")
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "det", "no-such-file.txt")

@@ -19,6 +19,7 @@ from exactdet.condense import (
     render_trace,
     replay_log,
 )
+from exactdet.huckel import PiSystem, secular_matrix
 from exactdet.matrix import IndexOutOfRange, Matrix, int_matrix
 from exactdet.oracle import bareiss_det, cofactor_det
 from exactdet.ring import (
@@ -274,12 +275,7 @@ class TestMitigation:
         rng = random.Random(7)
         for n in (5, 6, 7):
             m = int_matrix([[rng.randint(1, 9) for _ in range(n)] for _ in range(n)])
-            order = (
-                [("rot", 0, 0)]
-                + [("rot", r, 0) for r in range(1, n)]
-                + [("rot", 0, c) for c in range(1, n)]
-                + [("rot", r, c) for r in range(1, n) for c in range(1, n)]
-            )
+            order = rotation_order(n)
             for k, plan in enumerate(order):
                 out, log = mitigate_interior_zeros(m, exclude=order[:k])
                 assert log.plan == plan
@@ -298,6 +294,91 @@ class TestMitigation:
         assert len(built) == 1
         assert out == int_matrix([[0, 0, 0], [0, 1, 1], [0, 1, 1]])
         assert replay_log(m, log) == out
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "real", "secular"])
+    def test_zero_set_rule_matches_rotated_interiors(self, kind):
+        # the oracle judges each rotation the direct way: build the rotated
+        # rows, then test every interior entry with its ring's is_zero
+        def oracle(a, exclude):
+            rows, n = a.rows(), a.n_rows
+            for plan in rotation_order(n):
+                if plan in exclude:
+                    continue
+                _, r, c = plan
+                rotated = [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
+                if not any(e.is_zero() for row in rotated[1:-1] for e in row[1:-1]):
+                    return plan, Matrix(rotated)
+            return ("add", 0), None
+
+        for a in zero_set_inputs(kind):
+            order = rotation_order(a.n_rows)
+            for k in range(len(order) + 1):
+                plan, expected = oracle(a, order[:k])
+                try:
+                    out, log = mitigate_interior_zeros(a, exclude=order[:k])
+                except UnremovableZero:
+                    assert plan == ("add", 0)
+                    continue
+                assert log.plan == plan
+                if plan == ("rot", 0, 0):
+                    assert out is a
+                if expected is not None:
+                    assert out == expected
+
+    @pytest.mark.parametrize(
+        "zeros, plan",
+        [([(6, 6)], ("rot", 6, 0)), ([(6, 6), (1, 5)], ("rot", 0, 6))],
+    )
+    def test_plan_search_tests_each_entry_once(self, monkeypatch, zeros, plan):
+        # at most n^2 = 64 zero tests, however many plans are rejected
+        m = int_matrix(
+            [[0 if (i, j) in zeros else 1 for j in range(8)] for i in range(8)]
+        )
+        tested = []
+        original = ExactInteger.is_zero
+
+        def counting_is_zero(self):
+            tested.append(1)
+            return original(self)
+
+        monkeypatch.setattr(ExactInteger, "is_zero", counting_is_zero)
+        _, log = mitigate_interior_zeros(m)
+        assert log.plan == plan
+        assert len(tested) <= 64
+
+
+def rotation_order(n):
+    return (
+        [("rot", 0, 0)]
+        + [("rot", r, 0) for r in range(1, n)]
+        + [("rot", 0, c) for c in range(1, n)]
+        + [("rot", r, c) for r in range(1, n) for c in range(1, n)]
+    )
+
+
+def zero_set_inputs(kind):
+    """Seeded square matrices with interior zeros, n = 3..8 (atoms 3..10
+    for the secular matrices of chains and cycles)."""
+    if kind == "secular":
+        for n in range(3, 11):
+            yield secular_matrix(PiSystem.chain(n))
+            yield secular_matrix(
+                PiSystem.from_edges(n, [(k, (k + 1) % n) for k in range(n)])
+            )
+        return
+    rng = random.Random(f"zero-set-{kind}")
+    entry = {
+        "integer": lambda: ExactInteger(rng.randint(-2, 2)),
+        "rational": lambda: ExactRational(
+            rng.choice([0, 0, rng.randint(-5, 5)]), rng.randint(1, 7)
+        ),
+        "real": lambda: ApproxReal(
+            rng.choice([0.0, 1e-12]) if rng.random() < 0.3 else rng.uniform(-2, 2)
+        ),
+    }[kind]
+    for n in range(3, 9):
+        for _ in range(4):
+            yield Matrix([[entry() for _ in range(n)] for _ in range(n)])
 
 
 class TestCondensationDet:

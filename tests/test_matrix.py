@@ -238,6 +238,15 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="line 2"):
             parse_matrix("1 2\n3 oops\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1.0 2.0\n3.0 1e400\n", "1.0 2.0\n3.0 -" + "9" * 400 + "\n"],
+        ids=["1e400", "400-digit-integer"],
+    )
+    def test_real_no_double_holds_names_line(self, text):
+        with pytest.raises(ParseError, match="line 2: "):
+            parse_matrix(text)
+
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             parse_matrix("# nothing here\n")

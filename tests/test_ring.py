@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -280,6 +281,28 @@ class TestText:
         for bad in ("abc", "1/0", "2.5.1", "1//2"):
             with pytest.raises(ValueError):
                 parse_scalar(bad)
+
+    @pytest.mark.parametrize(
+        "token", ["1e400", "-1e400", "1" * 400 + ".0"], ids=["1e400", "-1e400", "400-digit"]
+    )
+    def test_parse_rejects_reals_no_double_holds(self, token):
+        with pytest.raises(ValueError, match="bad real token"):
+            parse_scalar(token)
+
+    @pytest.mark.parametrize(
+        "value",
+        [10**5000, -(10**4300), 3**20000 + 7, -(2**30000) // 3, 10**4299 + 1],
+        ids=["10^5000", "-10^4300", "3^20000+7", "-2^30000/3", "10^4299+1"],
+    )
+    def test_integers_beyond_str_digit_limit(self, value):
+        # the interpreter's int/str conversion limit is 4300 digits by default
+        text = str(decimal.Decimal(value))
+        assert format_scalar(ExactInteger(value)) == text
+        assert parse_scalar(text) == ExactInteger(value)
+        q = ExactRational(value, 7 * 10**4400 + 1)
+        q_text = f"{decimal.Decimal(q.value.numerator)}/{decimal.Decimal(q.value.denominator)}"
+        assert format_scalar(q) == q_text
+        assert parse_scalar(q_text) == q
 
     @pytest.mark.parametrize(
         "scalar,text",
