@@ -10,7 +10,8 @@ Subcommands:
   edge file.
 
 Exit codes: 0 success, 2 parse/argument error, 3 non-square matrix,
-4 condensation gave up under --method condense, 5 root finding failed.
+4 condensation gave up under --method condense, 5 root finding failed,
+6 a real determinant is not finite as a double (inf or nan).
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from .huckel import (
 )
 from .matrix import ParseError, parse_matrix
 from .oracle import bareiss_det, cofactor_det, count_ratio
-from .ring import _frac_str, format_scalar
+from .ring import ApproxReal, _frac_str, format_scalar
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_SQUARE = 3
 EXIT_FALLBACK = 4
 EXIT_NO_CONVERGENCE = 5
+EXIT_NOT_FINITE = 6
 
 
 def _sizes(text: str):
@@ -119,6 +121,9 @@ def cmd_det(args) -> int:
     else:
         det = bareiss_det(matrix, ops)
 
+    if isinstance(det, ApproxReal) and not math.isfinite(det.value):
+        print(f"error: {args.file}: the determinant is not finite as a double", file=sys.stderr)
+        return EXIT_NOT_FINITE
     print(format_scalar(det))
     if trace is not None and trace.division_warning:
         print("warning: a division used a divisor close to the zero tolerance", file=sys.stderr)

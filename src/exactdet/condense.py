@@ -25,6 +25,18 @@ them mitigation, restarts and the op counts, are those of the rational run,
 and every division is still checked for exactness.  A trace keeps the
 rational matrix and recomputes its ``Fraction`` stages when read.
 
+Polynomial matrices condense on integers too, by Kronecker substitution:
+after the same row scaling (which clears the denominators of Q[x]), each
+entry f becomes the int f(2^W) (``ring.pack_polynomial``).  Evaluation at
+2^W is a ring homomorphism, so the integer kernel computes every stage entry
+evaluated at 2^W, and exact quotients stay exact.  The kernel's width rule:
+W is one more than the bit length of prod_i max(1, sum_j |m_ij|_1), |.|_1
+being the sum of a polynomial's coefficient magnitudes; that product bounds
+every coefficient of every connected minor, so a packed divisor is 0
+exactly when the polynomial is, and the determinant unpacks exactly from its
+balanced base-2^W digits (``ring.unpack_polynomial``).  The ``Polynomial``
+kernel remains for ``condense_step`` and a trace's recomputed stages.
+
 Interior zeros are the method's one failure mode.  ``mitigate_interior_zeros``
 clears them with determinant-preserving elementary operations before the run
 starts; if a zero only surfaces in a later stage, ``condensation_det``
@@ -49,6 +61,18 @@ in column c or c - 1 (mod n).  Only the accepted plan is applied, as one index
 permutation, and logged as the (r + c)(n - 1) adjacent swaps that
 ``replay_log`` re-applies, so its sign is (-1)^((r + c)(n - 1)).
 
+Mitigation runs on native values: the zero set is read once with the ring's
+native zero test (``NativeRing.is_zero``; for reals the kernel's rule at the
+matrix tolerance), additive repair keeps it current by re-testing only the
+row or column each operation changed, and only the accepted plan's matrix
+and the log's factors are wrapped.  Polynomial entries are scaled by the lcm
+of all their denominators and packed once per call.  The mitigation's width
+rule: W starts ``_REPAIR_HEADROOM_BITS`` + 1 bits above the bit length of the
+largest entry's |.|_1, each entry's |.|_1 bound is carried through the
+repair's additions, and a walk whose final bounds reach 2^(W - 1) reruns at
+a W that holds them; as the bounds only grow, that one check covers every
+zero test the walk made.
+
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``; ``condensation_det`` wraps budget exhaustion in
 ``FallbackRequired`` so callers can switch to an elimination oracle.
@@ -57,7 +81,7 @@ A matrix that defeats all of this (e.g. the zero matrix) raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from math import lcm, prod
 
@@ -70,8 +94,11 @@ from .ring import (
     NativeRing,
     format_scalar,
     native_ring,
+    pack_polynomial,
+    polynomial_quotient,
     rational_quotient,
     real_zero_bound,
+    unpack_polynomial,
 )
 
 
@@ -177,7 +204,7 @@ class CondensationTrace:
 
     @cached_property
     def stages(self) -> tuple:
-        ring = native_ring(self.mitigated.rows())
+        ring = self.mitigated.native_ring
         rows = ring.unwrap(self.mitigated.rows())
         later = _stage_rows(rows, ring, OpCount())
         return (self.mitigated,) + tuple(_to_matrix(ring, s) for s in later)
@@ -240,6 +267,54 @@ def _cleared_rows(rows):
     return cleared, prod(scales)
 
 
+def _coefficient_lcm(row) -> int:
+    """The lcm of the denominators of a row of polynomials' coefficients."""
+    return lcm(*{c.denominator for p in row for c in p.coeffs})
+
+
+def _integral_coefficients(rows, scales):
+    """Polynomial rows as lists of integer coefficient lists, row i times ``scales[i]``."""
+    return [
+        [[c.numerator * (s // c.denominator) for c in p.coeffs] for p in r]
+        for r, s in zip(rows, scales)
+    ]
+
+
+def _packed_rows(rows):
+    """Polynomial rows as ints at x = 2^W, row i times L_i, the lcm of its
+    coefficients' denominators; returns them, W and the product of the L_i.
+
+    W is one more than the bit length of prod_i max(1, sum_j |m_ij|_1) over
+    the scaled rows, |.|_1 being the sum of a polynomial's coefficient
+    magnitudes.  That product bounds every coefficient of every connected
+    minor, so every stage entry unpacks exactly and a packed divisor is 0
+    exactly when the polynomial is.
+    """
+    scales = [_coefficient_lcm(r) for r in rows]
+    coeffs = _integral_coefficients(rows, scales)
+    bound = prod(max(1, sum(abs(c) for p in r for c in p)) for r in coeffs)
+    width = bound.bit_length() + 1
+    return [[pack_polynomial(p, width) for p in r] for r in coeffs], width, prod(scales)
+
+
+def _kernel_input(a0: Matrix):
+    """The native rows and ring the kernel condenses ``a0`` on, and the
+    function that turns their determinant into ``a0``'s.
+
+    Rational rows have their denominators cleared and polynomial rows are
+    packed, so both run on the integer ring.
+    """
+    ring = a0.native_ring
+    rows = ring.unwrap(a0.rows())
+    if ring.quotient is rational_quotient:
+        rows, scale = _cleared_rows(rows)
+        return rows, INTEGERS, lambda det: ExactRational(det, scale)
+    if ring.quotient is polynomial_quotient:
+        rows, width, scale = _packed_rows(rows)
+        return rows, INTEGERS, lambda det: unpack_polynomial(det, width, scale)
+    return rows, ring, ring.wrap
+
+
 def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:
     """One condensation round: 2x2 minor determinants, divided elementwise.
 
@@ -269,51 +344,48 @@ def _rotation_swaps(n: int, row_shift: int, col_shift: int) -> list:
     return row_swaps + col_swaps
 
 
-def _additive_repair(matrix_rows, salt: int):
-    """Clear interior zeros by adding scaled rows/columns.
+def _additive_repair(rows, zeros: set, salt: int, is_zero, ops: list) -> None:
+    """Clear the interior zeros of the native rows ``rows`` by adding scaled
+    rows/columns, in place.
 
-    ``salt`` shifts the starting scale so successive restart rounds produce
-    distinct transforms.  The additions are applied in place to a copy of
-    ``matrix_rows`` by ``_apply_operation``, the applier ``replay_log`` uses,
-    and one ``Matrix`` is built at the end.  Raises
-    UnremovableZero when a zero has no nonzero source in its row or column,
-    or when the repair budget runs out.
+    ``zeros`` holds every (i, j) where ``rows`` has a zero.  It picks the
+    zero to clear and its source, and is kept current by re-testing, with
+    ``is_zero``, only the row or column an operation changed.  Each
+    operation is applied by ``_apply_operation``, the applier ``replay_log``
+    uses, and appended to ``ops`` with its factor as an int.  ``salt``
+    shifts the starting factor so successive restart rounds produce
+    distinct transforms.  Raises UnremovableZero when a zero has no nonzero
+    source in its row or column, or when the repair budget runs out.
     """
-    rows = [list(r) for r in matrix_rows]
     n = len(rows)
-    ops = []
+    interior = [(i, j) for i in range(1, n - 1) for j in range(1, n - 1)]
     attempts = {}
     for _ in range(4 * n * n):
-        zero_at = next(
-            (
-                (i, j)
-                for i in range(1, n - 1)
-                for j in range(1, n - 1)
-                if rows[i][j].is_zero()
-            ),
-            None,
-        )
+        zero_at = next((p for p in interior if p in zeros), None)
         if zero_at is None:
-            return Matrix(rows), ops
+            return
         i, j = zero_at
         attempts[zero_at] = attempts.get(zero_at, 0) + 1
-        c = rows[0][0].from_int(salt + attempts[zero_at])
-        src = next(
-            (s for s in range(n) if s != i and not rows[s][j].is_zero()), None
-        )
+        c = salt + attempts[zero_at]
+        src = next((s for s in range(n) if s != i and (s, j) not in zeros), None)
         if src is not None:
             op = ("add_scaled_row", src, i, c)
+            changed = [(i, t) for t in range(n)]
         else:
-            src = next(
-                (t for t in range(n) if t != j and not rows[i][t].is_zero()), None
-            )
+            src = next((t for t in range(n) if t != j and (i, t) not in zeros), None)
             if src is None:
                 raise UnremovableZero(
                     f"interior zero at ({i}, {j}) has no nonzero row or column source"
                 )
             op = ("add_scaled_col", src, j, c)
+            changed = [(s, j) for s in range(n)]
         _apply_operation(rows, op)
         ops.append(op)
+        for s, t in changed:
+            if is_zero(rows[s][t]):
+                zeros.add((s, t))
+            else:
+                zeros.discard((s, t))
     raise UnremovableZero("additive repair budget exhausted")
 
 
@@ -330,35 +402,101 @@ def _plans(n: int):
         yield ("add", salt)
 
 
-def mitigate_interior_zeros(a: Matrix, exclude=()):
-    """Transform ``a`` so its interior holds no zeros; return (matrix, log).
+def _plan_walk(a: Matrix, rows, is_zero, wrap, exclude, ops: list):
+    """``mitigate_interior_zeros`` on ``a``'s native rows ``rows``.
 
-    Plans are tried in the fixed order documented at module level, rotations
-    judged on the zero set of ``a``; ``exclude`` skips plans already consumed
-    by earlier restarts.  Raises UnremovableZero when no plan succeeds.
+    The zero set is read once, with the native zero test ``is_zero``.  Only
+    the accepted plan is wrapped: a rotation permutes ``a``'s own entries,
+    and additive repair, which appends its native operations to ``ops``,
+    wraps its rows with ``wrap`` and its factors with ``a``'s ``from_int``.
     """
-    if not a.is_square:
-        raise TooSmall("mitigation needs a square matrix")
-    if a.n_rows < 3:
-        raise TooSmall("mitigation needs n >= 3 (smaller sizes have no interior)")
+    n = len(rows)
+    zeros = {(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if is_zero(e)}
     excluded = set(exclude)
-    n = a.n_rows
-    rows = a.rows()
-    zeros = [(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e.is_zero()]
     for plan in _plans(n):
         if plan in excluded:
             continue
         if plan[0] == "add":
-            cand, ops = _additive_repair(rows, plan[1])
-            return cand, MitigationLog(ops, plan)
+            _additive_repair(rows, zeros, plan[1], is_zero, ops)
+            const = a[0, 0].from_int
+            log = MitigationLog([op[:3] + (const(op[3]),) for op in ops], plan)
+            return Matrix([list(map(wrap, r)) for r in rows]), log
         _, r, c = plan
         if any(i not in (r, (r - 1) % n) and j not in (c, (c - 1) % n) for i, j in zeros):
             continue
         if r == c == 0:
             return a, MitigationLog((), plan)
-        rotated = [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
+        entries = a.rows()
+        rotated = [row[c:] + row[:c] for row in entries[r:] + entries[:r]]
         return Matrix(rotated), MitigationLog(_rotation_swaps(n, r, c), plan)
     raise UnremovableZero("every mitigation plan failed or was excluded")
+
+
+# Room for the repair's growth above the input's widest entry, so that a
+# rerun is rare: the repairs of the Hückel chains and cycles of 3 to 16 atoms
+# keep every bound below 2^10 from entries of |.|_1 <= 1.
+_REPAIR_HEADROOM_BITS = 16
+
+
+def _packed_plan_walk(a: Matrix, exclude):
+    """``_plan_walk`` on polynomial entries packed as ints at x = 2^W.
+
+    The entries are first multiplied by L, the lcm of all their coefficients'
+    denominators, which commutes with the repair's additions.  W starts
+    ``_REPAIR_HEADROOM_BITS`` + 1 bits above the bit length of the largest
+    entry's |.|_1, so the zero set is exact.  Each entry's |.|_1 bound is carried
+    through the repair's additions (b_dst += |c| b_src); the bounds only
+    grow, so when the final ones stay below 2^(W - 1), every zero test the
+    walk made was exact.  Otherwise the walk reruns at a W that holds them.
+    """
+    entries = a.rows()
+    scale = lcm(*[_coefficient_lcm(r) for r in entries])
+    coeffs = _integral_coefficients(entries, [scale] * len(entries))
+    norms = [[sum(map(abs, p)) for p in r] for r in coeffs]
+    bound = max(map(max, norms)) << _REPAIR_HEADROOM_BITS
+    while True:
+        width = bound.bit_length() + 1
+        wrap = partial(unpack_polynomial, width=width, scale=scale)
+        rows = [[pack_polynomial(p, width) for p in r] for r in coeffs]
+        ops = []
+        try:
+            result = _plan_walk(a, rows, INTEGERS.is_zero, wrap, exclude, ops)
+        except UnremovableZero:
+            bound = _repair_bound(norms, ops)
+            if bound < 1 << (width - 1):
+                raise
+            continue
+        bound = _repair_bound(norms, ops)
+        if bound < 1 << (width - 1):
+            return result
+
+
+def _repair_bound(norms, ops) -> int:
+    """The largest entry bound after the additions ``ops``, from the bounds
+    ``norms`` of the entries before them: b_dst += |c| b_src for each."""
+    bounds = [list(r) for r in norms]
+    for kind, src, dst, c in ops:
+        _apply_operation(bounds, (kind, src, dst, abs(c)))
+    return max(map(max, bounds))
+
+
+def mitigate_interior_zeros(a: Matrix, exclude=()):
+    """Transform ``a`` so its interior holds no zeros; return (matrix, log).
+
+    Plans are tried in the fixed order documented at module level, rotations
+    judged on the zero set of ``a``; ``exclude`` skips plans already consumed
+    by earlier restarts.  The walk runs on native values (polynomials packed
+    as ints), and only the accepted plan's matrix and the log's factors are
+    wrapped.  Raises UnremovableZero when no plan succeeds.
+    """
+    if not a.is_square:
+        raise TooSmall("mitigation needs a square matrix")
+    if a.n_rows < 3:
+        raise TooSmall("mitigation needs n >= 3 (smaller sizes have no interior)")
+    ring = a.native_ring
+    if ring.quotient is polynomial_quotient:
+        return _packed_plan_walk(a, exclude)
+    return _plan_walk(a, ring.unwrap(a.rows()), ring.is_zero, ring.wrap, exclude, [])
 
 
 def condensation_det(a: Matrix):
@@ -389,12 +527,7 @@ def condensation_det(a: Matrix):
                 a0, log = mitigate_interior_zeros(a, exclude=excluded)
             except UnremovableZero as e:
                 raise FallbackRequired(str(e)) from e
-        ring = native_ring(a0.rows())
-        rows = ring.unwrap(a0.rows())
-        scale = None
-        if ring.quotient is rational_quotient:
-            rows, scale = _cleared_rows(rows)
-            ring = INTEGERS
+        rows, ring, finish = _kernel_input(a0)
         try:
             for k, stage in enumerate(chain([rows], _stage_rows(rows, ring, ops))):
                 if ring.tolerance is not None:
@@ -409,8 +542,7 @@ def condensation_det(a: Matrix):
             restarts.append((k + 1, e.position))
             excluded.append(log.plan)
             continue
-        det = stage[0][0]
-        result = ring.wrap(det) if scale is None else ExactRational(det, scale)
+        result = finish(stage[0][0])
         if log.sign < 0:
             result = -result
         trace = CondensationTrace(a0, log, ops, tuple(restarts), warning)

@@ -50,7 +50,10 @@ class ParseError(ValueError):
 
 
 class Matrix:
-    __slots__ = ("n_rows", "n_cols", "_rows")
+    """An immutable matrix of scalars from one ring; ``native_ring`` is
+    their ``ring.NativeRing``, found once, when the matrix is built."""
+
+    __slots__ = ("n_rows", "n_cols", "_rows", "native_ring")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -59,7 +62,8 @@ class Matrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        native_ring(rows)  # raises TypeError unless all entries share one ring
+        # raises TypeError unless all entries share one ring
+        self.native_ring = native_ring(rows)
         self.n_rows = len(rows)
         self.n_cols = width
         self._rows = rows

@@ -46,7 +46,16 @@ two operands.  The two agree when every entry has the same tolerance, which
 the determinant carry the matrix's tolerance, and every zero test and division
 warning of the kernel uses it: a divisor below that tolerance counts as zero,
 and forces a restart, even where the tolerances of its own operands are
-smaller.
+smaller.  ``NativeRing.is_zero`` is that zero test on one native number;
+interior-zero mitigation uses it too, so it also judges the input's zeros by
+the matrix tolerance.
+
+Integer polynomials also have a native form, the int f(2^W) of Kronecker
+substitution: ``pack_polynomial`` packs the coefficients at width W and
+``unpack_polynomial`` reads them back as balanced base-2^W digits, exactly
+when every coefficient is below 2^(W - 1) in magnitude.  The two width rules
+that guarantee this, one for the stage kernel and one for mitigation, are
+stated in ``condense``.
 """
 
 from __future__ import annotations
@@ -351,6 +360,13 @@ class NativeRing(NamedTuple):
     divide_all: Callable | None = None
     tolerance: float | None = None
 
+    def is_zero(self, x) -> bool:
+        """The ring's zero test on a native number: ``not x``, and for a
+        real matrix the real zero rule at the matrix tolerance."""
+        if self.tolerance is None:
+            return not x
+        return abs(x) < real_zero_bound(self.tolerance)
+
     def divide_row(self, row, divisors, i):
         """The entrywise exact quotients of row i.
 
@@ -394,7 +410,7 @@ def native_ring(rows) -> NativeRing:
     if kind is ApproxReal:
         tol = max(e.tolerance for r in rows for e in r)
         return NativeRing(_values, lambda v: ApproxReal(v, tol), real_quotient, _divide_reals, tol)
-    return NativeRing(_same, _same, _polynomial_quotient)
+    return NativeRing(_same, _same, polynomial_quotient)
 
 
 def _values(rows):
@@ -405,8 +421,44 @@ def _same(x):
     return x
 
 
-def _polynomial_quotient(x, d, tolerance=None):
+def polynomial_quotient(x, d, tolerance=None):
+    """x / d over the polynomials, by ``Polynomial.exact_div``."""
     return x.exact_div(d)
+
+
+# Kronecker substitution: a polynomial f with integer coefficients is the
+# int f(2^width).  Evaluation at 2^width is a ring homomorphism, so sums,
+# products and exact quotients of packed values are the packed results.
+
+
+def pack_polynomial(coeffs, width: int) -> int:
+    """f(2^width) for the integer coefficients ``coeffs`` of f, lowest degree first."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << width) + c
+    return value
+
+
+def unpack_polynomial(value: int, width: int, scale: int = 1) -> Polynomial:
+    """The polynomial f / scale, where f(2^width) = ``value``.
+
+    f's coefficients are read as the balanced base-2^width digits of
+    ``value``, in [-2^(width - 1), 2^(width - 1)), which gives f exactly when
+    each of them is below 2^(width - 1) in magnitude.  A nonzero f with
+    coefficients below 2^width in magnitude packs to a nonzero int, so a
+    packed zero test is exact under that bound.
+    """
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    cs = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << width
+        cs.append(digit)
+        value = (value - digit) >> width
+    if scale == 1:
+        return Polynomial._result(cs)
+    return Polynomial([Fraction(c, scale) for c in cs])
 
 
 # Whole-row divisions: every quotient at once, or None when one fails, and

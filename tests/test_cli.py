@@ -1,5 +1,6 @@
 import argparse
 import decimal
+import json
 import pathlib
 import random
 
@@ -128,6 +129,16 @@ energy levels:
 -0.06030737921409135
 """
 
+# chains of 3-16 atoms, cycles of 3-12 (1-based edges) and naphthalene
+HUCKEL_MOLECULES = {
+    **{f"chain{n}": (n, None) for n in range(3, 17)},
+    **{f"cycle{n}": (n, [(k, k % n + 1) for k in range(1, n + 1)]) for n in range(3, 13)},
+    "naphthalene": (10, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1),
+                         (5, 7), (7, 8), (8, 9), (9, 10), (10, 6)]),
+}
+# stdout, stderr and exit code of ``huckel --show-poly`` for each molecule
+HUCKEL_GOLDEN = json.loads((FIXTURES / "huckel_show_poly.json").read_text())
+
 
 def decimal_text(v):
     """Decimal digits of an int, past the interpreter's int-to-str limit."""
@@ -231,6 +242,21 @@ class TestDet:
         code, out, err = run(capsys, "det", str(f), "--method", method)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {f}: line {line}: ")
+
+    @pytest.mark.parametrize("method", ["auto", "condense", "bareiss", "cofactor"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1e200 1.0\n1.0 1e200\n", "1e200 1e200\n1e200 1e200\n"],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_real_result_exit_6(self, capsys, tmp_path, method, text):
+        # finite entries whose determinant no double holds printed inf or nan
+        # with exit 0
+        f = tmp_path / "overflow.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "det", str(f), "--method", method)
+        assert (code, out) == (6, "")
+        assert err == f"error: {f}: the determinant is not finite as a double\n"
 
     def test_integers_beyond_str_digit_limit(self, capsys, tmp_path):
         # 3000-digit entries give a 6000-digit determinant, past the
@@ -337,6 +363,20 @@ class TestHuckel:
         )
         assert (code, err) == (0, "")
         assert out == GOLDEN_CHAIN8
+
+    @pytest.mark.parametrize("label", sorted(HUCKEL_GOLDEN))
+    def test_show_poly_golden(self, capsys, tmp_path, label):
+        # recorded before polynomials were packed as ints for condensation
+        n, edges = HUCKEL_MOLECULES[label]
+        if edges is None:
+            source = ["--chain", str(n)]
+        else:
+            f = tmp_path / f"{label}.edges"
+            f.write_text(f"atoms {n}\n" + "".join(f"edge {i} {j}\n" for i, j in edges))
+            source = ["--edges", str(f)]
+        argv = ["huckel", *source, "--alpha", "-1.0", "--beta", "-0.5", "--show-poly"]
+        golden = HUCKEL_GOLDEN[label]
+        assert run(capsys, *argv) == (golden["exit"], golden["stdout"], golden["stderr"])
 
     def test_chain1(self, capsys):
         code, out, _ = run(capsys, "huckel", "--chain", "1", "--alpha", "-2.5", "--beta", "-1.0")

@@ -1,5 +1,6 @@
 import contextlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -334,17 +335,36 @@ class TestMitigation:
         m = int_matrix(
             [[0 if (i, j) in zeros else 1 for j in range(8)] for i in range(8)]
         )
-        tested = []
-        original = ExactInteger.is_zero
-
-        def counting_is_zero(self):
-            tested.append(1)
-            return original(self)
-
-        monkeypatch.setattr(ExactInteger, "is_zero", counting_is_zero)
+        tested = counted_zero_tests(monkeypatch)
         _, log = mitigate_interior_zeros(m)
         assert log.plan == plan
-        assert len(tested) <= 64
+        assert 0 < len(tested) <= 64
+
+    def test_repair_retests_only_changed_lines(self, monkeypatch):
+        # the 8x8 checkerboard defeats every rotation; the repair's 6 row
+        # additions each re-test only the row they changed: 64 + 8 * 6 tests
+        m = int_matrix([[(i + j) % 2 for j in range(8)] for i in range(8)])
+        tested = counted_zero_tests(monkeypatch)
+        _, log = mitigate_interior_zeros(m)
+        pairs = [(0, 1), (1, 2), (0, 3), (1, 4), (0, 5), (1, 6)]
+        assert log.operations == tuple(
+            ("add_scaled_row", src, dst, ExactInteger(1)) for src, dst in pairs
+        )
+        assert log.plan == ("add", 0)
+        assert 0 < len(tested) <= 112
+
+
+def counted_zero_tests(monkeypatch):
+    """Collects one entry per zero test mitigation makes, ``NativeRing.is_zero``."""
+    tested = []
+    original = ring_module.NativeRing.is_zero
+
+    def counting_is_zero(self, x):
+        tested.append(1)
+        return original(self, x)
+
+    monkeypatch.setattr(ring_module.NativeRing, "is_zero", counting_is_zero)
+    return tested
 
 
 def rotation_order(n):
@@ -379,6 +399,165 @@ def zero_set_inputs(kind):
     for n in range(3, 9):
         for _ in range(4):
             yield Matrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def reference_repair(rows, salt):
+    """The additive repair on scalar entries, rescanning the interior with
+    ``is_zero`` after every operation; returns the operations."""
+    m, n = Matrix(rows), len(rows)
+    ops, attempts = [], {}
+    for _ in range(4 * n * n):
+        rows = m.rows()
+        inner = ((i, j) for i in range(1, n - 1) for j in range(1, n - 1))
+        zero_at = next((p for p in inner if rows[p[0]][p[1]].is_zero()), None)
+        if zero_at is None:
+            return ops
+        i, j = zero_at
+        attempts[zero_at] = attempts.get(zero_at, 0) + 1
+        c = rows[0][0].from_int(salt + attempts[zero_at])
+        src = next((s for s in range(n) if s != i and not rows[s][j].is_zero()), None)
+        if src is not None:
+            op = ("add_scaled_row", src, i, c)
+        else:
+            src = next((t for t in range(n) if t != j and not rows[i][t].is_zero()), None)
+            if src is None:
+                raise UnremovableZero("no source")
+            op = ("add_scaled_col", src, j, c)
+        m = replay_log(m, MitigationLog([op]))
+        ops.append(op)
+    raise UnremovableZero("budget")
+
+
+def reference_mitigation(a, exclude=()):
+    """``mitigate_interior_zeros`` on scalar entries: rotated interiors
+    tested with ``is_zero``, and ``reference_repair``; returns the log."""
+    rows, n = a.rows(), a.n_rows
+    for plan in rotation_order(n) + [("add", salt) for salt in range(n)]:
+        if plan in exclude:
+            continue
+        if plan[0] == "add":
+            return MitigationLog(reference_repair(rows, plan[1]), plan)
+        _, r, c = plan
+        rotated = [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
+        if not any(e.is_zero() for row in rotated[1:-1] for e in row[1:-1]):
+            return MitigationLog(condense._rotation_swaps(n, r, c), plan)
+    raise UnremovableZero("every plan failed")
+
+
+def reference_condensation(a):
+    """``condensation_det`` by ``condense_step`` on ``Matrix`` stages after
+    ``reference_mitigation``; returns (det, log, restarts, ops), or None
+    where condensation gives up."""
+    n = a.n_rows
+    ops, excluded, restarts = OpCount(), [], []
+    for _ in range(2 * n + 1):
+        try:
+            log = reference_mitigation(a, excluded)
+        except UnremovableZero:
+            return None
+        stages = [replay_log(a, log)]
+        try:
+            for k in range(1, n):
+                divisor = stages[k - 2].interior() if k >= 2 else None
+                stages.append(condense_step(stages[k - 1], divisor, ops))
+        except DivisionByZero as e:
+            restarts.append((k, e.position))
+            excluded.append(log.plan)
+            continue
+        det = stages[-1][0, 0]
+        return (det if log.sign > 0 else -det), log, tuple(restarts), ops
+    return None
+
+
+def random_polynomial_matrix(rng, n, coefficient, zero_share):
+    """An n x n matrix of polynomials of degree at most 4, with about
+    ``zero_share`` of them the zero polynomial."""
+    return Matrix(
+        [
+            [
+                Polynomial([])
+                if rng.random() < zero_share
+                else Polynomial([coefficient() for _ in range(rng.randint(1, 5))])
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
+
+
+class TestPackedPolynomials:
+    @pytest.mark.parametrize("field", ["integer", "rational"])
+    def test_matches_bareiss_and_stepwise_replay(self, field):
+        # Z[x] coefficients up to 10^6, Q[x] ones p/q with q up to 99; the
+        # zero polynomials make rotations, repairs, restarts and fallbacks
+        rng = random.Random(f"packed-{field}")
+        coefficient = {
+            "integer": lambda: rng.randint(-10**6, 10**6),
+            "rational": lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+        }[field]
+        # RESTART4 times x: a clean interior, then a zero divisor at stage 3
+        cases = [Matrix([[Polynomial([0, v]) for v in r] for r in RESTART4])]
+        for n in (3, 4, 5, 6):
+            for zero_share in (0.0, 0.3, 0.5, 0.7):
+                cases += [random_polynomial_matrix(rng, n, coefficient, zero_share) for _ in range(3)]
+        seen = set()
+        for m in cases:
+            expected = reference_condensation(m)
+            try:
+                det, trace = condensation_det(m)
+            except FallbackRequired:
+                assert expected is None
+                seen.add("fallback")
+                continue
+            ref_det, log, restarts, ops = expected
+            assert det == ref_det == bareiss_det(m)
+            assert trace.mitigation.plan == log.plan
+            assert trace.mitigation.operations == log.operations
+            assert (trace.restarts, trace.ops) == (restarts, ops)
+            seen.add(log.plan[0] + ("-restart" if restarts else ""))
+        assert {"rot", "add", "rot-restart", "fallback"} <= seen
+
+    def test_narrow_width_reruns(self, monkeypatch):
+        # with no headroom, the repair of the Hückel chain of 6 outgrows the
+        # width of its 0/1/x entries, so the walk packs the matrix twice
+        packed = []
+        original = condense.pack_polynomial
+
+        def counting_pack(coeffs, width):
+            packed.append(width)
+            return original(coeffs, width)
+
+        m = secular_matrix(PiSystem.chain(6))
+        exclude = rotation_order(6)
+        monkeypatch.setattr(condense, "_REPAIR_HEADROOM_BITS", 0)
+        monkeypatch.setattr(condense, "pack_polynomial", counting_pack)
+        out, log = mitigate_interior_zeros(m, exclude=exclude)
+        widths = sorted(set(packed))
+        assert len(widths) == 2 and packed.count(widths[0]) == packed.count(widths[1]) == 36
+        expected = reference_mitigation(m, exclude)
+        assert (log.plan, log.operations) == (expected.plan, expected.operations)
+        assert out == replay_log(m, expected)
+
+    def test_huckel_run_multiplies_no_polynomials(self, monkeypatch):
+        systems = [PiSystem.chain(n) for n in range(3, 11)] + [
+            PiSystem.from_edges(n, [(k, (k + 1) % n) for k in range(n)]) for n in range(3, 11)
+        ]
+        expected = [bareiss_det(secular_matrix(s)) for s in systems]
+
+        def no_polynomial_arithmetic(*args):
+            raise AssertionError("condensation computed on Polynomial objects")
+
+        condensed = 0
+        with monkeypatch.context() as patched:
+            patched.setattr(Polynomial, "__mul__", no_polynomial_arithmetic)
+            patched.setattr(Polynomial, "exact_div", no_polynomial_arithmetic)
+            for system, det in zip(systems, expected):
+                try:
+                    assert condensation_det(secular_matrix(system))[0] == det
+                    condensed += 1
+                except FallbackRequired:
+                    pass
+        assert condensed >= 6
 
 
 class TestCondensationDet:

@@ -15,7 +15,9 @@ from exactdet.ring import (
     Polynomial,
     RingMismatch,
     format_scalar,
+    pack_polynomial,
     parse_scalar,
+    unpack_polynomial,
 )
 
 
@@ -198,6 +200,21 @@ def test_rational_div_roundtrip_and_canonical_form(a, b):
 def test_polynomial_div_roundtrip(p, q):
     prod = p * q
     assert prod.exact_div(q) * q == prod
+
+
+@given(
+    coeffs=st.lists(st.integers(-(2**11), 2**11 - 1), max_size=6),
+    width=st.integers(12, 70),
+    scale=st.integers(1, 9),
+)
+@example(coeffs=[-(2**11), 2**11 - 1, -1, 0, 1], width=12, scale=1)
+def test_packed_polynomial_round_trip(coeffs, width, scale):
+    # balanced digits read back every coefficient in [-2^(width-1), 2^(width-1))
+    packed = pack_polynomial(coeffs, width)
+    assert packed == sum(c << (k * width) for k, c in enumerate(coeffs))
+    expected = Polynomial([Fraction(c, scale) for c in coeffs])
+    assert unpack_polynomial(packed, width, scale) == expected
+    assert (packed == 0) == expected.is_zero()
 
 
 @given(p=small_polys.filter(lambda p: not p.is_zero()),
