@@ -57,9 +57,23 @@ Mitigation plans are tried in a fixed order so results are reproducible:
 
 Rotations are judged on the input's zero set: rotating by r rows and c
 columns clears the interior exactly when each zero lies in row r or r - 1 or
-in column c or c - 1 (mod n).  Only the accepted plan is applied, as one index
-permutation, and logged as the (r + c)(n - 1) adjacent swaps that
-``replay_log`` re-applies, so its sign is (-1)^((r + c)(n - 1)).
+in column c or c - 1 (mod n).  The walk decides that once per row shift r,
+when the order first reaches it: the zeros outside rows r and r - 1 must lie
+in columns c and c - 1, so with none of them every c is accepted, with one
+or two columns the c whose pair holds them, and with more, none.  The
+identity plan is thus accepted exactly when the interior has no zero.  Only
+the accepted plan is applied, as one index permutation, and logged as the
+(r + c)(n - 1) adjacent swaps that ``replay_log`` re-applies, so its sign is
+(-1)^((r + c)(n - 1)).
+
+An attempt ends at the stage that holds its zero divisor.  On the exact
+rings (every kernel ring but the reals) ``condensation_det`` tests each
+stage k <= n - 3, the stages whose interiors divide, as soon as it exists.
+If its first interior zero, row by row, is at (i + 1, j + 1), the attempt
+stops there and records the restart the kernel's division would raise,
+(k + 2, (i, j)); ``ops`` is charged what the kernel would have spent to
+reach it, all of stage k + 1 and stage k + 2 up to and including minor
+(i, j).  A real attempt still stops at the failing division itself.
 
 Mitigation runs on native values: the zero set is read once with the ring's
 native zero test (``NativeRing.is_zero``; for reals the kernel's rule at the
@@ -112,7 +126,13 @@ class FallbackRequired(RuntimeError):
 
 @dataclass(slots=True)
 class OpCount:
-    """Running tally of ring operations consumed by a determinant run."""
+    """Running tally of ring operations consumed by a determinant run.
+
+    The tally follows the paper's schedule of 2x2 minors and divisions, not
+    the work the program happens to do: an attempt that stops early at an
+    interior zero is charged what the schedule spends to reach the zero
+    divisor that zero becomes two stages on.
+    """
 
     mults: int = 0
     divs: int = 0
@@ -259,6 +279,33 @@ def _stage_rows(rows, ring: NativeRing, ops: OpCount):
         yield current
 
 
+def _interior_zero(stage):
+    """Where the interior of the exact stage ``stage`` first holds a zero,
+    row by row: the position (i, j) of the divisor it becomes, for the
+    entry at (i + 1, j + 1), or None when the interior has no zero."""
+    for i, row in enumerate(stage[1:-1]):
+        if 0 in row:
+            try:
+                return i, row.index(0, 1, len(row) - 1) - 1
+            except ValueError:
+                pass
+    return None
+
+
+def _charge_until_zero(ops: OpCount, n: int, stage: int, position) -> None:
+    """Charge ``ops`` what the kernel spends on an n x n run after stage
+    ``stage - 2`` until the zero divisor of minor ``position`` of stage
+    ``stage``: all of stage ``stage - 1``, then ``stage``'s rows before the
+    failing one, then that row up to and including the failing minor, with
+    the divisions before it (``_condense_rows``' failure rule)."""
+    i, j = position
+    w = n - stage + 1  # the width of stage - 1, which divides when stage >= 3
+    full = w * w + (n - stage) * i
+    ops.mults += 2 * (full + j + 1)
+    ops.adds += full + j + 1
+    ops.divs += (w * w if stage >= 3 else 0) + (n - stage) * i + j
+
+
 def _cleared_rows(rows):
     """Rational rows as integer rows, row i times L_i, the lcm of its
     denominators; returns them and the product of the L_i."""
@@ -389,15 +436,36 @@ def _additive_repair(rows, zeros: set, salt: int, is_zero, ops: list) -> None:
     raise UnremovableZero("additive repair budget exhausted")
 
 
-def _plans(n: int):
-    yield ("rot", 0, 0)
-    for r in range(1, n):
-        yield ("rot", r, 0)
-    for c in range(1, n):
-        yield ("rot", 0, c)
-    for r in range(1, n):
-        for c in range(1, n):
-            yield ("rot", r, c)
+def _column_shifts(zeros, n: int, r: int):
+    """The column shifts c that, with row shift r, clear the interior of an
+    n x n matrix whose zeros are at ``zeros``.
+
+    The zeros outside rows r and r - 1 (mod n) must all lie in columns c and
+    c - 1: with none, every c is accepted, with one or two columns the c
+    whose pair holds them, and with more, none.
+    """
+    cols = {j for i, j in zeros if i != r and i != (r - 1) % n}
+    if len(cols) > 2:
+        return ()
+    if not cols:
+        return range(n)
+    return {c for j in cols for c in (j, (j + 1) % n) if cols <= {c, (c - 1) % n}}
+
+
+def _plans(zeros, n: int):
+    """The plans that may clear the interior of an n x n matrix whose zeros
+    are at ``zeros``, in the documented order: the rotations it accepts,
+    then every additive repair.  A row shift's column shifts are found when
+    the order first reaches it, all of them before the first repair."""
+    shifts = []
+    for r in range(n):
+        shifts.append(_column_shifts(zeros, n, r))
+        if 0 in shifts[r]:
+            yield ("rot", r, 0)
+    for r, cs in enumerate(shifts):
+        for c in sorted(cs):
+            if c:
+                yield ("rot", r, c)
     for salt in range(n):
         yield ("add", salt)
 
@@ -405,15 +473,16 @@ def _plans(n: int):
 def _plan_walk(a: Matrix, rows, is_zero, wrap, exclude, ops: list):
     """``mitigate_interior_zeros`` on ``a``'s native rows ``rows``.
 
-    The zero set is read once, with the native zero test ``is_zero``.  Only
-    the accepted plan is wrapped: a rotation permutes ``a``'s own entries,
-    and additive repair, which appends its native operations to ``ops``,
-    wraps its rows with ``wrap`` and its factors with ``a``'s ``from_int``.
+    The zero set is read once, with the native zero test ``is_zero``, and
+    only the plans it accepts are walked.  Only the accepted plan is
+    wrapped: a rotation permutes ``a``'s own entries, and additive repair,
+    which appends its native operations to ``ops``, wraps its rows with
+    ``wrap`` and its factors with ``a``'s ``from_int``.
     """
     n = len(rows)
     zeros = {(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if is_zero(e)}
     excluded = set(exclude)
-    for plan in _plans(n):
+    for plan in _plans(zeros, n):
         if plan in excluded:
             continue
         if plan[0] == "add":
@@ -422,8 +491,6 @@ def _plan_walk(a: Matrix, rows, is_zero, wrap, exclude, ops: list):
             log = MitigationLog([op[:3] + (const(op[3]),) for op in ops], plan)
             return Matrix([list(map(wrap, r)) for r in rows]), log
         _, r, c = plan
-        if any(i not in (r, (r - 1) % n) and j not in (c, (c - 1) % n) for i, j in zeros):
-            continue
         if r == c == 0:
             return a, MitigationLog((), plan)
         entries = a.rows()
@@ -506,7 +573,8 @@ def condensation_det(a: Matrix):
     restarts under a fresh plan whenever a zero divisor appears mid-run (at
     most 2n restarts), and multiplies the result by the accumulated swap
     sign.  Each attempt unwraps the mitigated matrix once, keeps two live
-    stages of native values and wraps only the result.  A rational attempt
+    stages of native values and wraps only the result; an exact attempt ends
+    at the stage whose interior holds its zero divisor.  A rational attempt
     runs on integer rows, each row times the lcm of its denominators, and
     divides by the product of those scales once (see ``_cleared_rows``).
     Raises FallbackRequired when the strategy is exhausted.
@@ -528,9 +596,16 @@ def condensation_det(a: Matrix):
             except UnremovableZero as e:
                 raise FallbackRequired(str(e)) from e
         rows, ring, finish = _kernel_input(a0)
+        restart = None
         try:
             for k, stage in enumerate(chain([rows], _stage_rows(rows, ring, ops))):
-                if ring.tolerance is not None:
+                if ring.tolerance is None:
+                    zero = _interior_zero(stage) if k <= n - 3 else None
+                    if zero is not None:
+                        restart = (k + 2, zero)
+                        _charge_until_zero(ops, n, *restart)
+                        break
+                else:
                     # an interior entry divides two rounds on; a zero divisor
                     # is inside this bound too, so an aborted attempt always
                     # sets the warning
@@ -539,7 +614,9 @@ def condensation_det(a: Matrix):
                         abs(d) < near for r in stage[1:-1] for d in r[1:-1]
                     )
         except DivisionByZero as e:
-            restarts.append((k + 1, e.position))
+            restart = (k + 1, e.position)
+        if restart is not None:
+            restarts.append(restart)
             excluded.append(log.plan)
             continue
         result = finish(stage[0][0])

@@ -193,13 +193,9 @@ def parse_matrix(text: str, tolerance=None) -> Matrix:
                 header = (n, m)
                 lines = lines[1:]
 
-    tokens = []
-    for lineno, toks in lines:
-        for t in toks:
-            tokens.append((lineno, t))
-
-    has_rational = any("/" in t for _, t in tokens)
-    has_real = any(("." in t or "e" in t or "E" in t) and "/" not in t for _, t in tokens)
+    tokens = [t for _, toks in lines for t in toks]
+    has_rational = any("/" in t for t in tokens)
+    has_real = any(("." in t or "e" in t or "E" in t) and "/" not in t for t in tokens)
     if has_rational and has_real:
         raise ParseError("file mixes rational and real tokens")
 
@@ -217,9 +213,19 @@ def parse_matrix(text: str, tolerance=None) -> Matrix:
                 raise ParseError("integer token too large for a real", line=lineno) from e
         return s
 
+    def read_lines():
+        # an integer file reads each token with one int(); any token that
+        # refuses it is read again, with its error and line, by parse_scalar
+        if not (has_rational or has_real):
+            try:
+                return [[ExactInteger._result(int(t)) for t in toks] for _, toks in lines]
+            except ValueError:
+                pass
+        return [[read(lineno, t) for t in toks] for lineno, toks in lines]
+
     if header:
         n, m = header
-        flat = [read(lineno, t) for lineno, t in tokens]
+        flat = [s for r in read_lines() for s in r]
         rows = [flat[i * m : (i + 1) * m] for i in range(n)]
     else:
         widths = {len(toks) for _, toks in lines}
@@ -228,7 +234,7 @@ def parse_matrix(text: str, tolerance=None) -> Matrix:
                 f"rows have differing entry counts {sorted(widths)}",
                 line=lines[0][0],
             )
-        rows = [[read(lineno, t) for t in toks] for lineno, toks in lines]
+        rows = read_lines()
     return Matrix(rows)
 
 

@@ -3,6 +3,7 @@ import decimal
 import json
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -326,6 +327,13 @@ class TestBench:
         _, out, _ = run(capsys, "bench", "--sizes", "3..6", "--trials", "2", "--seed", "5")
         ratios = [float(line.split()[4]) for line in out.strip().splitlines()[1:]]
         assert ratios == sorted(ratios, reverse=True)
+
+    def test_n10_takes_the_cofactor_count_from_its_closed_form(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "bench", "--sizes", "10..10", "--trials", "2")
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert out.splitlines()[1].split() == "10  2  774.0  6235300.0  0.0001  95".split()
 
     def test_invalid_range_exit_2(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "2..5")

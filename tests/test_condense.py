@@ -340,6 +340,39 @@ class TestMitigation:
         assert log.plan == plan
         assert 0 < len(tested) <= 64
 
+    def test_rotation_rule_matches_brute_force(self):
+        # random zero sets and exclude lists: the accepted plan is the first
+        # one in the documented order that leaves each zero in row r or
+        # r - 1 or in column c or c - 1 (mod n)
+        rng = random.Random("rotation-rule")
+        for n in range(3, 13):
+            order = rotation_order(n)
+            for _ in range(30):
+                share = rng.choice([0.05, 0.15, 0.3])
+                zeros = {(i, j) for i in range(n) for j in range(n) if rng.random() < share}
+                m = int_matrix([[0 if (i, j) in zeros else 1 for j in range(n)] for i in range(n)])
+                exclude = rng.sample(order, rng.randint(0, len(order) // 2))
+                expected = next(
+                    (
+                        (kind, r, c)
+                        for kind, r, c in order
+                        if (kind, r, c) not in exclude
+                        and all(i in (r, (r - 1) % n) or j in (c, (c - 1) % n) for i, j in zeros)
+                    ),
+                    None,
+                )
+                try:
+                    out, log = mitigate_interior_zeros(m, exclude=exclude)
+                except UnremovableZero:
+                    assert expected is None
+                    continue
+                if expected is None:
+                    assert log.plan[0] == "add"
+                    continue
+                assert log.plan == expected
+                if expected == ("rot", 0, 0):
+                    assert out is m
+
     def test_repair_retests_only_changed_lines(self, monkeypatch):
         # the 8x8 checkerboard defeats every rotation; the repair's 6 row
         # additions each re-test only the row they changed: 64 + 8 * 6 tests
@@ -558,6 +591,100 @@ class TestPackedPolynomials:
                 except FallbackRequired:
                     pass
         assert condensed >= 6
+
+
+# nonzero entries, so that the first attempt runs on the draw itself
+EARLY_STOP_ENTRIES = {
+    "integer": lambda rng: ExactInteger(rng.choice([-1, 1]) * rng.randint(1, 9)),
+    "rational": lambda rng: ExactRational(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)),
+    "polynomial": lambda rng: Polynomial([rng.randint(-3, 3), rng.choice([-1, 1]) * rng.randint(1, 3)]),
+}
+
+
+def zero_at_stage(rng, n, k, entry):
+    """An n x n draw whose stage k has a zero at a random interior position:
+    the row holding the bottom-right corner of that entry's (k + 1) x (k + 1)
+    connected minor is scaled by the minor's leading k x k minor C, and the
+    corner is then set to make the minor singular."""
+    rows = [[entry(rng) for _ in range(n)] for _ in range(n)]
+    p, q = rng.randint(1, n - k - 2), rng.randint(1, n - k - 2)
+    zero = rows[0][0].from_int(0)
+    block = [r[q : q + k + 1] for r in rows[p : p + k + 1]]
+    block[k][k] = zero
+    lead = bareiss_det(Matrix([r[:k] for r in block[:k]]))
+    rest = bareiss_det(Matrix(block))
+    rows[p + k] = [lead * e for e in rows[p + k]]
+    rows[p + k][q + k] = zero - rest
+    return Matrix(rows)
+
+
+class TestEarlyStop:
+    """Exact attempts end at the stage that holds their zero divisor."""
+
+    @pytest.mark.parametrize("kind", sorted(EARLY_STOP_ENTRIES))
+    def test_matches_stepwise_reference(self, kind):
+        # stage k's zero divides stage k + 2; mitigation clears stage 0's
+        # interior, so the first restart comes from a stage k of 1 .. n - 3.
+        # Dense draws with zeros add rotations, repairs and fallbacks.
+        rng = random.Random(f"early-stop-{kind}")
+        entry = EARLY_STOP_ENTRIES[kind]
+        zero = entry(rng).from_int(0)
+        first_stages = {}
+        cases = []
+        sizes = range(4, 9 if kind != "polynomial" else 7)
+        for n in sizes:
+            for k in range(1, n - 2):
+                for _ in range(3):
+                    cases.append(zero_at_stage(rng, n, k, entry))
+            for _ in range(6):
+                cases.append(
+                    Matrix([[entry(rng) if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(n)])
+                )
+        seen = set()
+        for m in cases:
+            expected = reference_condensation(m)
+            try:
+                det, trace = condensation_det(m)
+            except FallbackRequired:
+                assert expected is None
+                seen.add("fallback")
+                continue
+            ref_det, log, restarts, ops = expected
+            assert det == ref_det
+            assert (trace.mitigation.plan, trace.mitigation.operations) == (log.plan, log.operations)
+            assert (trace.restarts, trace.ops) == (restarts, ops)
+            if restarts:
+                first_stages.setdefault(m.n_rows, set()).add(restarts[0][0] - 2)
+        assert "fallback" in seen
+        assert first_stages == {n: set(range(1, n - 2)) for n in sizes}
+
+    def test_no_stage_after_the_zero(self, monkeypatch):
+        # a failed attempt whose restart is at stage s computes stages
+        # 1 .. s - 2 only: its zero is in stage s - 2's interior
+        calls = []
+        original = condense._condense_rows
+
+        def counting(current, divisor, ring, ops):
+            calls.append(len(current))
+            return original(current, divisor, ring, ops)
+
+        monkeypatch.setattr(condense, "_condense_rows", counting)
+        rng = random.Random("no-work-after-zero")
+        checked = 0
+        for kind, entry in EARLY_STOP_ENTRIES.items():
+            for n in (5, 6, 7):
+                for k in range(1, n - 2):
+                    m = zero_at_stage(rng, n, k, entry)
+                    calls.clear()
+                    try:
+                        _, trace = condensation_det(m)
+                    except FallbackRequired:
+                        continue
+                    produced = [n + 1 - size for size in calls]  # stage index of each call
+                    expected = [t for s, _ in trace.restarts for t in range(1, s - 1)]
+                    assert produced == expected + list(range(1, n)), (kind, n, k)
+                    checked += bool(trace.restarts)
+        assert checked >= 20
 
 
 class TestCondensationDet:

@@ -16,7 +16,7 @@ from exactdet.matrix import (
     parse_matrix,
 )
 from exactdet.oracle import cofactor_det
-from exactdet.ring import ApproxReal, ExactInteger, ExactRational
+from exactdet.ring import ApproxReal, ExactInteger, ExactRational, parse_scalar
 
 # 4x4 with a zero-free interior; its condensation path is fully clean.
 CLEAN4 = [[4, 2, 0, -3], [1, 1, 2, 2], [0, -1, 3, -1], [1, 2, 5, 1]]
@@ -237,6 +237,26 @@ class TestTextFormat:
     def test_bad_token_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_matrix("1 2\n3 oops\n")
+
+    @pytest.mark.parametrize(
+        "token", ["1_000", "+5", "-0", "٣", "0x10", "inf", "7" * 5000, "-" + "3" * 5000]
+    )
+    @pytest.mark.parametrize("layout", ["1 2 3\n4 {} 6\n7 8 9\n", "3 3\n1 2 3 4 {}\n6 7 8 9\n"])
+    def test_integer_tokens_read_as_parse_scalar_reads_them(self, token, layout):
+        # the token is on line 2 in both layouts, at entry (1, 1)
+        text = layout.format(token)
+        try:
+            value = parse_scalar(token)
+        except ValueError as e:
+            with pytest.raises(ParseError) as err:
+                parse_matrix(text)
+            assert str(err.value) == f"line 2: {e}"
+            assert err.value.line == 2
+            return
+        expected = int_matrix([[1, 2, 3], [4, 0, 6], [7, 8, 9]]).rows()
+        rows = [list(r) for r in expected]
+        rows[1][1] = value
+        assert parse_matrix(text) == Matrix(rows)
 
     @pytest.mark.parametrize(
         "text",

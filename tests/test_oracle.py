@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from exactdet.condense import OpCount
 from exactdet.matrix import Matrix, TooSmall, int_matrix
-from exactdet.oracle import bareiss_det, cofactor_det, count_ratio, jacobi_check
+from exactdet.oracle import (
+    bareiss_det,
+    cofactor_det,
+    cofactor_mults,
+    count_ratio,
+    jacobi_check,
+)
 from exactdet.ring import ExactInteger, ExactRational, Polynomial
 
 from test_condense import matrices_built
@@ -159,6 +165,16 @@ class TestCountRatio:
     def test_ratio_decreases_with_n(self):
         ratios = [count_ratio(n, trials=2, seed=3).ratio for n in range(3, 7)]
         assert ratios == sorted(ratios, reverse=True)
+
+    def test_closed_form_equals_counted_run(self):
+        rng = random.Random(8)
+        for n in range(3, 9):
+            m = int_matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            ops = OpCount()
+            cofactor_det(m, ops)
+            assert ops.muldiv == ops.mults == cofactor_mults(n)
+        assert cofactor_mults(5) == 205
+        assert cofactor_mults(10) == 6235300
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

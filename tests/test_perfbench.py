@@ -14,10 +14,18 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 
 
-def test_traced_requests(monkeypatch, capsys):
+# its first two attempts each end at a zero divisor in stage 3
+TWO_RESTARTS = "-1 2 2 -1 0\n2 1 2 -2 2\n-2 1 0 2 -1\n-1 1 2 2 1\n1 -1 -1 -1 2\n"
+# four attempts end at zero divisors, then every plan is excluded
+FALLS_BACK = "-1 0 0 1\n0 0 0 1\n-1 1 1 0\n0 0 1 0\n"
+
+
+def test_traced_requests(monkeypatch, capsys, tmp_path):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from tracing import Tracer
 
+    (tmp_path / "two_restarts.txt").write_text(TWO_RESTARTS)
+    (tmp_path / "falls_back.txt").write_text(FALLS_BACK)
     tracer = Tracer(seed=1)
     tracer.install()
     try:
@@ -26,6 +34,19 @@ def test_traced_requests(monkeypatch, capsys):
         tracer.end_request(idx, code)
         assert code == 0
         assert tracer.counts["mitigate.restarts"] == 1
+
+        idx = tracer.begin_request("two_restarts")
+        code = main(["det", str(tmp_path / "two_restarts.txt")])
+        tracer.end_request(idx, code)
+        assert code == 0
+        assert tracer.counts["mitigate.restarts"] == 1 + 2  # counts add up over requests
+
+        idx = tracer.begin_request("falls_back")
+        code = main(["det", str(tmp_path / "falls_back.txt")])
+        tracer.end_request(idx, code)
+        assert code == 0
+        assert tracer.counts["mitigate.restarts"] == 1 + 2 + 4
+        assert tracer.counts["condense.fallbacks"] == 1
 
         idx = tracer.begin_request("allyl")
         code = main(["huckel", "--edges", str(FIXTURES / "allyl.edges"),
@@ -39,5 +60,6 @@ def test_traced_requests(monkeypatch, capsys):
     names = {span[0] for span in tracer.spans}
     assert "condense.mitigate_interior_zeros" in names
     assert "huckel.energy_levels" in names
-    assert len(tracer.replays) == 2
+    assert "oracle.bareiss_det" in names
+    assert set(tracer.replays) == {"restart4", "two_restarts", "allyl"}
     tracer.micro()  # raises if a stage replay disagrees
