@@ -12,9 +12,11 @@ intermediate stays an integer.
 The stage kernel, ``_condense_rows``, computes on native values (see
 ``ring.NativeRing``): ``condensation_det`` unwraps the mitigated matrix once
 per attempt, keeps only the previous two stages as lists of native rows and
-wraps only the result.  A ``CondensationTrace`` stores stage 0; its stages and
-pre-division matrices are recomputed through the same kernel when first read.
-``condense_step`` is the same kernel for ``Matrix`` arguments.
+wraps only the result.  A ``CondensationTrace`` stores stage 0; when first
+read, its stages are read off a repeat of the run's own kernel rows, and its
+pre-division matrices are the 2x2 minors of each stage in the matrix's ring.
+``condense_step`` is the scalar reference: one round computed with the
+scalars' own ``*``, ``-`` and ``exact_div``, independent of the kernel.
 
 Rational matrices condense on integers, where no ``Fraction`` pays a gcd
 per operation.  ``condensation_det`` multiplies row i of each attempt by
@@ -22,8 +24,8 @@ L_i, the lcm of that row's denominators, runs the integer kernel and divides
 by the product of the L_i once, at the end.  Stage k entry (i, j) of the
 scaled rows is L_i ... L_{i+k} times the rational one, so the zeros, and with
 them mitigation, restarts and the op counts, are those of the rational run,
-and every division is still checked for exactness.  A trace keeps the
-rational matrix and recomputes its ``Fraction`` stages when read.
+and every division is still checked for exactness.  A trace reads stage k
+entry (i, j) of the integer run v back as the rational v / (L_i ... L_{i+k}).
 
 Polynomial matrices condense on integers too, by Kronecker substitution:
 after the same row scaling (which clears the denominators of Q[x]), each
@@ -34,8 +36,8 @@ W is one more than the bit length of prod_i max(1, sum_j |m_ij|_1), |.|_1
 being the sum of a polynomial's coefficient magnitudes; that product bounds
 every coefficient of every connected minor, so a packed divisor is 0
 exactly when the polynomial is, and the determinant unpacks exactly from its
-balanced base-2^W digits (``ring.unpack_polynomial``).  The ``Polynomial``
-kernel remains for ``condense_step`` and a trace's recomputed stages.
+balanced base-2^W digits (``ring.unpack_polynomial``), and so does every
+stage entry a trace reads, divided by its L_i ... L_{i+k}.
 
 Interior zeros are the method's one failure mode.  ``mitigate_interior_zeros``
 clears them with determinant-preserving elementary operations before the run
@@ -66,14 +68,14 @@ the accepted plan is applied, as one index permutation, and logged as the
 (r + c)(n - 1) adjacent swaps that ``replay_log`` re-applies, so its sign is
 (-1)^((r + c)(n - 1)).
 
-An attempt ends at the stage that holds its zero divisor.  On the exact
-rings (every kernel ring but the reals) ``condensation_det`` tests each
-stage k <= n - 3, the stages whose interiors divide, as soon as it exists.
-If its first interior zero, row by row, is at (i + 1, j + 1), the attempt
-stops there and records the restart the kernel's division would raise,
-(k + 2, (i, j)); ``ops`` is charged what the kernel would have spent to
-reach it, all of stage k + 1 and stage k + 2 up to and including minor
-(i, j).  A real attempt still stops at the failing division itself.
+An attempt ends at the stage that holds its zero divisor, in every ring.
+``condensation_det`` tests each stage's interior as soon as it exists, for
+a 0 on the exact rings, and on the reals by the division-warning scan,
+which, when it trips, finds the first entry ``NativeRing.is_zero`` counts
+as zero.  If that first zero, row by row, is at (i + 1, j + 1) of stage k,
+the attempt stops there and records the restart (k + 2, (i, j)); ``ops`` is
+charged what the kernel would have spent to reach it, all of stage k + 1
+and stage k + 2 up to and including minor (i, j).
 
 Mitigation runs on native values: the zero set is read once with the ring's
 native zero test (``NativeRing.is_zero``; for reals the kernel's rule at the
@@ -102,15 +104,14 @@ from math import lcm, prod
 from .matrix import IndexOutOfRange, Matrix, TooSmall
 from .ring import (
     INTEGERS,
+    POLYNOMIALS,
+    RATIONALS,
     DivisionByZero,
     ExactRational,
     InexactDivision,
     NativeRing,
     format_scalar,
-    native_ring,
     pack_polynomial,
-    polynomial_quotient,
-    rational_quotient,
     real_zero_bound,
     unpack_polynomial,
 )
@@ -208,11 +209,12 @@ class CondensationTrace:
     ``mitigated`` is stage 0, the matrix the run condensed after mitigation.
     ``stages[k]`` is the (n-k) x (n-k) stage matrix; ``starred[k-2]`` is the
     pre-division matrix belonging to ``stages[k]`` for k >= 2.  The run keeps
-    only two live stages, so neither is stored: both are recomputed from
-    ``mitigated`` through the stage kernel on first access and then cached,
-    and reading them leaves ``ops`` unchanged.  ``restarts`` lists
+    only two live stages, so neither is stored: on first access the stages
+    are read off a repeat of the run's kernel rows, and the pre-division
+    matrices are the 2x2 minors of the stages in their own ring.  Both are
+    cached, and reading them leaves ``ops`` unchanged.  ``restarts`` lists
     (stage, position) pairs for every zero divisor that forced a restart;
-    ``division_warning`` is set when a real-arithmetic division used a
+    ``division_warning`` is set when a real-arithmetic run met a
     divisor within 1000x of the zero tolerance.
     """
 
@@ -224,46 +226,41 @@ class CondensationTrace:
 
     @cached_property
     def stages(self) -> tuple:
-        ring = self.mitigated.native_ring
-        rows = ring.unwrap(self.mitigated.rows())
+        rows, ring, decode = _kernel_input(self.mitigated)
         later = _stage_rows(rows, ring, OpCount())
-        return (self.mitigated,) + tuple(_to_matrix(ring, s) for s in later)
+        return (self.mitigated,) + tuple(Matrix(decode(s, k)) for k, s in enumerate(later, 1))
 
     @cached_property
     def starred(self) -> tuple:
-        return tuple(condense_step(s, None, OpCount()) for s in self.stages[1:-1])
-
-
-def _to_matrix(ring: NativeRing, rows) -> Matrix:
-    return Matrix([list(map(ring.wrap, r)) for r in rows])
+        ring = self.mitigated.native_ring
+        minors = (
+            _condense_rows(ring.unwrap(s.rows()), None, ring, OpCount()) for s in self.stages[1:-1]
+        )
+        return tuple(Matrix([list(map(ring.wrap, r)) for r in m]) for m in minors)
 
 
 def _condense_rows(current, divisor, ring: NativeRing, ops: OpCount) -> list:
     """The stage kernel: one condensation round on native rows.
 
-    Each entry is a 2x2 consecutive minor of ``current``, divided row by row
-    by ``divisor`` (the interior rows of the stage two rounds back, None on
-    the first round).  On a failed division at (i, j), ``ops`` counts every
-    minor up to and including the failing one, and the divisions before it.
+    Each entry is a 2x2 consecutive minor of ``current``.  With a
+    ``divisor`` (the interior rows of the stage two rounds back, None on the
+    first round), each row is then divided by its divisor row at once with
+    ``ring.divide``, which raises when a division fails; ``condensation_det``
+    ends an attempt before its zero divisor, so in a run none does.  ``ops``
+    is charged the whole round.
     """
     w = len(current) - 1
-    out = []
-    for i, (top, bottom) in enumerate(zip(current, current[1:])):
-        row = [a * d - b * c for a, b, c, d in zip(top, top[1:], bottom, bottom[1:])]
-        if divisor is not None:
-            try:
-                row = ring.divide_row(row, divisor[i], i)
-            except (DivisionByZero, InexactDivision) as e:
-                j = e.position[1]
-                ops.mults += 2 * (j + 1)
-                ops.adds += j + 1
-                ops.divs += j
-                raise
-            ops.divs += w
-        ops.mults += 2 * w
-        ops.adds += w
-        out.append(row)
-    return out
+    # one row at a time, so that a row's minors are freed once it is divided
+    rows = (
+        [a * d - b * c for a, b, c, d in zip(top, top[1:], bottom, bottom[1:])]
+        for top, bottom in zip(current, current[1:])
+    )
+    if divisor is not None:
+        rows = map(ring.divide, rows, divisor)
+        ops.divs += w * w
+    ops.mults += 2 * w * w
+    ops.adds += w * w
+    return list(rows)
 
 
 def _stage_rows(rows, ring: NativeRing, ops: OpCount):
@@ -279,11 +276,14 @@ def _stage_rows(rows, ring: NativeRing, ops: OpCount):
         yield current
 
 
-def _interior_zero(stage):
-    """Where the interior of the exact stage ``stage`` first holds a zero,
-    row by row: the position (i, j) of the divisor it becomes, for the
-    entry at (i + 1, j + 1), or None when the interior has no zero."""
+def _interior_zero(stage, bound=None):
+    """Where the interior of the stage ``stage`` first holds a zero, row by
+    row: the position (i, j) of the divisor it becomes, for the entry at
+    (i + 1, j + 1), or None when the interior has no zero.  A real stage
+    passes its ``ring.real_zero_bound``, below which an entry is zero."""
     for i, row in enumerate(stage[1:-1]):
+        if bound is not None:
+            row = [0 if abs(x) < bound else x for x in row]
         if 0 in row:
             try:
                 return i, row.index(0, 1, len(row) - 1) - 1
@@ -308,10 +308,10 @@ def _charge_until_zero(ops: OpCount, n: int, stage: int, position) -> None:
 
 def _cleared_rows(rows):
     """Rational rows as integer rows, row i times L_i, the lcm of its
-    denominators; returns them and the product of the L_i."""
+    denominators; returns them and the L_i."""
     scales = [lcm(*(x.denominator for x in r)) for r in rows]
     cleared = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)]
-    return cleared, prod(scales)
+    return cleared, scales
 
 
 def _coefficient_lcm(row) -> int:
@@ -329,7 +329,7 @@ def _integral_coefficients(rows, scales):
 
 def _packed_rows(rows):
     """Polynomial rows as ints at x = 2^W, row i times L_i, the lcm of its
-    coefficients' denominators; returns them, W and the product of the L_i.
+    coefficients' denominators; returns them, W and the L_i.
 
     W is one more than the bit length of prod_i max(1, sum_j |m_ij|_1) over
     the scaled rows, |.|_1 being the sum of a polynomial's coefficient
@@ -341,47 +341,72 @@ def _packed_rows(rows):
     coeffs = _integral_coefficients(rows, scales)
     bound = prod(max(1, sum(abs(c) for p in r for c in p)) for r in coeffs)
     width = bound.bit_length() + 1
-    return [[pack_polynomial(p, width) for p in r] for r in coeffs], width, prod(scales)
+    return [[pack_polynomial(p, width) for p in r] for r in coeffs], width, scales
 
 
 def _kernel_input(a0: Matrix):
     """The native rows and ring the kernel condenses ``a0`` on, and the
-    function that turns their determinant into ``a0``'s.
+    decoder that turns its stage k, ``decode(stage, k)``, into rows of
+    ``a0``'s ring.
 
     Rational rows have their denominators cleared and polynomial rows are
-    packed, so both run on the integer ring.
+    packed, so both run on the integer ring, and row i of stage k decodes
+    divided by L_i ... L_{i+k}.  Integer and real rows run as they are and
+    decode by their ring's ``wrap``.
     """
     ring = a0.native_ring
     rows = ring.unwrap(a0.rows())
-    if ring.quotient is rational_quotient:
-        rows, scale = _cleared_rows(rows)
-        return rows, INTEGERS, lambda det: ExactRational(det, scale)
-    if ring.quotient is polynomial_quotient:
-        rows, width, scale = _packed_rows(rows)
-        return rows, INTEGERS, lambda det: unpack_polynomial(det, width, scale)
-    return rows, ring, ring.wrap
+    if ring is RATIONALS:
+        rows, scales = _cleared_rows(rows)
+        entry = ExactRational
+    elif ring is POLYNOMIALS:
+        rows, width, scales = _packed_rows(rows)
+        entry = lambda v, s: unpack_polynomial(v, width, s)
+    else:
+        return rows, ring, lambda stage, k: [list(map(ring.wrap, r)) for r in stage]
+
+    def decode(stage, k):
+        scaled = (prod(scales[i : i + k + 1]) for i in range(len(stage)))
+        return [[entry(v, s) for v in r] for r, s in zip(stage, scaled)]
+
+    return rows, INTEGERS, decode
 
 
 def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:
     """One condensation round: 2x2 minor determinants, divided elementwise.
 
-    ``divisor_interior`` is None exactly on the first round.  Zero or inexact
-    divisions raise with the offending (i, j) position attached, which is
-    what the restart logic keys on; ``ops`` then counts every minor up to and
-    including the failing one, and the divisions before it.  A divisor from
-    another ring than ``current`` raises RingMismatch.
+    The scalar reference for the stage kernel, computed with the scalars'
+    own ``*``, ``-`` and ``exact_div``: a real result carries the larger
+    tolerance of its operands, where the kernel's carry the matrix's
+    largest.  ``divisor_interior`` is None exactly on the first round.  Zero
+    or inexact divisions raise with the offending (i, j) position attached,
+    which is what the restart logic keys on; ``ops`` then counts every minor
+    up to and including the failing one, and the divisions before it.  A
+    divisor from another ring than ``current`` raises RingMismatch.
     """
     if not current.is_square or current.n_rows < 2:
         raise ValueError("condense_step needs a square matrix, n >= 2")
     w = current.n_rows - 1
-    divisor_rows = ()
-    if divisor_interior is not None:
-        if divisor_interior.n_rows != w or divisor_interior.n_cols != w:
-            raise ValueError("divisor interior must be (k-1) x (k-1)")
-        divisor_rows = divisor_interior.rows()
-    ring = native_ring(current.rows() + divisor_rows)
-    divisor = None if divisor_interior is None else ring.unwrap(divisor_rows)
-    return _to_matrix(ring, _condense_rows(ring.unwrap(current.rows()), divisor, ring, ops))
+    if divisor_interior is not None and (divisor_interior.n_rows, divisor_interior.n_cols) != (w, w):
+        raise ValueError("divisor interior must be (k-1) x (k-1)")
+    rows = current.rows()
+    out = []
+    for i, (top, bottom) in enumerate(zip(rows, rows[1:])):
+        row = []
+        for j in range(w):
+            minor = top[j] * bottom[j + 1] - top[j + 1] * bottom[j]
+            ops.mults += 2
+            ops.adds += 1
+            if divisor_interior is not None:
+                try:
+                    minor = minor.exact_div(divisor_interior[i, j])
+                except (DivisionByZero, InexactDivision) as e:
+                    e.position = (i, j)
+                    raise
+                ops.divs += 1
+            row.append(minor)
+        out.append(row)
+    return Matrix(out)
 
 
 def _rotation_swaps(n: int, row_shift: int, col_shift: int) -> list:
@@ -561,7 +586,7 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
     if a.n_rows < 3:
         raise TooSmall("mitigation needs n >= 3 (smaller sizes have no interior)")
     ring = a.native_ring
-    if ring.quotient is polynomial_quotient:
+    if ring is POLYNOMIALS:
         return _packed_plan_walk(a, exclude)
     return _plan_walk(a, ring.unwrap(a.rows()), ring.is_zero, ring.wrap, exclude, [])
 
@@ -573,8 +598,8 @@ def condensation_det(a: Matrix):
     restarts under a fresh plan whenever a zero divisor appears mid-run (at
     most 2n restarts), and multiplies the result by the accumulated swap
     sign.  Each attempt unwraps the mitigated matrix once, keeps two live
-    stages of native values and wraps only the result; an exact attempt ends
-    at the stage whose interior holds its zero divisor.  A rational attempt
+    stages of native values and wraps only the result; an attempt ends at
+    the stage whose interior holds its zero divisor.  A rational attempt
     runs on integer rows, each row times the lcm of its denominators, and
     divides by the product of those scales once (see ``_cleared_rows``).
     Raises FallbackRequired when the strategy is exhausted.
@@ -595,35 +620,29 @@ def condensation_det(a: Matrix):
                 a0, log = mitigate_interior_zeros(a, exclude=excluded)
             except UnremovableZero as e:
                 raise FallbackRequired(str(e)) from e
-        rows, ring, finish = _kernel_input(a0)
-        restart = None
-        try:
-            for k, stage in enumerate(chain([rows], _stage_rows(rows, ring, ops))):
-                if ring.tolerance is None:
-                    zero = _interior_zero(stage) if k <= n - 3 else None
-                    if zero is not None:
-                        restart = (k + 2, zero)
-                        _charge_until_zero(ops, n, *restart)
-                        break
-                else:
-                    # an interior entry divides two rounds on; a zero divisor
-                    # is inside this bound too, so an aborted attempt always
-                    # sets the warning
-                    near = real_zero_bound(1e3 * ring.tolerance)
-                    warning = warning or any(
-                        abs(d) < near for r in stage[1:-1] for d in r[1:-1]
-                    )
-        except DivisionByZero as e:
-            restart = (k + 1, e.position)
-        if restart is not None:
-            restarts.append(restart)
-            excluded.append(log.plan)
-            continue
-        result = finish(stage[0][0])
-        if log.sign < 0:
-            result = -result
-        trace = CondensationTrace(a0, log, ops, tuple(restarts), warning)
-        return result, trace
+        rows, ring, decode = _kernel_input(a0)
+        for k, stage in enumerate(chain([rows], _stage_rows(rows, ring, ops))):
+            if ring.tolerance is None:
+                zero = _interior_zero(stage)
+            else:
+                # an interior entry divides two rounds on; a zero divisor
+                # is inside this bound too, so an aborted attempt always
+                # sets the warning
+                near = real_zero_bound(1e3 * ring.tolerance)
+                if not any(abs(d) < near for r in stage[1:-1] for d in r[1:-1]):
+                    continue
+                warning = True
+                zero = _interior_zero(stage, real_zero_bound(ring.tolerance))
+            if zero is not None:
+                restarts.append((k + 2, zero))
+                _charge_until_zero(ops, n, k + 2, zero)
+                excluded.append(log.plan)
+                break
+        else:
+            result = decode(stage, k)[0][0]
+            if log.sign < 0:
+                result = -result
+            return result, CondensationTrace(a0, log, ops, tuple(restarts), warning)
     raise FallbackRequired(
         f"no clean condensation path within {budget} restarts"
     ) from UnremovableZero("restart budget exhausted")

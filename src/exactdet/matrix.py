@@ -157,7 +157,7 @@ def int_matrix(rows) -> Matrix:
     return Matrix([[ExactInteger(v) for v in r] for r in rows])
 
 
-def parse_matrix(text: str, tolerance=None) -> Matrix:
+def parse_matrix(text: str) -> Matrix:
     """Parse the whitespace matrix format.
 
     ``#`` starts a comment; an optional first line ``n m`` fixes the shape,
@@ -165,12 +165,9 @@ def parse_matrix(text: str, tolerance=None) -> Matrix:
     square matrix without a header (``1 2`` over ``3 4``), the square reading
     wins.  The ring is inferred from the tokens: any ``/`` makes the file
     rational (integer tokens are promoted, the one permitted promotion), any
-    ``.`` or exponent makes it real; mixing rational and real tokens is an
-    error.
+    ``.`` or exponent makes it real, at ``ring.DEFAULT_TOLERANCE``; mixing
+    rational and real tokens is an error.
     """
-    from .ring import DEFAULT_TOLERANCE
-
-    tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -201,14 +198,14 @@ def parse_matrix(text: str, tolerance=None) -> Matrix:
 
     def read(lineno, t):
         try:
-            s = parse_scalar(t, tolerance=tol)
+            s = parse_scalar(t)
         except ValueError as e:
             raise ParseError(str(e), line=lineno) from e
         if has_rational and isinstance(s, ExactInteger):
             s = ExactRational(s.value)
         elif has_real and isinstance(s, ExactInteger):
             try:
-                s = ApproxReal(float(s.value), tol)
+                s = ApproxReal(float(s.value))
             except OverflowError as e:
                 raise ParseError("integer token too large for a real", line=lineno) from e
         return s

@@ -87,15 +87,14 @@ def bareiss_det(a: Matrix, ops: OpCount | None = None):
     return det if sign == 1 else -det
 
 
-def jacobi_check(a: Matrix, m: int = 2) -> bool:
-    """Check det[A'] = det(A)^(m-1) * det[A*] on the four-corner minor.
+def jacobi_check(a: Matrix) -> bool:
+    """Check det[A'] = det(A) * det[A*] on the four-corner minor.
 
     A' is the entrywise adjugate restricted to rows/columns {1, n} and A*
-    is the complementary minor, i.e. the interior of ``a``.  Only the m = 2
-    case is supported; all determinants come from ``bareiss_det``.
+    is the complementary minor, i.e. the interior of ``a``: Jacobi's
+    identity det[A'] = det(A)^(m-1) * det[A*] at m = 2.  All determinants
+    come from ``bareiss_det``.
     """
-    if m != 2:
-        raise ValueError("only the m = 2 corner form is supported")
     if not a.is_square or a.n_rows < 3:
         raise TooSmall("jacobi_check needs a square matrix, n >= 3")
     n = a.n_rows

@@ -31,17 +31,19 @@ Each ring's rules are stated once.  ``integer_quotient``,
 quotients, and ``Polynomial.exact_div`` the polynomial one: each holds its
 ring's zero-divisor test and division messages, and takes the ring's zero
 tolerance (None for the exact rings).  ``real_zero_bound`` is the one zero
-rule of the reals.  A scalar's ``exact_div`` and the kernel's
-``NativeRing.divide_row`` both call them.  The number scalars share their
-arithmetic, ``==`` and ``hash`` through ``_Number``, and ``native_ring`` is
-the one check that entries share a ring, for ``Matrix`` and the kernel alike.
+rule of the reals.  A scalar's ``exact_div`` calls them, and the kernel's
+``NativeRing.divide`` applies their rules to a whole row.  The number
+scalars share their arithmetic, ``==`` and ``hash`` through ``_Number``, and
+``native_ring`` is the one check that entries share a ring.
 
 The condensation stage kernel does not compute on these wrappers.  A
 ``NativeRing`` describes one matrix's ring, and the kernel works on native
-values: ``int``, ``Fraction`` and ``float``, and ``Polynomial`` objects
-themselves.  A real matrix then has one zero tolerance, the largest among its
-entries, where scalar arithmetic gives each result the larger tolerance of its
-two operands.  The two agree when every entry has the same tolerance, which
+``int`` and ``float`` values; rational and polynomial matrices reach it as
+integers (see ``condense``), and ``RATIONALS`` and ``POLYNOMIALS`` give
+their ``Fraction`` and ``Polynomial`` entries to mitigation and traces.  A
+real matrix has one zero tolerance, the largest among its entries, where
+scalar arithmetic gives each result the larger tolerance of its two
+operands.  The two agree when every entry has the same tolerance, which
 ``parse_matrix`` always gives.  With mixed tolerances, every stage entry and
 the determinant carry the matrix's tolerance, and every zero test and division
 warning of the kernel uses it: a divisor below that tolerance counts as zero,
@@ -344,20 +346,18 @@ class Polynomial(Scalar):
 class NativeRing(NamedTuple):
     """One matrix's ring, for arithmetic on native values.
 
-    The stage kernel computes on ``int``, ``Fraction`` and ``float`` values,
-    and on ``Polynomial`` objects themselves, rather than on one ``Scalar``
-    wrapper per entry.  ``unwrap(rows)`` gives the native rows of a matrix,
-    ``wrap(value)`` the scalar of one native value, and ``quotient`` is the
-    ring's exact quotient, the one its scalars' ``exact_div`` calls.
-    ``divide_all(row, divisors, tolerance)``, where a ring has it, divides a
-    whole row at once and gives None when some division fails.
-    ``tolerance`` is the zero tolerance of a real matrix, else None.
+    The stage kernel computes on ``int`` and ``float`` values rather than
+    on one ``Scalar`` wrapper per entry.  ``unwrap(rows)`` gives the native
+    rows of a matrix, ``wrap(value)`` the scalar of one native value, and
+    ``divide(row, divisors)``, in the rings the kernel divides in, a whole
+    row's exact quotients, raising ``DivisionByZero`` or ``InexactDivision``
+    when one fails.  ``tolerance`` is the zero tolerance of a real matrix,
+    else None.
     """
 
     unwrap: Callable
     wrap: Callable
-    quotient: Callable
-    divide_all: Callable | None = None
+    divide: Callable | None = None
     tolerance: float | None = None
 
     def is_zero(self, x) -> bool:
@@ -366,26 +366,6 @@ class NativeRing(NamedTuple):
         if self.tolerance is None:
             return not x
         return abs(x) < real_zero_bound(self.tolerance)
-
-    def divide_row(self, row, divisors, i):
-        """The entrywise exact quotients of row i.
-
-        A failing division raises ``DivisionByZero`` or ``InexactDivision``
-        with the message of ``quotient`` and position (i, j) of the first
-        failing entry.
-        """
-        if self.divide_all is not None:
-            out = self.divide_all(row, divisors, self.tolerance)
-            if out is not None:
-                return out
-        out = []
-        for j, (x, d) in enumerate(zip(row, divisors)):
-            try:
-                out.append(self.quotient(x, d, self.tolerance))
-            except (DivisionByZero, InexactDivision) as e:
-                e.position = (i, j)
-                raise
-        return out
 
 
 def native_ring(rows) -> NativeRing:
@@ -406,11 +386,11 @@ def native_ring(rows) -> NativeRing:
     if kind is ExactInteger:
         return INTEGERS
     if kind is ExactRational:
-        return NativeRing(_values, ExactRational._result, rational_quotient, _divide_rationals)
-    if kind is ApproxReal:
-        tol = max(e.tolerance for r in rows for e in r)
-        return NativeRing(_values, lambda v: ApproxReal(v, tol), real_quotient, _divide_reals, tol)
-    return NativeRing(_same, _same, polynomial_quotient)
+        return RATIONALS
+    if kind is Polynomial:
+        return POLYNOMIALS
+    tol = max(e.tolerance for r in rows for e in r)
+    return NativeRing(_values, lambda v: ApproxReal(v, tol), lambda r, ds: _divide_reals(r, ds, tol), tol)
 
 
 def _values(rows):
@@ -419,11 +399,6 @@ def _values(rows):
 
 def _same(x):
     return x
-
-
-def polynomial_quotient(x, d, tolerance=None):
-    """x / d over the polynomials, by ``Polynomial.exact_div``."""
-    return x.exact_div(d)
 
 
 # Kronecker substitution: a polynomial f with integer coefficients is the
@@ -461,36 +436,32 @@ def unpack_polynomial(value: int, width: int, scale: int = 1) -> Polynomial:
     return Polynomial([Fraction(c, scale) for c in cs])
 
 
-# Whole-row divisions: every quotient at once, or None when one fails, and
-# only then does ``divide_row`` walk the row with the ring's quotient.
+# Whole-row divisions: every quotient of a row at once.
 
 
-def _divide_integers(row, divisors, tolerance):
+def _divide_integers(row, divisors):
     try:
         qr = [divmod(x, d) for x, d in zip(row, divisors)]
     except ZeroDivisionError:
-        return None
+        raise DivisionByZero("integer division by zero") from None
     exact = [q for q, r in qr if not r]
-    return exact if len(exact) == len(qr) else None
-
-
-def _divide_rationals(row, divisors, tolerance):
-    try:
-        return [x / d for x, d in zip(row, divisors)]
-    except ZeroDivisionError:
-        return None
+    if len(exact) < len(qr):
+        raise InexactDivision("integer row division left a remainder")
+    return exact
 
 
 def _divide_reals(row, divisors, tolerance):
     bound = real_zero_bound(tolerance)
     if any(abs(d) < bound for d in divisors):
-        return None
+        raise DivisionByZero("real division by (near-)zero")
     return [x / d for x, d in zip(row, divisors)]
 
 
-# The integer matrices' ring; ``condensation_det`` also condenses rational
-# matrices on it, once it has cleared their denominators.
-INTEGERS = NativeRing(_values, ExactInteger._result, integer_quotient, _divide_integers)
+# The integer ring, which the kernel also condenses rational and polynomial
+# matrices on; the kernel never divides in those two rings' own forms.
+INTEGERS = NativeRing(_values, ExactInteger._result, _divide_integers)
+RATIONALS = NativeRing(_values, ExactRational._result)
+POLYNOMIALS = NativeRing(_same, _same)
 
 
 def _coefficient(c):
@@ -567,11 +538,12 @@ def _text_int(text: str) -> int:
         return -value if text[0] == "-" else value
 
 
-def parse_scalar(token: str, tolerance: float = DEFAULT_TOLERANCE) -> Scalar:
+def parse_scalar(token: str) -> Scalar:
     """Parse one scalar token.
 
-    ``p/q`` is rational, anything with a ``.`` or an exponent is real,
-    otherwise a (signed) integer.  A real must be finite as a double.
+    ``p/q`` is rational, anything with a ``.`` or an exponent is real, at
+    ``DEFAULT_TOLERANCE``, otherwise a (signed) integer.  A real must be
+    finite as a double.
     Polynomials have no text syntax; they are only ever built
     programmatically.
     """
@@ -589,7 +561,7 @@ def parse_scalar(token: str, tolerance: float = DEFAULT_TOLERANCE) -> Scalar:
             raise ValueError(f"bad real token {token!r}") from e
         if not math.isfinite(value):
             raise ValueError(f"bad real token {token!r}")
-        return ApproxReal(value, tolerance)
+        return ApproxReal(value)
     try:
         return ExactInteger(_text_int(token))
     except ValueError as e:

@@ -32,6 +32,7 @@ from exactdet.ring import (
     InexactDivision,
     Polynomial,
     RingMismatch,
+    real_zero_bound,
 )
 
 from test_matrix import CLEAN4, RESTART4, identity
@@ -104,6 +105,15 @@ def scalar_step(current, divisor):
 
 def entry_reprs(m):
     return [[repr(e) for e in row] for row in m.rows()]
+
+
+def stepwise_stages(m):
+    """Every stage of a condensation of ``m`` by ``condense_step``."""
+    stages = [m]
+    for k in range(1, m.n_rows):
+        divisor = stages[k - 2].interior() if k >= 2 else None
+        stages.append(condense_step(stages[k - 1], divisor, OpCount()))
+    return stages
 
 
 class TestCondenseStep:
@@ -210,6 +220,37 @@ class TestCondenseStep:
                 int_matrix([[1, 1], [1, 1]]),
                 OpCount(),
             )
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_independent_of_the_kernel(self, ring, monkeypatch):
+        # the scalar reference runs with the stage kernel patched to raise:
+        # CLEAN4's stages, and RESTART4's zero divisor at stage 3, minor (0, 0)
+        wrap = {
+            "integer": ExactInteger,
+            "rational": ExactRational,
+            "real": lambda v: ApproxReal(float(v)),
+            "polynomial": lambda v: Polynomial([v]),
+        }[ring]
+
+        def matrix(rows):
+            return Matrix([[wrap(v) for v in r] for r in rows])
+
+        def no_kernel(*args):
+            raise AssertionError("condense_step ran the stage kernel")
+
+        monkeypatch.setattr(condense, "_condense_rows", no_kernel)
+        assert stepwise_stages(matrix(CLEAN4)) == [
+            matrix(CLEAN4), matrix(STAGE1), matrix([[14, -31], [-6, -16]]), matrix([[-82]])
+        ]
+        ops = OpCount()
+        stage1 = condense_step(matrix(RESTART4), None, ops)
+        assert stage1 == matrix([[1, 6, -24], [-16, 0, 6], [7, -3, 2]])
+        stage2 = condense_step(stage1, matrix(RESTART4).interior(), ops)
+        assert stage2 == matrix([[32, 6], [48, 9]])
+        with pytest.raises(DivisionByZero) as err:
+            condense_step(stage2, stage1.interior(), ops)
+        assert err.value.position == (0, 0)
+        assert ops == OpCount(mults=28, divs=4, adds=14)
 
 
 class TestMitigation:
@@ -477,12 +518,23 @@ def reference_mitigation(a, exclude=()):
     raise UnremovableZero("every plan failed")
 
 
+def near_zero_divisor(stage):
+    """Whether the interior of a real ``Matrix`` stage holds an entry within
+    1000x of its zero tolerance, the division warning's rule."""
+    return any(
+        isinstance(e, ApproxReal) and abs(e.value) < real_zero_bound(1e3 * e.tolerance)
+        for row in stage.rows()[1:-1]
+        for e in row[1:-1]
+    )
+
+
 def reference_condensation(a):
     """``condensation_det`` by ``condense_step`` on ``Matrix`` stages after
-    ``reference_mitigation``; returns (det, log, restarts, ops), or None
-    where condensation gives up."""
+    ``reference_mitigation``; returns (det, log, restarts, ops, warning), or
+    None where condensation gives up.  ``warning`` is whether any stage
+    computed, in any attempt, holds a divisor ``near_zero_divisor`` finds."""
     n = a.n_rows
-    ops, excluded, restarts = OpCount(), [], []
+    ops, excluded, restarts, warning = OpCount(), [], [], False
     for _ in range(2 * n + 1):
         try:
             log = reference_mitigation(a, excluded)
@@ -497,8 +549,10 @@ def reference_condensation(a):
             restarts.append((k, e.position))
             excluded.append(log.plan)
             continue
+        finally:
+            warning = warning or any(map(near_zero_divisor, stages))
         det = stages[-1][0, 0]
-        return (det if log.sign > 0 else -det), log, tuple(restarts), ops
+        return (det if log.sign > 0 else -det), log, tuple(restarts), ops, warning
     return None
 
 
@@ -542,7 +596,7 @@ class TestPackedPolynomials:
                 assert expected is None
                 seen.add("fallback")
                 continue
-            ref_det, log, restarts, ops = expected
+            ref_det, log, restarts, ops, _ = expected
             assert det == ref_det == bareiss_det(m)
             assert trace.mitigation.plan == log.plan
             assert trace.mitigation.operations == log.operations
@@ -592,12 +646,63 @@ class TestPackedPolynomials:
                     pass
         assert condensed >= 6
 
+    def test_trace_stages_divide_no_polynomials(self, monkeypatch):
+        # a packed run's trace reads its stages off the integer run: chains
+        # and cycles of 3 to 6 atoms, and Z[x] and Q[x] draws whose zero
+        # polynomials make rotations and restarts
+        rng = random.Random("packed-trace")
+        cases = [secular_matrix(PiSystem.chain(n)) for n in range(3, 7)]
+        cases += [
+            secular_matrix(PiSystem.from_edges(n, [(k, (k + 1) % n) for k in range(n)]))
+            for n in range(3, 7)
+        ]
+        coefficients = [
+            lambda: rng.randint(-999, 999),
+            lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+        ]
+        for coefficient in coefficients:
+            for n in (3, 4, 5, 6):
+                for zero_share in (0.0, 0.3, 0.5):
+                    cases += [random_polynomial_matrix(rng, n, coefficient, zero_share) for _ in range(2)]
+
+        def no_polynomial_division(*args):
+            raise AssertionError("a trace divided Polynomials")
+
+        seen = set()
+        for m in cases:
+            try:
+                _, trace = condensation_det(m)
+            except FallbackRequired:
+                continue
+            with monkeypatch.context() as patched:
+                patched.setattr(Polynomial, "exact_div", no_polynomial_division)
+                stages = trace.stages
+            assert list(stages) == stepwise_stages(trace.mitigated)
+            assert list(trace.starred) == [condense_step(s, None, OpCount()) for s in stages[1:-1]]
+            plan = trace.mitigation.plan
+            seen.add("rotated" if plan and plan[0] == "rot" and plan[1:] != (0, 0) else plan and plan[0])
+            seen.add("restarted" if trace.restarts else "clean")
+        assert {"rotated", "restarted", "clean"} <= seen
+
+
+def real_entry(tolerance, step):
+    """Nonzero reals at ``tolerance``, multiples of ``step`` up to 9: a zero
+    ``zero_at_stage`` makes comes out as 0.0 when ``step`` is 1, and
+    generally as a rounding residue when it is 0.1."""
+    return lambda rng: ApproxReal(rng.choice([-1, 1]) * rng.randint(1, 9) * step, tolerance)
+
 
 # nonzero entries, so that the first attempt runs on the draw itself
 EARLY_STOP_ENTRIES = {
     "integer": lambda rng: ExactInteger(rng.choice([-1, 1]) * rng.randint(1, 9)),
     "rational": lambda rng: ExactRational(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)),
+    "real": real_entry(DEFAULT_TOLERANCE, 1),
     "polynomial": lambda rng: Polynomial([rng.randint(-3, 3), rng.choice([-1, 1]) * rng.randint(1, 3)]),
+}
+# the stepwise comparison draws reals at two tolerances, with exact zeros
+# and with residues, which count as zero below 1e-9 but not at 0.0
+EARLY_STOP_VARIANTS = {
+    "real": {tol: [real_entry(tol, 1), real_entry(tol, 0.1)] * 2 for tol in (DEFAULT_TOLERANCE, 0.0)},
 }
 
 
@@ -619,48 +724,54 @@ def zero_at_stage(rng, n, k, entry):
 
 
 class TestEarlyStop:
-    """Exact attempts end at the stage that holds their zero divisor."""
+    """Attempts end at the stage that holds their zero divisor."""
 
     @pytest.mark.parametrize("kind", sorted(EARLY_STOP_ENTRIES))
     def test_matches_stepwise_reference(self, kind):
         # stage k's zero divides stage k + 2; mitigation clears stage 0's
-        # interior, so the first restart comes from a stage k of 1 .. n - 3.
-        # Dense draws with zeros add rotations, repairs and fallbacks.
+        # interior, so the first restart comes from a stage k of 1 .. n - 3,
+        # for each variant (each real tolerance).  Dense draws with zeros add
+        # rotations, repairs and fallbacks.
         rng = random.Random(f"early-stop-{kind}")
-        entry = EARLY_STOP_ENTRIES[kind]
-        zero = entry(rng).from_int(0)
-        first_stages = {}
-        cases = []
+        variants = EARLY_STOP_VARIANTS.get(kind, {None: [EARLY_STOP_ENTRIES[kind]] * 3})
         sizes = range(4, 9 if kind != "polynomial" else 7)
-        for n in sizes:
-            for k in range(1, n - 2):
-                for _ in range(3):
-                    cases.append(zero_at_stage(rng, n, k, entry))
-            for _ in range(6):
-                cases.append(
-                    Matrix([[entry(rng) if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(n)])
-                )
         seen = set()
-        for m in cases:
-            expected = reference_condensation(m)
-            try:
-                det, trace = condensation_det(m)
-            except FallbackRequired:
-                assert expected is None
-                seen.add("fallback")
-                continue
-            ref_det, log, restarts, ops = expected
-            assert det == ref_det
-            assert (trace.mitigation.plan, trace.mitigation.operations) == (log.plan, log.operations)
-            assert (trace.restarts, trace.ops) == (restarts, ops)
-            if restarts:
-                first_stages.setdefault(m.n_rows, set()).add(restarts[0][0] - 2)
+        for variant, entries in variants.items():
+            zero = entries[0](rng).from_int(0)
+            cases = []
+            for n in sizes:
+                for k in range(1, n - 2):
+                    cases += [zero_at_stage(rng, n, k, entry) for entry in entries]
+                for entry in entries * (6 // len(entries)):
+                    cases.append(
+                        Matrix([[entry(rng) if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(n)])
+                    )
+            first_stages = {}
+            for m in cases:
+                expected = reference_condensation(m)
+                try:
+                    det, trace = condensation_det(m)
+                except FallbackRequired:
+                    assert expected is None
+                    seen.add("fallback")
+                    continue
+                ref_det, log, restarts, ops, warning = expected
+                assert det == ref_det
+                assert (trace.mitigation.plan, trace.mitigation.operations) == (log.plan, log.operations)
+                assert (trace.restarts, trace.ops) == (restarts, ops)
+                assert trace.division_warning == warning
+                seen.add(warning)
+                if restarts:
+                    first_stages.setdefault(m.n_rows, set()).add(restarts[0][0] - 2)
+            assert first_stages == {n: set(range(1, n - 2)) for n in sizes}, variant
         assert "fallback" in seen
-        assert first_stages == {n: set(range(1, n - 2)) for n in sizes}
+        # a real run warns when a divisor comes near zero, and only then
+        assert seen >= ({True, False} if kind == "real" else {False})
 
     def test_no_stage_after_the_zero(self, monkeypatch):
         # a failed attempt whose restart is at stage s computes stages
-        # 1 .. s - 2 only: its zero is in stage s - 2's interior
+        # 1 .. s - 2 only: its zero is in stage s - 2's interior, in every
+        # ring (a real one found by the division-warning scan)
         calls = []
         original = condense._condense_rows
 
@@ -905,6 +1016,7 @@ class TestCondensationDet:
             assert det == cofactor_det(m)
 
     def test_rational_run_divides_only_integers(self, monkeypatch):
+        # neither the run nor reading its trace's stages divides a Fraction
         rng = random.Random(12)
         m = Matrix(
             [
@@ -917,18 +1029,15 @@ class TestCondensationDet:
             raise AssertionError("the kernel divided Fractions")
 
         with monkeypatch.context() as patched:
-            patched.setattr(ring_module, "_divide_rationals", no_fraction_division)
+            patched.setattr(Fraction, "__truediv__", no_fraction_division)
             det, trace = condensation_det(m)
+            stages = trace.stages
         assert (trace.restarts, trace.mitigation.plan) == ((), ("rot", 0, 0))
         assert det == bareiss_det(m)
         assert trace.ops == OpCount(
             mults=clean_mults(12), divs=clean_divs(12), adds=clean_adds(12)
         )
-        stages = [m]
-        for k in range(1, 12):
-            divisor = stages[k - 2].interior() if k >= 2 else None
-            stages.append(condense_step(stages[k - 1], divisor, OpCount()))
-        assert list(trace.stages) == stages
+        assert list(stages) == stepwise_stages(m)
 
     def test_rational_matrices_with_zeros_match_bareiss(self):
         # zero numerators make rotations and restarts occur

@@ -135,10 +135,6 @@ class TestJacobiCheck:
             assert cofactor_det(m) == ExactInteger(0)
             assert jacobi_check(m)
 
-    def test_general_m_rejected(self):
-        with pytest.raises(ValueError):
-            jacobi_check(int_matrix(CLEAN4), m=3)
-
     def test_too_small(self):
         with pytest.raises(TooSmall):
             jacobi_check(int_matrix([[1, 2], [3, 4]]))
