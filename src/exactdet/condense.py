@@ -77,17 +77,16 @@ the attempt stops there and records the restart (k + 2, (i, j)); ``ops`` is
 charged what the kernel would have spent to reach it, all of stage k + 1
 and stage k + 2 up to and including minor (i, j).
 
-Mitigation runs on native values: the zero set is read once with the ring's
-native zero test (``NativeRing.is_zero``; for reals the kernel's rule at the
-matrix tolerance), additive repair keeps it current by re-testing only the
-row or column each operation changed, and only the accepted plan's matrix
-and the log's factors are wrapped.  Polynomial entries are scaled by the lcm
-of all their denominators and packed once per call.  The mitigation's width
-rule: W starts ``_REPAIR_HEADROOM_BITS`` + 1 bits above the bit length of the
+Mitigation reads the input's zero set once, ``Matrix.zeros``, which every
+attempt of a run shares.  A rotation converts no value: it permutes the
+input's own entries.  Additive repair alone converts values, to native rows
+(polynomials scaled by the lcm of all their denominators and packed), and
+re-tests only the row or column each operation changed.  Its width rule: W
+starts ``_REPAIR_HEADROOM_BITS`` + 1 bits above the bit length of the
 largest entry's |.|_1, each entry's |.|_1 bound is carried through the
-repair's additions, and a walk whose final bounds reach 2^(W - 1) reruns at
-a W that holds them; as the bounds only grow, that one check covers every
-zero test the walk made.
+repair's additions, and a repair whose final bounds reach 2^(W - 1) reruns
+at a W that holds them; as the bounds only grow, that one check covers
+every zero test the repair made.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``; ``condensation_det`` wraps budget exhaustion in
@@ -97,7 +96,7 @@ A matrix that defeats all of this (e.g. the zero matrix) raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from math import lcm, prod
 
@@ -495,51 +494,23 @@ def _plans(zeros, n: int):
         yield ("add", salt)
 
 
-def _plan_walk(a: Matrix, rows, is_zero, wrap, exclude, ops: list):
-    """``mitigate_interior_zeros`` on ``a``'s native rows ``rows``.
-
-    The zero set is read once, with the native zero test ``is_zero``, and
-    only the plans it accepts are walked.  Only the accepted plan is
-    wrapped: a rotation permutes ``a``'s own entries, and additive repair,
-    which appends its native operations to ``ops``, wraps its rows with
-    ``wrap`` and its factors with ``a``'s ``from_int``.
-    """
-    n = len(rows)
-    zeros = {(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if is_zero(e)}
-    excluded = set(exclude)
-    for plan in _plans(zeros, n):
-        if plan in excluded:
-            continue
-        if plan[0] == "add":
-            _additive_repair(rows, zeros, plan[1], is_zero, ops)
-            const = a[0, 0].from_int
-            log = MitigationLog([op[:3] + (const(op[3]),) for op in ops], plan)
-            return Matrix([list(map(wrap, r)) for r in rows]), log
-        _, r, c = plan
-        if r == c == 0:
-            return a, MitigationLog((), plan)
-        entries = a.rows()
-        rotated = [row[c:] + row[:c] for row in entries[r:] + entries[:r]]
-        return Matrix(rotated), MitigationLog(_rotation_swaps(n, r, c), plan)
-    raise UnremovableZero("every mitigation plan failed or was excluded")
-
-
 # Room for the repair's growth above the input's widest entry, so that a
 # rerun is rare: the repairs of the Hückel chains and cycles of 3 to 16 atoms
 # keep every bound below 2^10 from entries of |.|_1 <= 1.
 _REPAIR_HEADROOM_BITS = 16
 
 
-def _packed_plan_walk(a: Matrix, exclude):
-    """``_plan_walk`` on polynomial entries packed as ints at x = 2^W.
+def _packed_repair(a: Matrix, salt: int):
+    """Plan ("add", ``salt``) on polynomial entries packed as ints at x = 2^W.
 
     The entries are first multiplied by L, the lcm of all their coefficients'
     denominators, which commutes with the repair's additions.  W starts
     ``_REPAIR_HEADROOM_BITS`` + 1 bits above the bit length of the largest
-    entry's |.|_1, so the zero set is exact.  Each entry's |.|_1 bound is carried
-    through the repair's additions (b_dst += |c| b_src); the bounds only
-    grow, so when the final ones stay below 2^(W - 1), every zero test the
-    walk made was exact.  Otherwise the walk reruns at a W that holds them.
+    entry's |.|_1.  Each entry's |.|_1 bound is carried through the repair's
+    additions (b_dst += |c| b_src); the bounds only grow, so when the final
+    ones stay below 2^(W - 1), every zero test the repair made was exact.
+    Otherwise the repair reruns at a W that holds them.  Returns the rows,
+    unpacked, and the operations.
     """
     entries = a.rows()
     scale = lcm(*[_coefficient_lcm(r) for r in entries])
@@ -548,11 +519,9 @@ def _packed_plan_walk(a: Matrix, exclude):
     bound = max(map(max, norms)) << _REPAIR_HEADROOM_BITS
     while True:
         width = bound.bit_length() + 1
-        wrap = partial(unpack_polynomial, width=width, scale=scale)
-        rows = [[pack_polynomial(p, width) for p in r] for r in coeffs]
-        ops = []
+        rows, ops = [[pack_polynomial(p, width) for p in r] for r in coeffs], []
         try:
-            result = _plan_walk(a, rows, INTEGERS.is_zero, wrap, exclude, ops)
+            _additive_repair(rows, set(a.zeros), salt, INTEGERS.is_zero, ops)
         except UnremovableZero:
             bound = _repair_bound(norms, ops)
             if bound < 1 << (width - 1):
@@ -560,7 +529,7 @@ def _packed_plan_walk(a: Matrix, exclude):
             continue
         bound = _repair_bound(norms, ops)
         if bound < 1 << (width - 1):
-            return result
+            return [[unpack_polynomial(v, width, scale) for v in r] for r in rows], ops
 
 
 def _repair_bound(norms, ops) -> int:
@@ -575,20 +544,37 @@ def _repair_bound(norms, ops) -> int:
 def mitigate_interior_zeros(a: Matrix, exclude=()):
     """Transform ``a`` so its interior holds no zeros; return (matrix, log).
 
-    Plans are tried in the fixed order documented at module level, rotations
-    judged on the zero set of ``a``; ``exclude`` skips plans already consumed
-    by earlier restarts.  The walk runs on native values (polynomials packed
-    as ints), and only the accepted plan's matrix and the log's factors are
-    wrapped.  Raises UnremovableZero when no plan succeeds.
+    Plans are tried in the fixed order documented at module level, judged on
+    ``a.zeros``; ``exclude`` skips plans already consumed by earlier restarts.
+    A rotation permutes ``a``'s own entries; only additive repair converts
+    values, and wraps its rows and the log's factors.  Raises UnremovableZero
+    when no plan succeeds.
     """
     if not a.is_square:
         raise TooSmall("mitigation needs a square matrix")
     if a.n_rows < 3:
         raise TooSmall("mitigation needs n >= 3 (smaller sizes have no interior)")
-    ring = a.native_ring
-    if ring is POLYNOMIALS:
-        return _packed_plan_walk(a, exclude)
-    return _plan_walk(a, ring.unwrap(a.rows()), ring.is_zero, ring.wrap, exclude, [])
+    excluded = set(exclude)
+    for plan in _plans(a.zeros, a.n_rows):
+        if plan in excluded:
+            continue
+        if plan[0] == "add":
+            ring = a.native_ring
+            if ring is POLYNOMIALS:
+                rows, ops = _packed_repair(a, plan[1])
+            else:
+                rows, ops = ring.unwrap(a.rows()), []
+                _additive_repair(rows, set(a.zeros), plan[1], ring.is_zero, ops)
+                rows = [list(map(ring.wrap, r)) for r in rows]
+            const = a[0, 0].from_int
+            return Matrix(rows), MitigationLog([op[:3] + (const(op[3]),) for op in ops], plan)
+        _, r, c = plan
+        if r == c == 0:
+            return a, MitigationLog((), plan)
+        entries = a.rows()
+        rotated = [row[c:] + row[:c] for row in entries[r:] + entries[:r]]
+        return Matrix(rotated), MitigationLog(_rotation_swaps(a.n_rows, r, c), plan)
+    raise UnremovableZero("every mitigation plan failed or was excluded")
 
 
 def condensation_det(a: Matrix):

@@ -50,10 +50,11 @@ class ParseError(ValueError):
 
 
 class Matrix:
-    """An immutable matrix of scalars from one ring; ``native_ring`` is
-    their ``ring.NativeRing``, found once, when the matrix is built."""
+    """An immutable matrix of scalars from one ring.  ``native_ring``, their
+    ``ring.NativeRing``, is found when the matrix is built, and ``zeros``, the
+    (i, j) whose entry ``native_ring.is_zero`` counts as zero, on first read."""
 
-    __slots__ = ("n_rows", "n_cols", "_rows", "native_ring")
+    __slots__ = ("n_rows", "n_cols", "_rows", "native_ring", "_zeros")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -67,6 +68,16 @@ class Matrix:
         self.n_rows = len(rows)
         self.n_cols = width
         self._rows = rows
+        self._zeros = None
+
+    @property
+    def zeros(self) -> frozenset:
+        if self._zeros is None:
+            ring, values = self.native_ring, self.native_ring.unwrap(self._rows)
+            self._zeros = frozenset(
+                (i, j) for i, r in enumerate(values) for j, x in enumerate(r) if ring.is_zero(x)
+            )
+        return self._zeros
 
     def __getitem__(self, key) -> Scalar:
         i, j = key

@@ -7,10 +7,10 @@ M(n) = n * (M(n-1) + 1) exactly and efficiency comparisons are well defined.
 fraction-free elimination with row pivoting, exact over any of the exact
 rings.  ``jacobi_check`` verifies the 2x2-corner determinant identity
 relating a matrix's entrywise adjugate to its interior, which is the reason
-condensation's divisions come out exact.  ``count_ratio`` instruments both
-determinant routes on seeded random integer matrices and reports their
-operation-count ratio; above n = 7 it takes cofactor expansion's count from
-M(n) instead of running it.
+condensation's divisions come out exact.  ``count_ratio`` instruments
+condensation on seeded random integer matrices and reports its
+operation-count ratio to cofactor expansion, whose count is M(n) on any
+matrix, so it is taken from ``cofactor_mults`` rather than run.
 """
 
 from __future__ import annotations
@@ -111,10 +111,6 @@ def jacobi_check(a: Matrix) -> bool:
     return lhs == rhs
 
 
-# The largest n at which ``count_ratio`` runs cofactor expansion to count it.
-COUNTED_COFACTOR_MAX_N = 7
-
-
 @dataclass(frozen=True)
 class RatioReport:
     """Mean operation counts of both determinant routes at one size."""
@@ -133,9 +129,9 @@ def count_ratio(n: int, trials: int, seed: int) -> RatioReport:
     Draws ``trials`` integer matrices with entries uniform in [-9, 9] from a
     seeded generator.  Matrices that trigger any mitigation are regenerated
     (and counted) so the means describe the clean condensation path, whose
-    costs are a function of n alone.  Cofactor expansion is counted by running
-    it up to n = ``COUNTED_COFACTOR_MAX_N`` (7); above that its n! terms
-    would dominate, and its count is the closed form ``cofactor_mults(n)``.
+    costs are a function of n alone.  Cofactor expansion makes exactly
+    ``cofactor_mults(n)`` multiplications on any matrix, so its count is
+    that closed form, not a run of its n! terms.
     """
     if n < 3:
         raise ValueError("count_ratio needs n >= 3")
@@ -143,7 +139,6 @@ def count_ratio(n: int, trials: int, seed: int) -> RatioReport:
         raise ValueError("count_ratio needs trials >= 1")
     rng = random.Random(seed)
     cond_total = 0
-    cof_total = 0
     regenerated = 0
     done = 0
     guard = 0
@@ -163,18 +158,12 @@ def count_ratio(n: int, trials: int, seed: int) -> RatioReport:
             regenerated += 1
             continue
         cond_total += trace.ops.muldiv
-        if n <= COUNTED_COFACTOR_MAX_N:
-            cof_ops = OpCount()
-            cofactor_det(m, cof_ops)
-            cof_total += cof_ops.muldiv
-        else:
-            cof_total += cofactor_mults(n)
         done += 1
     return RatioReport(
         n=n,
         trials=trials,
         condensation_ops=cond_total / trials,
-        cofactor_ops=cof_total / trials,
-        ratio=cond_total / cof_total,
+        cofactor_ops=float(cofactor_mults(n)),
+        ratio=cond_total / (cofactor_mults(n) * trials),
         regenerated=regenerated,
     )

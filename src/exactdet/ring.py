@@ -32,7 +32,8 @@ quotients, and ``Polynomial.exact_div`` the polynomial one: each holds its
 ring's zero-divisor test and division messages, and takes the ring's zero
 tolerance (None for the exact rings).  ``real_zero_bound`` is the one zero
 rule of the reals.  A scalar's ``exact_div`` calls them, and the kernel's
-``NativeRing.divide`` applies their rules to a whole row.  The number
+``NativeRing.divide`` applies their rules to a whole row: the integer row
+division, on a failure, raises through ``integer_quotient``.  The number
 scalars share their arithmetic, ``==`` and ``hash`` through ``_Number``, and
 ``native_ring`` is the one check that entries share a ring.
 
@@ -49,8 +50,8 @@ the determinant carry the matrix's tolerance, and every zero test and division
 warning of the kernel uses it: a divisor below that tolerance counts as zero,
 and forces a restart, even where the tolerances of its own operands are
 smaller.  ``NativeRing.is_zero`` is that zero test on one native number;
-interior-zero mitigation uses it too, so it also judges the input's zeros by
-the matrix tolerance.
+``Matrix.zeros``, the zero set interior-zero mitigation reads, uses it too,
+so it also judges the input's zeros by the matrix tolerance.
 
 Integer polynomials also have a native form, the int f(2^W) of Kronecker
 substitution: ``pack_polynomial`` packs the coefficients at width W and
@@ -248,7 +249,7 @@ class Polynomial(Scalar):
     a quotient coefficient is not integral, and one computed from
     ``Fraction`` coefficients may hold an integral ``Fraction``.  ``repr``,
     ``==`` and ``hash`` depend on the values only, not on which type holds
-    them.
+    them.  Only the zero polynomial is falsy.
     """
 
     __slots__ = ("coeffs",)
@@ -327,6 +328,9 @@ class Polynomial(Scalar):
     def is_zero(self):
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def from_int(self, k):
         return Polynomial([k])
 
@@ -361,7 +365,7 @@ class NativeRing(NamedTuple):
     tolerance: float | None = None
 
     def is_zero(self, x) -> bool:
-        """The ring's zero test on a native number: ``not x``, and for a
+        """The ring's zero test on a native value: ``not x``, and for a
         real matrix the real zero rule at the matrix tolerance."""
         if self.tolerance is None:
             return not x
@@ -442,12 +446,13 @@ def unpack_polynomial(value: int, width: int, scale: int = 1) -> Polynomial:
 def _divide_integers(row, divisors):
     try:
         qr = [divmod(x, d) for x, d in zip(row, divisors)]
+        exact = [q for q, r in qr if not r]
+        if len(exact) == len(qr):
+            return exact
     except ZeroDivisionError:
-        raise DivisionByZero("integer division by zero") from None
-    exact = [q for q, r in qr if not r]
-    if len(exact) < len(qr):
-        raise InexactDivision("integer row division left a remainder")
-    return exact
+        pass
+    # some division failed: the scalar rule raises at the first one
+    return [integer_quotient(x, d) for x, d in zip(row, divisors)]
 
 
 def _divide_reals(row, divisors, tolerance):

@@ -427,6 +427,26 @@ class TestMitigation:
         assert log.plan == ("add", 0)
         assert 0 < len(tested) <= 112
 
+    def test_zero_set_is_read_once_per_input(self, monkeypatch):
+        # entries of about 1e-3 leave every interior nonzero but make later
+        # divisors fall below the tolerance: all 2n + 1 attempts restart and
+        # the run falls back, having tested the input's 64 entries once
+        rng = random.Random(3)
+        m = Matrix([[ApproxReal(rng.uniform(-1e-3, 1e-3)) for _ in range(8)] for _ in range(8)])
+        calls = []
+        original = condense.mitigate_interior_zeros
+
+        def counting_mitigation(a, exclude=()):
+            calls.append(a)
+            return original(a, exclude=exclude)
+
+        monkeypatch.setattr(condense, "mitigate_interior_zeros", counting_mitigation)
+        tested = counted_zero_tests(monkeypatch)
+        with pytest.raises(FallbackRequired):
+            condensation_det(m)
+        assert len(calls) == 17 and all(a is m for a in calls)
+        assert len(tested) == 64
+
 
 def counted_zero_tests(monkeypatch):
     """Collects one entry per zero test mitigation makes, ``NativeRing.is_zero``."""
@@ -603,6 +623,19 @@ class TestPackedPolynomials:
             assert (trace.restarts, trace.ops) == (restarts, ops)
             seen.add(log.plan[0] + ("-restart" if restarts else ""))
         assert {"rot", "add", "rot-restart", "fallback"} <= seen
+
+    def test_rotations_pack_nothing(self, monkeypatch):
+        # RESTART4 times x, its identity plan excluded: the rotation by one
+        # row is accepted on the zero set and permutes the entries as they are
+        m = Matrix([[Polynomial([0, v]) for v in r] for r in RESTART4])
+
+        def no_packing(*args):
+            raise AssertionError("a rotation packed the matrix")
+
+        monkeypatch.setattr(condense, "pack_polynomial", no_packing)
+        out, log = mitigate_interior_zeros(m, exclude=[("rot", 0, 0)])
+        assert log.plan == ("rot", 1, 0)
+        assert out == replay_log(m, log)
 
     def test_narrow_width_reruns(self, monkeypatch):
         # with no headroom, the repair of the Hückel chain of 6 outgrows the

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,7 @@ from exactdet.matrix import (
     parse_matrix,
 )
 from exactdet.oracle import cofactor_det
-from exactdet.ring import ApproxReal, ExactInteger, ExactRational, parse_scalar
+from exactdet.ring import ApproxReal, ExactInteger, ExactRational, Polynomial, parse_scalar
 
 # 4x4 with a zero-free interior; its condensation path is fully clean.
 CLEAN4 = [[4, 2, 0, -3], [1, 1, 2, 2], [0, -1, 3, -1], [1, 2, 5, 1]]
@@ -45,6 +46,47 @@ class TestConstruction:
     def test_rejects_mixed_rings(self):
         with pytest.raises(TypeError):
             Matrix([[ExactInteger(1), ExactRational(1, 2)]])
+
+
+class TestZeroSet:
+    def test_zeros_follow_the_native_zero_test_and_are_read_once(self, monkeypatch):
+        from test_condense import counted_zero_tests
+
+        cases = {
+            "integer": (int_matrix([[0, 1, 2], [3, 0, -1], [0, 0, 5]]), {(0, 0), (1, 1), (2, 0), (2, 1)}),
+            "rational": (
+                Matrix([[ExactRational(0), ExactRational(1, 2)], [ExactRational(-3, 4), ExactRational(0, 5)]]),
+                {(0, 0), (1, 1)},
+            ),
+            # judged at the largest tolerance, 1e-9: 1e-10 is zero although
+            # its own tolerance is 1e-12, and 2e-9 is not
+            "real": (
+                Matrix(
+                    [
+                        [ApproxReal(1e-10, 1e-12), ApproxReal(0.0, 1e-12), ApproxReal(1.0, 1e-12)],
+                        [ApproxReal(5e-10, 1e-9), ApproxReal(2e-9, 1e-12), ApproxReal(-1e-12, 0.0)],
+                    ]
+                ),
+                {(0, 0), (0, 1), (1, 0), (1, 2)},
+            ),
+            "polynomial": (
+                Matrix([[Polynomial(), Polynomial([0, 1])], [Polynomial([0, 0]), Polynomial([Fraction(1, 2)])]]),
+                {(0, 0), (1, 0)},
+            ),
+        }
+        for m, zeros in cases.values():
+            ring = m.native_ring
+            values = ring.unwrap(m.rows())
+            native = {(i, j) for i, r in enumerate(values) for j, x in enumerate(r) if ring.is_zero(x)}
+            assert native == zeros
+        tested = counted_zero_tests(monkeypatch)
+        for m, zeros in cases.values():
+            before = len(tested)
+            assert m.zeros == zeros
+            assert isinstance(m.zeros, frozenset)
+            assert len(tested) - before == m.n_rows * m.n_cols
+        assert not Polynomial()
+        assert Polynomial([0, 1])
 
 
 class TestConnectedMinor:
