@@ -78,15 +78,11 @@ charged what the kernel would have spent to reach it, all of stage k + 1
 and stage k + 2 up to and including minor (i, j).
 
 Mitigation reads the input's zero set once, ``Matrix.zeros``, which every
-attempt of a run shares.  A rotation converts no value: it permutes the
-input's own entries.  Additive repair alone converts values, to native rows
-(polynomials scaled by the lcm of all their denominators and packed), and
-re-tests only the row or column each operation changed.  Its width rule: W
-starts ``_REPAIR_HEADROOM_BITS`` + 1 bits above the bit length of the
-largest entry's |.|_1, each entry's |.|_1 bound is carried through the
-repair's additions, and a repair whose final bounds reach 2^(W - 1) reruns
-at a W that holds them; as the bounds only grow, that one check covers
-every zero test the repair made.
+attempt of a run shares, and converts no value.  A rotation permutes the
+input's own entries.  Additive repair computes on them, in their own ring,
+and re-tests only the row or column each operation changed, by the zero
+rule of ``Matrix.zeros``; the entries it does not change stay the input's
+own objects.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``; ``condensation_det`` wraps budget exhaustion in
@@ -167,12 +163,16 @@ class MitigationLog:
 
 
 def _apply_operation(rows: list, op: tuple) -> None:
-    """Apply one ``MitigationLog`` operation to a list of row lists, in place.
+    """Apply one ``MitigationLog`` operation to a list of rows of scalars, in place.
 
     Indices come from the log, which ``replay_log`` takes from its caller, so
     they are checked: an index outside the matrix (negative ones included)
     or equal source and destination raises IndexOutOfRange, and an unknown
-    kind raises ValueError.
+    kind raises ValueError.  An addition skips a falsy source entry, whose
+    scaled sum is the destination entry.  Only the zero ``Polynomial`` is
+    falsy; the number scalars define no ``__bool__``, so every number entry
+    is computed, and a -0.0 real destination over a 0.0 source still
+    becomes 0.0.
     """
     kind = op[0]
     if kind in ("swap_rows", "add_scaled_row"):
@@ -194,11 +194,12 @@ def _apply_operation(rows: list, op: tuple) -> None:
             r[src], r[dst] = r[dst], r[src]
     elif kind == "add_scaled_row":
         c = op[3]
-        rows[dst] = [d + c * s for d, s in zip(rows[dst], rows[src])]
+        rows[dst] = [d + c * s if s else d for d, s in zip(rows[dst], rows[src])]
     else:
         c = op[3]
         for r in rows:
-            r[dst] = r[dst] + c * r[src]
+            if r[src]:
+                r[dst] = r[dst] + c * r[src]
 
 
 @dataclass(frozen=True)
@@ -313,19 +314,6 @@ def _cleared_rows(rows):
     return cleared, scales
 
 
-def _coefficient_lcm(row) -> int:
-    """The lcm of the denominators of a row of polynomials' coefficients."""
-    return lcm(*{c.denominator for p in row for c in p.coeffs})
-
-
-def _integral_coefficients(rows, scales):
-    """Polynomial rows as lists of integer coefficient lists, row i times ``scales[i]``."""
-    return [
-        [[c.numerator * (s // c.denominator) for c in p.coeffs] for p in r]
-        for r, s in zip(rows, scales)
-    ]
-
-
 def _packed_rows(rows):
     """Polynomial rows as ints at x = 2^W, row i times L_i, the lcm of its
     coefficients' denominators; returns them, W and the L_i.
@@ -336,8 +324,11 @@ def _packed_rows(rows):
     minor, so every stage entry unpacks exactly and a packed divisor is 0
     exactly when the polynomial is.
     """
-    scales = [_coefficient_lcm(r) for r in rows]
-    coeffs = _integral_coefficients(rows, scales)
+    scales = [lcm(*{c.denominator for p in r for c in p.coeffs}) for r in rows]
+    coeffs = [
+        [[c.numerator * (s // c.denominator) for c in p.coeffs] for p in r]
+        for r, s in zip(rows, scales)
+    ]
     bound = prod(max(1, sum(abs(c) for p in r for c in p)) for r in coeffs)
     width = bound.bit_length() + 1
     return [[pack_polynomial(p, width) for p in r] for r in coeffs], width, scales
@@ -415,29 +406,31 @@ def _rotation_swaps(n: int, row_shift: int, col_shift: int) -> list:
     return row_swaps + col_swaps
 
 
-def _additive_repair(rows, zeros: set, salt: int, is_zero, ops: list) -> None:
-    """Clear the interior zeros of the native rows ``rows`` by adding scaled
-    rows/columns, in place.
+def _additive_repair(rows, zeros: set, salt: int, ring: NativeRing) -> list:
+    """Clear the interior zeros of the rows of scalars ``rows``, of the ring
+    ``ring``, by adding scaled rows/columns, in place; return the operations.
 
     ``zeros`` holds every (i, j) where ``rows`` has a zero.  It picks the
-    zero to clear and its source, and is kept current by re-testing, with
-    ``is_zero``, only the row or column an operation changed.  Each
-    operation is applied by ``_apply_operation``, the applier ``replay_log``
-    uses, and appended to ``ops`` with its factor as an int.  ``salt``
-    shifts the starting factor so successive restart rounds produce
-    distinct transforms.  Raises UnremovableZero when a zero has no nonzero
-    source in its row or column, or when the repair budget runs out.
+    zero to clear and its source, and is kept current by re-testing only
+    the row or column an operation changed, with the zero rule of
+    ``Matrix.zeros``: ``ring.is_zero`` on the unwrapped entries, so reals
+    are judged at the matrix tolerance.  Each factor is a constant made by
+    ``rows[0][0].from_int``, and each operation is applied by
+    ``_apply_operation``, the applier ``replay_log`` uses.  ``salt`` shifts
+    the starting factor so successive restart rounds produce distinct
+    transforms.  Raises UnremovableZero when a zero has no nonzero source in
+    its row or column, or when the repair budget runs out.
     """
     n = len(rows)
     interior = [(i, j) for i in range(1, n - 1) for j in range(1, n - 1)]
-    attempts = {}
+    const, attempts, ops = rows[0][0].from_int, {}, []
     for _ in range(4 * n * n):
         zero_at = next((p for p in interior if p in zeros), None)
         if zero_at is None:
-            return
+            return ops
         i, j = zero_at
         attempts[zero_at] = attempts.get(zero_at, 0) + 1
-        c = salt + attempts[zero_at]
+        c = const(salt + attempts[zero_at])
         src = next((s for s in range(n) if s != i and (s, j) not in zeros), None)
         if src is not None:
             op = ("add_scaled_row", src, i, c)
@@ -452,11 +445,12 @@ def _additive_repair(rows, zeros: set, salt: int, is_zero, ops: list) -> None:
             changed = [(s, j) for s in range(n)]
         _apply_operation(rows, op)
         ops.append(op)
-        for s, t in changed:
-            if is_zero(rows[s][t]):
-                zeros.add((s, t))
+        values = ring.unwrap([[rows[s][t] for s, t in changed]])[0]
+        for p, x in zip(changed, values):
+            if ring.is_zero(x):
+                zeros.add(p)
             else:
-                zeros.discard((s, t))
+                zeros.discard(p)
     raise UnremovableZero("additive repair budget exhausted")
 
 
@@ -468,9 +462,12 @@ def _column_shifts(zeros, n: int, r: int):
     c - 1: with none, every c is accepted, with one or two columns the c
     whose pair holds them, and with more, none.
     """
-    cols = {j for i, j in zeros if i != r and i != (r - 1) % n}
-    if len(cols) > 2:
-        return ()
+    cols = set()
+    for i, j in zeros:
+        if i != r and i != (r - 1) % n:
+            cols.add(j)
+            if len(cols) > 2:
+                return ()
     if not cols:
         return range(n)
     return {c for j in cols for c in (j, (j + 1) % n) if cols <= {c, (c - 1) % n}}
@@ -494,61 +491,15 @@ def _plans(zeros, n: int):
         yield ("add", salt)
 
 
-# Room for the repair's growth above the input's widest entry, so that a
-# rerun is rare: the repairs of the Hückel chains and cycles of 3 to 16 atoms
-# keep every bound below 2^10 from entries of |.|_1 <= 1.
-_REPAIR_HEADROOM_BITS = 16
-
-
-def _packed_repair(a: Matrix, salt: int):
-    """Plan ("add", ``salt``) on polynomial entries packed as ints at x = 2^W.
-
-    The entries are first multiplied by L, the lcm of all their coefficients'
-    denominators, which commutes with the repair's additions.  W starts
-    ``_REPAIR_HEADROOM_BITS`` + 1 bits above the bit length of the largest
-    entry's |.|_1.  Each entry's |.|_1 bound is carried through the repair's
-    additions (b_dst += |c| b_src); the bounds only grow, so when the final
-    ones stay below 2^(W - 1), every zero test the repair made was exact.
-    Otherwise the repair reruns at a W that holds them.  Returns the rows,
-    unpacked, and the operations.
-    """
-    entries = a.rows()
-    scale = lcm(*[_coefficient_lcm(r) for r in entries])
-    coeffs = _integral_coefficients(entries, [scale] * len(entries))
-    norms = [[sum(map(abs, p)) for p in r] for r in coeffs]
-    bound = max(map(max, norms)) << _REPAIR_HEADROOM_BITS
-    while True:
-        width = bound.bit_length() + 1
-        rows, ops = [[pack_polynomial(p, width) for p in r] for r in coeffs], []
-        try:
-            _additive_repair(rows, set(a.zeros), salt, INTEGERS.is_zero, ops)
-        except UnremovableZero:
-            bound = _repair_bound(norms, ops)
-            if bound < 1 << (width - 1):
-                raise
-            continue
-        bound = _repair_bound(norms, ops)
-        if bound < 1 << (width - 1):
-            return [[unpack_polynomial(v, width, scale) for v in r] for r in rows], ops
-
-
-def _repair_bound(norms, ops) -> int:
-    """The largest entry bound after the additions ``ops``, from the bounds
-    ``norms`` of the entries before them: b_dst += |c| b_src for each."""
-    bounds = [list(r) for r in norms]
-    for kind, src, dst, c in ops:
-        _apply_operation(bounds, (kind, src, dst, abs(c)))
-    return max(map(max, bounds))
-
-
 def mitigate_interior_zeros(a: Matrix, exclude=()):
     """Transform ``a`` so its interior holds no zeros; return (matrix, log).
 
     Plans are tried in the fixed order documented at module level, judged on
     ``a.zeros``; ``exclude`` skips plans already consumed by earlier restarts.
-    A rotation permutes ``a``'s own entries; only additive repair converts
-    values, and wraps its rows and the log's factors.  Raises UnremovableZero
-    when no plan succeeds.
+    A rotation permutes ``a``'s own entries.  Additive repair computes on a
+    copy of ``a``'s rows, with factors from ``a[0, 0].from_int``, and logs
+    its operations as it applies them.  Raises UnremovableZero when no plan
+    succeeds.
     """
     if not a.is_square:
         raise TooSmall("mitigation needs a square matrix")
@@ -559,15 +510,9 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
         if plan in excluded:
             continue
         if plan[0] == "add":
-            ring = a.native_ring
-            if ring is POLYNOMIALS:
-                rows, ops = _packed_repair(a, plan[1])
-            else:
-                rows, ops = ring.unwrap(a.rows()), []
-                _additive_repair(rows, set(a.zeros), plan[1], ring.is_zero, ops)
-                rows = [list(map(ring.wrap, r)) for r in rows]
-            const = a[0, 0].from_int
-            return Matrix(rows), MitigationLog([op[:3] + (const(op[3]),) for op in ops], plan)
+            rows = [list(r) for r in a.rows()]
+            ops = _additive_repair(rows, set(a.zeros), plan[1], a.native_ring)
+            return Matrix(rows), MitigationLog(ops, plan)
         _, r, c = plan
         if r == c == 0:
             return a, MitigationLog((), plan)

@@ -60,7 +60,8 @@ class PiSystem:
 
     @classmethod
     def from_text(cls, text: str) -> "PiSystem":
-        """Parse the edge-file format: ``atoms N`` then ``edge i j`` (1-based)."""
+        """Parse the edge-file format: one ``atoms N`` line, then ``edge i j``
+        lines (1-based).  Errors name their line and give atoms 1-based."""
         n_atoms = None
         pairs = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,6 +70,8 @@ class PiSystem:
                 continue
             toks = body.split()
             if toks[0] == "atoms" and len(toks) == 2:
+                if n_atoms is not None:
+                    raise ParseError("repeated atoms line", line=lineno)
                 try:
                     n_atoms = int(toks[1])
                 except ValueError:
@@ -84,6 +87,8 @@ class PiSystem:
                     raise ParseError(
                         f"edge {i} {j} outside 1..{n_atoms}", line=lineno
                     )
+                if i == j:
+                    raise ParseError(f"self-loop on atom {i}", line=lineno)
                 pairs.append((i - 1, j - 1))
             else:
                 raise ParseError(f"unrecognized line {body!r}", line=lineno)

@@ -56,9 +56,8 @@ so it also judges the input's zeros by the matrix tolerance.
 Integer polynomials also have a native form, the int f(2^W) of Kronecker
 substitution: ``pack_polynomial`` packs the coefficients at width W and
 ``unpack_polynomial`` reads them back as balanced base-2^W digits, exactly
-when every coefficient is below 2^(W - 1) in magnitude.  The two width rules
-that guarantee this, one for the stage kernel and one for mitigation, are
-stated in ``condense``.
+when every coefficient is below 2^(W - 1) in magnitude.  The one width rule
+that guarantees this, the stage kernel's, is stated in ``condense``.
 """
 
 from __future__ import annotations
@@ -293,6 +292,8 @@ class Polynomial(Scalar):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self._result([])
+        if len(a) == 1:  # a constant, such as an additive repair's factor
+            return self._result([a[0] * y for y in b])
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:

@@ -442,6 +442,20 @@ class TestHuckel:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("atoms 3\nedge 1 2\nedge 2 2\n", "line 3: self-loop on atom 2"),
+            ("atoms 3\nedge 1 2\natoms 1\n", "line 3: repeated atoms line"),
+        ],
+    )
+    def test_edge_file_errors_name_line_and_atom(self, capsys, tmp_path, text, message):
+        f = tmp_path / "loop.edges"
+        f.write_text(text)
+        code, out, err = run(capsys, "huckel", "--edges", str(f), "--alpha", "-1", "--beta", "-1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {f}: {message}\n"
+
     def test_chain_and_edges_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["huckel", "--chain", "2", "--edges", "x", "--alpha", "-1", "--beta", "-1"])

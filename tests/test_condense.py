@@ -1,4 +1,5 @@
 import contextlib
+import math
 import random
 from fractions import Fraction
 
@@ -284,7 +285,7 @@ class TestMitigation:
         m = int_matrix([[(i + j) % 2 for j in range(4)] for i in range(4)])
         with matrices_built(monkeypatch) as built:
             out, log = mitigate_interior_zeros(m)
-        # the repair works on raw rows and builds only the returned Matrix
+        # the repair works on row lists and builds only the returned Matrix
         assert len(built) == 1
         assert log.plan == ("add", 0)
         assert all(op[0].startswith("add") for op in log.operations)
@@ -446,6 +447,49 @@ class TestMitigation:
             condensation_det(m)
         assert len(calls) == 17 and all(a is m for a in calls)
         assert len(tested) == 64
+
+    @pytest.mark.parametrize("field", ["integer", "rational"])
+    def test_number_repair_keeps_untouched_entries(self, field):
+        # the 8x8 checkerboard (rationals: over 3) needs 6 row additions;
+        # every entry outside the rows they changed is the input's own object
+        entry = {"integer": ExactInteger, "rational": lambda v: ExactRational(v, 3)}[field]
+        m = Matrix([[entry((i + j) % 2) for j in range(8)] for i in range(8)])
+        out, log = mitigate_interior_zeros(m)
+        assert log.plan == ("add", 0)
+        changed = {op[2] for op in log.operations}
+        assert all(op[0] == "add_scaled_row" for op in log.operations) and changed
+        assert out == replay_log(m, log)
+        for i in range(8):
+            for j in range(8):
+                assert (out[i, j] is m[i, j]) == (i not in changed)
+
+    def test_mixed_tolerance_repair_judges_at_the_matrix_tolerance(self):
+        # the matrix tolerance is 1e-3, from (2, 2); every other entry has
+        # 1e-9.  (1, 1) and (0, 1) are zero at 1e-3 but not at their own
+        # tolerance, so the repair skips row 0 as a source, and the first
+        # addition of row 2 leaves (1, 1) at -9.995e-4, still zero
+        rows = [[1.0, 5e-4, 2.0], [3.0, 1e-6, 4.0], [5.0, -1.0005e-3, 6.0]]
+        m = Matrix(
+            [[ApproxReal(v, 1e-3 if (i, j) == (2, 2) else 1e-9) for j, v in enumerate(r)]
+             for i, r in enumerate(rows)]
+        )
+        out, log = mitigate_interior_zeros(m, exclude=rotation_order(3))
+        assert log.plan == ("add", 0)
+        assert log.operations == (
+            ("add_scaled_row", 2, 1, ApproxReal(1.0)),
+            ("add_scaled_row", 2, 1, ApproxReal(2.0)),
+        )
+        once = [d + 1.0 * s for d, s in zip(rows[1], rows[2])]
+        twice = [d + 2.0 * s for d, s in zip(once, rows[2])]
+        assert [[e.value for e in r] for r in out.rows()] == [rows[0], twice, rows[2]]
+        assert out.native_ring.tolerance == 1e-3
+
+    def test_real_repair_adds_a_zero_source(self):
+        # -0.0 + 1.0 * 0.0 is 0.0: a zero number source is added, not skipped
+        m = Matrix([[ApproxReal(v) for v in r] for r in [[0.0, 2.0, 3.0], [-0.0, 0.0, 5.0], [7.0, 4.0, 6.0]]])
+        out, log = mitigate_interior_zeros(m, exclude=rotation_order(3))
+        assert log.operations == (("add_scaled_row", 0, 1, ApproxReal(1.0)),)
+        assert math.copysign(1.0, out[1, 0].value) == 1.0
 
 
 def counted_zero_tests(monkeypatch):
@@ -637,39 +681,43 @@ class TestPackedPolynomials:
         assert log.plan == ("rot", 1, 0)
         assert out == replay_log(m, log)
 
-    def test_narrow_width_reruns(self, monkeypatch):
-        # with no headroom, the repair of the Hückel chain of 6 outgrows the
-        # width of its 0/1/x entries, so the walk packs the matrix twice
-        packed = []
-        original = condense.pack_polynomial
-
-        def counting_pack(coeffs, width):
-            packed.append(width)
-            return original(coeffs, width)
-
+    def test_repair_packs_nothing(self, monkeypatch):
+        # the Hückel chain of 6 with every rotation excluded: the repair
+        # computes on the Polynomial entries and gives the scalar reference
         m = secular_matrix(PiSystem.chain(6))
         exclude = rotation_order(6)
-        monkeypatch.setattr(condense, "_REPAIR_HEADROOM_BITS", 0)
-        monkeypatch.setattr(condense, "pack_polynomial", counting_pack)
+
+        def no_packing(*args):
+            raise AssertionError("the repair packed or unpacked a polynomial")
+
+        monkeypatch.setattr(condense, "pack_polynomial", no_packing)
+        monkeypatch.setattr(condense, "unpack_polynomial", no_packing)
         out, log = mitigate_interior_zeros(m, exclude=exclude)
-        widths = sorted(set(packed))
-        assert len(widths) == 2 and packed.count(widths[0]) == packed.count(widths[1]) == 36
         expected = reference_mitigation(m, exclude)
-        assert (log.plan, log.operations) == (expected.plan, expected.operations)
+        assert log.plan == expected.plan == ("add", 0)
+        assert log.operations == expected.operations
         assert out == replay_log(m, expected)
 
     def test_huckel_run_multiplies_no_polynomials(self, monkeypatch):
+        # condensation runs on packed ints; a repair only multiplies by
+        # its constant factors
         systems = [PiSystem.chain(n) for n in range(3, 11)] + [
             PiSystem.from_edges(n, [(k, (k + 1) % n) for k in range(n)]) for n in range(3, 11)
         ]
         expected = [bareiss_det(secular_matrix(s)) for s in systems]
+        multiply = Polynomial.__mul__
 
         def no_polynomial_arithmetic(*args):
             raise AssertionError("condensation computed on Polynomial objects")
 
+        def constant_products_only(p, q):
+            if p.degree >= 1 and q.degree >= 1:
+                no_polynomial_arithmetic()
+            return multiply(p, q)
+
         condensed = 0
         with monkeypatch.context() as patched:
-            patched.setattr(Polynomial, "__mul__", no_polynomial_arithmetic)
+            patched.setattr(Polynomial, "__mul__", constant_products_only)
             patched.setattr(Polynomial, "exact_div", no_polynomial_arithmetic)
             for system, det in zip(systems, expected):
                 try:

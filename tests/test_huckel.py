@@ -55,6 +55,17 @@ class TestPiSystem:
         with pytest.raises(ParseError):
             PiSystem.from_text("atoms 2\nbond 1 2\n")
 
+    def test_from_text_self_loop_names_its_line_and_atom(self):
+        # atoms are 1-based in the file, and so in the message
+        with pytest.raises(ParseError, match="^line 3: self-loop on atom 2$"):
+            PiSystem.from_text("atoms 3\nedge 1 2\nedge 2 2\n")
+
+    def test_from_text_rejects_a_repeated_atoms_line(self):
+        with pytest.raises(ParseError, match="^line 3: repeated atoms line$"):
+            PiSystem.from_text("atoms 3\nedge 1 2\natoms 1\n")
+        with pytest.raises(ParseError, match="^line 2: repeated atoms line$"):
+            PiSystem.from_text("atoms 3\natoms 3\nedge 1 2\n")
+
 
 class TestSecularMatrix:
     def test_chain3(self):

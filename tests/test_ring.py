@@ -56,13 +56,19 @@ class TestMul:
 
     def test_product_against_convolution_oracle(self):
         # brute-force convolution, independent of Polynomial.__mul__
-        a, b = [-1, 0, 1], [1, 1]  # (x^2 - 1) and (x + 1)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        assert out == [-1, -1, 1, 1]
-        assert poly(*a) * poly(*b) == poly(-1, -1, 1, 1)
+        cases = [
+            ([-1, 0, 1], [1, 1], [-1, -1, 1, 1]),  # (x^2 - 1) and (x + 1)
+            ([3], [1, -2, 0, 5], [3, -6, 0, 15]),  # a constant times a polynomial
+            ([Fraction(1, 2)], [2, 1], [1, Fraction(1, 2)]),
+        ]
+        for a, b, expected in cases:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+            assert out == expected
+            assert poly(*a) * poly(*b) == poly(*expected)
+            assert poly(*b) * poly(*a) == poly(*expected)
 
 
 class TestSub:
