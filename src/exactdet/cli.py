@@ -9,9 +9,13 @@ Subcommands:
 * ``huckel``        -- pi-system energy levels from a chain length or an
   edge file.
 
-Exit codes: 0 success, 2 parse/argument error, 3 non-square matrix,
-4 condensation gave up under --method condense, 5 root finding failed,
-6 a real determinant is not finite as a double (inf or nan).
+Input files are read as UTF-8, with an optional byte-order mark.
+
+Exit codes: 0 success, 2 parse/argument error (an undecodable input file
+too), 3 non-square matrix, 4 condensation gave up under --method condense,
+5 root finding failed, 6 a real determinant or a Hückel energy level is not
+finite as a double (inf or nan), 141 the reader of stdout has gone, the
+status a shell reports for a producer stopped by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from .condense import FallbackRequired, OpCount, condensation_det, render_trace
@@ -39,6 +44,7 @@ EXIT_NOT_SQUARE = 3
 EXIT_FALLBACK = 4
 EXIT_NO_CONVERGENCE = 5
 EXIT_NOT_FINITE = 6
+EXIT_BROKEN_PIPE = 141
 
 
 def _sizes(text: str):
@@ -89,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_det(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8-sig") as fh:
             matrix = parse_matrix(fh.read())
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except ParseError as e:
+    except (ParseError, UnicodeDecodeError) as e:
         print(f"error: {args.file}: {e}", file=sys.stderr)
         return EXIT_PARSE
     if not matrix.is_square:
@@ -179,12 +185,12 @@ def cmd_huckel(args) -> int:
                 return EXIT_PARSE
             system = PiSystem.chain(args.chain)
         else:
-            with open(args.edges, "r", encoding="utf-8") as fh:
+            with open(args.edges, "r", encoding="utf-8-sig") as fh:
                 system = PiSystem.from_text(fh.read())
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except ParseError as e:
+    except (ParseError, UnicodeDecodeError) as e:
         print(f"error: {args.edges}: {e}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -205,6 +211,9 @@ def cmd_huckel(args) -> int:
     except NoConvergence as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    if not all(map(math.isfinite, levels)):
+        print("error: an energy level is not finite as a double", file=sys.stderr)
+        return EXIT_NOT_FINITE
     print("energy levels:")
     for e in levels:
         print(repr(e))
@@ -213,11 +222,16 @@ def cmd_huckel(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "det":
-        return cmd_det(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    return cmd_huckel(args)
+    command = {"det": cmd_det, "bench": cmd_bench, "huckel": cmd_huckel}[args.command]
+    try:
+        status = command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -9,9 +9,10 @@ the (i, j) entry of stage k is itself the determinant of the (k+1) x (k+1)
 connected minor of stage 0 anchored at (i, j), so over the integers every
 intermediate stays an integer.
 
-The stage kernel, ``_condense_rows``, computes on native values (see
-``ring.NativeRing``): ``condensation_det`` unwraps the mitigated matrix once
-per attempt, keeps only the previous two stages as lists of native rows and
+The stage kernel, ``_condense_rows``, computes only the recurrence: the 2x2
+minors of native values (see ``ring.NativeRing``) and their exact quotients
+by the ring's ``divide``.  ``condensation_det`` unwraps the mitigated matrix
+once per attempt, keeps only the previous two stages as native rows and
 wraps only the result.  A ``CondensationTrace`` stores stage 0; when first
 read, its stages are read off a repeat of the run's own kernel rows, and its
 pre-division matrices are the 2x2 minors of each stage in the matrix's ring.
@@ -73,9 +74,11 @@ An attempt ends at the stage that holds its zero divisor, in every ring.
 a 0 on the exact rings, and on the reals by the division-warning scan,
 which, when it trips, finds the first entry ``NativeRing.is_zero`` counts
 as zero.  If that first zero, row by row, is at (i + 1, j + 1) of stage k,
-the attempt stops there and records the restart (k + 2, (i, j)); ``ops`` is
-charged what the kernel would have spent to reach it, all of stage k + 1
-and stage k + 2 up to and including minor (i, j).
+the attempt stops there and records the restart (k + 2, (i, j)).  ``OpCount``
+follows the paper's schedule, which ``_charge`` alone states: per minor two
+multiplications, one addition and, from stage 2 on, one division.  Each
+attempt is charged once, a stopped one through minor (i, j) of stage k + 2
+but not its division, a complete one through stage n - 1.
 
 Mitigation reads the input's zero set once, ``Matrix.zeros``, which every
 attempt of a run shares, and converts no value.  A rotation permutes the
@@ -227,52 +230,46 @@ class CondensationTrace:
     @cached_property
     def stages(self) -> tuple:
         rows, ring, decode = _kernel_input(self.mitigated)
-        later = _stage_rows(rows, ring, OpCount())
+        later = _stage_rows(rows, ring.divide)
         return (self.mitigated,) + tuple(Matrix(decode(s, k)) for k, s in enumerate(later, 1))
 
     @cached_property
     def starred(self) -> tuple:
         ring = self.mitigated.native_ring
-        minors = (
-            _condense_rows(ring.unwrap(s.rows()), None, ring, OpCount()) for s in self.stages[1:-1]
-        )
+        minors = (_condense_rows(ring.unwrap(s.rows()), None, None) for s in self.stages[1:-1])
         return tuple(Matrix([list(map(ring.wrap, r)) for r in m]) for m in minors)
 
 
-def _condense_rows(current, divisor, ring: NativeRing, ops: OpCount) -> list:
+def _condense_rows(current, divisor, divide) -> list:
     """The stage kernel: one condensation round on native rows.
 
     Each entry is a 2x2 consecutive minor of ``current``.  With a
     ``divisor`` (the interior rows of the stage two rounds back, None on the
     first round), each row is then divided by its divisor row at once with
-    ``ring.divide``, which raises when a division fails; ``condensation_det``
-    ends an attempt before its zero divisor, so in a run none does.  ``ops``
-    is charged the whole round.
+    ``divide``, a ``NativeRing.divide``, which raises when a division fails;
+    ``condensation_det`` ends an attempt before its zero divisor, so in a
+    run none does.  The kernel counts nothing; ``_charge`` does.
     """
-    w = len(current) - 1
     # one row at a time, so that a row's minors are freed once it is divided
     rows = (
         [a * d - b * c for a, b, c, d in zip(top, top[1:], bottom, bottom[1:])]
         for top, bottom in zip(current, current[1:])
     )
     if divisor is not None:
-        rows = map(ring.divide, rows, divisor)
-        ops.divs += w * w
-    ops.mults += 2 * w * w
-    ops.adds += w * w
+        rows = map(divide, rows, divisor)
     return list(rows)
 
 
-def _stage_rows(rows, ring: NativeRing, ops: OpCount):
+def _stage_rows(rows, divide):
     """Yield stages 1 .. n-1 of the native rows ``rows`` (stage 0).
 
     Only the previous two stages are kept: the one to condense and the one
-    whose interior divides it.
+    whose interior divides it, by ``divide``.
     """
     prev, current = None, rows
     for _ in range(len(rows) - 1):
         divisor = None if prev is None else [r[1:-1] for r in prev[1:-1]]
-        prev, current = current, _condense_rows(current, divisor, ring, ops)
+        prev, current = current, _condense_rows(current, divisor, divide)
         yield current
 
 
@@ -282,28 +279,27 @@ def _interior_zero(stage, bound=None):
     (i + 1, j + 1), or None when the interior has no zero.  A real stage
     passes its ``ring.real_zero_bound``, below which an entry is zero."""
     for i, row in enumerate(stage[1:-1]):
+        inner = row[1:-1]
         if bound is not None:
-            row = [0 if abs(x) < bound else x for x in row]
-        if 0 in row:
-            try:
-                return i, row.index(0, 1, len(row) - 1) - 1
-            except ValueError:
-                pass
+            inner = [0 if abs(x) < bound else x for x in inner]
+        if 0 in inner:
+            return i, inner.index(0)
     return None
 
 
-def _charge_until_zero(ops: OpCount, n: int, stage: int, position) -> None:
-    """Charge ``ops`` what the kernel spends on an n x n run after stage
-    ``stage - 2`` until the zero divisor of minor ``position`` of stage
-    ``stage``: all of stage ``stage - 1``, then ``stage``'s rows before the
-    failing one, then that row up to and including the failing minor, with
-    the divisions before it (``_condense_rows``' failure rule)."""
-    i, j = position
-    w = n - stage + 1  # the width of stage - 1, which divides when stage >= 3
-    full = w * w + (n - stage) * i
-    ops.mults += 2 * (full + j + 1)
-    ops.adds += full + j + 1
-    ops.divs += (w * w if stage >= 3 else 0) + (n - stage) * i + j
+def _charge(ops: OpCount, n: int, stage: int, position=None) -> None:
+    """Charge ``ops`` the paper's schedule for an n x n run through stage
+    ``stage``; with a ``position``, stage ``stage`` only through that minor,
+    whose zero divisor stopped the attempt, and without its division."""
+    sizes = [(n - t) ** 2 for t in range(1, stage + (position is None))]
+    minors, divs = sum(sizes), sum(sizes[1:])
+    if position is not None:
+        done = (n - stage) * position[0] + position[1]
+        minors += done + 1
+        divs += done
+    ops.mults += 2 * minors
+    ops.adds += minors
+    ops.divs += divs
 
 
 def _cleared_rows(rows):
@@ -552,7 +548,7 @@ def condensation_det(a: Matrix):
             except UnremovableZero as e:
                 raise FallbackRequired(str(e)) from e
         rows, ring, decode = _kernel_input(a0)
-        for k, stage in enumerate(chain([rows], _stage_rows(rows, ring, ops))):
+        for k, stage in enumerate(chain([rows], _stage_rows(rows, ring.divide))):
             if ring.tolerance is None:
                 zero = _interior_zero(stage)
             else:
@@ -566,10 +562,11 @@ def condensation_det(a: Matrix):
                 zero = _interior_zero(stage, real_zero_bound(ring.tolerance))
             if zero is not None:
                 restarts.append((k + 2, zero))
-                _charge_until_zero(ops, n, k + 2, zero)
+                _charge(ops, n, k + 2, zero)
                 excluded.append(log.plan)
                 break
         else:
+            _charge(ops, n, n - 1)
             result = decode(stage, k)[0][0]
             if log.sign < 0:
                 result = -result

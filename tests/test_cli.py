@@ -1,8 +1,11 @@
 import argparse
 import decimal
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -278,6 +281,21 @@ class TestDet:
         code, out, err = run(capsys, "det", str(f))
         assert (code, out, err) == (0, "1" + "9" * 4999 + "8\n", "")
 
+    def test_undecodable_file_exit_2(self, capsys, tmp_path):
+        # a Latin-1 byte is no UTF-8; it printed a UnicodeDecodeError
+        # traceback and exited 1
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"1 2\n3 \xe9\n")
+        code, out, err = run(capsys, "det", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {f}: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
+
+    def test_byte_order_mark_accepted(self, capsys, tmp_path):
+        f = tmp_path / "bom.txt"
+        f.write_bytes(b"\xef\xbb\xbf1 2\n3 4\n")
+        assert run(capsys, "det", str(f)) == (0, "-2\n", "")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "det", "no-such-file.txt")
         assert code == 2
@@ -456,6 +474,32 @@ class TestHuckel:
         assert (code, out) == (2, "")
         assert err == f"error: {f}: {message}\n"
 
+    def test_undecodable_edge_file_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "latin1.edges"
+        f.write_bytes(b"# \xe9thyl\natoms 2\nedge 1 2\n")
+        code, out, err = run(capsys, "huckel", "--edges", str(f), "--alpha", "-1", "--beta", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {f}: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
+
+    def test_edge_file_with_byte_order_mark(self, capsys, tmp_path):
+        f = tmp_path / "bom.edges"
+        f.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(ALLYL).read_bytes())
+        levels = ["--alpha", "-1.0", "--beta", "-0.5"]
+        expected = run(capsys, "huckel", "--edges", ALLYL, *levels)
+        assert expected[0] == 0
+        assert run(capsys, "huckel", "--edges", str(f), *levels) == expected
+
+    def test_non_finite_level_exit_6(self, capsys):
+        # finite alpha and beta whose levels overflow printed inf with exit 0
+        code, out, err = run(
+            capsys, "huckel", "--chain", "3", "--alpha", "1e308", "--beta=-1e308"
+        )
+        assert code == 6
+        assert out.startswith("polynomial: x^3 - 2*x\n")
+        assert "energy levels:" not in out
+        assert err.endswith("error: an energy level is not finite as a double\n")
+
     def test_chain_and_edges_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["huckel", "--chain", "2", "--edges", "x", "--alpha", "-1", "--beta", "-1"])
@@ -472,6 +516,40 @@ class TestHuckel:
         code, _, err = run(capsys, "huckel", "--chain", "3", "--alpha", "-1", "--beta", "-1")
         assert code == 5
         assert "settle" in err
+
+
+class TestClosedStdout:
+    """A reader that has gone ends the CLI with 141, the status a shell
+    reports for a producer stopped by SIGPIPE, and an empty stderr."""
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["det", CLEAN4],
+            ["det", CLEAN4, "--trace"],
+            ["huckel", "--chain", "8", "--alpha", "-1.0", "--beta", "-0.5"],
+        ],
+        ids=["det", "det-trace", "huckel"],
+    )
+    def test_exit_141_without_traceback(self, argv, buffered):
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        if buffered:
+            env.pop("PYTHONUNBUFFERED", None)
+        else:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "exactdet", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -856,9 +857,9 @@ class TestEarlyStop:
         calls = []
         original = condense._condense_rows
 
-        def counting(current, divisor, ring, ops):
+        def counting(current, divisor, divide):
             calls.append(len(current))
-            return original(current, divisor, ring, ops)
+            return original(current, divisor, divide)
 
         monkeypatch.setattr(condense, "_condense_rows", counting)
         rng = random.Random("no-work-after-zero")
@@ -877,6 +878,50 @@ class TestEarlyStop:
                     assert produced == expected + list(range(1, n)), (kind, n, k)
                     checked += bool(trace.restarts)
         assert checked >= 20
+
+
+def paper_schedule(n, stage, position=None):
+    """The paper's op schedule for an n x n run, enumerated minor by minor:
+    stages 1 .. ``stage`` whole, or, with a ``position``, stage ``stage``
+    only through that minor, without its division."""
+    ops = OpCount()
+    for t in range(1, stage + 1):
+        for i in range(n - t):
+            for j in range(n - t):
+                ops.mults += 2
+                ops.adds += 1
+                if (t, (i, j)) == (stage, position):
+                    return ops
+                if t >= 2:
+                    ops.divs += 1
+    return ops
+
+
+class TestCharge:
+    def test_complete_stages(self):
+        for n in range(1, 10):
+            for stage in range(n):
+                ops = OpCount()
+                condense._charge(ops, n, stage)
+                assert ops == paper_schedule(n, stage), (n, stage)
+            assert ops == OpCount(clean_mults(n), clean_divs(n), clean_adds(n)), n
+
+    def test_every_failing_position(self):
+        checked = 0
+        for n in range(3, 10):
+            for stage in range(2, n):
+                for position in itertools.product(range(n - stage), repeat=2):
+                    ops = OpCount()
+                    condense._charge(ops, n, stage, position)
+                    assert ops == paper_schedule(n, stage, position), (n, stage, position)
+                    checked += 1
+        assert checked == sum(w * w for n in range(3, 10) for w in range(1, n - 1))
+
+    def test_adds_to_the_tally(self):
+        ops = OpCount(1, 2, 3)
+        condense._charge(ops, 5, 3, (1, 0))
+        expected = paper_schedule(5, 3, (1, 0))
+        assert ops == OpCount(expected.mults + 1, expected.divs + 2, expected.adds + 3)
 
 
 class TestCondensationDet:
