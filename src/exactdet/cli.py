@@ -26,7 +26,13 @@ import math
 import os
 import sys
 
-from .condense import FallbackRequired, OpCount, condensation_det, render_trace
+from .condense import (
+    FallbackRequired,
+    OpCount,
+    condensation_det,
+    elimination_det,
+    render_trace,
+)
 from .huckel import (
     NoConvergence,
     PiSystem,
@@ -120,7 +126,9 @@ def cmd_det(args) -> int:
             if args.method == "condense":
                 print(f"error: condensation gave up: {e}", file=sys.stderr)
                 return EXIT_FALLBACK
-            det = bareiss_det(matrix, ops)
+            # reals keep the scalar oracle, whose pivots follow the tolerance
+            exact = matrix.native_ring.tolerance is None
+            det = (elimination_det if exact else bareiss_det)(matrix, ops)
             print("method: bareiss (condensation fallback)", file=sys.stderr)
     elif args.method == "cofactor":
         det = cofactor_det(matrix, ops)

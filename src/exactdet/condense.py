@@ -35,7 +35,7 @@ entry f becomes the int f(2^W) (``ring.pack_polynomial``).  Evaluation at
 evaluated at 2^W, and exact quotients stay exact.  The kernel's width rule:
 W is one more than the bit length of prod_i max(1, sum_j |m_ij|_1), |.|_1
 being the sum of a polynomial's coefficient magnitudes; that product bounds
-every coefficient of every connected minor, so a packed divisor is 0
+every coefficient of every minor, connected or not, so a packed divisor is 0
 exactly when the polynomial is, and the determinant unpacks exactly from its
 balanced base-2^W digits (``ring.unpack_polynomial``), and so does every
 stage entry a trace reads, divided by its L_i ... L_{i+k}.
@@ -89,7 +89,11 @@ own objects.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``; ``condensation_det`` wraps budget exhaustion in
-``FallbackRequired`` so callers can switch to an elimination oracle.
+``FallbackRequired`` so callers can switch to elimination.  On the exact
+rings that is ``elimination_det``: fraction-free elimination with
+``bareiss_det``'s pivots and op counts, run on the same integer rows the
+kernel condenses, whose intermediates are minors, not connected ones, of the
+scaled rows.  Reals fall back to ``bareiss_det``.
 """
 
 from __future__ import annotations
@@ -316,9 +320,10 @@ def _packed_rows(rows):
 
     W is one more than the bit length of prod_i max(1, sum_j |m_ij|_1) over
     the scaled rows, |.|_1 being the sum of a polynomial's coefficient
-    magnitudes.  That product bounds every coefficient of every connected
-    minor, so every stage entry unpacks exactly and a packed divisor is 0
-    exactly when the polynomial is.
+    magnitudes.  That product bounds every coefficient of every minor, since
+    a minor's terms each take one entry from distinct rows, so every stage
+    entry and every intermediate of ``elimination_det`` unpacks exactly, and
+    a packed divisor or pivot is 0 exactly when the polynomial is.
     """
     scales = [lcm(*{c.denominator for p in r for c in p.coeffs}) for r in rows]
     coeffs = [
@@ -356,6 +361,49 @@ def _kernel_input(a0: Matrix):
         return [[entry(v, s) for v in r] for r, s in zip(stage, scaled)]
 
     return rows, INTEGERS, decode
+
+
+def elimination_det(a: Matrix, ops: OpCount | None = None):
+    """Determinant of an exact-ring ``a`` by fraction-free elimination on the
+    kernel's native rows: ``bareiss_det``'s values and op counts, computed on
+    the integer rows of ``_kernel_input``.
+
+    The pivot is the first nonzero entry at or below the diagonal, as in
+    ``bareiss_det``; each entry below becomes p*x - f*y, divided by the
+    previous pivot through the ring's checked ``divide``.  Every entry of
+    step k is a minor of the scaled rows, so the packing width holds it.
+    ``ops`` is charged per eliminated entry two multiplications, one
+    addition and, from the second step on, one division, step by step, so a
+    zero column stops it with ``bareiss_det``'s partial counts and returns
+    ``a[0, 0].from_int(0)``.  A real matrix raises TypeError: its pivots
+    follow the zero tolerance, which ``bareiss_det`` applies.
+    """
+    if not a.is_square:
+        raise ValueError("determinant needs a square matrix")
+    if a.native_ring.tolerance is not None:
+        raise TypeError("elimination_det needs an exact ring; use bareiss_det for reals")
+    rows, ring, decode = _kernel_input(a)
+    ops = ops if ops is not None else OpCount()
+    n, sign, prev = len(rows), 1, None
+    for k in range(n - 1):
+        if not rows[k][k]:
+            i = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if i is None:
+                return a[0, 0].from_int(0)
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
+        p, top = rows[k][k], rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            new = [p * x - f * y for x, y in zip(row[k + 1 :], top)]
+            row[k + 1 :] = new if prev is None else ring.divide(new, [prev] * len(new))
+        entries = (n - 1 - k) ** 2
+        ops.mults += 2 * entries
+        ops.adds += entries
+        if prev is not None:
+            ops.divs += entries
+        prev = p
+    return decode([[sign * rows[-1][-1]]], n - 1)[0][0]
 
 
 def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:

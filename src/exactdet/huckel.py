@@ -9,9 +9,10 @@ adjacent atoms, 0 otherwise.  Its determinant is a monic integer-coefficient
 polynomial p with det(secular) = beta^n * p(x), and the allowed energies are
 E = alpha - beta * x at the roots x of p.
 
-The determinant is computed symbolically by condensation (falling back to
-fraction-free elimination when mitigation cannot clear the interior), and
-the roots come from Durand-Kerner simultaneous iteration.
+The determinant is computed symbolically by condensation, falling back to
+fraction-free elimination (``condense.elimination_det``, on the same packed
+integer rows the condensation kernel runs on) when mitigation cannot clear
+the interior; the roots come from Durand-Kerner simultaneous iteration.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .condense import FallbackRequired, condensation_det
+from .condense import FallbackRequired, condensation_det, elimination_det
 from .matrix import Matrix, ParseError
-from .oracle import bareiss_det
 from .ring import Polynomial, power_text, terms_text
 
 
@@ -107,8 +107,10 @@ class PiSystem:
 class SecularPolynomial:
     """Reduced secular determinant: monic, degree n_atoms, variable x.
 
-    ``method`` records which determinant route produced it ("condensation"
-    or "bareiss").
+    ``method`` records which determinant route produced it: "condensation",
+    or "bareiss" for the fallback, fraction-free elimination by
+    ``condense.elimination_det``, which keeps the name ``bareiss_det`` gave
+    it so that the ``method:`` line stays the same.
     """
 
     coeffs: Polynomial
@@ -143,7 +145,7 @@ def secular_polynomial(system: PiSystem) -> SecularPolynomial:
         det, _ = condensation_det(m)
         method = "condensation"
     except FallbackRequired:
-        det = bareiss_det(m)
+        det = elimination_det(m)
         method = "bareiss"
     return SecularPolynomial(det, method)
 

@@ -1,0 +1,129 @@
+"""``elimination_det``, the exact-ring fallback, against ``bareiss_det``.
+
+The fallback eliminates on the kernel's integer rows (cleared rationals,
+packed polynomials) where ``bareiss_det`` eliminates on scalars, and the CLI
+and ``secular_polynomial`` print its result and op counts under the name
+"bareiss", so both must agree exactly: the value, its ``repr`` and the
+``OpCount``, early singular returns included.
+"""
+
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from exactdet.cli import main
+from exactdet.condense import OpCount, elimination_det
+from exactdet.huckel import PiSystem, secular_matrix
+from exactdet.matrix import Matrix, int_matrix
+from exactdet.oracle import bareiss_det
+from exactdet.ring import ApproxReal, ExactInteger, ExactRational, Polynomial
+
+from test_sweep_digest import SEED, sweep_cases
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+
+NAPHTHALENE = PiSystem.from_edges(
+    10,
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (4, 6), (6, 7), (7, 8), (8, 9), (9, 5)],
+)
+
+
+def cycle(n):
+    return PiSystem.from_edges(n, [(k, (k + 1) % n) for k in range(n)])
+
+
+def assert_same_as_bareiss(m):
+    want_ops, got_ops = OpCount(), OpCount()
+    want = bareiss_det(m, want_ops)
+    got = elimination_det(m, got_ops)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert got_ops == want_ops
+
+
+def test_seeded_sweep_exact_cases():
+    exact = 0
+    for m in sweep_cases(random.Random(SEED)):
+        if m.native_ring.tolerance is None:
+            assert_same_as_bareiss(m)
+            exact += 1
+    assert exact == 25 * 7 + 40 + 30 + 8
+
+
+@pytest.mark.parametrize(
+    "system",
+    [PiSystem.chain(n) for n in range(3, 21)] + [cycle(n) for n in range(3, 13)] + [NAPHTHALENE],
+)
+def test_huckel_systems(system):
+    assert_same_as_bareiss(secular_matrix(system))
+
+
+def test_zero_column_stops_with_partial_counts():
+    # column 2 is zero, so step 2 finds no pivot after two charged steps
+    m = int_matrix([[1, 2, 0, 4], [3, 1, 0, 2], [2, 5, 0, 1], [1, 1, 0, 3]])
+    ops = OpCount()
+    assert elimination_det(m, ops) == ExactInteger(0)
+    assert ops == OpCount(mults=2 * (9 + 4), divs=4, adds=9 + 4)
+    assert_same_as_bareiss(m)
+
+
+def test_pivot_swaps_flip_the_sign():
+    assert_same_as_bareiss(int_matrix([[0, 1, 2], [0, 3, 1], [4, 1, 1]]))
+    assert elimination_det(int_matrix([[0, 1], [1, 0]])) == ExactInteger(-1)
+
+
+def test_refuses_reals_and_non_square():
+    with pytest.raises(TypeError):
+        elimination_det(Matrix([[ApproxReal(1.0), ApproxReal(2.0)], [ApproxReal(3.0), ApproxReal(4.0)]]))
+    with pytest.raises(ValueError):
+        elimination_det(int_matrix([[1, 2, 3], [4, 5, 6]]))
+
+
+# entries with many zeros, so pivot searches, swaps and zero columns occur
+small = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+integers = small.map(ExactInteger)
+rationals = st.builds(ExactRational, small, st.integers(1, 6))
+int_polys = st.lists(small, max_size=3).map(Polynomial)
+rational_polys = st.lists(st.builds(Fraction, small, st.integers(1, 6)), max_size=3).map(Polynomial)
+# dense Q[x] entries with large coefficients, so the packing width is tight
+big = st.integers(-(10**12), 10**12).filter(bool)
+dense_polys = st.lists(st.builds(Fraction, big, st.integers(1, 10**6)), min_size=3, max_size=3).map(
+    Polynomial
+)
+
+
+def matrices(entry, max_n=6):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).map(Matrix)
+    )
+
+
+@given(m=st.one_of(matrices(integers), matrices(rationals), matrices(int_polys), matrices(rational_polys)))
+def test_matches_bareiss_on_sparse_exact_matrices(m):
+    assert_same_as_bareiss(m)
+
+
+@given(m=matrices(dense_polys, max_n=4))
+def test_matches_bareiss_on_dense_rational_polynomials(m):
+    assert_same_as_bareiss(m)
+
+
+@given(m=st.one_of(matrices(integers, 2), matrices(rationals, 2), matrices(rational_polys, 2)))
+def test_matches_bareiss_at_n_1_and_2(m):
+    assert_same_as_bareiss(m)
+
+
+@pytest.mark.parametrize("name", ["falls_back4.txt", "rational_falls_back4.txt"])
+def test_cli_fallback_prints_what_bareiss_prints(name, capsys):
+    path = str(FIXTURES / name)
+    assert main(["det", path, "--count-ops"]) == 0
+    auto = capsys.readouterr()
+    assert main(["det", path, "--method", "bareiss", "--count-ops"]) == 0
+    oracle = capsys.readouterr()
+    assert auto.out == oracle.out
+    assert auto.err == "method: bareiss (condensation fallback)\n"
+    assert oracle.err == ""

@@ -16,8 +16,9 @@ FIXTURES = ROOT / "tests" / "fixtures"
 
 # its first two attempts each end at a zero divisor in stage 3
 TWO_RESTARTS = "-1 2 2 -1 0\n2 1 2 -2 2\n-2 1 0 2 -1\n-1 1 2 2 1\n1 -1 -1 -1 2\n"
-# four attempts end at zero divisors, then every plan is excluded
-FALLS_BACK = "-1 0 0 1\n0 0 0 1\n-1 1 1 0\n0 0 1 0\n"
+# no plan clears a zero interior; reals fall back to bareiss_det, where
+# exact rings take elimination_det
+REAL_FALLS_BACK = "0.0 0.0 0.0\n0.0 0.0 0.0\n0.0 0.0 0.0\n"
 
 
 def test_traced_requests(monkeypatch, capsys, tmp_path):
@@ -25,7 +26,7 @@ def test_traced_requests(monkeypatch, capsys, tmp_path):
     from tracing import Tracer
 
     (tmp_path / "two_restarts.txt").write_text(TWO_RESTARTS)
-    (tmp_path / "falls_back.txt").write_text(FALLS_BACK)
+    (tmp_path / "real_falls_back.txt").write_text(REAL_FALLS_BACK)
     tracer = Tracer(seed=1)
     tracer.install()
     try:
@@ -42,11 +43,18 @@ def test_traced_requests(monkeypatch, capsys, tmp_path):
         assert tracer.counts["mitigate.restarts"] == 1 + 2  # counts add up over requests
 
         idx = tracer.begin_request("falls_back")
-        code = main(["det", str(tmp_path / "falls_back.txt")])
+        # four attempts end at zero divisors, then every plan is excluded
+        code = main(["det", str(FIXTURES / "falls_back4.txt")])
         tracer.end_request(idx, code)
         assert code == 0
         assert tracer.counts["mitigate.restarts"] == 1 + 2 + 4
         assert tracer.counts["condense.fallbacks"] == 1
+
+        idx = tracer.begin_request("real_falls_back")
+        code = main(["det", str(tmp_path / "real_falls_back.txt")])
+        tracer.end_request(idx, code)
+        assert code == 0
+        assert tracer.counts["condense.fallbacks"] == 2
 
         idx = tracer.begin_request("allyl")
         code = main(["huckel", "--edges", str(FIXTURES / "allyl.edges"),
