@@ -88,9 +88,15 @@ rule of ``Matrix.zeros``; the entries it does not change stay the input's
 own objects.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
-``UnremovableZero``; ``condensation_det`` wraps budget exhaustion in
-``FallbackRequired`` so callers can switch to elimination.  On the exact
-rings that is ``elimination_det``: fraction-free elimination with
+``UnremovableZero``.  ``condensation_det`` also bounds the work of failed
+attempts, in the op counter's units: the muldiv ``_charge`` charges each,
+plus n per additive-repair operation (the n entries it computes and
+re-tests).  Once that exceeds two clean runs' muldiv it stops, so a run that
+falls back has made n^2 zero tests on its input, at most two clean runs of
+attempts and one last attempt, cheaper than a clean run, before its one
+elimination.  It raises ``FallbackRequired`` then, or when mitigation runs
+out of plans, so callers can switch to elimination.  On the exact rings
+that is ``elimination_det``: fraction-free elimination with
 ``bareiss_det``'s pivots and op counts, run on the same integer rows the
 kernel condenses, whose intermediates are minors, not connected ones, of the
 scaled rows.  Reals fall back to ``bareiss_det``.
@@ -120,7 +126,7 @@ from .ring import (
 
 
 class UnremovableZero(ValueError):
-    """No mitigation plan in the strategy budget clears the interior."""
+    """No mitigation plan clears the interior."""
 
 
 class FallbackRequired(RuntimeError):
@@ -570,24 +576,34 @@ def condensation_det(a: Matrix):
     """Determinant of ``a`` by condensation; returns (value, trace).
 
     Runs mitigation first (for n >= 3; smaller sizes have no interior),
-    restarts under a fresh plan whenever a zero divisor appears mid-run (at
-    most 2n restarts), and multiplies the result by the accumulated swap
-    sign.  Each attempt unwraps the mitigated matrix once, keeps two live
-    stages of native values and wraps only the result; an attempt ends at
-    the stage whose interior holds its zero divisor.  A rational attempt
-    runs on integer rows, each row times the lcm of its denominators, and
-    divides by the product of those scales once (see ``_cleared_rows``).
-    Raises FallbackRequired when the strategy is exhausted.
+    restarts under a fresh plan whenever a zero divisor appears mid-run, and
+    multiplies the result by the accumulated swap sign.  Each attempt
+    unwraps the mitigated matrix once, keeps two live stages of native values
+    and wraps only the result; an attempt ends at the stage whose interior
+    holds its zero divisor.  A rational attempt runs on integer rows, each
+    row times the lcm of its denominators, and divides by the product of
+    those scales once (see ``_cleared_rows``).
+
+    The work spent on failed attempts is bounded in the op counter's units.
+    Each failed attempt adds to a tally W the muldiv ``_charge`` charged it
+    and, after additive repair, n per repair operation; once W exceeds 2C,
+    C being a clean run's muldiv, the run stops.  The repair units go into W
+    only, not into ``OpCount``.  So a success charges at most 3C, 2C for
+    its failed attempts and C for its clean run, and a fallback at most 2C
+    plus its last failed attempt, which stops before a clean run's last
+    division.  Raises FallbackRequired when W exceeds 2C or mitigation runs
+    out of plans.
     """
     if not a.is_square:
         raise ValueError("condensation needs a square matrix")
     n = a.n_rows
-    ops = OpCount()
-    budget = 2 * n
+    ops, clean = OpCount(), OpCount()
+    _charge(clean, n, n - 1)
+    budget, wasted = 2 * clean.muldiv, 0
     excluded = []
     restarts = []
     warning = False
-    for _ in range(budget + 1):
+    while True:
         if n < 3:
             a0, log = a, MitigationLog()
         else:
@@ -610,7 +626,16 @@ def condensation_det(a: Matrix):
                 zero = _interior_zero(stage, real_zero_bound(ring.tolerance))
             if zero is not None:
                 restarts.append((k + 2, zero))
+                charged = ops.muldiv
                 _charge(ops, n, k + 2, zero)
+                wasted += ops.muldiv - charged
+                if log.plan[0] == "add":
+                    wasted += n * len(log.operations)
+                if wasted > budget:
+                    raise FallbackRequired(
+                        "the work W charged to failed attempts exceeds 2C,"
+                        " C being a clean run's muldiv"
+                    )
                 excluded.append(log.plan)
                 break
         else:
@@ -619,9 +644,6 @@ def condensation_det(a: Matrix):
             if log.sign < 0:
                 result = -result
             return result, CondensationTrace(a0, log, ops, tuple(restarts), warning)
-    raise FallbackRequired(
-        f"no clean condensation path within {budget} restarts"
-    ) from UnremovableZero("restart budget exhausted")
 
 
 def replay_log(a: Matrix, log: MitigationLog) -> Matrix:

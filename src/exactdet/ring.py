@@ -411,8 +411,17 @@ def _same(x):
 # products and exact quotients of packed values are the packed results.
 
 
+def _check_width(width: int) -> None:
+    # at width 1 the balanced digit of 1 is -1, which would leave an
+    # unpacked value unchanged forever
+    if width < 2:
+        raise ValueError(f"packing width must be at least 2, got {width}")
+
+
 def pack_polynomial(coeffs, width: int) -> int:
-    """f(2^width) for the integer coefficients ``coeffs`` of f, lowest degree first."""
+    """f(2^width) for the integer coefficients ``coeffs`` of f, lowest degree
+    first.  A width below 2 raises ValueError, as ``unpack_polynomial`` does."""
+    _check_width(width)
     value = 0
     for c in reversed(coeffs):
         value = (value << width) + c
@@ -426,8 +435,10 @@ def unpack_polynomial(value: int, width: int, scale: int = 1) -> Polynomial:
     ``value``, in [-2^(width - 1), 2^(width - 1)), which gives f exactly when
     each of them is below 2^(width - 1) in magnitude.  A nonzero f with
     coefficients below 2^width in magnitude packs to a nonzero int, so a
-    packed zero test is exact under that bound.
+    packed zero test is exact under that bound.  A width below 2 has no
+    balanced digits that end the reading, and raises ValueError.
     """
+    _check_width(width)
     mask, half = (1 << width) - 1, 1 << (width - 1)
     cs = []
     while value:

@@ -1,11 +1,12 @@
 import contextlib
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactdet import condense
@@ -23,7 +24,7 @@ from exactdet.condense import (
     replay_log,
 )
 from exactdet.huckel import PiSystem, secular_matrix
-from exactdet.matrix import IndexOutOfRange, Matrix, int_matrix
+from exactdet.matrix import IndexOutOfRange, Matrix, int_matrix, parse_matrix
 from exactdet.oracle import bareiss_det, cofactor_det
 from exactdet.ring import (
     DEFAULT_TOLERANCE,
@@ -37,8 +38,10 @@ from exactdet.ring import (
     real_zero_bound,
 )
 
+from test_elimination import NAPHTHALENE
 from test_matrix import CLEAN4, RESTART4, identity
 
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 STAGE1 = [[2, 4, 6], [-1, 5, -8], [1, -11, 8]]
 
 
@@ -431,8 +434,9 @@ class TestMitigation:
 
     def test_zero_set_is_read_once_per_input(self, monkeypatch):
         # entries of about 1e-3 leave every interior nonzero but make later
-        # divisors fall below the tolerance: all 2n + 1 attempts restart and
-        # the run falls back, having tested the input's 64 entries once
+        # divisors fall below the tolerance: every attempt restarts, the
+        # third takes the failed attempts' work past two clean runs, and the
+        # run falls back, having tested the input's 64 entries once
         rng = random.Random(3)
         m = Matrix([[ApproxReal(rng.uniform(-1e-3, 1e-3)) for _ in range(8)] for _ in range(8)])
         calls = []
@@ -446,7 +450,7 @@ class TestMitigation:
         tested = counted_zero_tests(monkeypatch)
         with pytest.raises(FallbackRequired):
             condensation_det(m)
-        assert len(calls) == 17 and all(a is m for a in calls)
+        assert len(calls) == 3 and all(a is m for a in calls)
         assert len(tested) == 64
 
     @pytest.mark.parametrize("field", ["integer", "rational"])
@@ -597,15 +601,23 @@ def reference_condensation(a):
     """``condensation_det`` by ``condense_step`` on ``Matrix`` stages after
     ``reference_mitigation``; returns (det, log, restarts, ops, warning), or
     None where condensation gives up.  ``warning`` is whether any stage
-    computed, in any attempt, holds a divisor ``near_zero_divisor`` finds."""
+    computed, in any attempt, holds a divisor ``near_zero_divisor`` finds.
+
+    The work budget is taken from ``condense_step``'s own counts: each failed
+    attempt adds the muldiv its steps counted, plus n per operation of an
+    additive repair, and the run gives up once that exceeds twice the clean
+    run's closed form, sum 2w^2 for w < n plus sum w^2 for w < n - 1."""
     n = a.n_rows
     ops, excluded, restarts, warning = OpCount(), [], [], False
-    for _ in range(2 * n + 1):
+    budget = 2 * (sum(2 * w * w for w in range(1, n)) + sum(w * w for w in range(1, n - 1)))
+    wasted = 0
+    while True:
         try:
             log = reference_mitigation(a, excluded)
         except UnremovableZero:
             return None
         stages = [replay_log(a, log)]
+        charged = ops.muldiv
         try:
             for k in range(1, n):
                 divisor = stages[k - 2].interior() if k >= 2 else None
@@ -613,12 +625,14 @@ def reference_condensation(a):
         except DivisionByZero as e:
             restarts.append((k, e.position))
             excluded.append(log.plan)
+            wasted += ops.muldiv - charged + (n * len(log.operations) if log.plan[0] == "add" else 0)
+            if wasted > budget:
+                return None
             continue
         finally:
             warning = warning or any(map(near_zero_divisor, stages))
         det = stages[-1][0, 0]
         return (det if log.sign > 0 else -det), log, tuple(restarts), ops, warning
-    return None
 
 
 def random_polynomial_matrix(rng, n, coefficient, zero_share):
@@ -784,7 +798,7 @@ EARLY_STOP_ENTRIES = {
 # the stepwise comparison draws reals at two tolerances, with exact zeros
 # and with residues, which count as zero below 1e-9 but not at 0.0
 EARLY_STOP_VARIANTS = {
-    "real": {tol: [real_entry(tol, 1), real_entry(tol, 0.1)] * 2 for tol in (DEFAULT_TOLERANCE, 0.0)},
+    "real": {tol: [real_entry(tol, 1), real_entry(tol, 0.1)] * 3 for tol in (DEFAULT_TOLERANCE, 0.0)},
 }
 
 
@@ -988,7 +1002,10 @@ class TestCondensationDet:
                 m = int_matrix(
                     [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
                 )
-                _, trace = condensation_det(m)
+                try:
+                    _, trace = condensation_det(m)
+                except FallbackRequired:
+                    continue  # not a clean draw
                 if not trace.mitigation.operations and not trace.restarts:
                     break
             assert trace.ops == OpCount(clean_mults(n), clean_divs(n), clean_adds(n))
@@ -1219,6 +1236,105 @@ class TestCondensationDet:
         assert not trace.division_warning
         # cofactor expansion by hand: 1*(55-48) - 2*(40-42) + 3*(32-38.5)
         assert det.value == pytest.approx(-8.5, abs=1e-9)
+
+
+def clean_muldiv(n):
+    return clean_mults(n) + clean_divs(n)
+
+
+def counted_mitigations(monkeypatch):
+    """The plans of the ``mitigate_interior_zeros`` calls ``condensation_det``
+    makes while the returned list is alive."""
+    plans = []
+    original = condense.mitigate_interior_zeros
+
+    def counting(a, exclude=()):
+        out = original(a, exclude=exclude)
+        plans.append(out[1].plan)
+        return out
+
+    monkeypatch.setattr(condense, "mitigate_interior_zeros", counting)
+    return plans
+
+
+# sparse entries: one in four is zero, so rotations, repairs, restarts and
+# fallbacks are common
+sparse = st.sampled_from([0, 0, 1, -1, 2, -2, 3, -3])
+
+
+def sparse_matrices(entry):
+    return st.integers(3, 8).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).map(Matrix)
+    )
+
+
+class TestWorkBudget:
+    """Failed attempts may charge at most two clean runs' muldiv, C each."""
+
+    @settings(max_examples=300)
+    @given(m=st.one_of(
+        sparse_matrices(sparse.map(ExactInteger)),
+        sparse_matrices(st.builds(ExactRational, sparse, st.integers(1, 4))),
+    ))
+    def test_success_charges_at_most_three_clean_runs(self, m):
+        # each failed attempt of a success left the tally at most 2C, and
+        # the clean run adds C; the budget's looser statement, 2C of waste
+        # plus one more failed attempt plus the clean run, is 4C
+        try:
+            det, trace = condensation_det(m)
+        except FallbackRequired:
+            return
+        assert det == bareiss_det(m)
+        assert trace.ops.muldiv <= 3 * clean_muldiv(m.n_rows)
+
+    @pytest.mark.parametrize(
+        "system", [PiSystem.chain(8), PiSystem.chain(10), NAPHTHALENE], ids=["chain8", "chain10", "naphthalene"]
+    )
+    def test_huckel_mitigation_calls(self, monkeypatch, system):
+        # every attempt is an additive repair that stops at a zero divisor;
+        # the budget ends the run after three of them, where the cap of 2n
+        # restarts made 8, 10 and 10 attempts
+        plans = counted_mitigations(monkeypatch)
+        with pytest.raises(FallbackRequired, match="exceeds 2C"):
+            condensation_det(secular_matrix(system))
+        assert plans == [("add", 0), ("add", 1), ("add", 2)]
+
+    def test_chain6_still_condenses_after_one_restart(self, monkeypatch):
+        plans = counted_mitigations(monkeypatch)
+        _, trace = condensation_det(secular_matrix(PiSystem.chain(6)))
+        assert plans == [("add", 0), ("add", 1)]
+        assert len(trace.restarts) == 1
+
+    @pytest.mark.parametrize("name, plans", [
+        # C = 33 at n = 4.  Each one-operation repair stops at stage 3,
+        # minor (0, 0), for 32 muldiv plus 4 repair units: 36, then 72 > 66.
+        # Without the repair units a third attempt would run (32, 64, 96).
+        ("falls_back4", [("add", 0), ("add", 1)]),
+        # C = 74 at n = 5.  Rotations add no repair units for their swaps:
+        # stage 3, 4 and 3 at minor (0, 0) charge 61, 73 and 61 muldiv,
+        # and the third failure takes the tally from 134 to 195 > 148.
+        ("over_budget5", [("rot", 2, 0), ("rot", 3, 0), ("rot", 0, 1)]),
+    ])
+    def test_tally_of_failed_attempts(self, monkeypatch, name, plans):
+        m = parse_matrix((FIXTURES / f"{name}.txt").read_text())
+        tried = counted_mitigations(monkeypatch)
+        with pytest.raises(FallbackRequired, match="exceeds 2C"):
+            condensation_det(m)
+        assert tried == plans
+
+    def test_tally_of_exactly_2c_restarts(self, monkeypatch):
+        # C = 74 at n = 5.  The rotation (2, 1) stops at stage 3, minor
+        # (0, 0), for 61 muldiv, and the repair ("add", 0) at stage 3, minor
+        # (1, 0), for 67 plus 4 operations of 5 repair units: 148 = 2C, which
+        # does not exceed 2C, so ("add", 1) runs and condenses
+        m = int_matrix(
+            [[2, -1, 1, -1, 1], [0, -1, 1, 0, 2], [0, -1, 0, 0, 1], [0, 0, -1, -1, -1], [0, 0, -1, -1, 2]]
+        )
+        tried = counted_mitigations(monkeypatch)
+        det, trace = condensation_det(m)
+        assert tried == [("rot", 2, 1), ("add", 0), ("add", 1)]
+        assert det == bareiss_det(m)
+        assert trace.ops.muldiv == 61 + 67 + clean_muldiv(5)
 
 
 entry = st.integers(min_value=-9, max_value=9)

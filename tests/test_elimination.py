@@ -117,7 +117,7 @@ def test_matches_bareiss_at_n_1_and_2(m):
     assert_same_as_bareiss(m)
 
 
-@pytest.mark.parametrize("name", ["falls_back4.txt", "rational_falls_back4.txt"])
+@pytest.mark.parametrize("name", ["falls_back4.txt", "rational_falls_back4.txt", "over_budget5.txt"])
 def test_cli_fallback_prints_what_bareiss_prints(name, capsys):
     path = str(FIXTURES / name)
     assert main(["det", path, "--count-ops"]) == 0
@@ -127,3 +127,13 @@ def test_cli_fallback_prints_what_bareiss_prints(name, capsys):
     assert auto.out == oracle.out
     assert auto.err == "method: bareiss (condensation fallback)\n"
     assert oracle.err == ""
+
+
+def test_cli_over_budget_condense_exits_4(capsys):
+    # over_budget5 condenses only after a fourth attempt, past the budget
+    assert main(["det", str(FIXTURES / "over_budget5.txt"), "--method", "condense"]) == 4
+    err = capsys.readouterr().err
+    assert err == (
+        "error: condensation gave up: the work W charged to failed attempts"
+        " exceeds 2C, C being a clean run's muldiv\n"
+    )

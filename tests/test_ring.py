@@ -238,6 +238,24 @@ def test_packed_polynomial_round_trip(coeffs, width, scale):
     assert (packed == 0) == expected.is_zero()
 
 
+@given(data=st.data(), width=st.integers(2, 5), scale=st.integers(1, 9))
+def test_packed_polynomial_round_trip_at_small_widths(data, width, scale):
+    # every balanced digit of the width, down to width 2's -2, -1, 0 and 1
+    half = 1 << (width - 1)
+    coeffs = data.draw(st.lists(st.integers(-half, half - 1), max_size=6))
+    packed = pack_polynomial(coeffs, width)
+    assert unpack_polynomial(packed, width, scale) == Polynomial([Fraction(c, scale) for c in coeffs])
+
+
+@pytest.mark.parametrize("width", [1, 0, -3])
+def test_packing_width_below_2_raises(width):
+    # at width 1, unpacking 1 once looped forever
+    with pytest.raises(ValueError, match="width must be at least 2"):
+        unpack_polynomial(1, width)
+    with pytest.raises(ValueError, match="width must be at least 2"):
+        pack_polynomial([1], width)
+
+
 @given(p=small_polys.filter(lambda p: not p.is_zero()),
        q=small_polys.filter(lambda p: not p.is_zero()))
 def test_degree_law(p, q):
