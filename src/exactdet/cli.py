@@ -126,9 +126,7 @@ def cmd_det(args) -> int:
             if args.method == "condense":
                 print(f"error: condensation gave up: {e}", file=sys.stderr)
                 return EXIT_FALLBACK
-            # reals keep the scalar oracle, whose pivots follow the tolerance
-            exact = matrix.native_ring.tolerance is None
-            det = (elimination_det if exact else bareiss_det)(matrix, ops)
+            det = elimination_det(matrix, ops)
             print("method: bareiss (condensation fallback)", file=sys.stderr)
     elif args.method == "cofactor":
         det = cofactor_det(matrix, ops)

@@ -95,11 +95,10 @@ re-tests).  Once that exceeds two clean runs' muldiv it stops, so a run that
 falls back has made n^2 zero tests on its input, at most two clean runs of
 attempts and one last attempt, cheaper than a clean run, before its one
 elimination.  It raises ``FallbackRequired`` then, or when mitigation runs
-out of plans, so callers can switch to elimination.  On the exact rings
-that is ``elimination_det``: fraction-free elimination with
-``bareiss_det``'s pivots and op counts, run on the same integer rows the
-kernel condenses, whose intermediates are minors, not connected ones, of the
-scaled rows.  Reals fall back to ``bareiss_det``.
+out of plans, so callers can switch to elimination: ``elimination_det``,
+fraction-free elimination with ``bareiss_det``'s pivots and op counts, run
+in every ring on the same native rows the kernel condenses, whose
+intermediates are minors, not connected ones, of the scaled rows.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ class UnremovableZero(ValueError):
 
 
 class FallbackRequired(RuntimeError):
-    """Condensation gave up; use an oracle determinant instead."""
+    """Condensation gave up; fall back to ``elimination_det``."""
 
 
 @dataclass(slots=True)
@@ -370,30 +369,27 @@ def _kernel_input(a0: Matrix):
 
 
 def elimination_det(a: Matrix, ops: OpCount | None = None):
-    """Determinant of an exact-ring ``a`` by fraction-free elimination on the
-    kernel's native rows: ``bareiss_det``'s values and op counts, computed on
-    the integer rows of ``_kernel_input``.
+    """Determinant of ``a`` by fraction-free elimination on the kernel's
+    native rows (``_kernel_input``): ``bareiss_det``'s values and op counts.
 
-    The pivot is the first nonzero entry at or below the diagonal, as in
-    ``bareiss_det``; each entry below becomes p*x - f*y, divided by the
-    previous pivot through the ring's checked ``divide``.  Every entry of
-    step k is a minor of the scaled rows, so the packing width holds it.
+    The pivot is the first entry at or below the diagonal that the ring's
+    ``is_zero`` does not count as zero, as in ``bareiss_det``, at the matrix
+    tolerance on the reals.  Each entry below becomes p*x - f*y, divided by
+    the previous pivot through the ring's checked ``divide``.  Every entry
+    of step k is a minor of the scaled rows, so the packing width holds it.
     ``ops`` is charged per eliminated entry two multiplications, one
     addition and, from the second step on, one division, step by step, so a
     zero column stops it with ``bareiss_det``'s partial counts and returns
-    ``a[0, 0].from_int(0)``.  A real matrix raises TypeError: its pivots
-    follow the zero tolerance, which ``bareiss_det`` applies.
+    ``a[0, 0].from_int(0)``.
     """
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
-    if a.native_ring.tolerance is not None:
-        raise TypeError("elimination_det needs an exact ring; use bareiss_det for reals")
     rows, ring, decode = _kernel_input(a)
     ops = ops if ops is not None else OpCount()
     n, sign, prev = len(rows), 1, None
     for k in range(n - 1):
-        if not rows[k][k]:
-            i = next((i for i in range(k + 1, n) if rows[i][k]), None)
+        if ring.is_zero(rows[k][k]):
+            i = next((i for i in range(k + 1, n) if not ring.is_zero(rows[i][k])), None)
             if i is None:
                 return a[0, 0].from_int(0)
             rows[k], rows[i] = rows[i], rows[k]

@@ -50,8 +50,9 @@ the determinant carry the matrix's tolerance, and every zero test and division
 warning of the kernel uses it: a divisor below that tolerance counts as zero,
 and forces a restart, even where the tolerances of its own operands are
 smaller.  ``NativeRing.is_zero`` is that zero test on one native number;
-``Matrix.zeros``, the zero set interior-zero mitigation reads, uses it too,
-so it also judges the input's zeros by the matrix tolerance.
+``Matrix.zeros``, the zero set mitigation reads, and the pivot test of
+``condense.elimination_det``, the fallback, use it too, so they also judge
+the input's zeros and the pivots by the matrix tolerance.
 
 Integer polynomials also have a native form, the int f(2^W) of Kronecker
 substitution: ``pack_polynomial`` packs the coefficients at width W and

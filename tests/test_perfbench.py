@@ -16,8 +16,8 @@ FIXTURES = ROOT / "tests" / "fixtures"
 
 # its first two attempts each end at a zero divisor in stage 3
 TWO_RESTARTS = "-1 2 2 -1 0\n2 1 2 -2 2\n-2 1 0 2 -1\n-1 1 2 2 1\n1 -1 -1 -1 2\n"
-# no plan clears a zero interior; reals fall back to bareiss_det, where
-# exact rings take elimination_det
+# no plan clears a zero interior; reals fall back to elimination_det, as
+# exact rings do, so only --method bareiss reaches the bareiss_det hook
 REAL_FALLS_BACK = "0.0 0.0 0.0\n0.0 0.0 0.0\n0.0 0.0 0.0\n"
 
 
@@ -57,6 +57,11 @@ def test_traced_requests(monkeypatch, capsys, tmp_path):
         tracer.end_request(idx, code)
         assert code == 0
         assert tracer.counts["condense.fallbacks"] == 2
+
+        idx = tracer.begin_request("bareiss")
+        code = main(["det", str(tmp_path / "real_falls_back.txt"), "--method", "bareiss"])
+        tracer.end_request(idx, code)
+        assert code == 0
 
         idx = tracer.begin_request("allyl")
         code = main(["huckel", "--edges", str(FIXTURES / "allyl.edges"),
