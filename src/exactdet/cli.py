@@ -13,9 +13,10 @@ Input files are read as UTF-8, with an optional byte-order mark.
 
 Exit codes: 0 success, 2 parse/argument error (an undecodable input file
 too), 3 non-square matrix, 4 condensation gave up under --method condense,
-5 root finding failed, 6 a real determinant or a Hückel energy level is not
-finite as a double (inf or nan), 141 the reader of stdout has gone, the
-status a shell reports for a producer stopped by SIGPIPE.
+6 a real determinant or a Hückel energy level is not finite as a double
+(inf or nan), 141 the reader of stdout has gone, the status a shell reports
+for a producer stopped by SIGPIPE.  Code 5, once a root-finding failure, is
+no longer used: the energy levels are exact up to their final rounding.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from .condense import (
     elimination_det,
     render_trace,
 )
-from .huckel import (
-    NoConvergence,
-    PiSystem,
-    energy_levels,
-    secular_polynomial,
-    symbolic_form,
-)
+from .huckel import PiSystem, energy_levels, secular_polynomial, symbolic_form
 from .matrix import ParseError, parse_matrix
 from .oracle import bareiss_det, cofactor_det, count_ratio
 from .ring import ApproxReal, _frac_str, format_scalar
@@ -48,7 +43,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_SQUARE = 3
 EXIT_FALLBACK = 4
-EXIT_NO_CONVERGENCE = 5
 EXIT_NOT_FINITE = 6
 EXIT_BROKEN_PIPE = 141
 
@@ -95,7 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_h.add_argument("--alpha", type=float, required=True)
     p_h.add_argument("--beta", type=float, required=True)
     p_h.add_argument("--show-poly", action="store_true", help="print the symbolic form")
-    p_h.add_argument("--tol", type=float, default=1e-10)
+    p_h.add_argument(
+        "--tol",
+        type=float,
+        default=1e-10,
+        help="still accepted, and must be finite and positive, but no longer affects "
+        "the levels: each is alpha - beta*x at the double nearest the exact root x",
+    )
     return parser
 
 
@@ -212,11 +212,7 @@ def cmd_huckel(args) -> int:
     print(f"method: {sp.method}")
     if args.show_poly:
         print(f"symbolic: {symbolic_form(sp)}")
-    try:
-        levels = energy_levels(sp, args.alpha, args.beta, tol=args.tol)
-    except NoConvergence as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    levels = energy_levels(sp, args.alpha, args.beta)
     if not all(map(math.isfinite, levels)):
         print("error: an energy level is not finite as a double", file=sys.stderr)
         return EXIT_NOT_FINITE

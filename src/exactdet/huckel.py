@@ -12,22 +12,27 @@ E = alpha - beta * x at the roots x of p.
 The determinant is computed symbolically by condensation, falling back to
 fraction-free elimination (``condense.elimination_det``, on the same packed
 integer rows the condensation kernel runs on) when mitigation cannot clear
-the interior; the roots come from Durand-Kerner simultaneous iteration.
+the interior.
+
+The roots are exact up to one final rounding, with no tolerance and no
+iteration cap.  Yun's square-free decomposition over Q gives each distinct
+root its multiplicity.  Float seeds by Newton-Maehly are only hints: exact
+integer signs of p at dyadic points certify one root between neighbouring
+separators, or else Descartes' rule of signs isolates the roots by
+bisection.  Each root is then rounded to the nearest double by exact signs
+at the points midway between neighbouring doubles.  The secular matrix is
+symmetric, so p has only real roots, and each level is alpha - beta * x at
+the correctly rounded root x, listed once per multiplicity.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .condense import FallbackRequired, condensation_det, elimination_det
 from .matrix import Matrix, ParseError
 from .ring import Polynomial, power_text, terms_text
-
-
-class NoConvergence(RuntimeError):
-    """Root iteration failed to settle within the sweep cap."""
 
 
 @dataclass(frozen=True)
@@ -150,70 +155,354 @@ def secular_polynomial(system: PiSystem) -> SecularPolynomial:
     return SecularPolynomial(det, method)
 
 
-_SEED_ANGLE = math.sqrt(2.0)  # irrational start rotation breaks root symmetry
+def energy_levels(sp: SecularPolynomial, alpha: float, beta: float) -> list:
+    """Sorted energy levels E = alpha - beta * x, one per root x of ``sp``
+    counted with its multiplicity, each x the double nearest the exact root.
 
-
-def durand_kerner(coeffs, tol: float = 1e-10, max_iterations: int = 1000):
-    """All complex roots of a polynomial by simultaneous iteration.
-
-    ``coeffs`` are lowest degree first; the polynomial is normalized to monic
-    internally.  Starting points sit on a circle of radius 1 + max|coeff|.
-    Updates are synchronous per sweep; convergence means the largest root
-    movement fell below tol/10.
+    A secular polynomial has only real roots; of any other polynomial, only
+    the real roots give levels.  No step iterates to a tolerance: the roots
+    are isolated and rounded by exact integer signs (see ``_real_roots``).
     """
-    cs = [complex(float(c)) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if len(cs) < 2:
-        return []
-    lead = cs[-1]
-    cs = [c / lead for c in cs]
-    d = len(cs) - 1
-    radius = 1.0 + max(abs(c) for c in cs[:-1])
-    roots = [
-        radius * cmath.exp(1j * (2.0 * math.pi * k / d + _SEED_ANGLE))
-        for k in range(d)
-    ]
-    for _ in range(max_iterations):
-        moved = 0.0
-        new = []
-        for i, z in enumerate(roots):
-            denom = complex(1.0)
-            for j, w in enumerate(roots):
-                if j != i:
-                    denom *= z - w
-            if denom == 0:
-                new.append(z)
-                continue
-            step = _horner(cs, z) / denom
-            new.append(z - step)
-            moved = max(moved, abs(step))
-        roots = new
-        if moved < tol / 10.0:
-            return roots
-    raise NoConvergence(f"roots did not settle in {max_iterations} sweeps")
-
-
-def _horner(cs, z):
-    acc = complex(0.0)
-    for c in reversed(cs):
-        acc = acc * z + c
-    return acc
-
-
-def energy_levels(sp: SecularPolynomial, alpha: float, beta: float, tol: float = 1e-10):
-    """Sorted real energy levels E = alpha - beta * x over the roots x of ``sp``."""
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    cs = [float(c) for c in sp.coeffs.coeffs]
-    roots = durand_kerner(cs, tol=tol)
-    for r in roots:
-        if abs(_horner([complex(c) for c in cs], r)) > tol:
-            raise NoConvergence("a root residual stayed above tolerance")
-    xs = [r.real for r in roots if abs(r.imag) < tol]
-    return sorted(alpha - beta * x for x in xs)
+    cs = sp.coeffs.coeffs
+    scale = math.lcm(*(c.denominator for c in cs))
+    levels = []
+    for f, multiplicity in _square_free_factors([int(c * scale) for c in cs]):
+        for x in _real_roots(f):
+            levels += [alpha - beta * x] * multiplicity
+    return sorted(levels)
+
+
+# The polynomials below are lists of ints, lowest degree first, with no
+# trailing zeros.  A point is a dyadic pair (num, k), standing for num / 2^k.
+
+_PRIME = (1 << 61) - 1  # the modulus of the square-free fast path
+
+
+def _square_free_factors(p):
+    """Yun's decomposition of p over Q: [(f, m), ...] with p a constant times
+    the product of the f^m, each f square-free and not constant.
+
+    A constant gcd(p, p') mod 2^61 - 1 proves p square-free by itself: a
+    repeated factor of p divides p and p', and keeps its degree mod the
+    prime, because p's leading coefficient does not vanish there.
+    """
+    if len(p) < 2:
+        return []
+    dp = _derivative(p)
+    if p[-1] % _PRIME and len(_gcd_mod_prime(p, dp)) == 1:
+        return [(p, 1)]
+    g = _gcd(p, dp)
+    b, c = _quotient(p, g), _quotient(dp, g)
+    factors = []
+    multiplicity = 1
+    while len(b) > 1:
+        d = _subtract(c, _derivative(b))
+        g = _gcd(b, d)
+        if len(g) > 1:
+            factors.append((g, multiplicity))
+        b, c = _quotient(b, g), _quotient(d, g)
+        multiplicity += 1
+    return factors
+
+
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _subtract(a, b):
+    return _trim([x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]])
+
+
+def _primitive(p):
+    """p divided by its content, with a positive leading coefficient."""
+    if not p:
+        return p
+    content = math.gcd(*p) if p[-1] > 0 else -math.gcd(*p)
+    return [c // content for c in p]
+
+
+def _gcd(a, b):
+    """The primitive gcd in Z[x], by pseudo-remainders made primitive."""
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            q, shift = r[-1], len(r) - len(b)
+            r = [c * b[-1] for c in r]
+            for i, c in enumerate(b, shift):
+                r[i] -= q * c
+            _trim(r)
+        a, b = b, _primitive(r)
+    return _primitive(a)
+
+
+def _quotient(a, b):
+    """a / b, for a primitive b dividing a; by Gauss's lemma it lies in Z[x]."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + len(b) - 1] // b[-1]
+        for i, bi in enumerate(b, k):
+            r[i] -= c * bi
+    return q
+
+
+def _gcd_mod_prime(a, b):
+    """The gcd of a and b reduced mod _PRIME, by Euclid over that field."""
+    a, b = _trim([c % _PRIME for c in a]), _trim([c % _PRIME for c in b])
+    while b:
+        inverse = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inverse % _PRIME, len(a) - len(b)
+            for i, c in enumerate(b, shift):
+                a[i] = (a[i] - q * c) % _PRIME
+            _trim(a)
+        a, b = b, a
+    return a
+
+
+def _real_roots(f):
+    """The real roots of the square-free f, each rounded to the nearest double.
+
+    1. Float seeds (``_seeds``) are hints only.  Exact signs of f at
+       separators between them certify one root per bracket (``_certified``).
+    2. If they do not, Descartes' rule of signs isolates the roots
+       (``_isolated``).
+    3. Exact signs of f between neighbouring doubles round each root
+       (``_rounded``).
+    """
+    roots = []
+    if not f[0]:  # a simple root at 0, the only one f can have there
+        roots.append(0.0)
+        f = f[1:]
+    if len(f) < 2:
+        return roots
+    e = _bound_exponent(f)
+    seeds = _seeds(f, e)
+    brackets = _certified(f, e, seeds)
+    if brackets is None:
+        df = _derivative(f)
+        brackets = []
+        for lo, hi in _isolated(f, e):
+            lo_x, hi_x = _to_float(lo), _to_float(hi)
+            hint = next((s for s in seeds if lo_x < s < hi_x), None)
+            # just above lo, f has the sign of f(lo), or of f'(lo) at a root
+            brackets.append((lo, hi, _sign(f, lo) or _sign(df, lo), hint))
+    return roots + [_rounded(f, *bracket) for bracket in brackets]
+
+
+def _bound_exponent(f):
+    """The least e >= 0 with |c_d| 2^(ed) > sum |c_i| 2^(ei) over i < d: then
+    f has no root x with |x| >= 2^e."""
+    d = len(f) - 1
+    e = 0
+    while abs(f[-1]) << (e * d) <= sum(abs(c) << (e * i) for i, c in enumerate(f[:-1])):
+        e += 1
+    return e
+
+
+def _seeds(f, e):
+    """Float hints for the roots of f, ascending, by Newton-Maehly: Newton's
+    method from 2^e downwards, each root deflated from the search for the
+    next.  Empty when a float overflows."""
+    try:
+        cs = [float(c) for c in reversed(f)]
+        bottom = -float(1 << e)
+        x = -bottom
+        found = []
+        for _ in range(len(f) - 1):
+            while True:
+                p = dp = 0.0
+                for c in cs:
+                    dp = dp * x + p
+                    p = p * x + c
+                nx = x - p / (dp - p * sum(1.0 / (x - r) for r in found))
+                if not bottom < nx < x:  # the descent has stopped
+                    break
+                x = nx
+            found.append(x)
+            x -= (abs(x) + 1.0) * 2.0**-20  # start the next one just below
+    except (OverflowError, ZeroDivisionError):
+        return []
+    return found[::-1]
+
+
+def _certified(f, e, seeds):
+    """Brackets (lo, hi, sign of f at lo, seed), one per seed, when exact signs
+    prove that each holds one root of f; else None.
+
+    The separators are -2^e, the doubles midway between neighbouring seeds,
+    and 2^e.  Where the sign of f alternates over them, none zero, each of
+    the d brackets holds an odd number of f's at most d real roots: one.
+    """
+    if len(seeds) != len(f) - 1:
+        return None
+    cuts = [-(1 << e), *(a / 2 + b / 2 for a, b in zip(seeds, seeds[1:])), 1 << e]
+    if not all(a < b for a, b in zip(cuts, cuts[1:])):  # also false at a nan
+        return None
+    points = [_dyadic(c) for c in cuts]
+    signs = [_sign(f, p) for p in points]
+    if any(s * t != -1 for s, t in zip(signs, signs[1:])):
+        return None
+    return list(zip(points, points[1:], signs, seeds))
+
+
+def _isolated(f, e):
+    """Brackets (lo, hi) holding one root of f each, where f(0) != 0, by
+    Descartes' rule of signs and bisection; lo == hi at a bisection point
+    that is a root.
+
+    A node (g, c, k) stands for the interval I = (c, c + 1) * 2^(e - k), and
+    g(t) is a positive multiple of f((c + t) * 2^(e - k)), so the roots of f
+    in I are those of g in (0, 1).  The sign variations of
+    (1 + t)^d g(1 / (1 + t)) bound their number and share its parity: 0 rules
+    I out, 1 isolates a root, more bisect I.  For square-free f this ends.
+    """
+    d = len(f) - 1
+    g = [c << (e * i) for i, c in enumerate(f)]
+    todo = [(g, 0, 0), (_taylor_shift(g, -1), -1, 0)]
+    out = []
+    while todo:
+        g, c, k = todo.pop()
+        v = _variations(_taylor_shift(g[::-1], 1))
+        if v == 1:
+            out.append(((c << e, k), ((c + 1) << e, k)))
+        elif v > 1:
+            left = [gi << (d - i) for i, gi in enumerate(g)]
+            right = _taylor_shift(left, 1)
+            if not right[0]:
+                middle = ((2 * c + 1) << e, k + 1)
+                out.append((middle, middle))
+            todo += [(left, 2 * c, k + 1), (right, 2 * c + 1, k + 1)]
+    return out
+
+
+def _taylor_shift(p, a):
+    """The coefficients of p(t + a)."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += a * p[j + 1]
+    return p
+
+
+def _variations(cs):
+    """The sign changes along cs, zeros skipped, counted up to 2."""
+    count = last = 0
+    for c in cs:
+        if c:
+            if last and (c > 0) != (last > 0):
+                count += 1
+                if count == 2:
+                    break
+            last = c
+    return count
+
+
+def _rounded(f, lo, hi, sign_lo, seed):
+    """The double nearest the one root r of f in (lo, hi), ties to even.
+
+    f has the sign ``sign_lo`` on (lo, r) and the other one on (r, hi).  The
+    search runs over doubles x for the one whose rounding cell holds r, by
+    the side of r on which the cell's upper boundary lies (the point midway
+    from x to the next double): a gallop from ``seed``, a hint polished by one
+    exact Newton step, then a bisection.  When r is such a boundary, it is
+    dyadic and rounds to the even double.
+    """
+    if lo == hi:
+        return _to_float(lo)
+    lo_x, hi_x = _to_float(lo), _to_float(hi)
+    if seed is None or not lo_x <= seed <= hi_x:
+        seed = lo_x / 2 + hi_x / 2
+    seed = _newton(f, seed, lo_x, hi_x)
+
+    def side(x):
+        """The sign of r - u, with u midway from x to the next double up."""
+        u = _middle(_dyadic(x), _dyadic(math.nextafter(x, math.inf)))
+        if not _less(lo, u):
+            return 1, u
+        if not _less(u, hi):
+            return -1, u
+        s = _sign(f, u)
+        return (s and (1 if s == sign_lo else -1)), u
+
+    # a gallop to a < b with r above a's cell and below b's upper boundary
+    s, u = side(seed)
+    a = b = seed
+    step = math.ulp(seed)
+    if s > 0:
+        while s > 0:
+            a, b = b, max(b + step, math.nextafter(b, math.inf))
+            step *= 2
+            s, u = side(b)
+    elif s < 0:
+        while s < 0:
+            a, b = min(a - step, math.nextafter(a, -math.inf)), a
+            step *= 2
+            s, u = side(a)
+    while s and math.nextafter(a, b) != b:
+        m = a / 2 + b / 2
+        if not a < m < b:
+            m = math.nextafter(a, b)
+        s, u = side(m)
+        if s > 0:
+            a = m
+        else:
+            b = m
+    return _to_float(u) if s == 0 else b
+
+
+def _newton(f, x, lo_x, hi_x):
+    """One Newton step from the double x, exact up to its final rounding;
+    x itself when the step leaves [lo_x, hi_x]."""
+    num, k = _dyadic(x)
+    p = dp = 0  # 2^(kd) f(x) and 2^(k(d - 1)) f'(x)
+    for i, c in enumerate(reversed(f)):
+        dp = dp * num + p
+        p = p * num + (c << (k * i))
+    try:
+        y = x - p / (dp << k)
+    except (OverflowError, ZeroDivisionError):
+        return x
+    return y if lo_x <= y <= hi_x else x
+
+
+def _sign(f, point):
+    """The sign of f at the point, by that of the integer 2^(kd) f(num / 2^k)."""
+    num, k = point
+    acc = 0
+    for i, c in enumerate(reversed(f)):
+        acc = acc * num + (c << (k * i))
+    return (acc > 0) - (acc < 0)
+
+
+def _dyadic(x):
+    """The exact dyadic pair of a finite double or an int."""
+    num, den = x.as_integer_ratio()
+    return num, den.bit_length() - 1
+
+
+def _middle(p, q):
+    """The point midway between the points p and q."""
+    k = max(p[1], q[1])
+    return (p[0] << (k - p[1])) + (q[0] << (k - q[1])), k + 1
+
+
+def _less(p, q):
+    """Whether the point p lies below the point q."""
+    return p[0] << q[1] < q[0] << p[1]
+
+
+def _to_float(p):
+    """The double nearest the point, ties to even (int division rounds so)."""
+    return p[0] / (1 << p[1])
 
 
 def symbolic_form(sp: SecularPolynomial) -> str:

@@ -193,7 +193,7 @@ def test_criterion_8_huckel_chain3():
         assert sp.coeffs == Polynomial([0, -2, 0, 1])
         assert symbolic_form(sp) == "(alpha-E)^3 - 2*(alpha-E)*beta^2"
         alpha, beta = -1.0, -0.5
-        levels = energy_levels(sp, alpha, beta, tol=1e-10)
+        levels = energy_levels(sp, alpha, beta)
         expected = sorted(
             [alpha + math.sqrt(2) * beta, alpha, alpha - math.sqrt(2) * beta]
         )

@@ -123,14 +123,14 @@ coefficients: 1 0 -10 0 15 0 -7 0 1
 method: bareiss
 symbolic: (alpha-E)^8 - 7*(alpha-E)^6*beta^2 + 15*(alpha-E)^4*beta^4 - 10*(alpha-E)^2*beta^6 + beta^8
 energy levels:
--1.9396926207859086
--1.7660444431189777
--1.4999999999999998
+-1.9396926207859084
+-1.766044443118978
+-1.5
 -1.1736481776669303
 -0.8263518223330697
--0.5000000000000002
--0.23395555688102232
--0.06030737921409135
+-0.5
+-0.233955556881022
+-0.06030737921409157
 """
 
 # chains of 3-16 atoms, cycles of 3-12 (1-based edges) and naphthalene
@@ -427,7 +427,7 @@ class TestHuckel:
         assert "beta" in err
 
     def test_infinite_tol_exit_2(self, capsys):
-        # an infinite tol would stop root finding at once and print wrong levels
+        # --tol no longer affects the levels, but is still validated
         code, out, err = run(
             capsys, "huckel", "--chain", "3", "--alpha", "-1.0", "--beta", "-0.5",
             "--tol", "inf",
@@ -505,17 +505,45 @@ class TestHuckel:
             main(["huckel", "--chain", "2", "--edges", "x", "--alpha", "-1", "--beta", "-1"])
         assert exc.value.code == 2
 
-    def test_no_convergence_exit_5(self, capsys, monkeypatch):
-        import exactdet.cli as cli_mod
-        from exactdet.huckel import NoConvergence
+    def test_tol_no_longer_changes_the_levels(self, capsys):
+        # --tol 1e-15 once exited 5 ("roots did not settle in 1000 sweeps")
+        argv = ["huckel", "--chain", "3", "--alpha", "-1.0", "--beta", "-0.5"]
+        default = run(capsys, *argv)
+        assert default[0] == 0
+        for tol in ("1e-15", "1e-300", "0.5"):
+            assert run(capsys, *argv, "--tol", tol) == default
 
-        def explode(*args, **kwargs):
-            raise NoConvergence("roots did not settle")
+    @pytest.mark.parametrize("tol", ["0", "-1e-10"])
+    def test_non_positive_tol_exit_2(self, capsys, tol):
+        code, out, err = run(
+            capsys, "huckel", "--chain", "3", "--alpha", "-1.0", "--beta", "-0.5", f"--tol={tol}"
+        )
+        assert (code, out, err) == (2, "", "error: tol must be positive\n")
 
-        monkeypatch.setattr(cli_mod, "energy_levels", explode)
-        code, _, err = run(capsys, "huckel", "--chain", "3", "--alpha", "-1", "--beta", "-1")
-        assert code == 5
-        assert "settle" in err
+    @pytest.mark.parametrize(
+        "atoms, edges, levels",
+        [
+            # two ethylenes: x = -1 and 1, each twice
+            (4, [(1, 2), (3, 4)], ["-1.5", "-1.5", "-0.5", "-0.5"]),
+            # two allyls: x = -sqrt(2), 0 and sqrt(2), each twice
+            (
+                6,
+                [(1, 2), (2, 3), (4, 5), (5, 6)],
+                ["-1.7071067811865475"] * 2 + ["-1.0"] * 2 + ["-0.2928932188134524"] * 2,
+            ),
+            # four unbonded atoms: x = 0 four times
+            (4, [], ["-1.0"] * 4),
+        ],
+        ids=["two-ethylenes", "two-allyls", "four-atoms"],
+    )
+    def test_disconnected_pi_systems(self, capsys, tmp_path, atoms, edges, levels):
+        # Durand-Kerner printed 2 of the ethylenes' 4 levels, 4 of the allyls' 6
+        # and four different values for the unbonded atoms, all with exit 0
+        f = tmp_path / "parts.edges"
+        f.write_text(f"atoms {atoms}\n" + "".join(f"edge {i} {j}\n" for i, j in edges))
+        code, out, err = run(capsys, "huckel", "--edges", str(f), "--alpha", "-1.0", "--beta", "-0.5")
+        assert (code, err) == (0, "")
+        assert out.split("energy levels:\n")[1].split() == levels
 
 
 class TestClosedStdout:

@@ -1,12 +1,16 @@
+import itertools
 import math
+import random
+from collections import Counter
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
+from exactdet import huckel
 from exactdet.huckel import (
-    NoConvergence,
     PiSystem,
     SecularPolynomial,
-    durand_kerner,
     energy_levels,
     secular_matrix,
     secular_polynomial,
@@ -19,6 +23,129 @@ from exactdet.ring import Polynomial
 X = Polynomial([0, 1])
 ONE = Polynomial([1])
 ZERO = Polynomial([])
+
+
+# Exact references: closed forms evaluated in 60-digit Decimal arithmetic,
+# then rounded once by float(), which rounds a Decimal correctly.
+
+
+def _decimal_pi():
+    # the series from the decimal module's documentation
+    with localcontext() as ctx:
+        ctx.prec = 64
+        t, s, n, na, d, da, last = Decimal(3), Decimal(3), 1, 0, 0, 24, 0
+        while s != last:
+            last = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+        return s
+
+
+def _decimal_cos(x):
+    with localcontext() as ctx:
+        ctx.prec = 64
+        term, s, i, last = Decimal(1), Decimal(1), 0, 0
+        while s != last:
+            last = s
+            i += 2
+            term *= -x * x / (i * (i - 1))
+            s += term
+        return s
+
+
+PI = _decimal_pi()
+
+
+def _doubles(values):
+    """Each value rounded to the nearest double; the series leave ~1e-60 for 0."""
+    return sorted(0.0 if abs(v) < Decimal("1e-40") else float(v) for v in values)
+
+
+def chain_roots(n):
+    """Roots x of det(xI + A) for the n-atom chain: -2cos(k pi / (n + 1))."""
+    with localcontext() as ctx:
+        ctx.prec = 64
+        return _doubles(-2 * _decimal_cos(k * PI / (n + 1)) for k in range(1, n + 1))
+
+
+def cycle_roots(n):
+    """Roots x for the n-atom cycle: -2cos(2 pi k / n), degenerate pairs included."""
+    with localcontext() as ctx:
+        ctx.prec = 64
+        return _doubles(-2 * _decimal_cos(2 * PI * k / n) for k in range(n))
+
+
+def cycle(n):
+    return PiSystem.from_edges(n, [(k, (k + 1) % n) for k in range(n)])
+
+
+NAPHTHALENE = PiSystem.from_edges(
+    10,
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (4, 6), (6, 7), (7, 8), (8, 9), (9, 5)],
+)
+# Hückel levels alpha + x_k beta of naphthalene as tabulated to four digits
+# (Coulson and Streitwieser, Dictionary of pi-Electron Calculations, 1965)
+NAPHTHALENE_PUBLISHED = [2.3028, 1.6180, 1.3028, 1.0, 0.6180,
+                         -0.6180, -1.0, -1.3028, -1.6180, -2.3028]
+
+
+def acene(k):
+    """k linearly fused hexagons: two rows of 2k + 1 atoms, each bonded as a
+    path, with rungs at the even positions; 4k + 2 atoms, 5k + 1 bonds."""
+    m = 2 * k + 1
+    edges = [(r * m + j, r * m + j + 1) for r in (0, 1) for j in range(m - 1)]
+    edges += [(j, m + j) for j in range(0, m, 2)]
+    return PiSystem.from_edges(2 * m, edges)
+
+
+def c60():
+    """Buckminsterfullerene as the truncated icosahedron: one atom on each
+    directed edge u->v of the icosahedron, bonded to v->u and to u->w for
+    the two w adjacent to both u and v; 60 atoms, 90 bonds, degree 3."""
+    phi = (1 + math.sqrt(5)) / 2
+    vertices = []
+    for a, b in itertools.product((1, -1), repeat=2):
+        base = (0, a, b * phi)
+        vertices += [base[r:] + base[:r] for r in range(3)]
+
+    def adjacent(u, v):
+        return abs(sum((p - q) ** 2 for p, q in zip(vertices[u], vertices[v])) - 4) < 1e-9
+
+    arcs = [(u, v) for u in range(12) for v in range(12) if u != v and adjacent(u, v)]
+    atom = {arc: i for i, arc in enumerate(arcs)}
+    edges = [(atom[u, v], atom[v, u]) for u, v in arcs if u < v]
+    edges += [(atom[u, v], atom[u, w]) for u, v in arcs for w in range(v + 1, 12)
+              if (u, w) in atom and adjacent(v, w)]
+    return PiSystem.from_edges(60, edges)
+
+
+def triangles(system):
+    return sum(
+        system.adjacent(i, j) and system.adjacent(j, k) and system.adjacent(i, k)
+        for i, j, k in itertools.combinations(range(system.n_atoms), 3)
+    )
+
+
+MOLECULES = {
+    "anthracene": acene(3),
+    "pentacene": acene(5),
+    "octacene": acene(8),
+    "c60": c60(),
+    "cycle3": cycle(3),  # one triangle
+    "k4": PiSystem.from_edges(4, itertools.combinations(range(4), 2)),  # four triangles
+}
+
+
+@pytest.fixture(scope="module")
+def spectra():
+    """name -> (system, secular polynomial, roots x); C60's polynomial takes ~1 s."""
+    out = {}
+    for name, system in MOLECULES.items():
+        sp = secular_polynomial(system)
+        out[name] = (system, sp, energy_levels(sp, 0.0, -1.0))  # E = x exactly
+    return out
 
 
 class TestPiSystem:
@@ -134,26 +261,6 @@ class TestSecularPolynomial:
         )
 
 
-class TestDurandKerner:
-    def test_quadratic(self):
-        roots = sorted(r.real for r in durand_kerner([-1, 0, 1]))
-        assert roots == pytest.approx([-1.0, 1.0], abs=1e-12)
-
-    def test_residuals_below_tol(self):
-        coeffs = [0, -2, 0, 1]  # x^3 - 2x
-        for r in durand_kerner(coeffs, tol=1e-10):
-            val = ((r * r * r) - 2 * r)
-            assert abs(val) < 1e-10
-
-    def test_degree_one(self):
-        (root,) = durand_kerner([3, 1])
-        assert abs(root - (-3)) < 1e-12
-
-    def test_iteration_cap(self):
-        with pytest.raises(NoConvergence):
-            durand_kerner([0, -2, 0, 1], tol=1e-10, max_iterations=2)
-
-
 class TestEnergyLevels:
     def test_chain3_closed_form(self):
         alpha, beta = -1.0, -0.5
@@ -181,9 +288,144 @@ class TestEnergyLevels:
         with pytest.raises(ValueError):
             energy_levels(secular_polynomial(PiSystem.chain(2)), -1.0, 0.0)
 
-    def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            energy_levels(secular_polynomial(PiSystem.chain(2)), -1.0, -1.0, tol=0.0)
+
+def roots_of(coeffs):
+    """Roots x of the polynomial with ``coeffs`` (lowest first), as levels at
+    alpha 0, beta -1, which are x exactly."""
+    return energy_levels(SecularPolynomial(Polynomial(coeffs)), 0.0, -1.0)
+
+
+class TestExactRoots:
+    """Every root is the double nearest the exact one, listed once per
+    multiplicity; no tolerance decides anything."""
+
+    def test_quadratic(self):
+        assert roots_of([-1, 0, 1]) == [-1.0, 1.0]
+
+    def test_chain3_correctly_rounded(self):
+        # x^3 - 2x; math.sqrt rounds correctly
+        assert roots_of([0, -2, 0, 1]) == [-math.sqrt(2), 0.0, math.sqrt(2)]
+
+    def test_degree_one(self):
+        assert roots_of([3, 1]) == [-3.0]
+
+    def test_rational_coefficients(self):
+        assert roots_of([Fraction(-1, 4), 0, 1]) == [-0.5, 0.5]
+
+    def test_multiplicities(self):
+        # (x - 1)^3 (x + 2)^2 x^4
+        p = Polynomial([1])
+        for root, m in ((1, 3), (-2, 2), (0, 4)):
+            for _ in range(m):
+                p = p * Polynomial([-root, 1])
+        assert roots_of(p.coeffs) == [-2.0] * 2 + [0.0] * 4 + [1.0] * 3
+
+    def test_only_real_roots_give_levels(self):
+        assert roots_of([-1, 0, 0, 0, 1]) == [-1.0, 1.0]  # x^4 - 1
+        assert roots_of([1, 0, 1]) == []  # x^2 + 1
+        assert roots_of([5]) == []
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, -1, -3])
+    def test_ties_round_to_even(self, k):
+        # the root 1 + k 2^-53 of 2^53 x - (2^53 + k); odd k puts it midway
+        # between two doubles (or, for k = -1, at a double)
+        root = Fraction(2**53 + k, 2**53)
+        assert roots_of([-(2**53 + k), 2**53]) == [float(root)]
+
+    def test_near_ties(self):
+        # 3 (2^53 x - 2^53 - 1) +- 1: a root a third of an ulp off a tie
+        for delta in (1, -1):
+            coeffs = [-3 * (2**53 + 1) + delta, 3 * 2**53]
+            root = Fraction(3 * (2**53 + 1) - delta, 3 * 2**53)
+            assert roots_of(coeffs) == [float(root)]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_chain(self, n):
+        assert energy_levels(secular_polynomial(PiSystem.chain(n)), 0.0, -1.0) == chain_roots(n)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cycle(self, n):
+        # degenerate pairs for every n > 2, once dropped or blurred
+        assert energy_levels(secular_polynomial(cycle(n)), 0.0, -1.0) == cycle_roots(n)
+
+    def test_naphthalene(self):
+        levels = energy_levels(secular_polynomial(NAPHTHALENE), 0.0, 1.0)  # E = -x
+        with localcontext() as ctx:
+            ctx.prec = 60
+            r5, r13 = Decimal(5).sqrt(), Decimal(13).sqrt()
+            exact = [(1 + r13) / 2, (1 + r5) / 2, (r13 - 1) / 2, Decimal(1), (r5 - 1) / 2]
+        assert levels == _doubles(exact + [-v for v in exact])
+        assert levels == pytest.approx(sorted(NAPHTHALENE_PUBLISHED), abs=5e-5)
+
+    def test_physical_parameters(self):
+        alpha, beta = -1.0, -0.5
+        levels = energy_levels(secular_polynomial(cycle(6)), alpha, beta)
+        assert levels == sorted(alpha - beta * x for x in cycle_roots(6))
+        assert levels == [-2.0, -1.5, -1.5, -0.5, -0.5, 0.0]
+
+
+class TestMoleculesAtScale:
+    @pytest.mark.parametrize("name", sorted(MOLECULES))
+    def test_power_sums(self, spectra, name):
+        system, _, xs = spectra[name]
+        assert len(xs) == system.n_atoms  # the multiplicities sum to n
+        scale = system.n_atoms * 9
+        assert abs(math.fsum(xs)) <= 1e-13 * scale
+        assert math.fsum(x * x for x in xs) == pytest.approx(2 * len(system.edges), rel=1e-13)
+        assert math.fsum(x**3 for x in xs) == pytest.approx(
+            -6 * triangles(system), abs=1e-12 * scale
+        )
+
+    def test_c60_levels(self, spectra):
+        system, _, xs = spectra["c60"]
+        assert (system.n_atoms, len(system.edges)) == (60, 90)
+        multiplicities = Counter(xs)
+        assert len(multiplicities) == 15
+        assert set(multiplicities.values()) == {1, 3, 4, 5, 9}
+        # the 9 is the accidental 4 + 5 at x = -1, that is E = alpha + beta
+        assert multiplicities[-1.0] == 9 and multiplicities[-3.0] == 1
+
+    @pytest.mark.parametrize("k, atoms, bonds", [(3, 14, 16), (5, 22, 26), (8, 34, 41)])
+    def test_acene_shape(self, k, atoms, bonds):
+        system = acene(k)
+        assert (system.n_atoms, len(system.edges)) == (atoms, bonds)
+
+
+def _garbage(kind, seeds):
+    rng = random.Random(kind)
+
+    def fake(f, e):
+        d = len(f) - 1
+        return {
+            "none": [],
+            "nan": [math.nan] * d,
+            "one-value": [1e300] * d,
+            "uniform": sorted(rng.uniform(-4.0, 4.0) for _ in range(d)),
+            "too-many": sorted(rng.uniform(-4.0, 4.0) for _ in range(d + 1)),
+            "offset": [s + 1e-3 for s in seeds(f, e)],
+        }[kind]
+
+    return fake
+
+
+@pytest.mark.parametrize("kind", ["none", "nan", "one-value", "uniform", "too-many", "offset"])
+def test_float_seeds_are_only_hints(monkeypatch, spectra, kind):
+    """Garbage seeds change no level: the exact steps decide every root, by
+    the Descartes fallback where the seeds do not certify."""
+    cases = [sp for _, sp, _ in spectra.values()] + [
+        secular_polynomial(s) for s in (PiSystem.chain(10), cycle(10), NAPHTHALENE)
+    ]
+    cases.append(SecularPolynomial(Polynomial([-(2**53 + 3), 2**53])))
+    expected = [energy_levels(sp, 0.0, -1.0) for sp in cases]
+    fallbacks = []
+    isolated = huckel._isolated
+    monkeypatch.setattr(huckel, "_seeds", _garbage(kind, huckel._seeds))
+    monkeypatch.setattr(huckel, "_isolated", lambda f, e: fallbacks.append(f) or isolated(f, e))
+    assert [energy_levels(sp, 0.0, -1.0) for sp in cases] == expected
+    if kind != "offset":
+        assert fallbacks
 
 
 class TestSymbolicForm:
