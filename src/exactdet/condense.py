@@ -54,6 +54,9 @@ Mitigation plans are tried in a fixed order so results are reproducible:
 2. cyclic row rotations by 1 .. n-1 positions,
 3. cyclic column rotations,
 4. combined row and column rotations,
+   but when the zero set accepts no rotation, n >= 10 and at least n^2 / 3
+   entries are zero, the order ends here: such sparse inputs all but never
+   condense, and their repairs cost several eliminations,
 5. additive repair: for each surviving interior zero, add a row (or failing
    that, a column) holding a nonzero entry at the offending position, with
    the scale escalating 1, 2, 3, ... on repeated failure at one position.
@@ -94,11 +97,13 @@ plus n per additive-repair operation (the n entries it computes and
 re-tests).  Once that exceeds two clean runs' muldiv it stops, so a run that
 falls back has made n^2 zero tests on its input, at most two clean runs of
 attempts and one last attempt, cheaper than a clean run, before its one
-elimination.  It raises ``FallbackRequired`` then, or when mitigation runs
-out of plans, so callers can switch to elimination: ``elimination_det``,
-fraction-free elimination with ``bareiss_det``'s pivots and op counts, run
-in every ring on the same native rows the kernel condenses, whose
-intermediates are minors, not connected ones, of the scaled rows.
+elimination; one that falls back because the sparse rule ended the plan
+order before any attempt has made only its n^2 zero tests.  It raises
+``FallbackRequired`` then, or when mitigation runs out of plans, so callers
+can switch to elimination: ``elimination_det``, fraction-free elimination
+with ``bareiss_det``'s pivots and op counts, run in every ring on the same
+native rows the kernel condenses, whose intermediates are minors, not
+connected ones, of the scaled rows.
 """
 
 from __future__ import annotations
@@ -523,7 +528,9 @@ def _plans(zeros, n: int):
     """The plans that may clear the interior of an n x n matrix whose zeros
     are at ``zeros``, in the documented order: the rotations it accepts,
     then every additive repair.  A row shift's column shifts are found when
-    the order first reaches it, all of them before the first repair."""
+    the order first reaches it, all of them before the first repair.  When
+    no rotation is accepted, n >= 10 and at least n^2 / 3 entries are zero,
+    it raises UnremovableZero instead of offering a repair."""
     shifts = []
     for r in range(n):
         shifts.append(_column_shifts(zeros, n, r))
@@ -533,6 +540,11 @@ def _plans(zeros, n: int):
         for c in sorted(cs):
             if c:
                 yield ("rot", r, c)
+    if n >= 10 and 3 * len(zeros) >= n * n and not any(shifts):
+        raise UnremovableZero(
+            "no rotation clears the interior, n >= 10 and at least n^2/3"
+            " entries are zero: additive repair is not tried"
+        )
     for salt in range(n):
         yield ("add", salt)
 
@@ -545,7 +557,8 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
     A rotation permutes ``a``'s own entries.  Additive repair computes on a
     copy of ``a``'s rows, with factors from ``a[0, 0].from_int``, and logs
     its operations as it applies them.  Raises UnremovableZero when no plan
-    succeeds.
+    succeeds, and, with its own message, before any repair when no rotation
+    is accepted, n >= 10 and at least n^2 / 3 entries are zero.
     """
     if not a.is_square:
         raise TooSmall("mitigation needs a square matrix")
@@ -588,7 +601,9 @@ def condensation_det(a: Matrix):
     its failed attempts and C for its clean run, and a fallback at most 2C
     plus its last failed attempt, which stops before a clean run's last
     division.  Raises FallbackRequired when W exceeds 2C or mitigation runs
-    out of plans.
+    out of plans; on a sparse input that no rotation clears, n >= 10 and at
+    least n^2 / 3 entries zero, mitigation offers no plan at all, so the run
+    falls back after only its n^2 zero tests.
     """
     if not a.is_square:
         raise ValueError("condensation needs a square matrix")

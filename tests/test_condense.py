@@ -1257,6 +1257,23 @@ def counted_mitigations(monkeypatch):
     return plans
 
 
+def counted_repairs(monkeypatch):
+    """The salts of the ``_additive_repair`` calls made while the returned
+    list is alive."""
+    salts = []
+    original = condense._additive_repair
+
+    def counting(rows, zeros, salt, ring):
+        salts.append(salt)
+        return original(rows, zeros, salt, ring)
+
+    monkeypatch.setattr(condense, "_additive_repair", counting)
+    return salts
+
+
+# the FallbackRequired message of a sparse input that no rotation clears
+SHORTCUT = "no rotation clears the interior, n >= 10 and at least n\\^2/3 entries are zero"
+
 # sparse entries: one in four is zero, so rotations, repairs, restarts and
 # fallbacks are common
 sparse = st.sampled_from([0, 0, 1, -1, 2, -2, 3, -3])
@@ -1287,17 +1304,21 @@ class TestWorkBudget:
         assert det == bareiss_det(m)
         assert trace.ops.muldiv <= 3 * clean_muldiv(m.n_rows)
 
-    @pytest.mark.parametrize(
-        "system", [PiSystem.chain(8), PiSystem.chain(10), NAPHTHALENE], ids=["chain8", "chain10", "naphthalene"]
-    )
-    def test_huckel_mitigation_calls(self, monkeypatch, system):
+    @pytest.mark.parametrize("system, message, tried", [
         # every attempt is an additive repair that stops at a zero divisor;
         # the budget ends the run after three of them, where the cap of 2n
-        # restarts made 8, 10 and 10 attempts
+        # restarts made 8 attempts
+        (PiSystem.chain(8), "exceeds 2C", [("add", 0), ("add", 1), ("add", 2)]),
+        # no rotation clears them and most entries are zero, so no repair
+        # plan is tried, where the budget ended the run after three
+        (PiSystem.chain(10), SHORTCUT, []),
+        (NAPHTHALENE, SHORTCUT, []),
+    ], ids=["chain8", "chain10", "naphthalene"])
+    def test_huckel_mitigation_calls(self, monkeypatch, system, message, tried):
         plans = counted_mitigations(monkeypatch)
-        with pytest.raises(FallbackRequired, match="exceeds 2C"):
+        with pytest.raises(FallbackRequired, match=message):
             condensation_det(secular_matrix(system))
-        assert plans == [("add", 0), ("add", 1), ("add", 2)]
+        assert plans == tried
 
     def test_chain6_still_condenses_after_one_restart(self, monkeypatch):
         plans = counted_mitigations(monkeypatch)
@@ -1335,6 +1356,102 @@ class TestWorkBudget:
         assert tried == [("rot", 2, 1), ("add", 0), ("add", 1)]
         assert det == bareiss_det(m)
         assert trace.ops.muldiv == 61 + 67 + clean_muldiv(5)
+
+
+def rotation_accepted(m):
+    return any(condense._column_shifts(m.zeros, m.n_rows, r) for r in range(m.n_rows))
+
+
+def shortcut_applies(m):
+    n = m.n_rows
+    return n >= 10 and 3 * len(m.zeros) >= n * n and not rotation_accepted(m)
+
+
+def auto_det(m):
+    """What the ``auto`` method computes: condensation, else elimination."""
+    try:
+        return condensation_det(m)[0]
+    except FallbackRequired:
+        return condense.elimination_det(m)
+
+
+def with_zeros_at(rng, n, count):
+    """An n x n integer matrix with ``count`` zeros at seeded positions."""
+    zeros = set(rng.sample(range(n * n), count))
+    return int_matrix(
+        [[0 if i * n + j in zeros else rng.choice([1, -1, 2, -2, 3, -3]) for j in range(n)] for i in range(n)]
+    )
+
+
+def cross10(rng):
+    """A 10 x 10 integer matrix whose 34 zeros fill rows and columns 4 and 5
+    but for (4, 4) and (5, 5): the rotation ("rot", 5, 5) clears them."""
+    return int_matrix([
+        [0 if (i in (4, 5) or j in (4, 5)) and i != j else rng.choice([1, -1, 2, -2, 3, -3]) for j in range(10)]
+        for i in range(10)
+    ])
+
+
+class TestSparseShortcut:
+    """From n = 10, an input that no rotation clears and whose entries are
+    at least a third zeros falls back before any additive repair."""
+
+    @pytest.mark.parametrize("m", [
+        with_zeros_at(random.Random("zeros-34"), 10, 34),
+        parse_matrix((FIXTURES / "sparse10.txt").read_text()),
+    ], ids=["34-zeros", "sparse10"])
+    def test_falls_back_before_any_attempt(self, monkeypatch, m):
+        assert shortcut_applies(m)
+        plans, salts = counted_mitigations(monkeypatch), counted_repairs(monkeypatch)
+        with pytest.raises(FallbackRequired, match=SHORTCUT) as info:
+            condensation_det(m)
+        assert isinstance(info.value.__cause__, UnremovableZero)
+        assert (plans, salts) == ([], [])
+        assert auto_det(m) == bareiss_det(m)
+
+    # each fails exactly one condition of the rule, so repair is still tried
+    @pytest.mark.parametrize("m, zeros, rotation", [
+        # n = 9: a band of width 3, 56 zeros
+        (int_matrix([[int(abs(i - j) <= 1) for j in range(9)] for i in range(9)]), 56, False),
+        # n = 10 and no rotation, but 33 zeros, just under n^2/3
+        (with_zeros_at(random.Random("zeros-33"), 10, 33), 33, False),
+        # n = 10 and 34 zeros, but ("rot", 5, 5) clears them; it stops at a
+        # zero divisor and the repairs follow
+        (cross10(random.Random("cross10")), 34, True),
+    ], ids=["n9", "33-zeros", "rotation"])
+    def test_boundary_still_repairs(self, monkeypatch, m, zeros, rotation):
+        assert (len(m.zeros), rotation_accepted(m)) == (zeros, rotation)
+        assert not shortcut_applies(m)
+        plans, salts = counted_mitigations(monkeypatch), counted_repairs(monkeypatch)
+        try:
+            det = condensation_det(m)[0]
+        except FallbackRequired as e:
+            assert "exceeds 2C" in str(e)
+            det = condense.elimination_det(m)
+        assert salts[:1] == [0]
+        assert plans[0] == (("rot", 5, 5) if rotation else ("add", 0))
+        assert det == bareiss_det(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(10, 14).flatmap(lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 1, -1, 2, -2]), min_size=n, max_size=n), min_size=n, max_size=n,
+        )),
+        rational=st.booleans(),
+    )
+    def test_auto_equals_bareiss_and_shortcuts_repair_nothing(self, rows, rational):
+        # entries a third zeros, so draws fall on both sides of the rule
+        if rational:
+            m = Matrix([[ExactRational(x, 1 + (i + j) % 3) for j, x in enumerate(r)] for i, r in enumerate(rows)])
+        else:
+            m = int_matrix(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            salts = counted_repairs(mp)
+            assert auto_det(m) == bareiss_det(m)
+        if shortcut_applies(m):
+            assert salts == []
+            with pytest.raises(FallbackRequired, match=SHORTCUT):
+                condensation_det(m)
 
 
 entry = st.integers(min_value=-9, max_value=9)

@@ -147,7 +147,8 @@ def test_matches_bareiss_at_n_1_and_2(m):
 
 
 @pytest.mark.parametrize(
-    "name", ["falls_back4.txt", "rational_falls_back4.txt", "real_falls_back4.txt", "over_budget5.txt"]
+    "name",
+    ["falls_back4.txt", "rational_falls_back4.txt", "real_falls_back4.txt", "over_budget5.txt", "sparse10.txt"],
 )
 def test_cli_fallback_prints_what_bareiss_prints(name, capsys):
     path = str(FIXTURES / name)
@@ -167,4 +168,15 @@ def test_cli_over_budget_condense_exits_4(capsys):
     assert err == (
         "error: condensation gave up: the work W charged to failed attempts"
         " exceeds 2C, C being a clean run's muldiv\n"
+    )
+
+
+def test_cli_sparse_condense_exits_4(capsys):
+    # no rotation clears sparse10 and 36 of its 100 entries are zero, so
+    # condensation gives up before any additive repair
+    assert main(["det", str(FIXTURES / "sparse10.txt"), "--method", "condense"]) == 4
+    err = capsys.readouterr().err
+    assert err == (
+        "error: condensation gave up: no rotation clears the interior, n >= 10"
+        " and at least n^2/3 entries are zero: additive repair is not tried\n"
     )

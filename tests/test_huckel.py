@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactdet import huckel
+from exactdet import condense, huckel
 from exactdet.huckel import (
     PiSystem,
     SecularPolynomial,
@@ -17,7 +17,7 @@ from exactdet.huckel import (
     symbolic_form,
 )
 from exactdet.matrix import Matrix, ParseError
-from exactdet.oracle import cofactor_det
+from exactdet.oracle import bareiss_det, cofactor_det
 from exactdet.ring import Polynomial
 
 X = Polynomial([0, 1])
@@ -249,6 +249,22 @@ class TestSecularPolynomial:
         # trace of the adjacency is zero, so the x^(n-1) coefficient vanishes
         cs = secular_polynomial(PiSystem.chain(n)).coeffs.coeffs
         assert cs[n - 1] == 0
+
+    @pytest.mark.parametrize("system", [
+        PiSystem.chain(10), cycle(10), NAPHTHALENE, acene(5), cycle(30),
+    ], ids=["chain10", "cycle10", "naphthalene", "pentacene", "cycle30"])
+    def test_sparse_molecules_skip_additive_repair(self, monkeypatch, system):
+        # no rotation clears their zeros, n >= 10 and most entries are zero,
+        # so they go straight to elimination, with no repair tried
+        repairs = []
+        original = condense._additive_repair
+        monkeypatch.setattr(
+            condense, "_additive_repair", lambda *args: repairs.append(args) or original(*args)
+        )
+        sp = secular_polynomial(system)
+        assert repairs == []
+        assert sp.method == "bareiss"
+        assert sp.coeffs == bareiss_det(secular_matrix(system))
 
     def test_coefficients_are_ints(self):
         # the secular matrix lives in Z[x], and so do condensation's and
