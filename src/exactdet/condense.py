@@ -11,11 +11,11 @@ intermediate stays an integer.
 
 The stage kernel, ``_condense_rows``, computes only the recurrence: the 2x2
 minors of native values (see ``ring.NativeRing``) and their exact quotients
-by the ring's ``divide``.  ``condensation_det`` unwraps the mitigated matrix
-once per attempt, keeps only the previous two stages as native rows and
-wraps only the result.  A ``CondensationTrace`` stores stage 0; when first
-read, its stages are read off a repeat of the run's own kernel rows, and its
-pre-division matrices are the 2x2 minors of each stage in the matrix's ring.
+by the ring's ``divide``.  ``condensation_det`` reads the mitigated matrix's
+native rows, keeps only the previous two stages and wraps only the result.
+A ``CondensationTrace`` stores stage 0; when first read, its stages are read
+off a repeat of the run's own kernel rows, and its pre-division matrices are
+the 2x2 minors of each stage in the matrix's ring.
 ``condense_step`` is the scalar reference: one round computed with the
 scalars' own ``*``, ``-`` and ``exact_div``, independent of the kernel.
 
@@ -46,7 +46,8 @@ starts; if a zero only surfaces in a later stage, ``condensation_det``
 restarts from the original matrix under the next untried transform.  Swap
 parity is tracked in a ``MitigationLog`` whose sign multiplies the final
 result.  One function, ``_apply_operation``, applies a logged operation to a
-list of row lists in place; additive repair and ``replay_log`` both use it.
+list of row lists in place: additive repair on native values, with the
+ring's ``add_scaled``, and ``replay_log`` on scalars.
 
 Mitigation plans are tried in a fixed order so results are reproducible:
 
@@ -84,11 +85,10 @@ attempt is charged once, a stopped one through minor (i, j) of stage k + 2
 but not its division, a complete one through stage n - 1.
 
 Mitigation reads the input's zero set once, ``Matrix.zeros``, which every
-attempt of a run shares, and converts no value.  A rotation permutes the
-input's own entries.  Additive repair computes on them, in their own ring,
-and re-tests only the row or column each operation changed, by the zero
-rule of ``Matrix.zeros``; the entries it does not change stay the input's
-own objects.
+attempt of a run shares, and wraps no value but the repair's factors.  A
+rotation permutes the input's native rows.  Additive repair computes on
+them, and re-tests only the row or column each operation changed, by the
+zero rule of ``Matrix.zeros``.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``.  ``condensation_det`` also bounds the work of failed
@@ -109,6 +109,7 @@ connected ones, of the scaled rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm, prod
@@ -119,7 +120,6 @@ from .ring import (
     POLYNOMIALS,
     RATIONALS,
     DivisionByZero,
-    ExactRational,
     InexactDivision,
     NativeRing,
     format_scalar,
@@ -179,17 +179,14 @@ class MitigationLog:
         return f"MitigationLog({list(self.operations)!r}, plan={self.plan!r})"
 
 
-def _apply_operation(rows: list, op: tuple) -> None:
-    """Apply one ``MitigationLog`` operation to a list of rows of scalars, in place.
+def _apply_operation(rows: list, op: tuple, add_scaled) -> None:
+    """Apply one ``MitigationLog`` operation to a list of row lists, in place.
 
-    Indices come from the log, which ``replay_log`` takes from its caller, so
-    they are checked: an index outside the matrix (negative ones included)
-    or equal source and destination raises IndexOutOfRange, and an unknown
-    kind raises ValueError.  An addition skips a falsy source entry, whose
-    scaled sum is the destination entry.  Only the zero ``Polynomial`` is
-    falsy; the number scalars define no ``__bool__``, so every number entry
-    is computed, and a -0.0 real destination over a 0.0 source still
-    becomes 0.0.
+    An addition's new row or column is ``add_scaled(dst, c, src)``, with the
+    operation's factor c, on scalars or native values.  Indices come from the
+    log, which ``replay_log`` takes from its caller, so they are checked: an
+    index outside the matrix (negative ones included) or equal source and
+    destination raises IndexOutOfRange, and an unknown kind raises ValueError.
     """
     kind = op[0]
     if kind in ("swap_rows", "add_scaled_row"):
@@ -210,13 +207,16 @@ def _apply_operation(rows: list, op: tuple) -> None:
         for r in rows:
             r[src], r[dst] = r[dst], r[src]
     elif kind == "add_scaled_row":
-        c = op[3]
-        rows[dst] = [d + c * s if s else d for d, s in zip(rows[dst], rows[src])]
+        rows[dst] = add_scaled(rows[dst], op[3], rows[src])
     else:
-        c = op[3]
-        for r in rows:
-            if r[src]:
-                r[dst] = r[dst] + c * r[src]
+        column = add_scaled([r[dst] for r in rows], op[3], [r[src] for r in rows])
+        for r, x in zip(rows, column):
+            r[dst] = x
+
+
+def _add_scaled_scalars(dst, c, src):
+    # only the zero Polynomial is falsy: every number entry is computed
+    return [d + c * s if s else d for d, s in zip(dst, src)]
 
 
 @dataclass(frozen=True)
@@ -243,15 +243,14 @@ class CondensationTrace:
 
     @cached_property
     def stages(self) -> tuple:
-        rows, ring, decode = _kernel_input(self.mitigated)
-        later = _stage_rows(rows, ring.divide)
-        return (self.mitigated,) + tuple(Matrix(decode(s, k)) for k, s in enumerate(later, 1))
+        rows, kernel, decode = _kernel_input(self.mitigated)
+        ring, later = self.mitigated.native_ring, _stage_rows(rows, kernel.divide)
+        return (self.mitigated,) + tuple(Matrix(decode(s, k), ring) for k, s in enumerate(later, 1))
 
     @cached_property
     def starred(self) -> tuple:
-        ring = self.mitigated.native_ring
-        minors = (_condense_rows(ring.unwrap(s.rows()), None, None) for s in self.stages[1:-1])
-        return tuple(Matrix([list(map(ring.wrap, r)) for r in m]) for m in minors)
+        ring, stages = self.mitigated.native_ring, self.stages[1:-1]
+        return tuple(Matrix(_condense_rows(s.native_rows, None, None), ring) for s in stages)
 
 
 def _condense_rows(current, divisor, divide) -> list:
@@ -346,25 +345,23 @@ def _packed_rows(rows):
 
 
 def _kernel_input(a0: Matrix):
-    """The native rows and ring the kernel condenses ``a0`` on, and the
-    decoder that turns its stage k, ``decode(stage, k)``, into rows of
-    ``a0``'s ring.
+    """The native rows, as new lists, and ring the kernel condenses ``a0``
+    on, and the decoder that turns its stage k, ``decode(stage, k)``, into
+    native rows of ``a0``'s ring.
 
     Rational rows have their denominators cleared and polynomial rows are
     packed, so both run on the integer ring, and row i of stage k decodes
-    divided by L_i ... L_{i+k}.  Integer and real rows run as they are and
-    decode by their ring's ``wrap``.
+    divided by L_i ... L_{i+k}.  Integer and real rows run as they are.
     """
-    ring = a0.native_ring
-    rows = ring.unwrap(a0.rows())
+    ring, rows = a0.native_ring, a0.native_rows
     if ring is RATIONALS:
         rows, scales = _cleared_rows(rows)
-        entry = ExactRational
+        entry = Fraction
     elif ring is POLYNOMIALS:
         rows, width, scales = _packed_rows(rows)
         entry = lambda v, s: unpack_polynomial(v, width, s)
     else:
-        return rows, ring, lambda stage, k: [list(map(ring.wrap, r)) for r in stage]
+        return [list(r) for r in rows], ring, lambda stage, k: stage
 
     def decode(stage, k):
         scaled = (prod(scales[i : i + k + 1]) for i in range(len(stage)))
@@ -410,7 +407,7 @@ def elimination_det(a: Matrix, ops: OpCount | None = None):
         if prev is not None:
             ops.divs += entries
         prev = p
-    return decode([[sign * rows[-1][-1]]], n - 1)[0][0]
+    return a.native_ring.wrap(decode([[sign * rows[-1][-1]]], n - 1)[0][0])
 
 
 def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:
@@ -458,33 +455,33 @@ def _rotation_swaps(n: int, row_shift: int, col_shift: int) -> list:
 
 
 def _additive_repair(rows, zeros: set, salt: int, ring: NativeRing) -> list:
-    """Clear the interior zeros of the rows of scalars ``rows``, of the ring
+    """Clear the interior zeros of the native rows ``rows``, of the ring
     ``ring``, by adding scaled rows/columns, in place; return the operations.
 
     ``zeros`` holds every (i, j) where ``rows`` has a zero.  It picks the
     zero to clear and its source, and is kept current by re-testing only
     the row or column an operation changed, with the zero rule of
-    ``Matrix.zeros``: ``ring.is_zero`` on the unwrapped entries, so reals
-    are judged at the matrix tolerance.  Each factor is a constant made by
-    ``rows[0][0].from_int``, and each operation is applied by
-    ``_apply_operation``, the applier ``replay_log`` uses.  ``salt`` shifts
-    the starting factor so successive restart rounds produce distinct
-    transforms.  Raises UnremovableZero when a zero has no nonzero source in
-    its row or column, or when the repair budget runs out.
+    ``Matrix.zeros``, ``ring.is_zero``, so reals are judged at the matrix
+    tolerance.  Each operation adds k times its source for an int k, applied
+    by ``_apply_operation`` with ``ring.add_scaled``, and is logged with the
+    scalar constant k of the ring, the factor ``replay_log`` applies.
+    ``salt`` shifts the starting factor so successive restart rounds produce
+    distinct transforms.  Raises UnremovableZero when a zero has no nonzero
+    source in its row or column, or when the repair budget runs out.
     """
     n = len(rows)
     interior = [(i, j) for i in range(1, n - 1) for j in range(1, n - 1)]
-    const, attempts, ops = rows[0][0].from_int, {}, []
+    attempts, ops = {}, []
     for _ in range(4 * n * n):
         zero_at = next((p for p in interior if p in zeros), None)
         if zero_at is None:
             return ops
         i, j = zero_at
         attempts[zero_at] = attempts.get(zero_at, 0) + 1
-        c = const(salt + attempts[zero_at])
+        k = salt + attempts[zero_at]
         src = next((s for s in range(n) if s != i and (s, j) not in zeros), None)
         if src is not None:
-            op = ("add_scaled_row", src, i, c)
+            op = ("add_scaled_row", src, i, k)
             changed = [(i, t) for t in range(n)]
         else:
             src = next((t for t in range(n) if t != j and (i, t) not in zeros), None)
@@ -492,16 +489,15 @@ def _additive_repair(rows, zeros: set, salt: int, ring: NativeRing) -> list:
                 raise UnremovableZero(
                     f"interior zero at ({i}, {j}) has no nonzero row or column source"
                 )
-            op = ("add_scaled_col", src, j, c)
+            op = ("add_scaled_col", src, j, k)
             changed = [(s, j) for s in range(n)]
-        _apply_operation(rows, op)
-        ops.append(op)
-        values = ring.unwrap([[rows[s][t] for s, t in changed]])[0]
-        for p, x in zip(changed, values):
-            if ring.is_zero(x):
-                zeros.add(p)
+        _apply_operation(rows, op, ring.add_scaled)
+        ops.append(op[:3] + (ring.wrap(ring.constant(k)),))
+        for s, t in changed:
+            if ring.is_zero(rows[s][t]):
+                zeros.add((s, t))
             else:
-                zeros.discard(p)
+                zeros.discard((s, t))
     raise UnremovableZero("additive repair budget exhausted")
 
 
@@ -554,30 +550,29 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
 
     Plans are tried in the fixed order documented at module level, judged on
     ``a.zeros``; ``exclude`` skips plans already consumed by earlier restarts.
-    A rotation permutes ``a``'s own entries.  Additive repair computes on a
-    copy of ``a``'s rows, with factors from ``a[0, 0].from_int``, and logs
-    its operations as it applies them.  Raises UnremovableZero when no plan
-    succeeds, and, with its own message, before any repair when no rotation
-    is accepted, n >= 10 and at least n^2 / 3 entries are zero.
+    A rotation permutes ``a``'s native rows.  Additive repair computes on a
+    copy of them, and logs its operations as it applies them.  Raises
+    UnremovableZero when no plan succeeds, and, with its own message, before
+    any repair when no rotation is accepted, n >= 10 and at least n^2 / 3
+    entries are zero.
     """
     if not a.is_square:
         raise TooSmall("mitigation needs a square matrix")
     if a.n_rows < 3:
         raise TooSmall("mitigation needs n >= 3 (smaller sizes have no interior)")
-    excluded = set(exclude)
+    excluded, ring, entries = set(exclude), a.native_ring, a.native_rows
     for plan in _plans(a.zeros, a.n_rows):
         if plan in excluded:
             continue
         if plan[0] == "add":
-            rows = [list(r) for r in a.rows()]
-            ops = _additive_repair(rows, set(a.zeros), plan[1], a.native_ring)
-            return Matrix(rows), MitigationLog(ops, plan)
+            rows = [list(r) for r in entries]
+            ops = _additive_repair(rows, set(a.zeros), plan[1], ring)
+            return Matrix(rows, ring), MitigationLog(ops, plan)
         _, r, c = plan
         if r == c == 0:
             return a, MitigationLog((), plan)
-        entries = a.rows()
         rotated = [row[c:] + row[:c] for row in entries[r:] + entries[:r]]
-        return Matrix(rotated), MitigationLog(_rotation_swaps(a.n_rows, r, c), plan)
+        return Matrix(rotated, ring), MitigationLog(_rotation_swaps(a.n_rows, r, c), plan)
     raise UnremovableZero("every mitigation plan failed or was excluded")
 
 
@@ -586,12 +581,12 @@ def condensation_det(a: Matrix):
 
     Runs mitigation first (for n >= 3; smaller sizes have no interior),
     restarts under a fresh plan whenever a zero divisor appears mid-run, and
-    multiplies the result by the accumulated swap sign.  Each attempt
-    unwraps the mitigated matrix once, keeps two live stages of native values
-    and wraps only the result; an attempt ends at the stage whose interior
-    holds its zero divisor.  A rational attempt runs on integer rows, each
-    row times the lcm of its denominators, and divides by the product of
-    those scales once (see ``_cleared_rows``).
+    multiplies the result by the accumulated swap sign.  Each attempt reads
+    the mitigated matrix's native rows, keeps two live stages and wraps only
+    the result; an attempt ends at the stage whose interior holds its zero
+    divisor.  A rational attempt runs on integer rows, each row times the
+    lcm of its denominators, and divides by the product of those scales once
+    (see ``_cleared_rows``).
 
     The work spent on failed attempts is bounded in the op counter's units.
     Each failed attempt adds to a tally W the muldiv ``_charge`` charged it
@@ -652,8 +647,7 @@ def condensation_det(a: Matrix):
         else:
             _charge(ops, n, n - 1)
             result = decode(stage, k)[0][0]
-            if log.sign < 0:
-                result = -result
+            result = a0.native_ring.wrap(-result if log.sign < 0 else result)
             return result, CondensationTrace(a0, log, ops, tuple(restarts), warning)
 
 
@@ -661,7 +655,7 @@ def replay_log(a: Matrix, log: MitigationLog) -> Matrix:
     """Re-apply a mitigation log to a matrix (trace reproducibility)."""
     rows = [list(r) for r in a.rows()]
     for op in log.operations:
-        _apply_operation(rows, op)
+        _apply_operation(rows, op, _add_scaled_scalars)
     return Matrix(rows)
 
 

@@ -1,10 +1,11 @@
-"""Dense matrices of ring scalars, with the submatrix vocabulary the
+"""Dense matrices over one ring, with the submatrix vocabulary the
 condensation algorithm is phrased in.
 
-A ``Matrix`` is an immutable rectangular array whose entries all live in one
-ring; nothing is mutated in place, so a condensation trace can keep every
-intermediate stage intact.  Elementary row and column operations are not
-methods here: ``condense.replay_log`` applies them from a ``MitigationLog``.
+A ``Matrix`` is an immutable rectangular array of native values of one ring,
+scalars only on demand; nothing is mutated in place, so a condensation trace
+can keep every intermediate stage intact.  Elementary row and column
+operations are not methods here: ``condense.replay_log`` applies them from a
+``MitigationLog``.
 
 Submatrix terms used throughout the package:
 
@@ -20,7 +21,13 @@ Submatrix terms used throughout the package:
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .ring import (
+    DEFAULT_TOLERANCE,
+    INTEGERS,
+    RATIONALS,
     ApproxReal,
     ExactInteger,
     ExactRational,
@@ -28,6 +35,7 @@ from .ring import (
     format_scalar,
     native_ring,
     parse_scalar,
+    real_ring,
 )
 
 
@@ -50,40 +58,50 @@ class ParseError(ValueError):
 
 
 class Matrix:
-    """An immutable matrix of scalars from one ring.  ``native_ring``, their
-    ``ring.NativeRing``, is found when the matrix is built, and ``zeros``, the
-    (i, j) whose entry ``native_ring.is_zero`` counts as zero, on first read."""
+    """An immutable matrix over one ring: ``native_rows`` of native values
+    and their ``ring.NativeRing``, ``native_ring``.  ``Matrix(rows)`` checks
+    the ring of rows of scalars once, unwraps them once and keeps them for
+    ``rows()``; ``Matrix(rows, ring)`` takes native rows of ``ring`` and wraps
+    its scalars on the first ``rows()`` or ``m[i, j]``.  ``zeros``, the (i, j)
+    whose entry ``native_ring.is_zero`` counts as zero, is read once."""
 
-    __slots__ = ("n_rows", "n_cols", "_rows", "native_ring", "_zeros")
+    __slots__ = ("n_rows", "n_cols", "native_rows", "native_ring", "_rows", "_zeros")
 
-    def __init__(self, rows):
+    def __init__(self, rows, ring=None):
         rows = tuple(tuple(r) for r in rows)
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        # raises TypeError unless all entries share one ring
-        self.native_ring = native_ring(rows)
+        self._rows = None
+        if ring is None:
+            # raises TypeError unless all entries share one ring
+            ring = native_ring(rows)
+            self._rows, rows = rows, ring.unwrap(rows)
+        self.native_ring = ring
+        self.native_rows = rows
         self.n_rows = len(rows)
         self.n_cols = width
-        self._rows = rows
         self._zeros = None
 
     @property
     def zeros(self) -> frozenset:
         if self._zeros is None:
-            ring, values = self.native_ring, self.native_ring.unwrap(self._rows)
+            ring, rows = self.native_ring, self.native_rows
             self._zeros = frozenset(
-                (i, j) for i, r in enumerate(values) for j, x in enumerate(r) if ring.is_zero(x)
+                (i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if ring.is_zero(x)
             )
         return self._zeros
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
-        return self._rows[i][j]
+        return self.rows()[i][j]
 
     def rows(self):
+        if self._rows is None:
+            wrap = self.native_ring.wrap
+            self._rows = tuple(tuple(map(wrap, r)) for r in self.native_rows)
         return self._rows
 
     @property
@@ -91,18 +109,19 @@ class Matrix:
         return self.n_rows == self.n_cols
 
     def __eq__(self, other):
+        # natively 1 == Fraction(1) == 1.0: the type of an entry names the ring
         return (
             isinstance(other, Matrix)
-            and self.n_rows == other.n_rows
-            and self._rows == other._rows
+            and type(self.native_rows[0][0]) is type(other.native_rows[0][0])
+            and self.native_rows == other.native_rows
         )
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash((type(self.native_rows[0][0]), self.native_rows))
 
     def __repr__(self):
         body = "; ".join(
-            " ".join(format_scalar(e) for e in row) for row in self._rows
+            " ".join(format_scalar(e) for e in row) for row in self.rows()
         )
         return f"<Matrix {self.n_rows}x{self.n_cols} [{body}]>"
 
@@ -123,15 +142,15 @@ class Matrix:
         if left_col < 0 or left_col + size > self.n_cols:
             raise IndexOutOfRange(f"cols [{left_col}, {left_col + size}) out of range")
         return Matrix(
-            r[left_col : left_col + size]
-            for r in self._rows[top_row : top_row + size]
+            (r[left_col : left_col + size] for r in self.native_rows[top_row : top_row + size]),
+            self.native_ring,
         )
 
     def interior(self) -> "Matrix":
         """The matrix with first/last rows and columns deleted."""
         if self.n_rows < 3 or self.n_cols < 3:
             raise TooSmall("interior needs at least 3 rows and 3 columns")
-        return Matrix(r[1:-1] for r in self._rows[1:-1])
+        return Matrix((r[1:-1] for r in self.native_rows[1:-1]), self.native_ring)
 
     def delete_row_col(self, i: int, j: int) -> "Matrix":
         """Minor with row i and column j removed."""
@@ -140,7 +159,8 @@ class Matrix:
         self._check_row(i)
         self._check_col(j)
         return Matrix(
-            r[:j] + r[j + 1 :] for k, r in enumerate(self._rows) if k != i
+            (r[:j] + r[j + 1 :] for k, r in enumerate(self.native_rows) if k != i),
+            self.native_ring,
         )
 
 
@@ -165,7 +185,7 @@ def adjugate(a: Matrix, det_fn) -> Matrix:
 
 def int_matrix(rows) -> Matrix:
     """Build an ExactInteger matrix from plain ints (test/benchmark helper)."""
-    return Matrix([[ExactInteger(v) for v in r] for r in rows])
+    return Matrix([[int(v) for v in r] for r in rows], INTEGERS)
 
 
 def parse_matrix(text: str) -> Matrix:
@@ -201,9 +221,11 @@ def parse_matrix(text: str) -> Matrix:
                 header = (n, m)
                 lines = lines[1:]
 
-    tokens = [t for _, toks in lines for t in toks]
-    has_rational = any("/" in t for t in tokens)
-    has_real = any(("." in t or "e" in t or "E" in t) and "/" not in t for t in tokens)
+    # the file's ring, with each token classified by parse_scalar's rule
+    flat = " ".join(t for _, toks in lines for t in toks)
+    has_rational = "/" in flat
+    unslashed = (t for _, toks in lines for t in toks if "/" not in t) if has_rational else (flat,)
+    has_real = any("." in t or "e" in t or "E" in t for t in unslashed)
     if has_rational and has_real:
         raise ParseError("file mixes rational and real tokens")
 
@@ -222,19 +244,23 @@ def parse_matrix(text: str) -> Matrix:
         return s
 
     def read_lines():
-        # an integer file reads each token with one int(); any token that
-        # refuses it is read again, with its error and line, by parse_scalar
-        if not (has_rational or has_real):
-            try:
-                return [[ExactInteger._result(int(t)) for t in toks] for _, toks in lines]
-            except ValueError:
-                pass
-        return [[read(lineno, t) for t in toks] for lineno, toks in lines]
+        # each token is read straight into its native value, with one int()
+        # on an integer file; if any token refuses, the file is read again
+        # by parse_scalar, which raises with that token's error and line
+        ring, native = (
+            (RATIONALS, _rational_token) if has_rational
+            else (real_ring(DEFAULT_TOLERANCE), _real_token) if has_real else (INTEGERS, int)
+        )
+        try:
+            return [list(map(native, toks)) for _, toks in lines], ring
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return [[read(lineno, t) for t in toks] for lineno, toks in lines], None
 
     if header:
         n, m = header
-        flat = [s for r in read_lines() for s in r]
-        rows = [flat[i * m : (i + 1) * m] for i in range(n)]
+        rows, ring = read_lines()
+        entries = [s for r in rows for s in r]
+        rows = [entries[i * m : (i + 1) * m] for i in range(n)]
     else:
         widths = {len(toks) for _, toks in lines}
         if len(widths) != 1:
@@ -242,8 +268,20 @@ def parse_matrix(text: str) -> Matrix:
                 f"rows have differing entry counts {sorted(widths)}",
                 line=lines[0][0],
             )
-        rows = read_lines()
-    return Matrix(rows)
+        rows, ring = read_lines()
+    return Matrix(rows, ring)
+
+
+def _rational_token(t: str) -> Fraction:
+    num, slash, den = t.partition("/")
+    return Fraction(int(num), int(den)) if slash else Fraction(int(t))
+
+
+def _real_token(t: str) -> float:
+    value = float(t) if "." in t or "e" in t or "E" in t else float(int(t))
+    if not math.isfinite(value):
+        raise ValueError(f"bad real token {t!r}")
+    return value
 
 
 def format_matrix(a: Matrix) -> str:

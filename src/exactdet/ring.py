@@ -37,16 +37,16 @@ division, on a failure, raises through ``integer_quotient``.  The number
 scalars share their arithmetic, ``==`` and ``hash`` through ``_Number``, and
 ``native_ring`` is the one check that entries share a ring.
 
-The condensation stage kernel does not compute on these wrappers.  A
-``NativeRing`` describes one matrix's ring, and the kernel works on native
-``int`` and ``float`` values; rational and polynomial matrices reach it as
-integers (see ``condense``), and ``RATIONALS`` and ``POLYNOMIALS`` give
-their ``Fraction`` and ``Polynomial`` entries to mitigation and traces.  A
-real matrix has one zero tolerance, the largest among its entries, where
-scalar arithmetic gives each result the larger tolerance of its two
-operands.  The two agree when every entry has the same tolerance, which
-``parse_matrix`` always gives.  With mixed tolerances, every stage entry and
-the determinant carry the matrix's tolerance, and every zero test and division
+Nothing on the hot path computes on these wrappers.  A ``Matrix`` holds
+native ``int``, ``Fraction``, ``float`` or ``Polynomial`` values with their
+``NativeRing``, and wraps them only where a public API returns a scalar;
+the kernel condenses rational and polynomial matrices as integers (see
+``condense``).  A real matrix has one zero tolerance, the largest among its
+entries, where scalar arithmetic gives each result the larger tolerance of
+its two operands.  The two agree when every entry has the same tolerance,
+which ``parse_matrix`` always gives.  With mixed tolerances, the determinant
+and every entry wrapped from native rows, of a stage, a submatrix or a
+mitigated matrix, carry the matrix's tolerance, and every zero test and division
 warning of the kernel uses it: a divisor below that tolerance counts as zero,
 and forces a restart, even where the tolerances of its own operands are
 smaller.  ``NativeRing.is_zero`` is that zero test on one native number;
@@ -349,20 +349,28 @@ class Polynomial(Scalar):
         return terms_text(self.coeffs, lambda k: power_text("x", k))
 
 
+def _add_scaled_polynomials(dst, k, src):
+    return [d + Polynomial._result([k * c for c in s.coeffs]) if s else d for d, s in zip(dst, src)]
+
+
 class NativeRing(NamedTuple):
     """One matrix's ring, for arithmetic on native values.
 
-    The stage kernel computes on ``int`` and ``float`` values rather than
-    on one ``Scalar`` wrapper per entry.  ``unwrap(rows)`` gives the native
-    rows of a matrix, ``wrap(value)`` the scalar of one native value, and
-    ``divide(row, divisors)``, in the rings the kernel divides in, a whole
-    row's exact quotients, raising ``DivisionByZero`` or ``InexactDivision``
-    when one fails.  ``tolerance`` is the zero tolerance of a real matrix,
-    else None.
+    ``unwrap(rows)`` gives the native rows of rows of scalars, where scalars
+    come in, and ``wrap(value)`` the scalar of one native value, where one
+    goes out.  ``constant(k)`` is the int k as a native value, and
+    ``add_scaled(dst, k, src)`` the row dst + k * src for an int k: every
+    number entry is computed, so -0.0 + 1 * 0.0 is 0.0, and polynomials scale
+    coefficients, skipping a zero source.  ``divide(row, divisors)``, in the
+    rings the kernel divides in, gives a whole row's exact quotients, raising
+    ``DivisionByZero`` or ``InexactDivision`` when one fails.  ``tolerance``
+    is the zero tolerance of a real matrix, else None.
     """
 
     unwrap: Callable
     wrap: Callable
+    constant: Callable
+    add_scaled: Callable = lambda dst, k, src: [d + k * s for d, s in zip(dst, src)]
     divide: Callable | None = None
     tolerance: float | None = None
 
@@ -389,22 +397,19 @@ def native_ring(rows) -> NativeRing:
         for e in r:
             if type(e) is not kind:
                 first._same_ring(e)
-    if kind is ExactInteger:
-        return INTEGERS
-    if kind is ExactRational:
-        return RATIONALS
-    if kind is Polynomial:
-        return POLYNOMIALS
-    tol = max(e.tolerance for r in rows for e in r)
-    return NativeRing(_values, lambda v: ApproxReal(v, tol), lambda r, ds: _divide_reals(r, ds, tol), tol)
+    if kind is ApproxReal:
+        return real_ring(max(e.tolerance for r in rows for e in r))
+    return {ExactInteger: INTEGERS, ExactRational: RATIONALS, Polynomial: POLYNOMIALS}[kind]
+
+
+def real_ring(tolerance: float) -> NativeRing:
+    """The ring of a real matrix whose zero tolerance is ``tolerance``."""
+    wrap, divide = lambda v: ApproxReal(v, tolerance), lambda r, ds: _divide_reals(r, ds, tolerance)
+    return NativeRing(_values, wrap, float, divide=divide, tolerance=tolerance)
 
 
 def _values(rows):
-    return [[e.value for e in r] for r in rows]
-
-
-def _same(x):
-    return x
+    return tuple(tuple([e.value for e in r]) for r in rows)
 
 
 # Kronecker substitution: a polynomial f with integer coefficients is the
@@ -477,9 +482,10 @@ def _divide_reals(row, divisors, tolerance):
 
 # The integer ring, which the kernel also condenses rational and polynomial
 # matrices on; the kernel never divides in those two rings' own forms.
-INTEGERS = NativeRing(_values, ExactInteger._result, _divide_integers)
-RATIONALS = NativeRing(_values, ExactRational._result)
-POLYNOMIALS = NativeRing(_same, _same)
+INTEGERS = NativeRing(_values, ExactInteger._result, int, divide=_divide_integers)
+RATIONALS = NativeRing(_values, ExactRational._result, Fraction)
+# a polynomial scalar is its own native value
+POLYNOMIALS = NativeRing(tuple, lambda p: p, lambda k: Polynomial([k]), _add_scaled_polynomials)
 
 
 def _coefficient(c):

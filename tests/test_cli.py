@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from exactdet import cli
+from exactdet import cli, condense
+from exactdet import ring as ring_module
 from exactdet.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -322,6 +323,70 @@ class TestDet:
         assert code == 0
         assert out == "0\n"
         assert "bareiss" in err
+
+
+# each file rotates, restarts and then condenses through additive repair
+HOT_PATH_FILES = {
+    "integer": (
+        "1 2 1 -1 2 3\n1 2 1 0 0 -1\n3 -1 1 1 2 -1\n"
+        "1 3 3 2 -1 0\n3 -1 -1 0 2 0\n1 3 2 3 3 3\n",
+        "493",
+    ),
+    "rational": (
+        "0 0 1 1 1\n1 1 -1 3/2 2/3\n1/3 1/2 0 3/2 -1/3\n0 3/2 1 -1/2 2\n2/3 3 1 1 -1/2\n",
+        "101/24",
+    ),
+    "real": (
+        "0.5 1.0 0.5 -0.5 1.0 1.5\n0.5 1.0 0.5 0.0 0.0 -0.5\n1.5 -0.5 0.5 0.5 1.0 -0.5\n"
+        "0.5 1.5 1.5 1.0 -0.5 0.0\n1.5 -0.5 -0.5 0.0 1.0 0.0\n0.5 1.5 1.0 1.5 1.5 1.5\n",
+        "7.703125",
+    ),
+}
+
+
+class TestNoWrapperOnTheHotPath:
+    @pytest.mark.parametrize("ring", sorted(HOT_PATH_FILES))
+    def test_det_wraps_only_the_result_and_the_repair_factors(self, capsys, monkeypatch, tmp_path, ring):
+        text, det = HOT_PATH_FILES[ring]
+        path = tmp_path / f"{ring}.txt"
+        path.write_text(text)
+        logs = []
+        mitigate = condense.mitigate_interior_zeros
+
+        def logging_mitigation(a, exclude=()):
+            out = mitigate(a, exclude=exclude)
+            logs.append(out[1])
+            return out
+
+        # every number scalar is made by an __init__ or by _Number._result
+        # (ApproxReal._result calls __init__); the rings hold bound methods,
+        # so the calls are counted by their code, not by patching the classes
+        makers = {
+            ring_module._Number._result.__func__.__code__,
+            ring_module.ExactInteger.__init__.__code__,
+            ring_module.ExactRational.__init__.__code__,
+            ring_module.ApproxReal.__init__.__code__,
+        }
+        made = []
+
+        def counting(frame, event, arg):
+            if event == "call" and frame.f_code in makers:
+                made.append(frame.f_code)
+
+        monkeypatch.setattr(condense, "mitigate_interior_zeros", logging_mitigation)
+        previous = sys.getprofile()
+        sys.setprofile(counting)
+        try:
+            code, out, _ = run(capsys, "det", str(path))
+        finally:
+            sys.setprofile(previous)
+        monkeypatch.undo()
+        assert (code, out) == (0, det + "\n")
+        plans = [log.plan for log in logs]
+        assert plans[0][0] == "rot" and plans[0] != ("rot", 0, 0) and plans[-1][0] == "add"
+        factors = [op[3] for log in logs for op in log.operations if op[0].startswith("add")]
+        assert factors
+        assert len(made) == 1 + len(factors)
 
 
 class TestBench:

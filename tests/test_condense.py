@@ -59,13 +59,14 @@ def clean_adds(n):
 
 @contextlib.contextmanager
 def matrices_built(monkeypatch):
-    """Collects one entry per ``Matrix`` constructed inside the block."""
+    """Collects one entry per ``Matrix`` constructed inside the block, from
+    scalars or from native rows."""
     built = []
     original = Matrix.__init__
 
-    def counting_init(self, rows):
+    def counting_init(self, rows, ring=None):
         built.append(1)
-        original(self, rows)
+        original(self, rows, ring)
 
     monkeypatch.setattr(Matrix, "__init__", counting_init)
     try:
@@ -453,20 +454,27 @@ class TestMitigation:
         assert len(calls) == 3 and all(a is m for a in calls)
         assert len(tested) == 64
 
-    @pytest.mark.parametrize("field", ["integer", "rational"])
-    def test_number_repair_keeps_untouched_entries(self, field):
-        # the 8x8 checkerboard (rationals: over 3) needs 6 row additions;
-        # every entry outside the rows they changed is the input's own object
-        entry = {"integer": ExactInteger, "rational": lambda v: ExactRational(v, 3)}[field]
-        m = Matrix([[entry((i + j) % 2) for j in range(8)] for i in range(8)])
-        out, log = mitigate_interior_zeros(m)
-        assert log.plan == ("add", 0)
-        changed = {op[2] for op in log.operations}
-        assert all(op[0] == "add_scaled_row" for op in log.operations) and changed
+    @pytest.mark.parametrize("kind", RINGS)
+    @given(data=st.data())
+    def test_repair_matches_the_scalar_reference(self, kind, data):
+        # sparse draws in every ring, with random plans excluded: the
+        # mitigation on native rows logs what the scalar reference logs,
+        # factors included, and its matrix is that log replayed on scalars
+        m = data.draw(sparse_matrices(SPARSE_ENTRIES[kind]))
+        n = m.n_rows
+        plans = rotation_order(n) + [("add", salt) for salt in range(n)]
+        exclude = data.draw(st.lists(st.sampled_from(plans), unique=True))
+        try:
+            expected = reference_mitigation(m, exclude)
+        except UnremovableZero:
+            with pytest.raises(UnremovableZero):
+                mitigate_interior_zeros(m, exclude=exclude)
+            return
+        out, log = mitigate_interior_zeros(m, exclude=exclude)
+        assert (log.plan, log.operations) == (expected.plan, expected.operations)
+        assert repr(log) == repr(expected)
         assert out == replay_log(m, log)
-        for i in range(8):
-            for j in range(8):
-                assert (out[i, j] is m[i, j]) == (i not in changed)
+        assert entry_reprs(out) == entry_reprs(replay_log(m, log))
 
     def test_mixed_tolerance_repair_judges_at_the_matrix_tolerance(self):
         # the matrix tolerance is 1e-3, from (2, 2); every other entry has
@@ -1277,6 +1285,16 @@ SHORTCUT = "no rotation clears the interior, n >= 10 and at least n\\^2/3 entrie
 # sparse entries: one in four is zero, so rotations, repairs, restarts and
 # fallbacks are common
 sparse = st.sampled_from([0, 0, 1, -1, 2, -2, 3, -3])
+
+
+# about two entries in five are zero, and reals include -0.0 and 1e-12,
+# which is zero at the default tolerance
+SPARSE_ENTRIES = {
+    "integer": st.sampled_from([0, 0, 1, -1, 2]).map(ExactInteger),
+    "rational": st.builds(ExactRational, st.sampled_from([0, 0, 1, -1, 2]), st.integers(1, 3)),
+    "real": st.sampled_from([0.0, -0.0, 1e-12, 0.5, -1.5, 2.0]).map(ApproxReal),
+    "polynomial": st.sampled_from([(), (), (1,), (0, 1), (-1, 2), (Fraction(1, 2),)]).map(Polynomial),
+}
 
 
 def sparse_matrices(entry):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -299,6 +300,54 @@ class TestTextFormat:
         rows = [list(r) for r in expected]
         rows[1][1] = value
         assert parse_matrix(text) == Matrix(rows)
+
+    @pytest.mark.parametrize(
+        "ring, token",
+        [
+            ("rational", t)
+            for t in ["1_000/3", "+5/-7", "٣/4", "1/0", "1/2/3", "1.5/2", "7" * 5000 + "/3",
+                      "/3", "5", "-0", "nan", "0x10", "nan/2"]
+        ]
+        + [
+            ("real", t)
+            for t in ["-0.0", "1e400", "inf", "nan", "0x10", "1_0.5", "-2.5E-3", "7", "-0",
+                      "9" * 400, "7" * 5000, "+12"]
+        ],
+    )
+    @pytest.mark.parametrize("header", [False, True])
+    def test_rational_and_real_tokens_read_as_parse_scalar_reads_them(self, ring, token, header):
+        # the token sits at entry (1, 1), on line 2 in both layouts; the
+        # reference reads every token with parse_scalar and promotes an
+        # integer to the file's ring
+        first = ["1/2", "2", "3"] if ring == "rational" else ["0.5", "2.0", "3.0"]
+        rest = ["4", token, "6", "7", "8", "9"]
+        if header:
+            text = f"3 3\n{' '.join(first + rest[:2])}\n{' '.join(rest[2:])}\n"
+        else:
+            text = "\n".join(" ".join(r) for r in [first, rest[:3], rest[3:]]) + "\n"
+
+        def reference(t):
+            s = parse_scalar(t)
+            if isinstance(s, ExactInteger):
+                return ExactRational(s.value) if ring == "rational" else ApproxReal(float(s.value))
+            return s
+
+        try:
+            entries = [reference(t) for t in first + rest]
+        except (ValueError, OverflowError) as e:
+            message = str(e) if isinstance(e, ValueError) else "integer token too large for a real"
+            with pytest.raises(ParseError) as err:
+                parse_matrix(text)
+            assert str(err.value) == f"line 2: {message}"
+            assert err.value.line == 2
+            return
+        expected = Matrix([entries[:3], entries[3:6], entries[6:]])
+        m = parse_matrix(text)
+        assert m == expected
+        assert [type(e) for r in m.rows() for e in r] == [type(e) for e in entries]
+        if ring == "real":
+            signs = [[math.copysign(1.0, e.value) for e in r] for r in m.rows()]
+            assert signs == [[math.copysign(1.0, e.value) for e in r] for r in expected.rows()]
 
     @pytest.mark.parametrize(
         "text",
