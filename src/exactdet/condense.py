@@ -15,7 +15,8 @@ by the ring's ``divide``.  ``condensation_det`` reads the mitigated matrix's
 native rows, keeps only the previous two stages and wraps only the result.
 A ``CondensationTrace`` stores stage 0; when first read, its stages are read
 off a repeat of the run's own kernel rows, and its pre-division matrices are
-the 2x2 minors of each stage in the matrix's ring.
+the 2x2 minors of each stage in the matrix's ring.  ``render_trace`` prints
+them from their native rows by the ring's text rule, wrapping no scalar.
 ``condense_step`` is the scalar reference: one round computed with the
 scalars' own ``*``, ``-`` and ``exact_div``, independent of the kernel.
 
@@ -114,7 +115,7 @@ from functools import cached_property
 from itertools import chain
 from math import lcm, prod
 
-from .matrix import IndexOutOfRange, Matrix, TooSmall
+from .matrix import IndexOutOfRange, Matrix, TooSmall, text_rows
 from .ring import (
     INTEGERS,
     POLYNOMIALS,
@@ -382,7 +383,7 @@ def elimination_det(a: Matrix, ops: OpCount | None = None):
     ``ops`` is charged per eliminated entry two multiplications, one
     addition and, from the second step on, one division, step by step, so a
     zero column stops it with ``bareiss_det``'s partial counts and returns
-    ``a[0, 0].from_int(0)``.
+    the zero of ``a``'s ring, the one scalar it builds.
     """
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
@@ -393,7 +394,7 @@ def elimination_det(a: Matrix, ops: OpCount | None = None):
         if ring.is_zero(rows[k][k]):
             i = next((i for i in range(k + 1, n) if not ring.is_zero(rows[i][k])), None)
             if i is None:
-                return a[0, 0].from_int(0)
+                return a.native_ring.wrap(a.native_ring.constant(0))
             rows[k], rows[i] = rows[i], rows[k]
             sign = -sign
         p, top = rows[k][k], rows[k][k + 1 :]
@@ -659,12 +660,6 @@ def replay_log(a: Matrix, log: MitigationLog) -> Matrix:
     return Matrix(rows)
 
 
-def _matrix_body(m: Matrix) -> str:
-    return "\n".join(
-        " ".join(format_scalar(e) for e in row) for row in m.rows()
-    )
-
-
 def render_trace(trace: CondensationTrace) -> str:
     """Serialize a trace: stage blocks, restart notes, mitigation log, sign."""
     n = trace.mitigated.n_rows
@@ -672,9 +667,9 @@ def render_trace(trace: CondensationTrace) -> str:
     for k, stage in enumerate(trace.stages):
         if k >= 2:
             lines.append(f"stage {k} (pre-division)")
-            lines.append(_matrix_body(trace.starred[k - 2]))
+            lines.extend(text_rows(trace.starred[k - 2]))
         lines.append(f"stage {k} ({n - k} x {n - k})")
-        lines.append(_matrix_body(stage))
+        lines.extend(text_rows(stage))
     for stage_k, pos in trace.restarts:
         lines.append(f"restart: zero divisor at stage {stage_k}, minor ({pos[0]}, {pos[1]})")
     for op in trace.mitigation.operations:

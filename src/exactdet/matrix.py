@@ -3,9 +3,10 @@ condensation algorithm is phrased in.
 
 A ``Matrix`` is an immutable rectangular array of native values of one ring,
 scalars only on demand; nothing is mutated in place, so a condensation trace
-can keep every intermediate stage intact.  Elementary row and column
-operations are not methods here: ``condense.replay_log`` applies them from a
-``MitigationLog``.
+can keep every intermediate stage intact.  ``text_rows`` prints it by its
+ring's text rule on native values (``ring.NativeRing.text``).  Elementary row
+and column operations are not methods here: ``condense.replay_log`` applies
+them from a ``MitigationLog``.
 
 Submatrix terms used throughout the package:
 
@@ -32,7 +33,6 @@ from .ring import (
     ExactInteger,
     ExactRational,
     Scalar,
-    format_scalar,
     native_ring,
     parse_scalar,
     real_ring,
@@ -120,10 +120,7 @@ class Matrix:
         return hash((type(self.native_rows[0][0]), self.native_rows))
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(format_scalar(e) for e in row) for row in self.rows()
-        )
-        return f"<Matrix {self.n_rows}x{self.n_cols} [{body}]>"
+        return f"<Matrix {self.n_rows}x{self.n_cols} [{'; '.join(text_rows(self))}]>"
 
     def _check_row(self, i):
         if not 0 <= i < self.n_rows:
@@ -284,13 +281,20 @@ def _real_token(t: str) -> float:
     return value
 
 
+def text_rows(a: Matrix) -> list:
+    """Each row of ``a`` as text, its native values formatted by the ring's
+    text rule and separated by spaces; every printer of a matrix uses it."""
+    text = a.native_ring.text
+    return [" ".join(map(text, r)) for r in a.native_rows]
+
+
 def format_matrix(a: Matrix) -> str:
     """Render a matrix in the text format, always with the ``n m`` header.
 
     A 1 x 2 matrix puts its entries on two lines: ``1 2`` over one line of
     two would read back as a square matrix.
     """
-    body = [" ".join(format_scalar(e) for e in row) for row in a.rows()]
+    body = text_rows(a)
     if (a.n_rows, a.n_cols) == (1, 2):
         body = body[0].split()
     return "\n".join([f"{a.n_rows} {a.n_cols}", *body]) + "\n"

@@ -35,7 +35,9 @@ rule of the reals.  A scalar's ``exact_div`` calls them, and the kernel's
 ``NativeRing.divide`` applies their rules to a whole row: the integer row
 division, on a failure, raises through ``integer_quotient``.  The number
 scalars share their arithmetic, ``==`` and ``hash`` through ``_Number``, and
-``native_ring`` is the one check that entries share a ring.
+``native_ring`` is the one check that entries share a ring.  Each ring's text
+rule on native values, ``NativeRing.text``, is stated once too; every printer
+and ``format_scalar`` apply it, and rationals print ``p/q`` even for q = 1.
 
 Nothing on the hot path computes on these wrappers.  A ``Matrix`` holds
 native ``int``, ``Fraction``, ``float`` or ``Polynomial`` values with their
@@ -358,7 +360,8 @@ class NativeRing(NamedTuple):
 
     ``unwrap(rows)`` gives the native rows of rows of scalars, where scalars
     come in, and ``wrap(value)`` the scalar of one native value, where one
-    goes out.  ``constant(k)`` is the int k as a native value, and
+    goes out.  ``text(value)`` is one native value in the text syntax
+    ``parse_scalar`` reads.  ``constant(k)`` is the int k as a native value, and
     ``add_scaled(dst, k, src)`` the row dst + k * src for an int k: every
     number entry is computed, so -0.0 + 1 * 0.0 is 0.0, and polynomials scale
     coefficients, skipping a zero source.  ``divide(row, divisors)``, in the
@@ -370,6 +373,7 @@ class NativeRing(NamedTuple):
     unwrap: Callable
     wrap: Callable
     constant: Callable
+    text: Callable
     add_scaled: Callable = lambda dst, k, src: [d + k * s for d, s in zip(dst, src)]
     divide: Callable | None = None
     tolerance: float | None = None
@@ -405,7 +409,7 @@ def native_ring(rows) -> NativeRing:
 def real_ring(tolerance: float) -> NativeRing:
     """The ring of a real matrix whose zero tolerance is ``tolerance``."""
     wrap, divide = lambda v: ApproxReal(v, tolerance), lambda r, ds: _divide_reals(r, ds, tolerance)
-    return NativeRing(_values, wrap, float, divide=divide, tolerance=tolerance)
+    return NativeRing(_values, wrap, float, repr, divide=divide, tolerance=tolerance)
 
 
 def _values(rows):
@@ -478,14 +482,6 @@ def _divide_reals(row, divisors, tolerance):
     if any(abs(d) < bound for d in divisors):
         raise DivisionByZero("real division by (near-)zero")
     return [x / d for x, d in zip(row, divisors)]
-
-
-# The integer ring, which the kernel also condenses rational and polynomial
-# matrices on; the kernel never divides in those two rings' own forms.
-INTEGERS = NativeRing(_values, ExactInteger._result, int, divide=_divide_integers)
-RATIONALS = NativeRing(_values, ExactRational._result, Fraction)
-# a polynomial scalar is its own native value
-POLYNOMIALS = NativeRing(tuple, lambda p: p, lambda k: Polynomial([k]), _add_scaled_polynomials)
 
 
 def _coefficient(c):
@@ -562,6 +558,20 @@ def _text_int(text: str) -> int:
         return -value if text[0] == "-" else value
 
 
+def _fraction_text(f: Fraction) -> str:
+    return f"{_int_text(f.numerator)}/{_int_text(f.denominator)}"
+
+
+# The integer ring, which the kernel also condenses rational and polynomial
+# matrices on; the kernel never divides in those two rings' own forms.
+INTEGERS = NativeRing(_values, ExactInteger._result, int, _int_text, divide=_divide_integers)
+RATIONALS = NativeRing(_values, ExactRational._result, Fraction, _fraction_text)
+# a polynomial scalar is its own native value
+POLYNOMIALS = NativeRing(
+    tuple, lambda p: p, lambda k: Polynomial([k]), str, _add_scaled_polynomials
+)
+
+
 def parse_scalar(token: str) -> Scalar:
     """Parse one scalar token.
 
@@ -593,17 +603,7 @@ def parse_scalar(token: str) -> Scalar:
 
 
 def format_scalar(a: Scalar) -> str:
-    """Render a scalar in the text syntax ``parse_scalar`` reads.
-
-    Rationals always print ``p/q`` (even for q = 1) so the ring survives a
-    round-trip; reals use ``repr`` which keeps a ``.`` or exponent.
-    """
-    if isinstance(a, ExactInteger):
-        return _int_text(a.value)
-    if isinstance(a, ExactRational):
-        return f"{_int_text(a.value.numerator)}/{_int_text(a.value.denominator)}"
-    if isinstance(a, ApproxReal):
-        return repr(a.value)
-    if isinstance(a, Polynomial):
-        return str(a)
-    raise TypeError(f"not a scalar: {a!r}")
+    """``a`` in the text syntax ``parse_scalar`` reads, by its ring's text
+    rule (``NativeRing.text``); raises TypeError when ``a`` is no scalar."""
+    ring = native_ring(((a,),))
+    return ring.text(ring.unwrap(((a,),))[0][0])

@@ -18,6 +18,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 CLEAN4 = str(FIXTURES / "clean4.txt")
 RESTART4 = str(FIXTURES / "restart4.txt")
 RATIONAL_RESTART4 = str(FIXTURES / "rational_restart4.txt")
+REAL_RESTART4 = str(FIXTURES / "real_restart4.txt")
 ALLYL = str(FIXTURES / "allyl.edges")
 
 
@@ -111,6 +112,38 @@ swap_cols 2 3
 swap_cols 0 1
 swap_cols 1 2
 swap_cols 2 3
+sign: -1
+mults: 56
+divs: 9
+adds: 28
+"""
+
+# RESTART4 in real tokens: its zero divisor also sets the division warning
+GOLDEN_REAL_RESTART4 = """\
+-163.0
+stage 0 (4 x 4)
+-1.0 3.0 6.0 -3.0
+5.0 1.0 2.0 0.0
+-2.0 1.0 -1.0 1.0
+0.0 1.0 0.0 4.0
+stage 1 (3 x 3)
+-16.0 0.0 6.0
+7.0 -3.0 2.0
+-2.0 1.0 -4.0
+stage 2 (pre-division)
+48.0 18.0
+1.0 10.0
+stage 2 (2 x 2)
+48.0 9.0
+1.0 -10.0
+stage 3 (pre-division)
+-489.0
+stage 3 (1 x 1)
+163.0
+restart: zero divisor at stage 3, minor (0, 0)
+swap_rows 0 1
+swap_rows 1 2
+swap_rows 2 3
 sign: -1
 mults: 56
 divs: 9
@@ -215,6 +248,13 @@ class TestDet:
         code, out, err = run(capsys, "det", RATIONAL_RESTART4, "--trace", "--count-ops")
         assert (code, err) == (0, "")
         assert out == GOLDEN_RATIONAL_RESTART4
+
+    def test_golden_trace_and_counts_real_restart4(self, capsys):
+        code, out, err = run(capsys, "det", REAL_RESTART4, "--trace", "--count-ops")
+        assert (code, err) == (
+            0, "warning: a division used a divisor close to the zero tolerance\n"
+        )
+        assert out == GOLDEN_REAL_RESTART4
 
     @pytest.mark.parametrize("text,expected", [("1 2\n3 4\n", "-2\n"), ("2 1\n5 7\n", "9\n")])
     def test_square_reading_beats_header(self, capsys, tmp_path, text, expected):
@@ -344,6 +384,33 @@ HOT_PATH_FILES = {
 }
 
 
+def scalars_built(capsys, *argv):
+    """Run the CLI with ``argv``; return its (code, out) and the number of
+    number scalars it built."""
+    # every number scalar is made by an __init__ or by _Number._result
+    # (ApproxReal._result calls __init__); the rings hold bound methods,
+    # so the calls are counted by their code, not by patching the classes
+    makers = {
+        ring_module._Number._result.__func__.__code__,
+        ring_module.ExactInteger.__init__.__code__,
+        ring_module.ExactRational.__init__.__code__,
+        ring_module.ApproxReal.__init__.__code__,
+    }
+    made = []
+
+    def counting(frame, event, arg):
+        if event == "call" and frame.f_code in makers:
+            made.append(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(counting)
+    try:
+        code, out, _ = run(capsys, *argv)
+    finally:
+        sys.setprofile(previous)
+    return (code, out), len(made)
+
+
 class TestNoWrapperOnTheHotPath:
     @pytest.mark.parametrize("ring", sorted(HOT_PATH_FILES))
     def test_det_wraps_only_the_result_and_the_repair_factors(self, capsys, monkeypatch, tmp_path, ring):
@@ -358,35 +425,37 @@ class TestNoWrapperOnTheHotPath:
             logs.append(out[1])
             return out
 
-        # every number scalar is made by an __init__ or by _Number._result
-        # (ApproxReal._result calls __init__); the rings hold bound methods,
-        # so the calls are counted by their code, not by patching the classes
-        makers = {
-            ring_module._Number._result.__func__.__code__,
-            ring_module.ExactInteger.__init__.__code__,
-            ring_module.ExactRational.__init__.__code__,
-            ring_module.ApproxReal.__init__.__code__,
-        }
-        made = []
-
-        def counting(frame, event, arg):
-            if event == "call" and frame.f_code in makers:
-                made.append(frame.f_code)
-
         monkeypatch.setattr(condense, "mitigate_interior_zeros", logging_mitigation)
-        previous = sys.getprofile()
-        sys.setprofile(counting)
-        try:
-            code, out, _ = run(capsys, "det", str(path))
-        finally:
-            sys.setprofile(previous)
+        result, made = scalars_built(capsys, "det", str(path))
         monkeypatch.undo()
-        assert (code, out) == (0, det + "\n")
+        assert result == (0, det + "\n")
         plans = [log.plan for log in logs]
         assert plans[0][0] == "rot" and plans[0] != ("rot", 0, 0) and plans[-1][0] == "add"
         factors = [op[3] for log in logs for op in log.operations if op[0].startswith("add")]
         assert factors
-        assert len(made) == 1 + len(factors)
+        assert made == 1 + len(factors)
+
+    @pytest.mark.parametrize("ring", sorted(HOT_PATH_FILES))
+    def test_a_trace_is_printed_from_native_values(self, capsys, tmp_path, ring):
+        # the trace prints every stage, the pre-division matrices and the
+        # repair factors without building a scalar of its own
+        text, det = HOT_PATH_FILES[ring]
+        path = tmp_path / f"{ring}.txt"
+        path.write_text(text)
+        (code, out), untraced = scalars_built(capsys, "det", str(path))
+        (traced_code, traced_out), traced = scalars_built(capsys, "det", str(path), "--trace")
+        assert (code, traced_code) == (0, 0)
+        assert traced_out.startswith(out) and "add_scaled_" in traced_out
+        assert traced == untraced
+
+    def test_a_singular_fallback_builds_only_its_zero(self, capsys, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("0 0 0 0\n" * 4)
+        assert scalars_built(capsys, "det", str(path)) == ((0, "0\n"), 1)
+
+    def test_format_scalar_still_refuses_a_native_value(self):
+        with pytest.raises(TypeError):
+            ring_module.format_scalar(5)
 
 
 class TestBench:

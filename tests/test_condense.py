@@ -1545,6 +1545,61 @@ def test_replay_rejects_unknown_kind():
         replay_log(m, MitigationLog([("rot", 1, 0)]))
 
 
+# chain 6's secular matrix restarts once, then condenses after additive
+# repair; its polynomial stages are printed by their own text rule
+GOLDEN_CHAIN6_TRACE = """\
+stage 0 (6 x 6)
+x 1 0 0 0 0
+1 x + 2 2*x + 3 2*x + 2 2 0
+2 2*x + 5 5*x + 6 4*x + 5 4 0
+2*x 2 1 x 1 0
+2*x + 2 2*x + 6 4*x + 6 4*x + 5 x + 4 1
+0 0 0 0 1 x
+stage 1 (5 x 5)
+x^2 + 2*x - 1 2*x + 3 0 0 0
+1 x^2 - 3 -2*x^2 + 3 -2 0
+-4*x^2 - 10*x + 4 -8*x - 7 5*x^2 + 2*x - 5 5 0
+4*x^2 + 8*x - 4 6*x + 6 -4*x^2 - 2*x + 5 x^2 - 5 1
+0 0 0 4*x + 5 x^2 + 4*x - 1
+stage 2 (pre-division)
+x^4 + 2*x^3 - 4*x^2 - 8*x -4*x^3 - 6*x^2 + 6*x + 9 0 0
+4*x^4 + 10*x^3 - 16*x^2 - 38*x + 5 5*x^4 - 14*x^3 - 34*x^2 + 18*x + 36 4*x + 5 0
+8*x^3 + 8*x^2 - 12*x - 4 2*x^3 + 2*x^2 - 8*x - 5 5*x^4 + 2*x^3 - 10*x^2 5
+0 0 -16*x^3 - 28*x^2 + 10*x + 25 x^4 + 4*x^3 - 6*x^2 - 24*x
+stage 2 (4 x 4)
+x^3 - 4*x -2*x^2 + 3 0 0
+2*x^3 - 8*x + 1 x^3 - 4*x^2 - 2*x + 6 1 0
+4*x^3 + 4*x^2 - 6*x - 2 2*x^3 + 2*x^2 - 8*x - 5 5*x^3 + 2*x^2 - 10*x 5
+0 0 -4*x^2 - 2*x + 5 x^3 - 6*x
+stage 3 (pre-division)
+x^6 - 6*x^4 + 10*x^2 - 3 -2*x^2 + 3 0
+16*x^5 - 2*x^4 - 62*x^3 + 22*x^2 + 64*x + 7 5*x^6 - 18*x^5 - 28*x^4 + 64*x^3 + 30*x^2 - 52*x + 5 5
+0 -8*x^5 - 12*x^4 + 38*x^3 + 46*x^2 - 30*x - 25 5*x^6 + 2*x^5 - 40*x^4 - 12*x^3 + 80*x^2 + 10*x - 25
+stage 3 (3 x 3)
+x^4 - 3*x^2 + 1 1 0
+-2*x^4 + 2*x^3 + 6*x^2 - 8*x - 1 x^4 - 4*x^3 - 3*x^2 + 10*x - 1 1
+0 2*x^3 + 2*x^2 - 8*x - 5 5*x^4 + 2*x^3 - 15*x^2 - 2*x + 5
+stage 4 (pre-division)
+x^8 - 4*x^7 - 6*x^6 + 22*x^5 + 11*x^4 - 36*x^3 - 6*x^2 + 18*x 1
+-4*x^7 + 32*x^5 - 10*x^4 - 76*x^3 + 32*x^2 + 48*x + 5 5*x^8 - 18*x^7 - 38*x^6 + 102*x^5 + 73*x^4 - 168*x^3 - 22*x^2 + 60*x
+stage 4 (2 x 2)
+x^5 - 4*x^3 + 3*x 1
+-2*x^4 + 2*x^3 + 6*x^2 - 8*x - 1 x^5 - 4*x^4 - 4*x^3 + 14*x^2 + x - 6
+stage 5 (pre-division)
+x^10 - 4*x^9 - 8*x^8 + 30*x^7 + 20*x^6 - 74*x^5 - 14*x^4 + 64*x^3 - 3*x^2 - 10*x + 1
+stage 5 (1 x 1)
+x^6 - 5*x^4 + 6*x^2 - 1
+restart: zero divisor at stage 3, minor (2, 0)
+add_scaled_row 2 1 2
+add_scaled_row 3 1 2
+add_scaled_row 1 2 2
+add_scaled_row 0 3 2
+add_scaled_row 0 4 2
+add_scaled_row 1 4 2
+sign: +1
+"""
+
+
 class TestRenderTrace:
     def test_stage_headers_and_sign(self):
         _, trace = condensation_det(int_matrix(CLEAN4))
@@ -1561,3 +1616,8 @@ class TestRenderTrace:
         assert text.count("swap_rows") == 3
         assert "restart: zero divisor at stage 3" in text
         assert text.endswith("sign: -1\n")
+
+    def test_chain6_golden(self):
+        _, trace = condensation_det(secular_matrix(PiSystem.chain(6)))
+        assert trace.mitigation.plan == ("add", 1)
+        assert render_trace(trace) == GOLDEN_CHAIN6_TRACE

@@ -123,13 +123,13 @@ def test_matches_bareiss_on_single_tolerance_real_matrices(m):
 def test_real_pivots_follow_the_matrix_tolerance():
     # column 0 is zero at the matrix tolerance, 1e-6, though 1e-7 is not at
     # its own, 0.0: the fallback finds no pivot, where bareiss_det pivots
-    # on 1e-7
+    # on 1e-7; its zero is the ring's, at the matrix tolerance
     m = Matrix([
         [ApproxReal(1e-7, 0.0), ApproxReal(1.0, 0.0)],
         [ApproxReal(1e-8, 1e-6), ApproxReal(3.0, 1e-6)],
     ])
     ops = OpCount()
-    assert repr(elimination_det(m, ops)) == "ApproxReal(0.0, tolerance=0.0)"
+    assert repr(elimination_det(m, ops)) == "ApproxReal(0.0, tolerance=1e-06)"
     assert ops == OpCount()
     ops = OpCount()
     assert bareiss_det(m, ops).value == 1e-7 * 3.0 - 1e-8 * 1.0
