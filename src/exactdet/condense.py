@@ -117,15 +117,16 @@ from math import lcm, prod
 
 from .matrix import IndexOutOfRange, Matrix, TooSmall, text_rows
 from .ring import (
+    DEFAULT_TOLERANCE,
     INTEGERS,
     POLYNOMIALS,
     RATIONALS,
+    REALS,
     DivisionByZero,
     InexactDivision,
     NativeRing,
     format_scalar,
     pack_polynomial,
-    real_zero_bound,
     unpack_polynomial,
 )
 
@@ -291,7 +292,7 @@ def _interior_zero(stage, bound=None):
     """Where the interior of the stage ``stage`` first holds a zero, row by
     row: the position (i, j) of the divisor it becomes, for the entry at
     (i + 1, j + 1), or None when the interior has no zero.  A real stage
-    passes its ``ring.real_zero_bound``, below which an entry is zero."""
+    passes ``DEFAULT_TOLERANCE``, below which an entry is zero."""
     for i, row in enumerate(stage[1:-1]):
         inner = row[1:-1]
         if bound is not None:
@@ -376,10 +377,10 @@ def elimination_det(a: Matrix, ops: OpCount | None = None):
     native rows (``_kernel_input``): ``bareiss_det``'s values and op counts.
 
     The pivot is the first entry at or below the diagonal that the ring's
-    ``is_zero`` does not count as zero, as in ``bareiss_det``, at the matrix
-    tolerance on the reals.  Each entry below becomes p*x - f*y, divided by
-    the previous pivot through the ring's checked ``divide``.  Every entry
-    of step k is a minor of the scaled rows, so the packing width holds it.
+    ``is_zero`` does not count as zero, as in ``bareiss_det``.  Each entry
+    below becomes p*x - f*y, divided by the previous pivot through the
+    ring's checked ``divide``.  Every entry of step k is a minor of the
+    scaled rows, so the packing width holds it.
     ``ops`` is charged per eliminated entry two multiplications, one
     addition and, from the second step on, one division, step by step, so a
     zero column stops it with ``bareiss_det``'s partial counts and returns
@@ -415,13 +416,12 @@ def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:
     """One condensation round: 2x2 minor determinants, divided elementwise.
 
     The scalar reference for the stage kernel, computed with the scalars'
-    own ``*``, ``-`` and ``exact_div``: a real result carries the larger
-    tolerance of its operands, where the kernel's carry the matrix's
-    largest.  ``divisor_interior`` is None exactly on the first round.  Zero
-    or inexact divisions raise with the offending (i, j) position attached,
-    which is what the restart logic keys on; ``ops`` then counts every minor
-    up to and including the failing one, and the divisions before it.  A
-    divisor from another ring than ``current`` raises RingMismatch.
+    own ``*``, ``-`` and ``exact_div``.  ``divisor_interior`` is None exactly
+    on the first round.  Zero or inexact divisions raise with the offending
+    (i, j) position attached, which is what the restart logic keys on;
+    ``ops`` then counts every minor up to and including the failing one, and
+    the divisions before it.  A divisor from another ring than ``current``
+    raises RingMismatch.
     """
     if not current.is_square or current.n_rows < 2:
         raise ValueError("condense_step needs a square matrix, n >= 2")
@@ -462,10 +462,10 @@ def _additive_repair(rows, zeros: set, salt: int, ring: NativeRing) -> list:
     ``zeros`` holds every (i, j) where ``rows`` has a zero.  It picks the
     zero to clear and its source, and is kept current by re-testing only
     the row or column an operation changed, with the zero rule of
-    ``Matrix.zeros``, ``ring.is_zero``, so reals are judged at the matrix
-    tolerance.  Each operation adds k times its source for an int k, applied
-    by ``_apply_operation`` with ``ring.add_scaled``, and is logged with the
-    scalar constant k of the ring, the factor ``replay_log`` applies.
+    ``Matrix.zeros``, ``ring.is_zero``.  Each operation adds k times its
+    source for an int k, applied by ``_apply_operation`` with
+    ``ring.add_scaled``, and is logged with the scalar constant k of the
+    ring, the factor ``replay_log`` applies.
     ``salt`` shifts the starting factor so successive restart rounds produce
     distinct transforms.  Raises UnremovableZero when a zero has no nonzero
     source in its row or column, or when the repair budget runs out.
@@ -620,17 +620,17 @@ def condensation_det(a: Matrix):
                 raise FallbackRequired(str(e)) from e
         rows, ring, decode = _kernel_input(a0)
         for k, stage in enumerate(chain([rows], _stage_rows(rows, ring.divide))):
-            if ring.tolerance is None:
-                zero = _interior_zero(stage)
-            else:
+            if ring is REALS:
                 # an interior entry divides two rounds on; a zero divisor
                 # is inside this bound too, so an aborted attempt always
                 # sets the warning
-                near = real_zero_bound(1e3 * ring.tolerance)
+                near = 1e3 * DEFAULT_TOLERANCE
                 if not any(abs(d) < near for r in stage[1:-1] for d in r[1:-1]):
                     continue
                 warning = True
-                zero = _interior_zero(stage, real_zero_bound(ring.tolerance))
+                zero = _interior_zero(stage, DEFAULT_TOLERANCE)
+            else:
+                zero = _interior_zero(stage)
             if zero is not None:
                 restarts.append((k + 2, zero))
                 charged = ops.muldiv

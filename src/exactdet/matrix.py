@@ -26,16 +26,15 @@ import math
 from fractions import Fraction
 
 from .ring import (
-    DEFAULT_TOLERANCE,
     INTEGERS,
     RATIONALS,
+    REALS,
     ApproxReal,
     ExactInteger,
     ExactRational,
     Scalar,
     native_ring,
     parse_scalar,
-    real_ring,
 )
 
 
@@ -193,8 +192,9 @@ def parse_matrix(text: str) -> Matrix:
     square matrix without a header (``1 2`` over ``3 4``), the square reading
     wins.  The ring is inferred from the tokens: any ``/`` makes the file
     rational (integer tokens are promoted, the one permitted promotion), any
-    ``.`` or exponent makes it real, at ``ring.DEFAULT_TOLERANCE``; mixing
-    rational and real tokens is an error.
+    ``.`` or exponent makes it real, in ``ring.REALS``, whose one zero rule
+    is ``abs(x) < DEFAULT_TOLERANCE``; mixing rational and real tokens is an
+    error.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -246,7 +246,7 @@ def parse_matrix(text: str) -> Matrix:
         # by parse_scalar, which raises with that token's error and line
         ring, native = (
             (RATIONALS, _rational_token) if has_rational
-            else (real_ring(DEFAULT_TOLERANCE), _real_token) if has_real else (INTEGERS, int)
+            else (REALS, _real_token) if has_real else (INTEGERS, int)
         )
         try:
             return [list(map(native, toks)) for _, toks in lines], ring

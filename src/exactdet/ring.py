@@ -5,9 +5,9 @@ A scalar is an immutable value in exactly one ring:
 * ``ExactInteger``   -- arbitrary-precision signed integer (Python ``int``).
 * ``ExactRational``  -- ``fractions.Fraction``, always in lowest terms with
   a positive denominator.
-* ``ApproxReal``     -- a ``float`` together with the zero-tolerance of the
-  computation it belongs to; ``is_zero`` means ``|value| < tolerance`` or
-  ``value == 0`` (``real_zero_bound``).
+* ``ApproxReal``     -- a ``float``.  The reals have one zero rule,
+  ``abs(x) < DEFAULT_TOLERANCE``, so ``is_zero`` means the value is below
+  1e-9 in magnitude, an exact 0.0 included.
 * ``Polynomial``     -- univariate polynomial with rational coefficients,
   stored densely lowest degree first with no trailing zeros (the zero
   polynomial is the empty coefficient tuple).  A coefficient is an ``int``
@@ -29,9 +29,8 @@ logic bug or an unhandled interior zero upstream).
 Each ring's rules are stated once.  ``integer_quotient``,
 ``rational_quotient`` and ``real_quotient`` are the number rings' exact
 quotients, and ``Polynomial.exact_div`` the polynomial one: each holds its
-ring's zero-divisor test and division messages, and takes the ring's zero
-tolerance (None for the exact rings).  ``real_zero_bound`` is the one zero
-rule of the reals.  A scalar's ``exact_div`` calls them, and the kernel's
+ring's zero-divisor test and division messages.  ``_real_zero`` is the one
+zero rule of the reals.  A scalar's ``exact_div`` calls them, and the kernel's
 ``NativeRing.divide`` applies their rules to a whole row: the integer row
 division, on a failure, raises through ``integer_quotient``.  The number
 scalars share their arithmetic, ``==`` and ``hash`` through ``_Number``, and
@@ -43,18 +42,13 @@ Nothing on the hot path computes on these wrappers.  A ``Matrix`` holds
 native ``int``, ``Fraction``, ``float`` or ``Polynomial`` values with their
 ``NativeRing``, and wraps them only where a public API returns a scalar;
 the kernel condenses rational and polynomial matrices as integers (see
-``condense``).  A real matrix has one zero tolerance, the largest among its
-entries, where scalar arithmetic gives each result the larger tolerance of
-its two operands.  The two agree when every entry has the same tolerance,
-which ``parse_matrix`` always gives.  With mixed tolerances, the determinant
-and every entry wrapped from native rows, of a stage, a submatrix or a
-mitigated matrix, carry the matrix's tolerance, and every zero test and division
-warning of the kernel uses it: a divisor below that tolerance counts as zero,
-and forces a restart, even where the tolerances of its own operands are
-smaller.  ``NativeRing.is_zero`` is that zero test on one native number;
-``Matrix.zeros``, the zero set mitigation reads, and the pivot test of
-``condense.elimination_det``, the fallback, use it too, so they also judge
-the input's zeros and the pivots by the matrix tolerance.
+``condense``).  Each ring is one fixed ``NativeRing``: ``INTEGERS``,
+``RATIONALS``, ``REALS`` and ``POLYNOMIALS``.  ``NativeRing.is_zero`` is the
+ring's zero test on one native value, ``not x`` on the exact rings and the
+real zero rule on ``REALS``; ``Matrix.zeros``, the zero set mitigation reads,
+and the pivot test of ``condense.elimination_det``, the fallback, use it, and
+the kernel's real zero stop applies the same rule to a whole stage, so a real
+scalar and a real matrix judge zeros alike.
 
 Integer polynomials also have a native form, the int f(2^W) of Kronecker
 substitution: ``pack_polynomial`` packs the coefficients at width W and
@@ -66,11 +60,11 @@ that guarantees this, the stage kernel's, is stated in ``condense``.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 DEFAULT_TOLERANCE = 1e-9
-_SMALLEST_FLOAT = math.ulp(0.0)
 
 
 class RingMismatch(TypeError):
@@ -111,7 +105,7 @@ class Scalar:
             )
 
 
-def integer_quotient(x: int, d: int, tolerance=None) -> int:
+def integer_quotient(x: int, d: int) -> int:
     """x / d over the integers; d must divide x."""
     if d == 0:
         raise DivisionByZero("integer division by zero")
@@ -121,26 +115,21 @@ def integer_quotient(x: int, d: int, tolerance=None) -> int:
     return q
 
 
-def rational_quotient(x: Fraction, d: Fraction, tolerance=None) -> Fraction:
+def rational_quotient(x: Fraction, d: Fraction) -> Fraction:
     if d == 0:
         raise DivisionByZero("rational division by zero")
     return x / d
 
 
-def real_zero_bound(tolerance: float) -> float:
-    """The real zero rule: x is zero when ``abs(x) < real_zero_bound(tolerance)``.
-
-    The bound is the tolerance, but at least the smallest positive float, so
-    that x is zero when it is below the tolerance in magnitude or exactly
-    zero.  The floor matters only at a zero tolerance, where an exact 0.0
-    would otherwise count as nonzero.
-    """
-    return max(tolerance, _SMALLEST_FLOAT)
+def _real_zero(x: float) -> bool:
+    """The real zero rule: x is zero when it is below ``DEFAULT_TOLERANCE``
+    in magnitude."""
+    return abs(x) < DEFAULT_TOLERANCE
 
 
-def real_quotient(x: float, d: float, tolerance: float) -> float:
+def real_quotient(x: float, d: float) -> float:
     """x / d, where a divisor that the real zero rule counts as zero raises."""
-    if abs(d) < real_zero_bound(tolerance):
+    if _real_zero(d):
         raise DivisionByZero("real division by (near-)zero")
     return x / d
 
@@ -149,43 +138,42 @@ class _Number(Scalar):
     """A scalar holding one native number ``value``.
 
     A ring names its ``_quotient`` and gives its constructor and ``repr``;
-    reals also replace the exact rings' ``_result`` and ``is_zero`` below.
+    ``is_zero`` is the zero test of the ring's ``NativeRing``.
     """
 
     __slots__ = ("value",)
-    tolerance = None  # the zero tolerance; only reals have one
 
     @classmethod
-    def _result(cls, value, other=None):
+    def _result(cls, value):
         out = cls.__new__(cls)
         out.value = value
         return out
 
     def is_zero(self):
-        return self.value == 0
+        return _RINGS[type(self)].is_zero(self.value)
 
     def __add__(self, other):
         self._same_ring(other)
-        return self._result(self.value + other.value, other)
+        return self._result(self.value + other.value)
 
     def __sub__(self, other):
         self._same_ring(other)
-        return self._result(self.value - other.value, other)
+        return self._result(self.value - other.value)
 
     def __mul__(self, other):
         self._same_ring(other)
-        return self._result(self.value * other.value, other)
+        return self._result(self.value * other.value)
 
     def __neg__(self):
-        return self._result(-self.value, self)
+        return self._result(-self.value)
 
     def exact_div(self, other):
         self._same_ring(other)
-        return self._result(self._quotient(self.value, other.value, other.tolerance), other)
+        return self._result(self._quotient(self.value, other.value))
 
     def from_int(self, k: int):
         """A constant of this scalar's ring (used to build row-op factors)."""
-        return self._result(type(self.value)(k), self)
+        return self._result(type(self.value)(k))
 
     def __eq__(self, other):
         return type(other) is type(self) and self.value == other.value
@@ -203,7 +191,7 @@ class ExactInteger(_Number):
         self.value = int(value)
 
     def __repr__(self):
-        return f"ExactInteger({self.value})"
+        return f"ExactInteger({_int_text(self.value)})"
 
 
 class ExactRational(_Number):
@@ -216,28 +204,22 @@ class ExactRational(_Number):
         self.value = Fraction(numerator, denominator)
 
     def __repr__(self):
-        return f"ExactRational({self.value.numerator}, {self.value.denominator})"
+        v = self.value
+        return f"ExactRational({_int_text(v.numerator)}, {_int_text(v.denominator)})"
 
 
 class ApproxReal(_Number):
-    """Double-precision value with the zero-tolerance of its computation."""
+    """Double-precision value; zero by the real zero rule."""
 
-    __slots__ = ("tolerance",)
+    __slots__ = ()
     ring = "real"
     _quotient = staticmethod(real_quotient)
 
-    def __init__(self, value: float, tolerance: float = DEFAULT_TOLERANCE):
+    def __init__(self, value: float):
         self.value = float(value)
-        self.tolerance = float(tolerance)
-
-    def _result(self, value, other):
-        return ApproxReal(value, max(self.tolerance, other.tolerance))
-
-    def is_zero(self):
-        return abs(self.value) < real_zero_bound(self.tolerance)
 
     def __repr__(self):
-        return f"ApproxReal({self.value!r}, tolerance={self.tolerance!r})"
+        return f"ApproxReal({self.value!r}, tolerance={DEFAULT_TOLERANCE!r})"
 
 
 class Polynomial(Scalar):
@@ -345,7 +327,9 @@ class Polynomial(Scalar):
         return hash(("poly", self.coeffs))
 
     def __repr__(self):
-        return f"Polynomial({[Fraction(c) for c in self.coeffs]!r})"
+        # an int coefficient c has c.numerator == c and c.denominator == 1
+        cs = (f"Fraction({_int_text(c.numerator)}, {_int_text(c.denominator)})" for c in self.coeffs)
+        return f"Polynomial([{', '.join(cs)}])"
 
     def __str__(self):
         return terms_text(self.coeffs, lambda k: power_text("x", k))
@@ -356,7 +340,7 @@ def _add_scaled_polynomials(dst, k, src):
 
 
 class NativeRing(NamedTuple):
-    """One matrix's ring, for arithmetic on native values.
+    """One ring, for arithmetic on native values; each is a module constant.
 
     ``unwrap(rows)`` gives the native rows of rows of scalars, where scalars
     come in, and ``wrap(value)`` the scalar of one native value, where one
@@ -366,8 +350,9 @@ class NativeRing(NamedTuple):
     number entry is computed, so -0.0 + 1 * 0.0 is 0.0, and polynomials scale
     coefficients, skipping a zero source.  ``divide(row, divisors)``, in the
     rings the kernel divides in, gives a whole row's exact quotients, raising
-    ``DivisionByZero`` or ``InexactDivision`` when one fails.  ``tolerance``
-    is the zero tolerance of a real matrix, else None.
+    ``DivisionByZero`` or ``InexactDivision`` when one fails.  ``is_zero(x)``
+    is the ring's zero test on a native value: ``not x`` on the exact rings,
+    and the real zero rule on ``REALS``.
     """
 
     unwrap: Callable
@@ -376,14 +361,7 @@ class NativeRing(NamedTuple):
     text: Callable
     add_scaled: Callable = lambda dst, k, src: [d + k * s for d, s in zip(dst, src)]
     divide: Callable | None = None
-    tolerance: float | None = None
-
-    def is_zero(self, x) -> bool:
-        """The ring's zero test on a native value: ``not x``, and for a
-        real matrix the real zero rule at the matrix tolerance."""
-        if self.tolerance is None:
-            return not x
-        return abs(x) < real_zero_bound(self.tolerance)
+    is_zero: Callable = operator.not_
 
 
 def native_ring(rows) -> NativeRing:
@@ -391,25 +369,17 @@ def native_ring(rows) -> NativeRing:
 
     Raises TypeError when the entries are not scalars, and RingMismatch when
     they belong to more than one ring, so unwrapped values never mix rings.
-    A real matrix gets one tolerance, the largest among its entries.
     """
     first = rows[0][0]
     kind = type(first)
-    if kind not in (ExactInteger, ExactRational, ApproxReal, Polynomial):
+    ring = _RINGS.get(kind)
+    if ring is None:
         raise TypeError(f"entries must be scalars, got {kind.__name__}")
     for r in rows:
         for e in r:
             if type(e) is not kind:
                 first._same_ring(e)
-    if kind is ApproxReal:
-        return real_ring(max(e.tolerance for r in rows for e in r))
-    return {ExactInteger: INTEGERS, ExactRational: RATIONALS, Polynomial: POLYNOMIALS}[kind]
-
-
-def real_ring(tolerance: float) -> NativeRing:
-    """The ring of a real matrix whose zero tolerance is ``tolerance``."""
-    wrap, divide = lambda v: ApproxReal(v, tolerance), lambda r, ds: _divide_reals(r, ds, tolerance)
-    return NativeRing(_values, wrap, float, repr, divide=divide, tolerance=tolerance)
+    return ring
 
 
 def _values(rows):
@@ -477,9 +447,8 @@ def _divide_integers(row, divisors):
     return [integer_quotient(x, d) for x, d in zip(row, divisors)]
 
 
-def _divide_reals(row, divisors, tolerance):
-    bound = real_zero_bound(tolerance)
-    if any(abs(d) < bound for d in divisors):
+def _divide_reals(row, divisors):
+    if any(map(_real_zero, divisors)):
         raise DivisionByZero("real division by (near-)zero")
     return [x / d for x, d in zip(row, divisors)]
 
@@ -566,18 +535,23 @@ def _fraction_text(f: Fraction) -> str:
 # matrices on; the kernel never divides in those two rings' own forms.
 INTEGERS = NativeRing(_values, ExactInteger._result, int, _int_text, divide=_divide_integers)
 RATIONALS = NativeRing(_values, ExactRational._result, Fraction, _fraction_text)
+REALS = NativeRing(
+    _values, ApproxReal._result, float, repr, divide=_divide_reals, is_zero=_real_zero
+)
 # a polynomial scalar is its own native value
 POLYNOMIALS = NativeRing(
     tuple, lambda p: p, lambda k: Polynomial([k]), str, _add_scaled_polynomials
 )
+_RINGS = {
+    ExactInteger: INTEGERS, ExactRational: RATIONALS, ApproxReal: REALS, Polynomial: POLYNOMIALS
+}
 
 
 def parse_scalar(token: str) -> Scalar:
     """Parse one scalar token.
 
-    ``p/q`` is rational, anything with a ``.`` or an exponent is real, at
-    ``DEFAULT_TOLERANCE``, otherwise a (signed) integer.  A real must be
-    finite as a double.
+    ``p/q`` is rational, anything with a ``.`` or an exponent is real,
+    otherwise a (signed) integer.  A real must be finite as a double.
     Polynomials have no text syntax; they are only ever built
     programmatically.
     """

@@ -256,6 +256,26 @@ class TestDet:
         )
         assert out == GOLDEN_REAL_RESTART4
 
+    @pytest.mark.parametrize(
+        "entry,first,swaps,err",
+        [
+            ("1e-10", "51.9999999989", ["swap_rows 0 1", "swap_rows 1 2"], ""),
+            ("1e-8", "52.00000146032835", [], "warning: a division used a divisor close to the zero tolerance\n"),
+        ],
+        ids=["1e-10", "1e-8"],
+    )
+    def test_real_zero_rule(self, capsys, tmp_path, entry, first, swaps, err):
+        # the reals have one zero rule, below 1e-9: a 1e-10 interior entry
+        # is zero and rotated out before the run, and 1e-8 is not, but is
+        # near enough to zero to warn
+        f = tmp_path / "real.txt"
+        f.write_text(f"1.0 2.0 3.0\n4.0 {entry} 6.0\n7.0 8.0 10.0\n")
+        code, out, error = run(capsys, "det", str(f), "--trace")
+        lines = out.splitlines()
+        assert (code, error) == (0, err)
+        assert (lines[0], lines[-1]) == (first, "sign: +1")
+        assert [line for line in lines if line.startswith("swap")] == swaps
+
     @pytest.mark.parametrize("text,expected", [("1 2\n3 4\n", "-2\n"), ("2 1\n5 7\n", "9\n")])
     def test_square_reading_beats_header(self, capsys, tmp_path, text, expected):
         f = tmp_path / "two.txt"

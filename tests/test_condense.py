@@ -35,7 +35,6 @@ from exactdet.ring import (
     InexactDivision,
     Polynomial,
     RingMismatch,
-    real_zero_bound,
 )
 
 from test_elimination import NAPHTHALENE
@@ -476,27 +475,6 @@ class TestMitigation:
         assert out == replay_log(m, log)
         assert entry_reprs(out) == entry_reprs(replay_log(m, log))
 
-    def test_mixed_tolerance_repair_judges_at_the_matrix_tolerance(self):
-        # the matrix tolerance is 1e-3, from (2, 2); every other entry has
-        # 1e-9.  (1, 1) and (0, 1) are zero at 1e-3 but not at their own
-        # tolerance, so the repair skips row 0 as a source, and the first
-        # addition of row 2 leaves (1, 1) at -9.995e-4, still zero
-        rows = [[1.0, 5e-4, 2.0], [3.0, 1e-6, 4.0], [5.0, -1.0005e-3, 6.0]]
-        m = Matrix(
-            [[ApproxReal(v, 1e-3 if (i, j) == (2, 2) else 1e-9) for j, v in enumerate(r)]
-             for i, r in enumerate(rows)]
-        )
-        out, log = mitigate_interior_zeros(m, exclude=rotation_order(3))
-        assert log.plan == ("add", 0)
-        assert log.operations == (
-            ("add_scaled_row", 2, 1, ApproxReal(1.0)),
-            ("add_scaled_row", 2, 1, ApproxReal(2.0)),
-        )
-        once = [d + 1.0 * s for d, s in zip(rows[1], rows[2])]
-        twice = [d + 2.0 * s for d, s in zip(once, rows[2])]
-        assert [[e.value for e in r] for r in out.rows()] == [rows[0], twice, rows[2]]
-        assert out.native_ring.tolerance == 1e-3
-
     def test_real_repair_adds_a_zero_source(self):
         # -0.0 + 1.0 * 0.0 is 0.0: a zero number source is added, not skipped
         m = Matrix([[ApproxReal(v) for v in r] for r in [[0.0, 2.0, 3.0], [-0.0, 0.0, 5.0], [7.0, 4.0, 6.0]]])
@@ -508,13 +486,18 @@ class TestMitigation:
 def counted_zero_tests(monkeypatch):
     """Collects one entry per zero test mitigation makes, ``NativeRing.is_zero``."""
     tested = []
-    original = ring_module.NativeRing.is_zero
+    field = ring_module.NativeRing.is_zero  # the field's descriptor
 
-    def counting_is_zero(self, x):
-        tested.append(1)
-        return original(self, x)
+    def counting_is_zero(self):
+        is_zero = field.__get__(self)
 
-    monkeypatch.setattr(ring_module.NativeRing, "is_zero", counting_is_zero)
+        def counted(x):
+            tested.append(1)
+            return is_zero(x)
+
+        return counted
+
+    monkeypatch.setattr(ring_module.NativeRing, "is_zero", property(counting_is_zero))
     return tested
 
 
@@ -597,9 +580,9 @@ def reference_mitigation(a, exclude=()):
 
 def near_zero_divisor(stage):
     """Whether the interior of a real ``Matrix`` stage holds an entry within
-    1000x of its zero tolerance, the division warning's rule."""
+    1000x of the zero tolerance, the division warning's rule."""
     return any(
-        isinstance(e, ApproxReal) and abs(e.value) < real_zero_bound(1e3 * e.tolerance)
+        isinstance(e, ApproxReal) and abs(e.value) < 1e3 * DEFAULT_TOLERANCE
         for row in stage.rows()[1:-1]
         for e in row[1:-1]
     )
@@ -789,25 +772,23 @@ class TestPackedPolynomials:
         assert {"rotated", "restarted", "clean"} <= seen
 
 
-def real_entry(tolerance, step):
-    """Nonzero reals at ``tolerance``, multiples of ``step`` up to 9: a zero
-    ``zero_at_stage`` makes comes out as 0.0 when ``step`` is 1, and
-    generally as a rounding residue when it is 0.1."""
-    return lambda rng: ApproxReal(rng.choice([-1, 1]) * rng.randint(1, 9) * step, tolerance)
+def real_entry(step):
+    """Nonzero reals, multiples of ``step`` up to 9: a zero ``zero_at_stage``
+    makes comes out as 0.0 when ``step`` is 1, and generally as a rounding
+    residue when it is 0.1."""
+    return lambda rng: ApproxReal(rng.choice([-1, 1]) * rng.randint(1, 9) * step)
 
 
 # nonzero entries, so that the first attempt runs on the draw itself
 EARLY_STOP_ENTRIES = {
     "integer": lambda rng: ExactInteger(rng.choice([-1, 1]) * rng.randint(1, 9)),
     "rational": lambda rng: ExactRational(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)),
-    "real": real_entry(DEFAULT_TOLERANCE, 1),
+    "real": real_entry(1),
     "polynomial": lambda rng: Polynomial([rng.randint(-3, 3), rng.choice([-1, 1]) * rng.randint(1, 3)]),
 }
-# the stepwise comparison draws reals at two tolerances, with exact zeros
-# and with residues, which count as zero below 1e-9 but not at 0.0
-EARLY_STOP_VARIANTS = {
-    "real": {tol: [real_entry(tol, 1), real_entry(tol, 0.1)] * 3 for tol in (DEFAULT_TOLERANCE, 0.0)},
-}
+# the stepwise comparison draws reals with exact zeros and with residues,
+# which count as zero below 1e-9
+STEPWISE_ENTRIES = {"real": [real_entry(1), real_entry(0.1)] * 3}
 
 
 def zero_at_stage(rng, n, k, entry):
@@ -833,41 +814,39 @@ class TestEarlyStop:
     @pytest.mark.parametrize("kind", sorted(EARLY_STOP_ENTRIES))
     def test_matches_stepwise_reference(self, kind):
         # stage k's zero divides stage k + 2; mitigation clears stage 0's
-        # interior, so the first restart comes from a stage k of 1 .. n - 3,
-        # for each variant (each real tolerance).  Dense draws with zeros add
-        # rotations, repairs and fallbacks.
+        # interior, so the first restart comes from a stage k of 1 .. n - 3.
+        # Dense draws with zeros add rotations, repairs and fallbacks.
         rng = random.Random(f"early-stop-{kind}")
-        variants = EARLY_STOP_VARIANTS.get(kind, {None: [EARLY_STOP_ENTRIES[kind]] * 3})
+        entries = STEPWISE_ENTRIES.get(kind, [EARLY_STOP_ENTRIES[kind]] * 3)
         sizes = range(4, 9 if kind != "polynomial" else 7)
         seen = set()
-        for variant, entries in variants.items():
-            zero = entries[0](rng).from_int(0)
-            cases = []
-            for n in sizes:
-                for k in range(1, n - 2):
-                    cases += [zero_at_stage(rng, n, k, entry) for entry in entries]
-                for entry in entries * (6 // len(entries)):
-                    cases.append(
-                        Matrix([[entry(rng) if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(n)])
-                    )
-            first_stages = {}
-            for m in cases:
-                expected = reference_condensation(m)
-                try:
-                    det, trace = condensation_det(m)
-                except FallbackRequired:
-                    assert expected is None
-                    seen.add("fallback")
-                    continue
-                ref_det, log, restarts, ops, warning = expected
-                assert det == ref_det
-                assert (trace.mitigation.plan, trace.mitigation.operations) == (log.plan, log.operations)
-                assert (trace.restarts, trace.ops) == (restarts, ops)
-                assert trace.division_warning == warning
-                seen.add(warning)
-                if restarts:
-                    first_stages.setdefault(m.n_rows, set()).add(restarts[0][0] - 2)
-            assert first_stages == {n: set(range(1, n - 2)) for n in sizes}, variant
+        zero = entries[0](rng).from_int(0)
+        cases = []
+        for n in sizes:
+            for k in range(1, n - 2):
+                cases += [zero_at_stage(rng, n, k, entry) for entry in entries]
+            for entry in entries * (6 // len(entries)):
+                cases.append(
+                    Matrix([[entry(rng) if rng.random() < 0.5 else zero for _ in range(n)] for _ in range(n)])
+                )
+        first_stages = {}
+        for m in cases:
+            expected = reference_condensation(m)
+            try:
+                det, trace = condensation_det(m)
+            except FallbackRequired:
+                assert expected is None
+                seen.add("fallback")
+                continue
+            ref_det, log, restarts, ops, warning = expected
+            assert det == ref_det
+            assert (trace.mitigation.plan, trace.mitigation.operations) == (log.plan, log.operations)
+            assert (trace.restarts, trace.ops) == (restarts, ops)
+            assert trace.division_warning == warning
+            seen.add(warning)
+            if restarts:
+                first_stages.setdefault(m.n_rows, set()).add(restarts[0][0] - 2)
+        assert first_stages == {n: set(range(1, n - 2)) for n in sizes}
         assert "fallback" in seen
         # a real run warns when a divisor comes near zero, and only then
         assert seen >= ({True, False} if kind == "real" else {False})
@@ -1099,34 +1078,6 @@ class TestCondensationDet:
         m = Matrix([[ApproxReal(float(v)) for v in r] for r in RESTART4])
         det, trace = condensation_det(m)
         assert det == ApproxReal(-163.0)
-        assert trace.restarts == ((3, (0, 0)),)
-        assert trace.division_warning
-
-    def test_real_tolerance_reaches_det(self):
-        # the entries' tolerance comes back on the determinant, and 1e-6
-        # moves neither the restart nor the warning of the default tolerance
-        def run(tol):
-            return condensation_det(
-                Matrix([[ApproxReal(float(v), tol) for v in r] for r in RESTART4])
-            )
-
-        det, trace = run(1e-6)
-        _, default = run(DEFAULT_TOLERANCE)
-        assert repr(det) == "ApproxReal(-163.0, tolerance=1e-06)"
-        assert trace.restarts == default.restarts == ((3, (0, 0)),)
-        assert trace.division_warning and default.division_warning
-
-    def test_zero_tolerance_counts_exact_zero(self):
-        # at tolerance 0 only an exact 0.0 is zero: it is mitigated up front,
-        # and a zero divisor mid-run restarts and still sets the warning
-        rows = [[1, 2, 3], [4, 0, 6], [7, 8, 9]]
-        m = Matrix([[ApproxReal(float(v), 0.0) for v in r] for r in rows])
-        det, trace = condensation_det(m)
-        assert det == bareiss_det(m) == ApproxReal(60.0)
-        assert trace.mitigation.operations != ()
-        m = Matrix([[ApproxReal(float(v), 0.0) for v in r] for r in RESTART4])
-        det, trace = condensation_det(m)
-        assert repr(det) == "ApproxReal(-163.0, tolerance=0.0)"
         assert trace.restarts == ((3, (0, 0)),)
         assert trace.division_warning
 

@@ -5,9 +5,8 @@ rationals, packed polynomials, floats) where ``bareiss_det`` eliminates on
 scalars, and the CLI and ``secular_polynomial`` print its result and op
 counts under the name "bareiss", so both must agree exactly: the ``repr``
 of the value, which tells -0.0 from 0.0 and shows a nan that ``==`` would
-not match, and the ``OpCount``, early singular returns included.  They
-differ only on a real matrix whose entries carry different tolerances: the
-fallback tests pivots at the matrix tolerance, the largest.
+not match, and the ``OpCount``, early singular returns included.  Both
+test real pivots by the one real zero rule, so they agree on every matrix.
 """
 
 import pathlib
@@ -101,13 +100,10 @@ def matrices(entry, max_n=6):
     )
 
 
-# one tolerance per matrix, as ``parse_matrix`` gives; 1e-7 and 1e-10 are
-# zero at one tolerance and not at the other, and 1e200 overflows to inf
-# and then nan
+# 1e-10 is zero by the real zero rule and 1e-7 is not, and 1e200 overflows
+# to inf and then nan
 real_values = st.sampled_from([0.0, -0.0, 1e-7, 1e-10, 0.5, -3.0, 1e200])
-real_matrices = st.sampled_from([1e-9, 0.0]).flatmap(
-    lambda tol: matrices(real_values.map(lambda v: ApproxReal(v, tol)))
-)
+real_matrices = matrices(real_values.map(ApproxReal))
 
 
 @given(m=st.one_of(matrices(integers), matrices(rationals), matrices(int_polys), matrices(rational_polys)))
@@ -116,24 +112,23 @@ def test_matches_bareiss_on_sparse_exact_matrices(m):
 
 
 @given(m=real_matrices)
-def test_matches_bareiss_on_single_tolerance_real_matrices(m):
+def test_matches_bareiss_on_real_matrices(m):
     assert_same_as_bareiss(m)
 
 
-def test_real_pivots_follow_the_matrix_tolerance():
-    # column 0 is zero at the matrix tolerance, 1e-6, though 1e-7 is not at
-    # its own, 0.0: the fallback finds no pivot, where bareiss_det pivots
-    # on 1e-7; its zero is the ring's, at the matrix tolerance
-    m = Matrix([
-        [ApproxReal(1e-7, 0.0), ApproxReal(1.0, 0.0)],
-        [ApproxReal(1e-8, 1e-6), ApproxReal(3.0, 1e-6)],
-    ])
+def test_real_pivots_follow_the_zero_rule():
+    # a 1e-10 pivot is zero: both swap and pivot on 1e-8 below it, and a
+    # column holding only such entries is singular, before any operation
+    m = Matrix([[ApproxReal(v) for v in r] for r in [[1e-10, 1.0], [1e-8, 3.0]]])
     ops = OpCount()
-    assert repr(elimination_det(m, ops)) == "ApproxReal(0.0, tolerance=1e-06)"
-    assert ops == OpCount()
-    ops = OpCount()
-    assert bareiss_det(m, ops).value == 1e-7 * 3.0 - 1e-8 * 1.0
+    assert elimination_det(m, ops).value == -(1e-8 * 1.0 - 1e-10 * 3.0)
     assert ops == OpCount(mults=2, divs=0, adds=1)
+    assert_same_as_bareiss(m)
+    m = Matrix([[ApproxReal(v) for v in r] for r in [[1e-10, 1.0], [-1e-11, 3.0]]])
+    ops = OpCount()
+    assert repr(elimination_det(m, ops)) == "ApproxReal(0.0, tolerance=1e-09)"
+    assert ops == OpCount()
+    assert_same_as_bareiss(m)
 
 
 @given(m=matrices(dense_polys, max_n=4))

@@ -59,13 +59,12 @@ class TestZeroSet:
                 Matrix([[ExactRational(0), ExactRational(1, 2)], [ExactRational(-3, 4), ExactRational(0, 5)]]),
                 {(0, 0), (1, 1)},
             ),
-            # judged at the largest tolerance, 1e-9: 1e-10 is zero although
-            # its own tolerance is 1e-12, and 2e-9 is not
+            # by the real zero rule, below 1e-9: 1e-10 is zero, and 2e-9 is not
             "real": (
                 Matrix(
                     [
-                        [ApproxReal(1e-10, 1e-12), ApproxReal(0.0, 1e-12), ApproxReal(1.0, 1e-12)],
-                        [ApproxReal(5e-10, 1e-9), ApproxReal(2e-9, 1e-12), ApproxReal(-1e-12, 0.0)],
+                        [ApproxReal(1e-10), ApproxReal(0.0), ApproxReal(1.0)],
+                        [ApproxReal(5e-10), ApproxReal(2e-9), ApproxReal(-1e-12)],
                     ]
                 ),
                 {(0, 0), (0, 1), (1, 0), (1, 2)},

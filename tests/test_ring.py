@@ -6,8 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from exactdet.condense import condensation_det
+from exactdet.matrix import Matrix, parse_matrix
 from exactdet.ring import (
+    DEFAULT_TOLERANCE,
     INTEGERS,
+    REALS,
     ApproxReal,
     DivisionByZero,
     ExactInteger,
@@ -16,6 +20,7 @@ from exactdet.ring import (
     Polynomial,
     RingMismatch,
     format_scalar,
+    native_ring,
     pack_polynomial,
     parse_scalar,
     unpack_polynomial,
@@ -86,12 +91,6 @@ class TestSub:
         assert d == ExactRational(-1, 3)
         assert d.value.denominator == 3
 
-    def test_reals_keep_larger_tolerance(self):
-        d = ApproxReal(2.5, 1e-9) - ApproxReal(0.75, 1e-6)
-        assert d.value == 1.75
-        assert d.tolerance == 1e-6
-        assert (ApproxReal(2.5, 1e-6) - ApproxReal(0.75, 1e-9)).tolerance == 1e-6
-
     def test_mismatch(self):
         with pytest.raises(RingMismatch):
             ExactInteger(1) - ExactRational(1, 2)
@@ -131,7 +130,7 @@ class TestExactDiv:
 
     def test_real_below_tolerance_counts_as_zero(self):
         with pytest.raises(DivisionByZero):
-            ApproxReal(1.0, 1e-12).exact_div(ApproxReal(1e-15, 1e-12))
+            ApproxReal(1.0).exact_div(ApproxReal(1e-10))
 
     def test_real_plain_division(self):
         q = ApproxReal(1.0).exact_div(ApproxReal(4.0))
@@ -162,29 +161,47 @@ class TestIsZero:
         assert not ExactInteger(-1).is_zero()
 
     def test_real_tolerance(self):
-        assert ApproxReal(1e-15, 1e-12).is_zero()
-        assert not ApproxReal(1e-10, 1e-12).is_zero()
+        assert ApproxReal(1e-10).is_zero()
+        assert not ApproxReal(1e-9).is_zero()
+        assert not ApproxReal(1e-8).is_zero()
 
-    @given(x=st.floats(allow_infinity=True, allow_nan=True),
-           tol=st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 1.0]))
-    @example(x=0.0, tol=0.0)
-    @example(x=-0.0, tol=0.0)
-    @example(x=5e-324, tol=0.0)
-    @example(x=1e-300, tol=0.0)
-    def test_real_zero_rule(self, x, tol):
-        # below the tolerance in magnitude, or exactly zero: an exact 0.0 is
-        # zero even at a zero tolerance
-        is_zero = abs(x) < tol or x == 0
-        assert ApproxReal(x, tol).is_zero() == is_zero
+    @given(x=st.floats(allow_infinity=True, allow_nan=True))
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=1e-300)
+    @example(x=-1e-9)
+    def test_real_zero_rule(self, x):
+        # below the tolerance in magnitude, an exact 0.0 included
+        is_zero = abs(x) < DEFAULT_TOLERANCE
+        assert ApproxReal(x).is_zero() == is_zero
+        assert REALS.is_zero(x) == is_zero
         if is_zero:
             with pytest.raises(DivisionByZero, match="real division by"):
-                ApproxReal(1.0, tol).exact_div(ApproxReal(x, tol))
+                ApproxReal(1.0).exact_div(ApproxReal(x))
         else:
-            ApproxReal(x, tol).exact_div(ApproxReal(x, tol))
+            ApproxReal(x).exact_div(ApproxReal(x))
 
     def test_polynomial(self):
         assert not poly(0, 1).is_zero()
         assert Polynomial().is_zero()
+
+
+class TestOneRealRing:
+    def test_approx_real_takes_one_argument(self):
+        with pytest.raises(TypeError):
+            ApproxReal(1.0, 1e-6)
+        with pytest.raises(TypeError):
+            ApproxReal(1.0, tolerance=0.0)
+        # the repr still names the one tolerance
+        assert repr(ApproxReal(1.75)) == "ApproxReal(1.75, tolerance=1e-09)"
+
+    def test_every_real_matrix_is_over_reals(self):
+        built = Matrix([[ApproxReal(1e-10), ApproxReal(1e300)], [ApproxReal(-0.0), ApproxReal(2.5)]])
+        parsed = parse_matrix("1.0 2.0 3.0\n4.0 1e-10 6.0\n7.0 8.0 10.0\n")
+        assert built.native_ring is REALS
+        assert parsed.native_ring is REALS
+        assert native_ring([[ApproxReal(1e-12)], [ApproxReal(1e12)]]) is REALS
 
 
 class TestNeg:
@@ -268,7 +285,7 @@ def test_self_subtraction_is_zero(a):
     assert (a - a).is_zero()
 
 
-reals = st.builds(ApproxReal, st.floats(-1e6, 1e6), st.sampled_from([1e-12, 1e-9, 1e-6]))
+reals = st.builds(ApproxReal, st.floats(-1e6, 1e6))
 
 
 @given(pair=st.one_of(
@@ -283,7 +300,6 @@ def test_subtraction_is_adding_the_negation(pair):
     assert type(d) is type(s)
     assert d == s
     if isinstance(d, ApproxReal):
-        assert d.tolerance == s.tolerance
         assert math.copysign(1.0, d.value) == math.copysign(1.0, s.value)
 
 
@@ -295,13 +311,9 @@ class TestEquality:
                 assert (a == b) == (i == j)
                 assert (a != b) == (i != j)
 
-    def test_real_equality_ignores_tolerance(self):
-        assert ApproxReal(2.5, 1e-9) == ApproxReal(2.5, 1e-3)
-        assert ApproxReal(2.5, 1e-9) != ApproxReal(2.25, 1e-9)
-
     def test_equal_values_hash_equal(self):
         assert hash(ExactRational(2, 4)) == hash(ExactRational(1, 2))
-        assert hash(ApproxReal(0.5, 1e-9)) == hash(ApproxReal(0.5, 1e-3))
+        assert hash(ApproxReal(0.5)) == hash(ApproxReal(2.0).exact_div(ApproxReal(4.0)))
         assert len({ExactInteger(3), ExactInteger(3), poly(3), poly(3)}) == 2
 
     @given(pair=st.one_of(
@@ -359,6 +371,20 @@ class TestText:
         q_text = f"{decimal.Decimal(q.value.numerator)}/{decimal.Decimal(q.value.denominator)}"
         assert format_scalar(q) == q_text
         assert parse_scalar(q_text) == q
+
+    @pytest.mark.parametrize("case", ["rational-det", "integer", "polynomial"])
+    def test_reprs_beyond_str_digit_limit(self, case):
+        # repr converts in halves too, as format_scalar does
+        d = 10**4400 + 1
+        digits = lambda v: str(decimal.Decimal(v))
+        if case == "rational-det":
+            a = Matrix([[ExactRational(1, d), ExactRational(2)], [ExactRational(3), ExactRational(5, d)]])
+            det, _ = condensation_det(a)
+            assert repr(det) == f"ExactRational({digits(5 - 6 * d * d)}, {digits(d * d)})"
+        elif case == "integer":
+            assert repr(ExactInteger(10**5000)) == f"ExactInteger({digits(10**5000)})"
+        else:
+            assert repr(Polynomial([Fraction(1, d)])) == f"Polynomial([Fraction(1, {digits(d)})])"
 
     @pytest.mark.parametrize(
         "scalar,text",
