@@ -30,10 +30,11 @@ and every division is still checked for exactness.  A trace reads stage k
 entry (i, j) of the integer run v back as the rational v / (L_i ... L_{i+k}).
 
 Polynomial matrices condense on integers too, by Kronecker substitution:
-after the same row scaling (which clears the denominators of Q[x]), each
-entry f becomes the int f(2^W) (``ring.pack_polynomial``).  Evaluation at
-2^W is a ring homomorphism, so the integer kernel computes every stage entry
-evaluated at 2^W, and exact quotients stay exact.  The kernel's width rule:
+after the same row scaling (which clears the denominators of Q[x], and is
+skipped when every coefficient is an int), each entry f becomes the int
+f(2^W) (``ring.pack_polynomial``).  Evaluation at 2^W is a ring
+homomorphism, so the integer kernel computes every stage entry evaluated at
+2^W, and exact quotients stay exact.  The kernel's width rule:
 W is one more than the bit length of prod_i max(1, sum_j |m_ij|_1), |.|_1
 being the sum of a polynomial's coefficient magnitudes; that product bounds
 every coefficient of every minor, connected or not, so a packed divisor is 0
@@ -88,14 +89,14 @@ but not its division, a complete one through stage n - 1.
 Mitigation reads the input's zero set once, ``Matrix.zeros``, which every
 attempt of a run shares, and wraps no value but the repair's factors.  A
 rotation permutes the input's native rows.  Additive repair computes on
-them, and re-tests only the row or column each operation changed, by the
+them, and re-tests only the entries whose source entry is nonzero, by the
 zero rule of ``Matrix.zeros``.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``.  ``condensation_det`` also bounds the work of failed
 attempts, in the op counter's units: the muldiv ``_charge`` charges each,
-plus n per additive-repair operation (the n entries it computes and
-re-tests).  Once that exceeds two clean runs' muldiv it stops, so a run that
+plus n per additive-repair operation (the n entries of the line it
+changes).  Once that exceeds two clean runs' muldiv it stops, so a run that
 falls back has made n^2 zero tests on its input, at most two clean runs of
 attempts and one last attempt, cheaper than a clean run, before its one
 elimination; one that falls back because the sparse rule ended the plan
@@ -334,13 +335,19 @@ def _packed_rows(rows):
     magnitudes.  That product bounds every coefficient of every minor, since
     a minor's terms each take one entry from distinct rows, so every stage
     entry and every intermediate of ``elimination_det`` unpacks exactly, and
-    a packed divisor or pivot is 0 exactly when the polynomial is.
+    a packed divisor or pivot is 0 exactly when the polynomial is.  When
+    every coefficient is an ``int``, as in the Hückel matrices, every L_i
+    is 1 and the coefficients are packed as they are, with no clearing pass.
     """
-    scales = [lcm(*{c.denominator for p in r for c in p.coeffs}) for r in rows]
-    coeffs = [
-        [[c.numerator * (s // c.denominator) for c in p.coeffs] for p in r]
-        for r, s in zip(rows, scales)
-    ]
+    coeffs = [[p.coeffs for p in r] for r in rows]
+    if all(type(c) is int for r in coeffs for cs in r for c in cs):
+        scales = [1] * len(rows)
+    else:
+        scales = [lcm(*{c.denominator for cs in r for c in cs}) for r in coeffs]
+        coeffs = [
+            [[c.numerator * (s // c.denominator) for c in cs] for cs in r]
+            for r, s in zip(coeffs, scales)
+        ]
     bound = prod(max(1, sum(abs(c) for p in r for c in p)) for r in coeffs)
     width = bound.bit_length() + 1
     return [[pack_polynomial(p, width) for p in r] for r in coeffs], width, scales
@@ -459,31 +466,34 @@ def _additive_repair(rows, zeros: set, salt: int, ring: NativeRing) -> list:
     """Clear the interior zeros of the native rows ``rows``, of the ring
     ``ring``, by adding scaled rows/columns, in place; return the operations.
 
-    ``zeros`` holds every (i, j) where ``rows`` has a zero.  It picks the
-    zero to clear and its source, and is kept current by re-testing only
-    the row or column an operation changed, with the zero rule of
-    ``Matrix.zeros``, ``ring.is_zero``.  Each operation adds k times its
-    source for an int k, applied by ``_apply_operation`` with
+    ``zeros`` holds every (i, j) where ``rows`` has a zero; it picks each
+    zero's source, and the least of its interior positions, row by row, is
+    the zero to clear.  After each operation only the entries whose source
+    entry is nonzero by exact falsiness (``rows[src][t]``) are re-tested,
+    with the zero rule of ``Matrix.zeros``, ``ring.is_zero``: adding k times
+    a 0 keeps an entry's zero test, while a real source below the tolerance
+    may still move its destination across it.  Each operation adds k times
+    its source for an int k, applied by ``_apply_operation`` with
     ``ring.add_scaled``, and is logged with the scalar constant k of the
     ring, the factor ``replay_log`` applies.
     ``salt`` shifts the starting factor so successive restart rounds produce
     distinct transforms.  Raises UnremovableZero when a zero has no nonzero
     source in its row or column, or when the repair budget runs out.
     """
-    n = len(rows)
-    interior = [(i, j) for i in range(1, n - 1) for j in range(1, n - 1)]
+    n, is_zero = len(rows), ring.is_zero
+    inner = {(i, j) for i, j in zeros if 0 < i < n - 1 and 0 < j < n - 1}
     attempts, ops = {}, []
     for _ in range(4 * n * n):
-        zero_at = next((p for p in interior if p in zeros), None)
-        if zero_at is None:
+        if not inner:
             return ops
+        zero_at = min(inner)  # the first interior zero, row by row
         i, j = zero_at
         attempts[zero_at] = attempts.get(zero_at, 0) + 1
         k = salt + attempts[zero_at]
         src = next((s for s in range(n) if s != i and (s, j) not in zeros), None)
         if src is not None:
             op = ("add_scaled_row", src, i, k)
-            changed = [(i, t) for t in range(n)]
+            changed = [(i, t) for t, x in enumerate(rows[src]) if x]
         else:
             src = next((t for t in range(n) if t != j and (i, t) not in zeros), None)
             if src is None:
@@ -491,14 +501,18 @@ def _additive_repair(rows, zeros: set, salt: int, ring: NativeRing) -> list:
                     f"interior zero at ({i}, {j}) has no nonzero row or column source"
                 )
             op = ("add_scaled_col", src, j, k)
-            changed = [(s, j) for s in range(n)]
+            changed = [(s, j) for s, r in enumerate(rows) if r[src]]
         _apply_operation(rows, op, ring.add_scaled)
         ops.append(op[:3] + (ring.wrap(ring.constant(k)),))
-        for s, t in changed:
-            if ring.is_zero(rows[s][t]):
-                zeros.add((s, t))
+        for p in changed:
+            s, t = p
+            if is_zero(rows[s][t]):
+                zeros.add(p)
+                if 0 < s < n - 1 and 0 < t < n - 1:
+                    inner.add(p)
             else:
-                zeros.discard((s, t))
+                zeros.discard(p)
+                inner.discard(p)
     raise UnremovableZero("additive repair budget exhausted")
 
 

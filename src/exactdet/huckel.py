@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .condense import FallbackRequired, condensation_det, elimination_det
 from .matrix import Matrix, ParseError
-from .ring import Polynomial, power_text, terms_text
+from .ring import POLYNOMIALS, Polynomial, power_text, terms_text
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,8 @@ def secular_matrix(system: PiSystem) -> Matrix:
                 for j in range(n)
             ]
             for i in range(n)
-        ]
+        ],
+        POLYNOMIALS,
     )
 
 

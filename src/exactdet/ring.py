@@ -336,7 +336,15 @@ class Polynomial(Scalar):
 
 
 def _add_scaled_polynomials(dst, k, src):
-    return [d + Polynomial._result([k * c for c in s.coeffs]) if s else d for d, s in zip(dst, src)]
+    out = list(dst)
+    for t, s in enumerate(src):
+        if s.coeffs:
+            cs = list(out[t].coeffs)
+            cs += [0] * (len(s.coeffs) - len(cs))
+            for u, c in enumerate(s.coeffs):
+                cs[u] += k * c
+            out[t] = Polynomial._result(cs)
+    return out
 
 
 class NativeRing(NamedTuple):
@@ -347,9 +355,11 @@ class NativeRing(NamedTuple):
     goes out.  ``text(value)`` is one native value in the text syntax
     ``parse_scalar`` reads.  ``constant(k)`` is the int k as a native value, and
     ``add_scaled(dst, k, src)`` the row dst + k * src for an int k: every
-    number entry is computed, so -0.0 + 1 * 0.0 is 0.0, and polynomials scale
-    coefficients, skipping a zero source.  ``divide(row, divisors)``, in the
-    rings the kernel divides in, gives a whole row's exact quotients, raising
+    number entry is computed, so -0.0 + 1 * 0.0 is 0.0, while a polynomial
+    entry is kept where its source is zero and is otherwise one polynomial
+    built straight from the coefficients d_t + k * s_t, with no scaled
+    polynomial in between.  ``divide(row, divisors)``, in the rings the
+    kernel divides in, gives a whole row's exact quotients, raising
     ``DivisionByZero`` or ``InexactDivision`` when one fails.  ``is_zero(x)``
     is the ring's zero test on a native value: ``not x`` on the exact rings,
     and the real zero rule on ``REALS``.
@@ -391,17 +401,17 @@ def _values(rows):
 # products and exact quotients of packed values are the packed results.
 
 
-def _check_width(width: int) -> None:
+def _width_error(width: int) -> ValueError:
     # at width 1 the balanced digit of 1 is -1, which would leave an
     # unpacked value unchanged forever
-    if width < 2:
-        raise ValueError(f"packing width must be at least 2, got {width}")
+    return ValueError(f"packing width must be at least 2, got {width}")
 
 
 def pack_polynomial(coeffs, width: int) -> int:
     """f(2^width) for the integer coefficients ``coeffs`` of f, lowest degree
     first.  A width below 2 raises ValueError, as ``unpack_polynomial`` does."""
-    _check_width(width)
+    if width < 2:
+        raise _width_error(width)
     value = 0
     for c in reversed(coeffs):
         value = (value << width) + c
@@ -418,7 +428,8 @@ def unpack_polynomial(value: int, width: int, scale: int = 1) -> Polynomial:
     packed zero test is exact under that bound.  A width below 2 has no
     balanced digits that end the reading, and raises ValueError.
     """
-    _check_width(width)
+    if width < 2:
+        raise _width_error(width)
     mask, half = (1 << width) - 1, 1 << (width - 1)
     cs = []
     while value:
@@ -540,7 +551,7 @@ REALS = NativeRing(
 )
 # a polynomial scalar is its own native value
 POLYNOMIALS = NativeRing(
-    tuple, lambda p: p, lambda k: Polynomial([k]), str, _add_scaled_polynomials
+    tuple, lambda p: p, lambda k: Polynomial._result([k]), str, _add_scaled_polynomials
 )
 _RINGS = {
     ExactInteger: INTEGERS, ExactRational: RATIONALS, ApproxReal: REALS, Polynomial: POLYNOMIALS

@@ -37,7 +37,7 @@ from exactdet.ring import (
     RingMismatch,
 )
 
-from test_elimination import NAPHTHALENE
+from test_elimination import NAPHTHALENE, cycle
 from test_matrix import CLEAN4, RESTART4, identity
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -421,7 +421,9 @@ class TestMitigation:
 
     def test_repair_retests_only_changed_lines(self, monkeypatch):
         # the 8x8 checkerboard defeats every rotation; the repair's 6 row
-        # additions each re-test only the row they changed: 64 + 8 * 6 tests
+        # additions each re-test only the entries whose source entry is
+        # nonzero, 4 of row 0 and, once row 0 is added to it, 8 of row 1:
+        # 64 + 3 * (4 + 8) tests, where re-testing whole rows made 64 + 6 * 8
         m = int_matrix([[(i + j) % 2 for j in range(8)] for i in range(8)])
         tested = counted_zero_tests(monkeypatch)
         _, log = mitigate_interior_zeros(m)
@@ -430,7 +432,7 @@ class TestMitigation:
             ("add_scaled_row", src, dst, ExactInteger(1)) for src, dst in pairs
         )
         assert log.plan == ("add", 0)
-        assert 0 < len(tested) <= 112
+        assert len(tested) == 64 + 3 * (4 + 8)
 
     def test_zero_set_is_read_once_per_input(self, monkeypatch):
         # entries of about 1e-3 leave every interior nonzero but make later
@@ -474,6 +476,56 @@ class TestMitigation:
         assert repr(log) == repr(expected)
         assert out == replay_log(m, log)
         assert entry_reprs(out) == entry_reprs(replay_log(m, log))
+
+    @pytest.mark.parametrize("kind", RINGS)
+    def test_repair_matches_the_rescanning_loop(self, kind):
+        # seeded sparse matrices, n = 3..9, every salt: the repair that keeps
+        # its interior zeros logs, repairs and leaves the zero set as the
+        # loop that rescans the interior and re-tests whole lines, and fails
+        # with its messages
+        rng = random.Random(f"rescanning-{kind}")
+        entry = REPAIR_ENTRIES[kind]
+        zero = entry(rng).from_int(0)
+        failed = set()
+        for n in range(3, 10):
+            for draw in range(6):
+                m = [[entry(rng) for _ in range(n)] for _ in range(n)]
+                if draw == 0:
+                    # an interior zero with no source: its row and column
+                    # are zero, so the repair fails there
+                    i, j = rng.randint(1, n - 2), rng.randint(1, n - 2)
+                    m = [[zero if i == s or j == t else x for t, x in enumerate(r)] for s, r in enumerate(m)]
+                m = Matrix(m)
+                for salt in range(n):
+                    expected = repair_outcome(rescanning_repair, m, salt)
+                    assert repair_outcome(condense._additive_repair, m, salt) == expected
+                    failed.add(expected[0].startswith("UnremovableZero"))
+        assert failed == {True, False}
+
+    def test_repair_retests_a_real_that_crosses_the_tolerance(self):
+        # (1, 2) holds 8e-10 and its source (0, 2) 5e-10, both zero by the
+        # real rule but nonzero as values: adding row 0 to row 1 to clear
+        # (1, 1) makes (1, 2) 1.3e-9, no longer zero, so one operation
+        # clears the interior; a re-test skipped because the source is in
+        # the zero set would leave (1, 2) a zero and add a second operation
+        m = Matrix(
+            [
+                [ApproxReal(v) for v in r]
+                for r in [
+                    [1.0, 1.0, 5e-10, 1.0],
+                    [1.0, 0.0, 8e-10, 1.0],
+                    [1.0, 2.0, 3.0, 4.0],
+                    [4.0, 3.0, 2.0, 1.0],
+                ]
+            ]
+        )
+        assert m.zeros == {(0, 2), (1, 1), (1, 2)}
+        rows, zeros = [list(r) for r in m.native_rows], set(m.zeros)
+        ops = condense._additive_repair(rows, zeros, 0, m.native_ring)
+        assert ops == [("add_scaled_row", 0, 1, ApproxReal(1.0))]
+        assert rows[1] == [2.0, 1.0, 8e-10 + 5e-10, 2.0]
+        assert zeros == {(0, 2)}
+        assert repair_outcome(rescanning_repair, m, 0) == repair_outcome(condense._additive_repair, m, 0)
 
     def test_real_repair_adds_a_zero_source(self):
         # -0.0 + 1.0 * 0.0 is 0.0: a zero number source is added, not skipped
@@ -562,6 +614,67 @@ def reference_repair(rows, salt):
     raise UnremovableZero("budget")
 
 
+def rescanning_repair(rows, zeros, salt, ring):
+    """``_additive_repair`` as it was before it kept its interior zeros: it
+    rescans the interior for the first zero before every operation and
+    re-tests the whole row or column each operation changed.  The reference
+    for the loop that re-tests only the entries with a nonzero source."""
+    n = len(rows)
+    interior = [(i, j) for i in range(1, n - 1) for j in range(1, n - 1)]
+    attempts, ops = {}, []
+    for _ in range(4 * n * n):
+        zero_at = next((p for p in interior if p in zeros), None)
+        if zero_at is None:
+            return ops
+        i, j = zero_at
+        attempts[zero_at] = attempts.get(zero_at, 0) + 1
+        k = salt + attempts[zero_at]
+        src = next((s for s in range(n) if s != i and (s, j) not in zeros), None)
+        if src is not None:
+            op = ("add_scaled_row", src, i, k)
+            changed = [(i, t) for t in range(n)]
+        else:
+            src = next((t for t in range(n) if t != j and (i, t) not in zeros), None)
+            if src is None:
+                raise UnremovableZero(
+                    f"interior zero at ({i}, {j}) has no nonzero row or column source"
+                )
+            op = ("add_scaled_col", src, j, k)
+            changed = [(s, j) for s in range(n)]
+        condense._apply_operation(rows, op, ring.add_scaled)
+        ops.append(op[:3] + (ring.wrap(ring.constant(k)),))
+        for s, t in changed:
+            if ring.is_zero(rows[s][t]):
+                zeros.add((s, t))
+            else:
+                zeros.discard((s, t))
+    raise UnremovableZero("additive repair budget exhausted")
+
+
+# native entries for the repair reference: zeros of every kind, and reals
+# below the tolerance that cross it when added (8e-10 + 5e-10)
+REPAIR_ENTRIES = {
+    "integer": lambda rng: ExactInteger(rng.choice([0, 0, 1, -1, 2])),
+    "rational": lambda rng: ExactRational(rng.choice([0, 0, 1, -1, 2]), rng.randint(1, 3)),
+    "real": lambda rng: ApproxReal(rng.choice([0.0, -0.0, 1e-12, 5e-10, 8e-10, 0.5, -1.5, 2.0])),
+    "polynomial": lambda rng: Polynomial(
+        rng.choice([(), (), (1,), (0, 1), (0, -1), (-1, 2), (Fraction(1, 2),)])
+    ),
+}
+
+
+def repair_outcome(repair, m, salt):
+    """What ``repair`` does to a copy of ``m``'s native rows and zero set:
+    the reprs of its operations or its UnremovableZero message, of the
+    repaired rows, and the zero set it leaves."""
+    rows, zeros = [list(r) for r in m.native_rows], set(m.zeros)
+    try:
+        result = repr(repair(rows, zeros, salt, m.native_ring))
+    except UnremovableZero as e:
+        result = f"UnremovableZero: {e}"
+    return result, [[repr(x) for x in r] for r in rows], zeros
+
+
 def reference_mitigation(a, exclude=()):
     """``mitigate_interior_zeros`` on scalar entries: rotated interiors
     tested with ``is_zero``, and ``reference_repair``; returns the log."""
@@ -642,6 +755,19 @@ def random_polynomial_matrix(rng, n, coefficient, zero_share):
     )
 
 
+def clearing_packed_rows(rows):
+    """``condense._packed_rows`` by the clearing pass alone: every row times
+    the lcm of its coefficients' denominators, whatever their type."""
+    scales = [math.lcm(*{c.denominator for p in r for c in p.coeffs}) for r in rows]
+    coeffs = [
+        [[c.numerator * (s // c.denominator) for c in p.coeffs] for p in r]
+        for r, s in zip(rows, scales)
+    ]
+    bound = math.prod(max(1, sum(abs(c) for p in r for c in p)) for r in coeffs)
+    width = bound.bit_length() + 1
+    return [[ring_module.pack_polynomial(p, width) for p in r] for r in coeffs], width, scales
+
+
 class TestPackedPolynomials:
     @pytest.mark.parametrize("field", ["integer", "rational"])
     def test_matches_bareiss_and_stepwise_replay(self, field):
@@ -673,6 +799,57 @@ class TestPackedPolynomials:
             assert (trace.restarts, trace.ops) == (restarts, ops)
             seen.add(log.plan[0] + ("-restart" if restarts else ""))
         assert {"rot", "add", "rot-restart", "fallback"} <= seen
+
+    def test_integer_rows_pack_as_the_clearing_pass_does(self, monkeypatch):
+        # Hückel matrices and Z[x] draws: no lcm is taken, every scale is 1,
+        # and the packed rows and width are those the clearing pass gives
+        rng = random.Random("integer-packing")
+        cases = [secular_matrix(s) for n in range(3, 13) for s in (PiSystem.chain(n), cycle(n))]
+        cases.append(secular_matrix(NAPHTHALENE))
+        for n in (3, 5, 8):
+            for zero_share in (0.0, 0.5):
+                cases += [random_polynomial_matrix(rng, n, lambda: rng.randint(-999, 999), zero_share) for _ in range(3)]
+        expected = [clearing_packed_rows(m.native_rows) for m in cases]
+
+        def no_lcm(*args):
+            raise AssertionError("integer rows had their denominators cleared")
+
+        monkeypatch.setattr(condense, "lcm", no_lcm)
+        for m, (rows, width, scales) in zip(cases, expected):
+            assert scales == [1] * m.n_rows
+            assert condense._packed_rows(m.native_rows) == (rows, width, scales)
+
+    @pytest.mark.parametrize(
+        "system, width",
+        [
+            (PiSystem.chain(6), 10),
+            (PiSystem.chain(8), 13),
+            (cycle(8), 14),
+            (PiSystem.chain(10), 16),
+            (NAPHTHALENE, 18),
+        ],
+    )
+    def test_huckel_packing_widths(self, system, width):
+        assert condense._packed_rows(secular_matrix(system).native_rows)[1] == width
+
+    def test_rational_rows_that_need_repair_still_clear(self):
+        # the chain of 6 with x/2 on the diagonal and 1/3 on its edges: the
+        # zeros of the chain, so it condenses after a restart under plan
+        # ("add", 1), on rows cleared by 6, as the clearing pass packs them
+        m = secular_matrix(PiSystem.chain(6))
+        m = Matrix(
+            [
+                [Polynomial([Fraction(c, 2 if i == j else 3) for c in p.coeffs]) for j, p in enumerate(r)]
+                for i, r in enumerate(m.rows())
+            ]
+        )
+        packed = condense._packed_rows(m.native_rows)
+        assert packed == clearing_packed_rows(m.native_rows)
+        assert packed[2] == [6] * 6
+        det, trace = condensation_det(m)
+        assert trace.mitigation.plan == ("add", 1)
+        assert trace.restarts == ((3, (2, 0)),)
+        assert det == bareiss_det(m)
 
     def test_rotations_pack_nothing(self, monkeypatch):
         # RESTART4 times x, its identity plan excluded: the rotation by one
