@@ -10,9 +10,15 @@ connected minor of stage 0 anchored at (i, j), so over the integers every
 intermediate stays an integer.
 
 The stage kernel, ``_condense_rows``, computes only the recurrence: the 2x2
-minors of native values (see ``ring.NativeRing``) and their exact quotients
-by the ring's ``divide``.  ``condensation_det`` reads the mitigated matrix's
-native rows, keeps only the previous two stages and wraps only the result.
+minors of native values (see ``ring.NativeRing``) and their exact quotients.
+On the integer ring, which the rational and polynomial runs below use too,
+it makes one pass per stage row: each minor is formed and its ``divmod``
+quotient checked for a zero remainder in one comprehension, and only a row
+where a division fails is divided again by the ring's ``divide``, to raise
+``integer_quotient``'s error.  The reals divide each row of minors by their
+``divide``, which holds the real zero rule.  ``condensation_det`` reads the
+mitigated matrix's native rows, keeps only the previous two stages and wraps
+only the result.
 A ``CondensationTrace`` stores stage 0; when first read, its stages are read
 off a repeat of the run's own kernel rows, and its pre-division matrices are
 the 2x2 minors of each stage in the matrix's ring.  ``render_trace`` prints
@@ -71,9 +77,12 @@ when the order first reaches it: the zeros outside rows r and r - 1 must lie
 in columns c and c - 1, so with none of them every c is accepted, with one
 or two columns the c whose pair holds them, and with more, none.  The
 identity plan is thus accepted exactly when the interior has no zero.  Only
-the accepted plan is applied, as one index permutation, and logged as the
-(r + c)(n - 1) adjacent swaps that ``replay_log`` re-applies, so its sign is
-(-1)^((r + c)(n - 1)).
+the accepted plan is applied, as one index permutation, and its
+``MitigationLog`` is that permutation plus a sign: it records the plan and
+reads its sign, (-1)^((r + c)(n - 1)), off it in O(1).  The
+(r + c)(n - 1) adjacent swaps that ``replay_log`` re-applies and
+``render_trace`` prints are built only when a reader asks for the log's
+operations, so a run that is not traced builds none.
 
 An attempt ends at the stage that holds its zero divisor, in every ring.
 ``condensation_det`` tests each stage's interior as soon as it exists, for
@@ -164,18 +173,45 @@ class MitigationLog:
 
     Operations are tuples: ``("swap_rows", i, j)``, ``("swap_cols", i, j)``,
     ``("add_scaled_row", src, dst, c)``, ``("add_scaled_col", src, dst, c)``.
-    ``sign`` is (-1)**(number of swaps); additions never change it.
+    A log given its operations, such as additive repair's, has ``sign``
+    (-1)**(number of swaps) among them; additions never change it.
+
+    A rotation's log, ``MitigationLog.rotation(n, r, c)``, holds only its
+    plan ("rot", r, c), and its sign is (-1)**((r + c)(n - 1)), read off
+    the plan.  Its operations, the (r + c)(n - 1) adjacent swaps of
+    ``_rotation_swaps``, are built when first read, as ``render_trace``,
+    ``replay_log`` and ``repr`` do, and kept, so every read gives the same
+    tuple and a run that reads only the sign builds none.
     """
 
-    __slots__ = ("operations", "plan")
+    __slots__ = ("_operations", "_size", "plan")
 
     def __init__(self, operations=(), plan=None):
-        self.operations = tuple(operations)
+        self._operations = tuple(operations)
+        self._size = None
         self.plan = plan
+
+    @classmethod
+    def rotation(cls, n: int, r: int, c: int):
+        """The log of the plan ("rot", r, c) on an n x n matrix."""
+        log = cls((), ("rot", r, c))
+        log._operations, log._size = None, n
+        return log
+
+    @property
+    def operations(self) -> tuple:
+        if self._operations is None:
+            _, r, c = self.plan
+            self._operations = tuple(_rotation_swaps(self._size, r, c))
+        return self._operations
 
     @property
     def sign(self) -> int:
-        swaps = sum(1 for op in self.operations if op[0].startswith("swap"))
+        if self._size is None:
+            swaps = sum(1 for op in self._operations if op[0].startswith("swap"))
+        else:
+            _, r, c = self.plan
+            swaps = (r + c) * (self._size - 1)
         return -1 if swaps % 2 else 1
 
     def __repr__(self):
@@ -261,19 +297,44 @@ def _condense_rows(current, divisor, divide) -> list:
 
     Each entry is a 2x2 consecutive minor of ``current``.  With a
     ``divisor`` (the interior rows of the stage two rounds back, None on the
-    first round), each row is then divided by its divisor row at once with
-    ``divide``, a ``NativeRing.divide``, which raises when a division fails;
-    ``condensation_det`` ends an attempt before its zero divisor, so in a
-    run none does.  The kernel counts nothing; ``_charge`` does.
+    first round), each entry is divided exactly by its divisor entry, and a
+    failed division raises; ``condensation_det`` ends an attempt before its
+    zero divisor, so in a run none does.  ``divide`` is the ring's
+    ``NativeRing.divide``.  On the integer ring, which also runs cleared
+    rationals and packed polynomials, each row is one pass: every minor is
+    formed and its ``divmod`` quotient checked for a zero remainder in one
+    comprehension.  A row where a check fails, and every row of the reals,
+    is formed as minors and divided by ``divide``, which on the integers
+    raises at the first failed division what ``integer_quotient`` raises:
+    ``DivisionByZero`` or ``InexactDivision``, never a bare
+    ``ZeroDivisionError``.  The kernel counts nothing; ``_charge`` does.
     """
-    # one row at a time, so that a row's minors are freed once it is divided
-    rows = (
-        [a * d - b * c for a, b, c, d in zip(top, top[1:], bottom, bottom[1:])]
-        for top, bottom in zip(current, current[1:])
-    )
-    if divisor is not None:
-        rows = map(divide, rows, divisor)
-    return list(rows)
+    pairs = zip(current, current[1:])
+    if divisor is None:
+        return [_minors(top, bottom) for top, bottom in pairs]
+    fused = divide is INTEGERS.divide
+    out = []
+    for (top, bottom), under in zip(pairs, divisor):
+        if fused:
+            try:
+                row = [
+                    q
+                    for a, b, c, d, e in zip(top, top[1:], bottom, bottom[1:], under)
+                    for q, r in (divmod(a * d - b * c, e),)
+                    if not r
+                ]
+            except ZeroDivisionError:
+                row = ()
+            if len(row) == len(under):
+                out.append(row)
+                continue
+        out.append(divide(_minors(top, bottom), under))
+    return out
+
+
+def _minors(top, bottom) -> list:
+    """The 2x2 consecutive minors of two adjacent rows."""
+    return [a * d - b * c for a, b, c, d in zip(top, top[1:], bottom, bottom[1:])]
 
 
 def _stage_rows(rows, divide):
@@ -385,7 +446,9 @@ def elimination_det(a: Matrix, ops: OpCount | None = None):
 
     The pivot is the first entry at or below the diagonal that the ring's
     ``is_zero`` does not count as zero, as in ``bareiss_det``.  Each entry
-    below becomes p*x - f*y, divided by the previous pivot through the
+    below becomes p*x - f*y, divided by the previous pivot as the stage
+    kernel divides: on the integer ring each quotient is checked as it is
+    formed, and a row where one fails, or a real row, goes through the
     ring's checked ``divide``.  Every entry of step k is a minor of the
     scaled rows, so the packing width holds it.
     ``ops`` is charged per eliminated entry two multiplications, one
@@ -407,8 +470,15 @@ def elimination_det(a: Matrix, ops: OpCount | None = None):
             sign = -sign
         p, top = rows[k][k], rows[k][k + 1 :]
         for row in rows[k + 1 :]:
-            f = row[k]
-            new = [p * x - f * y for x, y in zip(row[k + 1 :], top)]
+            f, rest = row[k], row[k + 1 :]
+            if prev is not None and ring is INTEGERS:
+                new = [
+                    q for x, y in zip(rest, top) for q, r in (divmod(p * x - f * y, prev),) if not r
+                ]
+                if len(new) == len(rest):
+                    row[k + 1 :] = new
+                    continue
+            new = [p * x - f * y for x, y in zip(rest, top)]
             row[k + 1 :] = new if prev is None else ring.divide(new, [prev] * len(new))
         entries = (n - 1 - k) ** 2
         ops.mults += 2 * entries
@@ -584,10 +654,11 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
             ops = _additive_repair(rows, set(a.zeros), plan[1], ring)
             return Matrix(rows, ring), MitigationLog(ops, plan)
         _, r, c = plan
+        log = MitigationLog.rotation(a.n_rows, r, c)
         if r == c == 0:
-            return a, MitigationLog((), plan)
+            return a, log
         rotated = [row[c:] + row[:c] for row in entries[r:] + entries[:r]]
-        return Matrix(rotated, ring), MitigationLog(_rotation_swaps(a.n_rows, r, c), plan)
+        return Matrix(rotated, ring), log
     raise UnremovableZero("every mitigation plan failed or was excluded")
 
 

@@ -32,7 +32,9 @@ quotients, and ``Polynomial.exact_div`` the polynomial one: each holds its
 ring's zero-divisor test and division messages.  ``_real_zero`` is the one
 zero rule of the reals.  A scalar's ``exact_div`` calls them, and the kernel's
 ``NativeRing.divide`` applies their rules to a whole row: the integer row
-division, on a failure, raises through ``integer_quotient``.  The number
+division is ``integer_quotient`` entry by entry.  The stage kernel checks
+its integer quotients as it forms them, with ``divmod``, and divides a row
+by ``divide`` only when one fails, to raise that quotient's error.  The number
 scalars share their arithmetic, ``==`` and ``hash`` through ``_Number``, and
 ``native_ring`` is the one check that entries share a ring.  Each ring's text
 rule on native values, ``NativeRing.text``, is stated once too; every printer
@@ -447,15 +449,9 @@ def unpack_polynomial(value: int, width: int, scale: int = 1) -> Polynomial:
 
 
 def _divide_integers(row, divisors):
-    try:
-        qr = [divmod(x, d) for x, d in zip(row, divisors)]
-        exact = [q for q, r in qr if not r]
-        if len(exact) == len(qr):
-            return exact
-    except ZeroDivisionError:
-        pass
-    # some division failed: the scalar rule raises at the first one
-    return [integer_quotient(x, d) for x, d in zip(row, divisors)]
+    # the stage kernel and the fallback check integer quotients as they form
+    # them (see condense) and come here only for a row where one failed
+    return list(map(integer_quotient, row, divisors))
 
 
 def _divide_reals(row, divisors):

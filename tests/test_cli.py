@@ -19,6 +19,7 @@ CLEAN4 = str(FIXTURES / "clean4.txt")
 RESTART4 = str(FIXTURES / "restart4.txt")
 RATIONAL_RESTART4 = str(FIXTURES / "rational_restart4.txt")
 REAL_RESTART4 = str(FIXTURES / "real_restart4.txt")
+ROTATE5 = str(FIXTURES / "rotate5.txt")
 ALLYL = str(FIXTURES / "allyl.edges")
 
 
@@ -78,6 +79,57 @@ sign: -1
 mults: 56
 divs: 9
 adds: 28
+"""
+
+# condenses at once under the rotation ("rot", 2, 1): (2 + 1) * 4 swaps,
+# an even number, as every rotation of a 5 x 5 matrix has
+GOLDEN_ROTATE5 = """\
+-149
+stage 0 (5 x 5)
+3 0 1 1 0
+4 -4 -1 -2 -4
+1 -4 1 -4 -3
+0 1 -4 1 -1
+3 2 -1 4 -2
+stage 1 (4 x 4)
+-12 4 -1 -4
+-12 -8 6 -10
+1 15 -15 7
+-3 7 -15 2
+stage 2 (pre-division)
+144 16 34
+-172 30 -108
+52 -120 75
+stage 2 (3 x 3)
+-36 -16 -17
+43 30 27
+52 30 75
+stage 3 (pre-division)
+-392 78
+-270 1440
+stage 3 (2 x 2)
+49 13
+-18 -96
+stage 4 (pre-division)
+-4470
+stage 4 (1 x 1)
+-149
+swap_rows 0 1
+swap_rows 1 2
+swap_rows 2 3
+swap_rows 3 4
+swap_rows 0 1
+swap_rows 1 2
+swap_rows 2 3
+swap_rows 3 4
+swap_cols 0 1
+swap_cols 1 2
+swap_cols 2 3
+swap_cols 3 4
+sign: +1
+mults: 60
+divs: 14
+adds: 30
 """
 
 # needs a rotation up front, then restarts once under it
@@ -243,6 +295,13 @@ class TestDet:
         code, out, err = run(capsys, "det", RESTART4, "--trace", "--count-ops")
         assert (code, err) == (0, "")
         assert out == GOLDEN_RESTART4
+
+    def test_golden_trace_and_counts_rotate5(self, capsys):
+        code, out, err = run(capsys, "det", ROTATE5, "--trace", "--count-ops")
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_ROTATE5
+        swaps = [line for line in out.splitlines() if line.startswith("swap_")]
+        assert len(swaps) == (2 + 1) * 4
 
     def test_golden_trace_and_counts_rational_restart4(self, capsys):
         code, out, err = run(capsys, "det", RATIONAL_RESTART4, "--trace", "--count-ops")

@@ -258,6 +258,181 @@ class TestCondenseStep:
         assert ops == OpCount(mults=28, divs=4, adds=14)
 
 
+# the kernel's integer rows [[1, 1, 1], [1, 2, 3], [1, 4, 9]], whose minors
+# are [[1, 1], [2, 6]], as integer, cleared rational and packed polynomial
+# matrices: rational row i has the denominator L_i, polynomials are constants
+KERNEL_ROWS = [[1, 1, 1], [1, 2, 3], [1, 4, 9]]
+KERNEL_INPUTS = {
+    "integer": lambda: int_matrix(KERNEL_ROWS),
+    "rational": lambda: Matrix(
+        [[ExactRational(v, s) for v in r] for r, s in zip(KERNEL_ROWS, (2, 3, 1))]
+    ),
+    "polynomial": lambda: Matrix([[Polynomial([v]) for v in r] for r in KERNEL_ROWS]),
+}
+
+
+def no_row_division(*args):
+    raise AssertionError("a row was divided by the ring's row division")
+
+
+square_ints = st.integers(2, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("ring", sorted(KERNEL_INPUTS))
+    @pytest.mark.parametrize(
+        "divisor,error,message",
+        [
+            ([[1, 1], [2, 3]], None, None),
+            ([[1, 1], [0, 3]], DivisionByZero, "integer division by zero"),
+            ([[1, 1], [1, 0]], DivisionByZero, "integer division by zero"),
+            ([[1, 1], [4, 3]], InexactDivision, "4 does not divide 2"),
+            # the first failed division in the row decides the error
+            ([[1, 1], [4, 0]], InexactDivision, "4 does not divide 2"),
+            ([[1, 1], [0, 4]], DivisionByZero, "integer division by zero"),
+        ],
+    )
+    def test_division_errors(self, ring, divisor, error, message):
+        # the kernel raises what integer_quotient raises, never a bare
+        # ZeroDivisionError, on every ring that condenses on integers
+        rows, kernel_ring, _ = condense._kernel_input(KERNEL_INPUTS[ring]())
+        assert rows == KERNEL_ROWS
+        if error is None:
+            assert condense._condense_rows(rows, divisor, kernel_ring.divide) == [[1, 1], [1, 2]]
+            return
+        with pytest.raises(error) as err:
+            condense._condense_rows(rows, divisor, kernel_ring.divide)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_integer_quotients_are_checked_as_they_are_formed(self, monkeypatch):
+        # integer, cleared rational and packed polynomial runs, and their
+        # traces, never call the integer ring's row division: the kernel
+        # checks each quotient as it forms it, and only a failed row, which
+        # a run never has, is divided again
+        fused = ring_module.INTEGERS._replace(divide=no_row_division)
+        monkeypatch.setattr(condense, "INTEGERS", fused)
+        rng = random.Random("fused-kernel")
+        cases = [
+            Matrix([[rng.randint(-10**6, 10**6) for _ in range(9)] for _ in range(9)], fused),
+            Matrix([list(r) for r in RESTART4], fused),
+            Matrix(
+                [[ExactRational(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(7)] for _ in range(7)]
+            ),
+            secular_matrix(PiSystem.chain(6)),
+        ]
+        for m in cases:
+            det, trace = condensation_det(m)
+            assert det == bareiss_det(m)
+            assert list(trace.stages) == stepwise_stages(trace.mitigated)
+
+    @given(rows=square_ints)
+    def test_stages_equal_condense_step(self, rows):
+        # every kernel stage of a seeded integer matrix is condense_step's,
+        # and a zero divisor raises the same error in both
+        stages = [int_matrix(rows)]
+        kernel = condense._stage_rows([list(r) for r in rows], ring_module.INTEGERS.divide)
+        for k in range(1, len(rows)):
+            divisor = stages[k - 2].interior() if k >= 2 else None
+            try:
+                stages.append(condense_step(stages[k - 1], divisor, OpCount()))
+            except (DivisionByZero, InexactDivision) as e:
+                with pytest.raises(type(e)) as err:
+                    next(kernel)
+                assert str(err.value) == str(e)
+                return
+            assert next(kernel) == [list(r) for r in stages[k].native_rows]
+
+    @given(rows=square_ints, data=st.data())
+    def test_round_with_any_divisor(self, rows, data):
+        # one round by divisors drawn freely, so that inexact quotients and
+        # zeros anywhere in the divisor rows are reached too
+        w = len(rows) - 1
+        divisor = data.draw(
+            st.lists(st.lists(st.integers(-4, 4), min_size=w, max_size=w), min_size=w, max_size=w)
+        )
+        try:
+            want = condense_step(int_matrix(rows), int_matrix(divisor), OpCount())
+        except (DivisionByZero, InexactDivision) as e:
+            with pytest.raises(type(e)) as err:
+                condense._condense_rows(rows, divisor, ring_module.INTEGERS.divide)
+            assert type(err.value) is type(e)
+            assert str(err.value) == str(e)
+        else:
+            got = condense._condense_rows(rows, divisor, ring_module.INTEGERS.divide)
+            assert got == [list(r) for r in want.native_rows]
+
+
+ROTATIONS = [(n, r, c) for n in range(3, 10) for r in range(n) for c in range(n)]
+
+
+class TestRotationLog:
+    def test_sign_operations_and_repr(self):
+        # the sign is read off the plan, before any swap is built, and is
+        # the parity the same swaps give as an explicit log
+        for n, r, c in ROTATIONS:
+            log = MitigationLog.rotation(n, r, c)
+            sign = log.sign
+            swaps = condense._rotation_swaps(n, r, c)
+            assert log.plan == ("rot", r, c)
+            assert log.operations == tuple(swaps)
+            assert log.operations is log.operations
+            assert sign == log.sign == MitigationLog(swaps).sign == (-1) ** ((r + c) * (n - 1))
+            assert repr(log) == f"MitigationLog({swaps!r}, plan=('rot', {r}, {c}))"
+
+    def test_sign_builds_no_swap(self, monkeypatch):
+        def no_swaps(*args):
+            raise AssertionError("a rotation's swaps were built")
+
+        monkeypatch.setattr(condense, "_rotation_swaps", no_swaps)
+        for n, r, c in ROTATIONS:
+            assert MitigationLog.rotation(n, r, c).sign == (-1) ** ((r + c) * (n - 1))
+
+    def test_untraced_det_builds_no_swap(self, monkeypatch, capsys):
+        # rotated [-9, 9] inputs condense, restart and fall back without
+        # building one swap; a trace then prints the swaps of the plan
+        from exactdet.cli import main
+
+        rng = random.Random("lazy-rotation-log")
+        cases = [
+            int_matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            for n in (7, 8, 9)
+            for _ in range(20)
+        ]
+        cases += [int_matrix(RESTART4), parse_matrix((FIXTURES / "rotate5.txt").read_text())]
+        swaps = condense._rotation_swaps
+
+        def no_swaps(*args):
+            raise AssertionError("a rotation's swaps were built")
+
+        rotated = 0
+        for m in cases:
+            with monkeypatch.context() as patched:
+                patched.setattr(condense, "_rotation_swaps", no_swaps)
+                try:
+                    det, trace = condensation_det(m)
+                except FallbackRequired:
+                    continue
+                assert det == bareiss_det(m)
+            plan = trace.mitigation.plan
+            if plan[0] == "rot" and plan != ("rot", 0, 0):
+                rotated += 1
+                assert trace.mitigation.operations == tuple(swaps(m.n_rows, *plan[1:]))
+        assert rotated >= 10
+        with monkeypatch.context() as patched:
+            patched.setattr(condense, "_rotation_swaps", no_swaps)
+            assert main(["det", str(FIXTURES / "rotate5.txt")]) == 0
+        assert capsys.readouterr().out == "-149\n"
+        assert main(["det", str(FIXTURES / "rotate5.txt"), "--trace"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = [line for line in lines if line.startswith("swap")]
+        assert printed == [f"{op} {i} {j}" for op, i, j in swaps(5, 2, 1)]
+
+
 class TestMitigation:
     def test_clean_interior_is_identity_plan(self):
         m = int_matrix(CLEAN4)

@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from exactdet import condense
 from exactdet.cli import main
 from exactdet.condense import OpCount, elimination_det
 from exactdet.huckel import PiSystem, secular_matrix
 from exactdet.matrix import Matrix, int_matrix
 from exactdet.oracle import bareiss_det
-from exactdet.ring import ApproxReal, ExactInteger, ExactRational, Polynomial
+from exactdet.ring import INTEGERS, ApproxReal, ExactInteger, ExactRational, Polynomial
 
 from test_sweep_digest import SEED, sweep_cases
 
@@ -74,6 +75,31 @@ def test_zero_column_stops_with_partial_counts():
 def test_pivot_swaps_flip_the_sign():
     assert_same_as_bareiss(int_matrix([[0, 1, 2], [0, 3, 1], [4, 1, 1]]))
     assert elimination_det(int_matrix([[0, 1], [1, 0]])) == ExactInteger(-1)
+
+
+def test_integer_rows_check_each_quotient_as_it_is_formed(monkeypatch):
+    # on the kernel's integer rows (integers, cleared rationals, packed
+    # polynomials) each entry's quotient by the previous pivot is checked
+    # as it is formed, so a step never divides a row through the ring's row
+    # division, nor builds a row of copies of the pivot for it; pivots,
+    # values and counts stay bareiss_det's
+    def no_row_division(*args):
+        raise AssertionError("a row was divided by the ring's row division")
+
+    fused = INTEGERS._replace(divide=no_row_division)
+    monkeypatch.setattr(condense, "INTEGERS", fused)
+    rng = random.Random("fused-elimination")
+    cases = [
+        Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], fused)
+        for n in range(2, 10)
+    ]
+    cases.append(Matrix([[0, 1, 2], [0, 3, 1], [4, 1, 1]], fused))
+    cases.append(
+        Matrix([[ExactRational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)] for _ in range(6)])
+    )
+    cases += [secular_matrix(s) for s in (PiSystem.chain(8), cycle(8), NAPHTHALENE)]
+    for m in cases:
+        assert_same_as_bareiss(m)
 
 
 def test_refuses_non_square():
