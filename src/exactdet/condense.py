@@ -17,8 +17,8 @@ quotient checked for a zero remainder in one comprehension, and only a row
 where a division fails is divided again by the ring's ``divide``, to raise
 ``integer_quotient``'s error.  The reals divide each row of minors by their
 ``divide``, which holds the real zero rule.  ``condensation_det`` reads the
-mitigated matrix's native rows, keeps only the previous two stages and wraps
-only the result.
+mitigated matrix's kernel rows (``_kernel_input``), keeps only the previous
+two stages and wraps only the result.
 A ``CondensationTrace`` stores stage 0; when first read, its stages are read
 off a repeat of the run's own kernel rows, and its pre-division matrices are
 the 2x2 minors of each stage in the matrix's ring.  ``render_trace`` prints
@@ -27,12 +27,14 @@ them from their native rows by the ring's text rule, wrapping no scalar.
 scalars' own ``*``, ``-`` and ``exact_div``, independent of the kernel.
 
 Rational matrices condense on integers, where no ``Fraction`` pays a gcd
-per operation.  ``condensation_det`` multiplies row i of each attempt by
-L_i, the lcm of that row's denominators, runs the integer kernel and divides
-by the product of the L_i once, at the end.  Stage k entry (i, j) of the
-scaled rows is L_i ... L_{i+k} times the rational one, so the zeros, and with
-them mitigation, restarts and the op counts, are those of the rational run,
-and every division is still checked for exactness.  A trace reads stage k
+per operation.  Each attempt runs on the matrix's cleared rows,
+``Matrix.cleared``: row i times L_i, the lcm of that row's denominators,
+which ``parse_matrix`` reads a rational file straight into.  The integer
+kernel runs on them, and the result is divided by the product of the L_i
+once, at the end.  Stage k entry (i, j) of the scaled rows is
+L_i ... L_{i+k} times the rational one, so the zeros, and with them
+mitigation, restarts and the op counts, are those of the rational run, and
+every division is still checked for exactness.  A trace reads stage k
 entry (i, j) of the integer run v back as the rational v / (L_i ... L_{i+k}).
 
 Polynomial matrices condense on integers too, by Kronecker substitution:
@@ -97,9 +99,11 @@ but not its division, a complete one through stage n - 1.
 
 Mitigation reads the input's zero set once, ``Matrix.zeros``, which every
 attempt of a run shares, and wraps no value but the repair's factors.  A
-rotation permutes the input's native rows.  Additive repair computes on
-them, and re-tests only the entries whose source entry is nonzero, by the
-zero rule of ``Matrix.zeros``.
+rotation permutes the input's native rows, and a rational input's cleared
+rows together with their scales, so a rotated rational matrix is still
+cleared and builds no ``Fraction``.  Additive repair computes on native
+values, ``Fraction``s on a rational input, and re-tests only the entries
+whose source entry is nonzero, by the zero rule of ``Matrix.zeros``.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``.  ``condensation_det`` also bounds the work of failed
@@ -379,14 +383,6 @@ def _charge(ops: OpCount, n: int, stage: int, position=None) -> None:
     ops.divs += divs
 
 
-def _cleared_rows(rows):
-    """Rational rows as integer rows, row i times L_i, the lcm of its
-    denominators; returns them and the L_i."""
-    scales = [lcm(*(x.denominator for x in r)) for r in rows]
-    cleared = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)]
-    return cleared, scales
-
-
 def _packed_rows(rows):
     """Polynomial rows as ints at x = 2^W, row i times L_i, the lcm of its
     coefficients' denominators; returns them, W and the L_i.
@@ -419,19 +415,23 @@ def _kernel_input(a0: Matrix):
     on, and the decoder that turns its stage k, ``decode(stage, k)``, into
     native rows of ``a0``'s ring.
 
-    Rational rows have their denominators cleared and polynomial rows are
-    packed, so both run on the integer ring, and row i of stage k decodes
-    divided by L_i ... L_{i+k}.  Integer and real rows run as they are.
+    A rational matrix runs on a copy of its cleared rows, ``Matrix.cleared``,
+    which the matrix keeps, so condensation attempts, ``elimination_det``
+    (which writes into its copy) and a trace's ``stages`` clear nothing
+    again; polynomial rows are packed.  Both run on the integer ring, and
+    row i of stage k decodes divided by L_i ... L_{i+k}.  Integer and real
+    rows run as they are.
     """
-    ring, rows = a0.native_ring, a0.native_rows
+    ring = a0.native_ring
     if ring is RATIONALS:
-        rows, scales = _cleared_rows(rows)
+        rows, scales = a0.cleared
+        rows = [list(r) for r in rows]
         entry = Fraction
     elif ring is POLYNOMIALS:
-        rows, width, scales = _packed_rows(rows)
+        rows, width, scales = _packed_rows(a0.native_rows)
         entry = lambda v, s: unpack_polynomial(v, width, s)
     else:
-        return [list(r) for r in rows], ring, lambda stage, k: stage
+        return [list(r) for r in a0.native_rows], ring, lambda stage, k: stage
 
     def decode(stage, k):
         scaled = (prod(scales[i : i + k + 1]) for i in range(len(stage)))
@@ -630,13 +630,19 @@ def _plans(zeros, n: int):
         yield ("add", salt)
 
 
+def _rotated(rows, r: int, c: int) -> list:
+    """``rows`` rotated up by r rows and left by c columns."""
+    return [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
+
+
 def mitigate_interior_zeros(a: Matrix, exclude=()):
     """Transform ``a`` so its interior holds no zeros; return (matrix, log).
 
     Plans are tried in the fixed order documented at module level, judged on
     ``a.zeros``; ``exclude`` skips plans already consumed by earlier restarts.
-    A rotation permutes ``a``'s native rows.  Additive repair computes on a
-    copy of them, and logs its operations as it applies them.  Raises
+    A rotation permutes ``a``'s native rows, or on a rational ``a`` its
+    cleared rows and their scales.  Additive repair computes on a copy of
+    the native rows, and logs its operations as it applies them.  Raises
     UnremovableZero when no plan succeeds, and, with its own message, before
     any repair when no rotation is accepted, n >= 10 and at least n^2 / 3
     entries are zero.
@@ -645,20 +651,22 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
         raise TooSmall("mitigation needs a square matrix")
     if a.n_rows < 3:
         raise TooSmall("mitigation needs n >= 3 (smaller sizes have no interior)")
-    excluded, ring, entries = set(exclude), a.native_ring, a.native_rows
+    excluded, ring = set(exclude), a.native_ring
     for plan in _plans(a.zeros, a.n_rows):
         if plan in excluded:
             continue
         if plan[0] == "add":
-            rows = [list(r) for r in entries]
+            rows = [list(r) for r in a.native_rows]
             ops = _additive_repair(rows, set(a.zeros), plan[1], ring)
             return Matrix(rows, ring), MitigationLog(ops, plan)
         _, r, c = plan
         log = MitigationLog.rotation(a.n_rows, r, c)
         if r == c == 0:
             return a, log
-        rotated = [row[c:] + row[:c] for row in entries[r:] + entries[:r]]
-        return Matrix(rotated, ring), log
+        if ring is RATIONALS:
+            rows, scales = a.cleared
+            return Matrix(_rotated(rows, r, c), ring, scales[r:] + scales[:r]), log
+        return Matrix(_rotated(a.native_rows, r, c), ring), log
     raise UnremovableZero("every mitigation plan failed or was excluded")
 
 
@@ -668,11 +676,11 @@ def condensation_det(a: Matrix):
     Runs mitigation first (for n >= 3; smaller sizes have no interior),
     restarts under a fresh plan whenever a zero divisor appears mid-run, and
     multiplies the result by the accumulated swap sign.  Each attempt reads
-    the mitigated matrix's native rows, keeps two live stages and wraps only
+    the mitigated matrix's kernel rows, keeps two live stages and wraps only
     the result; an attempt ends at the stage whose interior holds its zero
-    divisor.  A rational attempt runs on integer rows, each row times the
-    lcm of its denominators, and divides by the product of those scales once
-    (see ``_cleared_rows``).
+    divisor.  A rational attempt runs on the matrix's cleared integer rows,
+    each row times the lcm of its denominators, and divides by the product
+    of those scales once (see ``Matrix.cleared``).
 
     The work spent on failed attempts is bounded in the op counter's units.
     Each failed attempt adds to a tally W the muldiv ``_charge`` charged it

@@ -8,6 +8,13 @@ ring's text rule on native values (``ring.NativeRing.text``).  Elementary row
 and column operations are not methods here: ``condense.replay_log`` applies
 them from a ``MitigationLog``.
 
+A rational matrix also holds the form the condensation kernel runs on, its
+cleared integer rows with their scales (``Matrix.cleared``), by the one
+clearing rule, ``_cleared_rows``.  ``parse_matrix`` reads a rational file
+straight into that form, so a determinant that is not traced builds no
+``Fraction`` per entry; the ``Fraction`` rows are built only when native
+values are read, to print, to trace or for the scalar oracles.
+
 Submatrix terms used throughout the package:
 
 * *connected minor* -- contiguous square block anchored at (top_row, left_col);
@@ -35,6 +42,7 @@ from .ring import (
     Scalar,
     native_ring,
     parse_scalar,
+    plain_token,
 )
 
 
@@ -62,11 +70,22 @@ class Matrix:
     the ring of rows of scalars once, unwraps them once and keeps them for
     ``rows()``; ``Matrix(rows, ring)`` takes native rows of ``ring`` and wraps
     its scalars on the first ``rows()`` or ``m[i, j]``.  ``zeros``, the (i, j)
-    whose entry ``native_ring.is_zero`` counts as zero, is read once."""
+    whose entry ``native_ring.is_zero`` counts as zero, is read once.
 
-    __slots__ = ("n_rows", "n_cols", "native_rows", "native_ring", "_rows", "_zeros")
+    A rational matrix also has the form the kernel condenses, ``cleared``:
+    its integer rows, row i times L_i, and the scales L_i (``_cleared_rows``).
+    ``Matrix(rows, RATIONALS, scales)`` takes that form, and its
+    ``Fraction`` rows are built when ``native_rows`` is first read; a
+    rational matrix built from ``Fraction`` rows clears them when
+    ``cleared`` is first read.  Each form is built at most once, and the
+    zero test of a rational matrix reads the cleared ints.
+    """
 
-    def __init__(self, rows, ring=None):
+    __slots__ = (
+        "n_rows", "n_cols", "native_rows", "native_ring", "cleared", "_rows", "_zeros"
+    )
+
+    def __init__(self, rows, ring=None, scales=None):
         rows = tuple(tuple(r) for r in rows)
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
@@ -79,15 +98,35 @@ class Matrix:
             ring = native_ring(rows)
             self._rows, rows = rows, ring.unwrap(rows)
         self.native_ring = ring
-        self.native_rows = rows
+        if scales is None:
+            self.native_rows = rows
+        else:
+            self.cleared = rows, tuple(scales)
         self.n_rows = len(rows)
         self.n_cols = width
         self._zeros = None
 
+    def __getattr__(self, name):
+        # called only for an attribute not found, such as an unset slot: a
+        # rational matrix leaves one of its two forms unset until it is read,
+        # while every other matrix sets native_rows, so reading it costs nothing
+        if name == "native_rows":
+            rows, scales = self.cleared
+            value = tuple(tuple([Fraction(v, s) for v in r]) for r, s in zip(rows, scales))
+        elif name == "cleared":
+            value = _cleared_rows(
+                ([x.numerator for x in r], [x.denominator for x in r]) for r in self.native_rows
+            )
+        else:
+            raise AttributeError(f"'Matrix' object has no attribute {name!r}")
+        setattr(self, name, value)
+        return value
+
     @property
     def zeros(self) -> frozenset:
         if self._zeros is None:
-            ring, rows = self.native_ring, self.native_rows
+            ring = self.native_ring
+            rows = self.cleared[0] if ring is RATIONALS else self.native_rows
             self._zeros = frozenset(
                 (i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if ring.is_zero(x)
             )
@@ -194,7 +233,16 @@ def parse_matrix(text: str) -> Matrix:
     rational (integer tokens are promoted, the one permitted promotion), any
     ``.`` or exponent makes it real, in ``ring.REALS``, whose one zero rule
     is ``abs(x) < DEFAULT_TOLERANCE``; mixing rational and real tokens is an
-    error.
+    error.  Every token, and each part of a header, keeps the token rule
+    (``ring.plain_token``): ASCII, with no ``_``.
+
+    A rational file is read straight into its cleared form: each row's
+    numerators and denominators go through ``_cleared_rows``, and no
+    ``Fraction`` is built.  An integer or real file is read with one
+    ``int()`` or ``float()`` per token.  If any token refuses, or a token
+    breaks the token rule, the file is read again by ``parse_scalar``, which
+    raises with that token's error and line, and reads integers past the
+    interpreter's digit limit.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -207,7 +255,7 @@ def parse_matrix(text: str) -> Matrix:
     header = None
     first = lines[0][1]
     square = len(lines) == len(first) and all(len(toks) == len(first) for _, toks in lines)
-    if len(first) == 2 and not square:
+    if len(first) == 2 and not square and all(map(plain_token, first)):
         try:
             n, m = int(first[0]), int(first[1])
         except ValueError:
@@ -226,6 +274,30 @@ def parse_matrix(text: str) -> Matrix:
     if has_rational and has_real:
         raise ParseError("file mixes rational and real tokens")
 
+    if header:
+        n, m = header
+        tokens = [t for _, toks in lines for t in toks]
+        token_rows = [tokens[i * m : (i + 1) * m] for i in range(n)]
+    else:
+        widths = {len(toks) for _, toks in lines}
+        if len(widths) != 1:
+            raise ParseError(
+                f"rows have differing entry counts {sorted(widths)}",
+                line=lines[0][0],
+            )
+        token_rows = [toks for _, toks in lines]
+
+    if plain_token(flat):
+        try:
+            if has_rational:
+                rows, scales = _cleared_rows(map(_ratios, token_rows))
+                return Matrix(rows, RATIONALS, scales)
+            if has_real:
+                return Matrix([list(map(_real_token, r)) for r in token_rows], REALS)
+            return Matrix([list(map(int, r)) for r in token_rows], INTEGERS)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+
     def read(lineno, t):
         try:
             s = parse_scalar(t)
@@ -240,38 +312,40 @@ def parse_matrix(text: str) -> Matrix:
                 raise ParseError("integer token too large for a real", line=lineno) from e
         return s
 
-    def read_lines():
-        # each token is read straight into its native value, with one int()
-        # on an integer file; if any token refuses, the file is read again
-        # by parse_scalar, which raises with that token's error and line
-        ring, native = (
-            (RATIONALS, _rational_token) if has_rational
-            else (REALS, _real_token) if has_real else (INTEGERS, int)
-        )
-        try:
-            return [list(map(native, toks)) for _, toks in lines], ring
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return [[read(lineno, t) for t in toks] for lineno, toks in lines], None
-
-    if header:
-        n, m = header
-        rows, ring = read_lines()
-        entries = [s for r in rows for s in r]
-        rows = [entries[i * m : (i + 1) * m] for i in range(n)]
-    else:
-        widths = {len(toks) for _, toks in lines}
-        if len(widths) != 1:
-            raise ParseError(
-                f"rows have differing entry counts {sorted(widths)}",
-                line=lines[0][0],
-            )
-        rows, ring = read_lines()
-    return Matrix(rows, ring)
+    entries = [read(lineno, t) for lineno, toks in lines for t in toks]
+    width = len(token_rows[0])
+    return Matrix(entries[i : i + width] for i in range(0, len(entries), width))
 
 
-def _rational_token(t: str) -> Fraction:
-    num, slash, den = t.partition("/")
-    return Fraction(int(num), int(den)) if slash else Fraction(int(t))
+def _cleared_rows(rows):
+    """The one clearing rule: rational rows as integer rows, row i times
+    L_i, the lcm of its reduced denominators; returns the rows and the L_i.
+
+    Each row comes as its numerators and denominators, which need not be
+    reduced or positive; a zero denominator raises ZeroDivisionError.  The
+    lcm L' of the given denominators is a multiple of L_i, and the gcd of L'
+    and the row times L' is L' / L_i: a prime power that divides L_i exactly
+    leaves some entry of the row times L_i prime to it.  So the row is
+    scaled by L', and both are divided by that gcd.
+    """
+    cleared, scales = [], []
+    for nums, dens in rows:
+        scale = math.lcm(*dens)
+        row = [p * (scale // q) for p, q in zip(nums, dens)]
+        g = math.gcd(scale, *row)
+        if g > 1:
+            scale //= g
+            row = [v // g for v in row]
+        cleared.append(tuple(row))
+        scales.append(scale)
+    return tuple(cleared), tuple(scales)
+
+
+def _ratios(tokens):
+    """The numerators and denominators of a row of rational-file tokens,
+    an integer token having the denominator 1."""
+    parts = [t.partition("/") for t in tokens]
+    return [int(p) for p, _, _ in parts], [int(q) if s else 1 for _, s, q in parts]
 
 
 def _real_token(t: str) -> float:

@@ -129,9 +129,11 @@ def count_ratio(n: int, trials: int, seed: int) -> RatioReport:
     Draws ``trials`` integer matrices with entries uniform in [-9, 9] from a
     seeded generator.  Matrices that trigger any mitigation are regenerated
     (and counted) so the means describe the clean condensation path, whose
-    costs are a function of n alone.  Cofactor expansion makes exactly
-    ``cofactor_mults(n)`` multiplications on any matrix, so its count is
-    that closed form, not a run of its n! terms.
+    costs are a function of n alone: a draw is kept when its plan is the
+    identity, ("rot", 0, 0), and it never restarted, which is read off the
+    plan without building a rotation's swaps.  Cofactor expansion makes
+    exactly ``cofactor_mults(n)`` multiplications on any matrix, so its
+    count is that closed form, not a run of its n! terms.
     """
     if n < 3:
         raise ValueError("count_ratio needs n >= 3")
@@ -154,7 +156,7 @@ def count_ratio(n: int, trials: int, seed: int) -> RatioReport:
         except FallbackRequired:
             regenerated += 1
             continue
-        if trace.mitigation.operations or trace.restarts:
+        if trace.mitigation.plan != ("rot", 0, 0) or trace.restarts:
             regenerated += 1
             continue
         cond_total += trace.ops.muldiv

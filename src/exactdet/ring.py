@@ -44,7 +44,8 @@ Nothing on the hot path computes on these wrappers.  A ``Matrix`` holds
 native ``int``, ``Fraction``, ``float`` or ``Polynomial`` values with their
 ``NativeRing``, and wraps them only where a public API returns a scalar;
 the kernel condenses rational and polynomial matrices as integers (see
-``condense``).  Each ring is one fixed ``NativeRing``: ``INTEGERS``,
+``condense``), and a rational file is read straight into cleared integer
+rows (see ``matrix``).  Each ring is one fixed ``NativeRing``: ``INTEGERS``,
 ``RATIONALS``, ``REALS`` and ``POLYNOMIALS``.  ``NativeRing.is_zero`` is the
 ring's zero test on one native value, ``not x`` on the exact rings and the
 real zero rule on ``REALS``; ``Matrix.zeros``, the zero set mitigation reads,
@@ -521,8 +522,20 @@ def _int_text(v: int) -> str:
         return _int_text(high) + _int_text(low).zfill(m)
 
 
+def plain_token(text: str) -> bool:
+    """The token rule: a matrix token is ASCII and holds no ``_``.
+
+    ``int`` and ``float`` also read ``_`` between digits and non-ASCII
+    digits, but only up to the interpreter's digit limit; the rule makes a
+    token's reading independent of its length."""
+    return text.isascii() and "_" not in text
+
+
 def _text_int(text: str) -> int:
-    """``int(text)``, for any number of plain decimal digits."""
+    """``int(text)``, for any number of plain decimal digits; a text that
+    breaks the token rule (``plain_token``) raises ValueError."""
+    if not plain_token(text):
+        raise ValueError(f"not a plain decimal integer: {text!r}")
     try:
         return int(text)
     except ValueError:
@@ -558,7 +571,8 @@ def parse_scalar(token: str) -> Scalar:
     """Parse one scalar token.
 
     ``p/q`` is rational, anything with a ``.`` or an exponent is real,
-    otherwise a (signed) integer.  A real must be finite as a double.
+    otherwise a (signed) integer.  A real must be finite as a double.  Every
+    token keeps the token rule, ``plain_token``: ASCII, with no ``_``.
     Polynomials have no text syntax; they are only ever built
     programmatically.
     """
@@ -570,6 +584,8 @@ def parse_scalar(token: str) -> Scalar:
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"bad rational token {token!r}") from e
     if "." in token or "e" in token or "E" in token:
+        if not plain_token(token):
+            raise ValueError(f"bad real token {token!r}")
         try:
             value = float(token)
         except ValueError as e:

@@ -1,5 +1,6 @@
 import argparse
 import decimal
+import hashlib
 import json
 import os
 import pathlib
@@ -7,10 +8,12 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from exactdet import cli, condense
+from exactdet import matrix as matrix_module
 from exactdet import ring as ring_module
 from exactdet.cli import main
 
@@ -401,6 +404,52 @@ class TestDet:
         code, out, err = run(capsys, "det", str(f))
         assert (code, out, err) == (0, "1" + "9" * 4999 + "8\n", "")
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("1_0_0_0 2\n3 4\n", 1, "bad integer token '1_0_0_0'"),
+            ("١٢ 2\n3 4\n", 1, "bad integer token '١٢'"),
+            ("1 2\n3 4_0\n", 2, "bad integer token '4_0'"),
+            ("1_0.5 2.0\n3.0 4.0\n", 1, "bad real token '1_0.5'"),
+            ("1.5 2.0\n3.0 ٤.0\n", 2, "bad real token '٤.0'"),
+            ("1/2 2\n3 1_0/3\n", 2, "bad rational token '1_0/3'"),
+            ("1/2 2\n3 1/٣\n", 2, "bad rational token '1/٣'"),
+            ("1/2 1_0\n3 4\n", 1, "bad integer token '1_0'"),
+            ("2 2\n1/2 2 3 ٤\n", 2, "bad integer token '٤'"),
+        ],
+    )
+    @pytest.mark.parametrize("long", [False, True], ids=["short", "past-4300-digits"])
+    def test_token_rule_does_not_depend_on_length(
+        self, capsys, tmp_path, text, line, message, long
+    ):
+        # every token is ASCII with no "_": int() and float() accept both
+        # "_" and non-ASCII digits, which printed 3994 for "1_0_0_0 2" over
+        # "3 4", while the same forms past 4300 digits exited 2
+        if long:
+            bad = message.split("'")[1]
+            longer = bad[0] + "0" * 5000 + bad[1:]
+            text, message = text.replace(bad, longer), message.replace(bad, longer)
+        f = tmp_path / "token.txt"
+        f.write_text(text, encoding="utf-8")
+        for method in ("auto", "bareiss"):
+            code, out, err = run(capsys, "det", str(f), "--method", method)
+            assert (code, out) == (2, "")
+            assert err == f"error: {f}: line {line}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("1/2 2 # café\n3 4\n", "-4/1\n"), ("1 2  # ١٢\n3 4_9\n", None)],
+    )
+    def test_token_rule_reads_tokens_only(self, capsys, tmp_path, text, expected):
+        # a comment may hold any text; a token may not
+        f = tmp_path / "comment.txt"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "det", str(f))
+        if expected is None:
+            assert (code, out) == (2, "") and "line 2: bad integer token '4_9'" in err
+        else:
+            assert (code, out, err) == (0, expected, "")
+
     def test_undecodable_file_exit_2(self, capsys, tmp_path):
         # a Latin-1 byte is no UTF-8; it printed a UnicodeDecodeError
         # traceback and exited 1
@@ -537,6 +586,82 @@ class TestNoWrapperOnTheHotPath:
             ring_module.format_scalar(5)
 
 
+def rational_text(n, seed, nonzero):
+    """A seeded n x n rational file of tokens p/q, |p| and q at most 9; with
+    ``nonzero`` no numerator is 0."""
+    rng = random.Random(seed)
+
+    def numerator():
+        return rng.choice((-1, 1)) * rng.randint(1, 9) if nonzero else rng.randint(-9, 9)
+
+    rows = ([f"{numerator()}/{rng.randint(1, 9)}" for _ in range(n)] for _ in range(n))
+    return "\n".join(" ".join(r) for r in rows) + "\n"
+
+
+# (n, seed, nonzero): the plan the file condenses under, its determinant and
+# the sha256 of its --trace and --method bareiss stdout, recorded when each
+# entry was still parsed into a Fraction
+FRACTION_FILES = {
+    (8, 1, False): (
+        ("rot", 3, 0),
+        "3541633446195803407/34843029258240",
+        "91a96d127f755715632827cfad124f6d57891102b023c059216bd93be6bd28cd",
+        "8f97b43f12100acb548fac382c1845d8cf53f63a310e7760609cecbd500ad695",
+    ),
+    (12, 1, True): (
+        ("rot", 0, 0),
+        "5281430224371033931371931554656891/6969915949548109824000000",
+        "aadcfc8de5d1a498274ea2de60c5d4c1fd8d67c92e69b5cd7dc19819aa85deca",
+        "91d5b32e305ce0901345f828d63bf10ce29b86dff977e017786249579810420f",
+    ),
+}
+
+
+class TestNoFractionPerEntry:
+    def test_a_rational_det_builds_no_fraction_per_entry(self, capsys, monkeypatch, tmp_path):
+        # the file is read straight into cleared integer rows, and the only
+        # Fraction is the determinant's, whatever n is
+        built, plans = [], []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return Fraction(*args)
+
+        mitigate = condense.mitigate_interior_zeros
+
+        def logging_mitigation(a, exclude=()):
+            out = mitigate(a, exclude=exclude)
+            plans.append(out[1].plan)
+            return out
+
+        counts = []
+        for (n, seed, nonzero), (plan, det, _, _) in FRACTION_FILES.items():
+            path = tmp_path / f"q{n}.txt"
+            path.write_text(rational_text(n, seed, nonzero))
+            built.clear()
+            plans.clear()
+            with monkeypatch.context() as m:
+                m.setattr(matrix_module, "Fraction", CountingFraction)
+                m.setattr(condense, "Fraction", CountingFraction)
+                m.setattr(condense, "mitigate_interior_zeros", logging_mitigation)
+                assert run(capsys, "det", str(path)) == (0, det + "\n", "")
+            assert plans == [plan]
+            counts.append(len(built))
+        assert counts == [1, 1]
+
+    @pytest.mark.parametrize("key", sorted(FRACTION_FILES))
+    def test_trace_and_bareiss_print_the_same_bytes(self, capsys, tmp_path, key):
+        _, _, trace_digest, bareiss_digest = FRACTION_FILES[key]
+        path = tmp_path / "q.txt"
+        path.write_text(rational_text(*key))
+        runs = ((["--trace"], trace_digest), (["--method", "bareiss"], bareiss_digest))
+        for flags, digest in runs:
+            code, out, err = run(capsys, "det", str(path), *flags)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestBench:
     def test_table_shape_and_values(self, capsys):
         code, out, _ = run(capsys, "bench", "--sizes", "5..5", "--trials", "20", "--seed", "42")
@@ -548,6 +673,18 @@ class TestBench:
         assert float(row[2]) == 74.0
         assert float(row[3]) == 205.0
         assert float(row[4]) <= 0.6
+
+    def test_draws_are_judged_by_plan_without_building_swaps(self, capsys, monkeypatch):
+        # a mitigation-free draw is told by its plan, ("rot", 0, 0), and no
+        # restart; building a rotation's swap list only to see it empty cost
+        # 41 _rotation_swaps calls here
+        def no_swaps(*args):
+            raise AssertionError("count_ratio built a rotation's swaps")
+
+        monkeypatch.setattr(condense, "_rotation_swaps", no_swaps)
+        code, out, _ = run(capsys, "bench", "--sizes", "5..5", "--trials", "20", "--seed", "42")
+        assert code == 0
+        assert out.strip().splitlines()[1].split()[2:] == ["74.0", "205.0", "0.3610", "22"]
 
     def test_byte_identical_reports(self, capsys):
         _, first, _ = run(capsys, "bench", "--sizes", "3..5", "--trials", "4", "--seed", "9")

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exactdet.condense import MitigationLog, replay_log
+from exactdet.condense import (
+    FallbackRequired,
+    MitigationLog,
+    condensation_det,
+    elimination_det,
+    replay_log,
+)
 from exactdet.matrix import (
     IndexOutOfRange,
     Matrix,
@@ -17,7 +23,7 @@ from exactdet.matrix import (
     int_matrix,
     parse_matrix,
 )
-from exactdet.oracle import cofactor_det
+from exactdet.oracle import bareiss_det, cofactor_det
 from exactdet.ring import ApproxReal, ExactInteger, ExactRational, Polynomial, parse_scalar
 
 # 4x4 with a zero-free interior; its condensation path is fully clean.
@@ -384,3 +390,62 @@ class TestTextFormat:
         m = Matrix([[ApproxReal(1.25), ApproxReal(-3.5e-3)],
                     [ApproxReal(0.0), ApproxReal(7.0)]])
         assert parse_matrix(format_matrix(m)) == m
+
+
+def _rational_token(draw_num, draw_den, plus, slash):
+    num = f"+{draw_num}" if plus and draw_num >= 0 else str(draw_num)
+    return f"{num}/{draw_den}" if slash else num
+
+
+@st.composite
+def rational_texts(draw):
+    """A rational matrix file and the tokens of its n x n entries, row by
+    row: unreduced tokens (6/4), negative denominators (1/-3, -3/-6), +
+    signs, zero numerators and integer tokens, in either layout, with
+    comments and blank lines."""
+    n = draw(st.integers(1, 5))
+    tokens = []
+    for _ in range(n * n):
+        num = draw(st.sampled_from([0, 0, 1, -1, 2, -3, 6, 12, -18, 35, 10**25]))
+        den = draw(st.sampled_from([1, -1, 2, -3, 4, 6, -6, 9, 10, 3 * 10**20]))
+        tokens.append(_rational_token(num, den, draw(st.booleans()), draw(st.booleans())))
+    tokens[draw(st.integers(0, n * n - 1))] = draw(st.sampled_from(["1/2", "0/7", "-3/-6"]))
+    comment = lambda: draw(st.sampled_from(["", "  # note", " # 1_0 ١٢ 3/0"]))
+    if draw(st.booleans()):
+        # the n m header, then the entries in chunks of any size
+        lines, rest = [f"{n} {n}{comment()}"], list(tokens)
+        while rest:
+            k = draw(st.integers(1, len(rest)))
+            lines.append(" ".join(rest[:k]) + comment())
+            rest = rest[k:]
+    else:
+        lines = [" ".join(tokens[i * n : (i + 1) * n]) + comment() for i in range(n)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# a comment line")
+    lines.insert(draw(st.integers(0, len(lines))), "")
+    return "\n".join(lines) + "\n", n, tokens
+
+
+@given(rational_texts())
+def test_a_rational_file_reads_as_parse_scalar_reads_it(case):
+    text, n, tokens = case
+
+    def scalar(t):
+        s = parse_scalar(t)
+        return ExactRational(s.value) if isinstance(s, ExactInteger) else s
+
+    ref = Matrix([[scalar(t) for t in tokens[i * n : (i + 1) * n]] for i in range(n)])
+    m = parse_matrix(text)
+    # the cleared form is the parse's own; the reference clears its Fractions
+    assert m.cleared == ref.cleared
+    assert m.native_rows == ref.native_rows
+    assert m.zeros == ref.zeros
+    rows, scales = m.cleared
+    for native, cleared, scale in zip(m.native_rows, rows, scales):
+        assert scale == math.lcm(*(x.denominator for x in native))
+        assert list(cleared) == [x * scale for x in native]
+    try:
+        det, _ = condensation_det(m)
+    except FallbackRequired:
+        det = elimination_det(m)
+    assert det == bareiss_det(ref)
