@@ -11,44 +11,22 @@ intermediate stays an integer.
 
 The stage kernel, ``_condense_rows``, computes only the recurrence: the 2x2
 minors of native values (see ``ring.NativeRing``) and their exact quotients.
-On the integer ring, which the rational and polynomial runs below use too,
-it makes one pass per stage row: each minor is formed and its ``divmod``
-quotient checked for a zero remainder in one comprehension, and only a row
-where a division fails is divided again by the ring's ``divide``, to raise
-``integer_quotient``'s error.  The reals divide each row of minors by their
-``divide``, which holds the real zero rule.  ``condensation_det`` reads the
-mitigated matrix's kernel rows (``_kernel_input``), keeps only the previous
-two stages and wraps only the result.
+``condensation_det`` runs it on the mitigated matrix's kernel form,
+``Matrix.kernel``: integer rows for every exact ring, the reals as they are
+(see ``ring``).  On the integers it makes one pass per stage row: each minor
+is formed and its ``divmod`` quotient checked for a zero remainder in one
+comprehension, and only a row where a division fails is divided again by
+the ring's ``divide``, to raise ``integer_quotient``'s error.  The reals
+divide each row of minors by their ``divide``, which holds the real zero
+rule.  The run keeps only the previous two stages and decodes and wraps
+only the result.
 A ``CondensationTrace`` stores stage 0; when first read, its stages are read
-off a repeat of the run's own kernel rows, and its pre-division matrices are
-the 2x2 minors of each stage in the matrix's ring.  ``render_trace`` prints
-them from their native rows by the ring's text rule, wrapping no scalar.
+off a repeat of the run's kernel rows and decoded by the ring's ``decode``,
+and its pre-division matrices are the 2x2 minors of each stage in the
+matrix's ring.  ``render_trace`` prints them from their native rows by the
+ring's text rule, wrapping no scalar.
 ``condense_step`` is the scalar reference: one round computed with the
 scalars' own ``*``, ``-`` and ``exact_div``, independent of the kernel.
-
-Rational matrices condense on integers, where no ``Fraction`` pays a gcd
-per operation.  Each attempt runs on the matrix's cleared rows,
-``Matrix.cleared``: row i times L_i, the lcm of that row's denominators,
-which ``parse_matrix`` reads a rational file straight into.  The integer
-kernel runs on them, and the result is divided by the product of the L_i
-once, at the end.  Stage k entry (i, j) of the scaled rows is
-L_i ... L_{i+k} times the rational one, so the zeros, and with them
-mitigation, restarts and the op counts, are those of the rational run, and
-every division is still checked for exactness.  A trace reads stage k
-entry (i, j) of the integer run v back as the rational v / (L_i ... L_{i+k}).
-
-Polynomial matrices condense on integers too, by Kronecker substitution:
-after the same row scaling (which clears the denominators of Q[x], and is
-skipped when every coefficient is an int), each entry f becomes the int
-f(2^W) (``ring.pack_polynomial``).  Evaluation at 2^W is a ring
-homomorphism, so the integer kernel computes every stage entry evaluated at
-2^W, and exact quotients stay exact.  The kernel's width rule:
-W is one more than the bit length of prod_i max(1, sum_j |m_ij|_1), |.|_1
-being the sum of a polynomial's coefficient magnitudes; that product bounds
-every coefficient of every minor, connected or not, so a packed divisor is 0
-exactly when the polynomial is, and the determinant unpacks exactly from its
-balanced base-2^W digits (``ring.unpack_polynomial``), and so does every
-stage entry a trace reads, divided by its L_i ... L_{i+k}.
 
 Interior zeros are the method's one failure mode.  ``mitigate_interior_zeros``
 clears them with determinant-preserving elementary operations before the run
@@ -99,11 +77,11 @@ but not its division, a complete one through stage n - 1.
 
 Mitigation reads the input's zero set once, ``Matrix.zeros``, which every
 attempt of a run shares, and wraps no value but the repair's factors.  A
-rotation permutes the input's native rows, and a rational input's cleared
-rows together with their scales, so a rotated rational matrix is still
-cleared and builds no ``Fraction``.  Additive repair computes on native
-values, ``Fraction``s on a rational input, and re-tests only the entries
-whose source entry is nonzero, by the zero rule of ``Matrix.zeros``.
+rotation, ``Matrix.rotated``, permutes the input's kernel form and its
+scales when the input holds it, else its native rows, so it builds no form
+the input does not hold.  Additive repair computes on native values, ``Fraction``s on a
+rational input, and re-tests only the entries whose source entry is
+nonzero, by the zero rule of ``Matrix.zeros``.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``.  ``condensation_det`` also bounds the work of failed
@@ -116,32 +94,27 @@ elimination; one that falls back because the sparse rule ended the plan
 order before any attempt has made only its n^2 zero tests.  It raises
 ``FallbackRequired`` then, or when mitigation runs out of plans, so callers
 can switch to elimination: ``elimination_det``, fraction-free elimination
-with ``bareiss_det``'s pivots and op counts, run in every ring on the same
-native rows the kernel condenses, whose intermediates are minors, not
-connected ones, of the scaled rows.
+with ``bareiss_det``'s pivots and op counts, run in every ring on the
+matrix's kernel form, whose intermediates are minors, not connected ones,
+of its scaled rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm, prod
+from math import prod
 
 from .matrix import IndexOutOfRange, Matrix, TooSmall, text_rows
 from .ring import (
     DEFAULT_TOLERANCE,
     INTEGERS,
-    POLYNOMIALS,
-    RATIONALS,
     REALS,
     DivisionByZero,
     InexactDivision,
     NativeRing,
     format_scalar,
-    pack_polynomial,
-    unpack_polynomial,
 )
 
 
@@ -286,9 +259,9 @@ class CondensationTrace:
 
     @cached_property
     def stages(self) -> tuple:
-        rows, kernel, decode = _kernel_input(self.mitigated)
-        ring, later = self.mitigated.native_ring, _stage_rows(rows, kernel.divide)
-        return (self.mitigated,) + tuple(Matrix(decode(s, k), ring) for k, s in enumerate(later, 1))
+        a0, ring = self.mitigated, self.mitigated.native_ring
+        later = _stage_rows(a0.kernel.rows, ring.divide)
+        return (a0,) + tuple(Matrix(_decoded(a0, s, k), ring) for k, s in enumerate(later, 1))
 
     @cached_property
     def starred(self) -> tuple:
@@ -304,12 +277,12 @@ def _condense_rows(current, divisor, divide) -> list:
     first round), each entry is divided exactly by its divisor entry, and a
     failed division raises; ``condensation_det`` ends an attempt before its
     zero divisor, so in a run none does.  ``divide`` is the ring's
-    ``NativeRing.divide``.  On the integer ring, which also runs cleared
-    rationals and packed polynomials, each row is one pass: every minor is
-    formed and its ``divmod`` quotient checked for a zero remainder in one
-    comprehension.  A row where a check fails, and every row of the reals,
-    is formed as minors and divided by ``divide``, which on the integers
-    raises at the first failed division what ``integer_quotient`` raises:
+    ``NativeRing.divide``.  On the integers, the kernel form of every exact
+    ring, each row is one pass: every minor is formed and its ``divmod``
+    quotient checked for a zero remainder in one comprehension.  A row where
+    a check fails, and every row of the reals, is formed as minors and
+    divided by ``divide``, which on the integers raises at the first failed
+    division what ``integer_quotient`` raises:
     ``DivisionByZero`` or ``InexactDivision``, never a bare
     ``ZeroDivisionError``.  The kernel counts nothing; ``_charge`` does.
     """
@@ -383,66 +356,18 @@ def _charge(ops: OpCount, n: int, stage: int, position=None) -> None:
     ops.divs += divs
 
 
-def _packed_rows(rows):
-    """Polynomial rows as ints at x = 2^W, row i times L_i, the lcm of its
-    coefficients' denominators; returns them, W and the L_i.
-
-    W is one more than the bit length of prod_i max(1, sum_j |m_ij|_1) over
-    the scaled rows, |.|_1 being the sum of a polynomial's coefficient
-    magnitudes.  That product bounds every coefficient of every minor, since
-    a minor's terms each take one entry from distinct rows, so every stage
-    entry and every intermediate of ``elimination_det`` unpacks exactly, and
-    a packed divisor or pivot is 0 exactly when the polynomial is.  When
-    every coefficient is an ``int``, as in the Hückel matrices, every L_i
-    is 1 and the coefficients are packed as they are, with no clearing pass.
-    """
-    coeffs = [[p.coeffs for p in r] for r in rows]
-    if all(type(c) is int for r in coeffs for cs in r for c in cs):
-        scales = [1] * len(rows)
-    else:
-        scales = [lcm(*{c.denominator for cs in r for c in cs}) for r in coeffs]
-        coeffs = [
-            [[c.numerator * (s // c.denominator) for c in cs] for cs in r]
-            for r, s in zip(coeffs, scales)
-        ]
-    bound = prod(max(1, sum(abs(c) for p in r for c in p)) for r in coeffs)
-    width = bound.bit_length() + 1
-    return [[pack_polynomial(p, width) for p in r] for r in coeffs], width, scales
-
-
-def _kernel_input(a0: Matrix):
-    """The native rows, as new lists, and ring the kernel condenses ``a0``
-    on, and the decoder that turns its stage k, ``decode(stage, k)``, into
-    native rows of ``a0``'s ring.
-
-    A rational matrix runs on a copy of its cleared rows, ``Matrix.cleared``,
-    which the matrix keeps, so condensation attempts, ``elimination_det``
-    (which writes into its copy) and a trace's ``stages`` clear nothing
-    again; polynomial rows are packed.  Both run on the integer ring, and
-    row i of stage k decodes divided by L_i ... L_{i+k}.  Integer and real
-    rows run as they are.
-    """
-    ring = a0.native_ring
-    if ring is RATIONALS:
-        rows, scales = a0.cleared
-        rows = [list(r) for r in rows]
-        entry = Fraction
-    elif ring is POLYNOMIALS:
-        rows, width, scales = _packed_rows(a0.native_rows)
-        entry = lambda v, s: unpack_polynomial(v, width, s)
-    else:
-        return [list(r) for r in a0.native_rows], ring, lambda stage, k: stage
-
-    def decode(stage, k):
-        scaled = (prod(scales[i : i + k + 1]) for i in range(len(stage)))
-        return [[entry(v, s) for v in r] for r, s in zip(stage, scaled)]
-
-    return rows, INTEGERS, decode
+def _decoded(a0: Matrix, stage, k: int):
+    """Stage k of the kernel run of ``a0`` as native rows, by the ring's
+    ``decode``: row i of the stage is L_i ... L_{i+k} times the native one."""
+    _, scales, width = a0.kernel
+    if scales is not None:
+        scales = [prod(scales[i : i + k + 1]) for i in range(len(stage))]
+    return a0.native_ring.decode(stage, scales, width)
 
 
 def elimination_det(a: Matrix, ops: OpCount | None = None):
-    """Determinant of ``a`` by fraction-free elimination on the kernel's
-    native rows (``_kernel_input``): ``bareiss_det``'s values and op counts.
+    """Determinant of ``a`` by fraction-free elimination on its kernel form,
+    ``Matrix.kernel``: ``bareiss_det``'s values and op counts.
 
     The pivot is the first entry at or below the diagonal that the ring's
     ``is_zero`` does not count as zero, as in ``bareiss_det``.  Each entry
@@ -450,7 +375,8 @@ def elimination_det(a: Matrix, ops: OpCount | None = None):
     kernel divides: on the integer ring each quotient is checked as it is
     formed, and a row where one fails, or a real row, goes through the
     ring's checked ``divide``.  Every entry of step k is a minor of the
-    scaled rows, so the packing width holds it.
+    scaled rows, so the packing width holds it, and the result decodes as
+    a condensation's does.
     ``ops`` is charged per eliminated entry two multiplications, one
     addition and, from the second step on, one division, step by step, so a
     zero column stops it with ``bareiss_det``'s partial counts and returns
@@ -458,20 +384,21 @@ def elimination_det(a: Matrix, ops: OpCount | None = None):
     """
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
-    rows, ring, decode = _kernel_input(a)
+    ring = a.native_ring
+    rows, fused = [list(r) for r in a.kernel.rows], ring.divide is INTEGERS.divide
     ops = ops if ops is not None else OpCount()
     n, sign, prev = len(rows), 1, None
     for k in range(n - 1):
         if ring.is_zero(rows[k][k]):
             i = next((i for i in range(k + 1, n) if not ring.is_zero(rows[i][k])), None)
             if i is None:
-                return a.native_ring.wrap(a.native_ring.constant(0))
+                return ring.wrap(ring.constant(0))
             rows[k], rows[i] = rows[i], rows[k]
             sign = -sign
         p, top = rows[k][k], rows[k][k + 1 :]
         for row in rows[k + 1 :]:
             f, rest = row[k], row[k + 1 :]
-            if prev is not None and ring is INTEGERS:
+            if prev is not None and fused:
                 new = [
                     q for x, y in zip(rest, top) for q, r in (divmod(p * x - f * y, prev),) if not r
                 ]
@@ -486,7 +413,7 @@ def elimination_det(a: Matrix, ops: OpCount | None = None):
         if prev is not None:
             ops.divs += entries
         prev = p
-    return a.native_ring.wrap(decode([[sign * rows[-1][-1]]], n - 1)[0][0])
+    return ring.wrap(_decoded(a, [[sign * rows[-1][-1]]], n - 1)[0][0])
 
 
 def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:
@@ -630,19 +557,15 @@ def _plans(zeros, n: int):
         yield ("add", salt)
 
 
-def _rotated(rows, r: int, c: int) -> list:
-    """``rows`` rotated up by r rows and left by c columns."""
-    return [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
-
-
 def mitigate_interior_zeros(a: Matrix, exclude=()):
     """Transform ``a`` so its interior holds no zeros; return (matrix, log).
 
     Plans are tried in the fixed order documented at module level, judged on
     ``a.zeros``; ``exclude`` skips plans already consumed by earlier restarts.
-    A rotation permutes ``a``'s native rows, or on a rational ``a`` its
-    cleared rows and their scales.  Additive repair computes on a copy of
-    the native rows, and logs its operations as it applies them.  Raises
+    A rotation is ``Matrix.rotated``, which permutes ``a``'s kernel form and
+    its scales when ``a`` holds it, else its native rows.  Additive repair
+    computes on a copy of the native rows, and logs its operations as it
+    applies them.  Raises
     UnremovableZero when no plan succeeds, and, with its own message, before
     any repair when no rotation is accepted, n >= 10 and at least n^2 / 3
     entries are zero.
@@ -663,10 +586,7 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
         log = MitigationLog.rotation(a.n_rows, r, c)
         if r == c == 0:
             return a, log
-        if ring is RATIONALS:
-            rows, scales = a.cleared
-            return Matrix(_rotated(rows, r, c), ring, scales[r:] + scales[:r]), log
-        return Matrix(_rotated(a.native_rows, r, c), ring), log
+        return a.rotated(r, c), log
     raise UnremovableZero("every mitigation plan failed or was excluded")
 
 
@@ -675,12 +595,10 @@ def condensation_det(a: Matrix):
 
     Runs mitigation first (for n >= 3; smaller sizes have no interior),
     restarts under a fresh plan whenever a zero divisor appears mid-run, and
-    multiplies the result by the accumulated swap sign.  Each attempt reads
-    the mitigated matrix's kernel rows, keeps two live stages and wraps only
-    the result; an attempt ends at the stage whose interior holds its zero
-    divisor.  A rational attempt runs on the matrix's cleared integer rows,
-    each row times the lcm of its denominators, and divides by the product
-    of those scales once (see ``Matrix.cleared``).
+    multiplies the result by the accumulated swap sign.  Each attempt runs
+    on the mitigated matrix's kernel form (see ``ring``), keeps two live
+    stages and decodes and wraps only the result; an attempt ends at the
+    stage whose interior holds its zero divisor.
 
     The work spent on failed attempts is bounded in the op counter's units.
     Each failed attempt adds to a tally W the muldiv ``_charge`` charged it
@@ -711,7 +629,7 @@ def condensation_det(a: Matrix):
                 a0, log = mitigate_interior_zeros(a, exclude=excluded)
             except UnremovableZero as e:
                 raise FallbackRequired(str(e)) from e
-        rows, ring, decode = _kernel_input(a0)
+        rows, ring = a0.kernel.rows, a0.native_ring
         for k, stage in enumerate(chain([rows], _stage_rows(rows, ring.divide))):
             if ring is REALS:
                 # an interior entry divides two rounds on; a zero divisor
@@ -740,8 +658,8 @@ def condensation_det(a: Matrix):
                 break
         else:
             _charge(ops, n, n - 1)
-            result = decode(stage, k)[0][0]
-            result = a0.native_ring.wrap(-result if log.sign < 0 else result)
+            result = _decoded(a0, stage, k)[0][0]
+            result = ring.wrap(-result if log.sign < 0 else result)
             return result, CondensationTrace(a0, log, ops, tuple(restarts), warning)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .condense import FallbackRequired, condensation_det, elimination_det
 from .matrix import Matrix, ParseError
-from .ring import POLYNOMIALS, Polynomial, power_text, terms_text
+from .ring import POLYNOMIALS, Polynomial, _text_int, power_text, terms_text
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,9 @@ class PiSystem:
     @classmethod
     def from_text(cls, text: str) -> "PiSystem":
         """Parse the edge-file format: one ``atoms N`` line, then ``edge i j``
-        lines (1-based).  Errors name their line and give atoms 1-based."""
+        lines (1-based), each number read by the matrix token rule
+        (``ring.plain_token``).  Errors name their line and give atoms
+        1-based."""
         n_atoms = None
         pairs = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -78,12 +80,12 @@ class PiSystem:
                 if n_atoms is not None:
                     raise ParseError("repeated atoms line", line=lineno)
                 try:
-                    n_atoms = int(toks[1])
+                    n_atoms = _text_int(toks[1])
                 except ValueError:
                     raise ParseError(f"bad atom count {toks[1]!r}", line=lineno)
             elif toks[0] == "edge" and len(toks) == 3:
                 try:
-                    i, j = int(toks[1]), int(toks[2])
+                    i, j = _text_int(toks[1]), _text_int(toks[2])
                 except ValueError:
                     raise ParseError(f"bad edge indices {toks[1:]!r}", line=lineno)
                 if n_atoms is None:

@@ -6,14 +6,12 @@ scalars only on demand; nothing is mutated in place, so a condensation trace
 can keep every intermediate stage intact.  ``text_rows`` prints it by its
 ring's text rule on native values (``ring.NativeRing.text``).  Elementary row
 and column operations are not methods here: ``condense.replay_log`` applies
-them from a ``MitigationLog``.
+them from a ``MitigationLog``; a rotation, which mitigation applies as one
+permutation, is ``Matrix.rotated``.
 
-A rational matrix also holds the form the condensation kernel runs on, its
-cleared integer rows with their scales (``Matrix.cleared``), by the one
-clearing rule, ``_cleared_rows``.  ``parse_matrix`` reads a rational file
-straight into that form, so a determinant that is not traced builds no
-``Fraction`` per entry; the ``Fraction`` rows are built only when native
-values are read, to print, to trace or for the scalar oracles.
+A matrix also has the form the condensation kernel runs on,
+``Matrix.kernel`` (see ``ring``), built from its native rows, or they from
+it, when first read.
 
 Submatrix terms used throughout the package:
 
@@ -30,7 +28,6 @@ Submatrix terms used throughout the package:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .ring import (
     INTEGERS,
@@ -39,7 +36,9 @@ from .ring import (
     ApproxReal,
     ExactInteger,
     ExactRational,
+    KernelForm,
     Scalar,
+    _cleared_rows,
     native_ring,
     parse_scalar,
     plain_token,
@@ -68,25 +67,22 @@ class Matrix:
     """An immutable matrix over one ring: ``native_rows`` of native values
     and their ``ring.NativeRing``, ``native_ring``.  ``Matrix(rows)`` checks
     the ring of rows of scalars once, unwraps them once and keeps them for
-    ``rows()``; ``Matrix(rows, ring)`` takes native rows of ``ring`` and wraps
-    its scalars on the first ``rows()`` or ``m[i, j]``.  ``zeros``, the (i, j)
-    whose entry ``native_ring.is_zero`` counts as zero, is read once.
-
-    A rational matrix also has the form the kernel condenses, ``cleared``:
-    its integer rows, row i times L_i, and the scales L_i (``_cleared_rows``).
-    ``Matrix(rows, RATIONALS, scales)`` takes that form, and its
-    ``Fraction`` rows are built when ``native_rows`` is first read; a
-    rational matrix built from ``Fraction`` rows clears them when
-    ``cleared`` is first read.  Each form is built at most once, and the
-    zero test of a rational matrix reads the cleared ints.
+    ``rows()``; ``Matrix(rows, ring)`` takes native rows of ``ring``, or with
+    a ``ring.KernelForm`` for ``rows`` that form, and wraps its scalars on the
+    first ``rows()`` or ``m[i, j]``.  The other of ``native_rows`` and
+    ``kernel`` is built by the ring's ``decode`` or ``encode`` when first
+    read, and kept.  ``zeros``, the (i, j) whose entry ``native_ring.is_zero``
+    counts as zero, is read once, off the kernel form when the matrix holds
+    it: the forms share their zeros.  ``rotated`` builds no form either.
     """
 
     __slots__ = (
-        "n_rows", "n_cols", "native_rows", "native_ring", "cleared", "_rows", "_zeros"
+        "n_rows", "n_cols", "native_rows", "native_ring", "_kernel", "_rows", "_zeros"
     )
 
-    def __init__(self, rows, ring=None, scales=None):
-        rows = tuple(tuple(r) for r in rows)
+    def __init__(self, rows, ring=None):
+        form = rows if type(rows) is KernelForm else None
+        rows = tuple(tuple(r) for r in (rows if form is None else form.rows))
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(rows[0])
@@ -98,35 +94,34 @@ class Matrix:
             ring = native_ring(rows)
             self._rows, rows = rows, ring.unwrap(rows)
         self.native_ring = ring
-        if scales is None:
-            self.native_rows = rows
+        if form is None:
+            self.native_rows, self._kernel = rows, None
         else:
-            self.cleared = rows, tuple(scales)
+            self._kernel = KernelForm(rows, form.scales, form.width)
         self.n_rows = len(rows)
         self.n_cols = width
         self._zeros = None
 
     def __getattr__(self, name):
         # called only for an attribute not found, such as an unset slot: a
-        # rational matrix leaves one of its two forms unset until it is read,
-        # while every other matrix sets native_rows, so reading it costs nothing
-        if name == "native_rows":
-            rows, scales = self.cleared
-            value = tuple(tuple([Fraction(v, s) for v in r]) for r, s in zip(rows, scales))
-        elif name == "cleared":
-            value = _cleared_rows(
-                ([x.numerator for x in r], [x.denominator for x in r]) for r in self.native_rows
-            )
-        else:
+        # matrix built from its kernel form leaves native_rows unset until
+        # it is read, while reading a set slot costs nothing
+        if name != "native_rows":
             raise AttributeError(f"'Matrix' object has no attribute {name!r}")
-        setattr(self, name, value)
-        return value
+        self.native_rows = self.native_ring.decode(*self._kernel)
+        return self.native_rows
+
+    @property
+    def kernel(self) -> KernelForm:
+        if self._kernel is None:
+            self._kernel = self.native_ring.encode(self.native_rows)
+        return self._kernel
 
     @property
     def zeros(self) -> frozenset:
         if self._zeros is None:
-            ring = self.native_ring
-            rows = self.cleared[0] if ring is RATIONALS else self.native_rows
+            ring, form = self.native_ring, self._kernel
+            rows = self.native_rows if form is None else form.rows
             self._zeros = frozenset(
                 (i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if ring.is_zero(x)
             )
@@ -159,6 +154,16 @@ class Matrix:
 
     def __repr__(self):
         return f"<Matrix {self.n_rows}x{self.n_cols} [{'; '.join(text_rows(self))}]>"
+
+    def rotated(self, r: int, c: int) -> "Matrix":
+        """This matrix rotated up by r rows and left by c columns: its kernel
+        form, scales included, when it holds one, else its native rows."""
+        rotate = lambda rows: [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
+        if self._kernel is None:
+            return Matrix(rotate(self.native_rows), self.native_ring)
+        rows, scales, width = self._kernel
+        scales = scales and scales[r:] + scales[:r]
+        return Matrix(KernelForm(rotate(rows), scales, width), self.native_ring)
 
     def _check_row(self, i):
         if not 0 <= i < self.n_rows:
@@ -236,8 +241,8 @@ def parse_matrix(text: str) -> Matrix:
     error.  Every token, and each part of a header, keeps the token rule
     (``ring.plain_token``): ASCII, with no ``_``.
 
-    A rational file is read straight into its cleared form: each row's
-    numerators and denominators go through ``_cleared_rows``, and no
+    A rational file is read straight into its kernel form: each row's
+    numerators and denominators go through ``ring._cleared_rows``, and no
     ``Fraction`` is built.  An integer or real file is read with one
     ``int()`` or ``float()`` per token.  If any token refuses, or a token
     breaks the token rule, the file is read again by ``parse_scalar``, which
@@ -290,8 +295,7 @@ def parse_matrix(text: str) -> Matrix:
     if plain_token(flat):
         try:
             if has_rational:
-                rows, scales = _cleared_rows(map(_ratios, token_rows))
-                return Matrix(rows, RATIONALS, scales)
+                return Matrix(KernelForm(*_cleared_rows(map(_ratios, token_rows))), RATIONALS)
             if has_real:
                 return Matrix([list(map(_real_token, r)) for r in token_rows], REALS)
             return Matrix([list(map(int, r)) for r in token_rows], INTEGERS)
@@ -315,30 +319,6 @@ def parse_matrix(text: str) -> Matrix:
     entries = [read(lineno, t) for lineno, toks in lines for t in toks]
     width = len(token_rows[0])
     return Matrix(entries[i : i + width] for i in range(0, len(entries), width))
-
-
-def _cleared_rows(rows):
-    """The one clearing rule: rational rows as integer rows, row i times
-    L_i, the lcm of its reduced denominators; returns the rows and the L_i.
-
-    Each row comes as its numerators and denominators, which need not be
-    reduced or positive; a zero denominator raises ZeroDivisionError.  The
-    lcm L' of the given denominators is a multiple of L_i, and the gcd of L'
-    and the row times L' is L' / L_i: a prime power that divides L_i exactly
-    leaves some entry of the row times L_i prime to it.  So the row is
-    scaled by L', and both are divided by that gcd.
-    """
-    cleared, scales = [], []
-    for nums, dens in rows:
-        scale = math.lcm(*dens)
-        row = [p * (scale // q) for p, q in zip(nums, dens)]
-        g = math.gcd(scale, *row)
-        if g > 1:
-            scale //= g
-            row = [v // g for v in row]
-        cleared.append(tuple(row))
-        scales.append(scale)
-    return tuple(cleared), tuple(scales)
 
 
 def _ratios(tokens):

@@ -42,22 +42,39 @@ and ``format_scalar`` apply it, and rationals print ``p/q`` even for q = 1.
 
 Nothing on the hot path computes on these wrappers.  A ``Matrix`` holds
 native ``int``, ``Fraction``, ``float`` or ``Polynomial`` values with their
-``NativeRing``, and wraps them only where a public API returns a scalar;
-the kernel condenses rational and polynomial matrices as integers (see
-``condense``), and a rational file is read straight into cleared integer
-rows (see ``matrix``).  Each ring is one fixed ``NativeRing``: ``INTEGERS``,
-``RATIONALS``, ``REALS`` and ``POLYNOMIALS``.  ``NativeRing.is_zero`` is the
-ring's zero test on one native value, ``not x`` on the exact rings and the
-real zero rule on ``REALS``; ``Matrix.zeros``, the zero set mitigation reads,
-and the pivot test of ``condense.elimination_det``, the fallback, use it, and
-the kernel's real zero stop applies the same rule to a whole stage, so a real
-scalar and a real matrix judge zeros alike.
+``NativeRing``, and wraps them only where a public API returns a scalar.
+Each ring is one fixed ``NativeRing``: ``INTEGERS``, ``RATIONALS``, ``REALS``
+and ``POLYNOMIALS``.  ``NativeRing.is_zero`` is the ring's zero test on one
+value, ``not x`` on the exact rings and the real zero rule on ``REALS``;
+``Matrix.zeros``, the zero set mitigation reads, and the pivot test of
+``condense.elimination_det``, the fallback, use it, and the kernel's real
+zero stop applies the same rule to a whole stage, so a real scalar and a
+real matrix judge zeros alike.
 
-Integer polynomials also have a native form, the int f(2^W) of Kronecker
-substitution: ``pack_polynomial`` packs the coefficients at width W and
-``unpack_polynomial`` reads them back as balanced base-2^W digits, exactly
-when every coefficient is below 2^(W - 1) in magnitude.  The one width rule
-that guarantees this, the stage kernel's, is stated in ``condense``.
+The kernel form.  Condensation divides exactly only in an integral domain,
+so the stage kernel runs every exact ring on the integers, and the reals as
+they are.  A ``KernelForm`` holds the rows the kernel runs on, the row
+scales L_i or None, and the packing width W or None.  A ring's ``encode``
+builds it from native rows and its ``decode`` reads native rows back; a
+``Matrix`` builds either form from the other at most once.
+
+* Integers and reals: the native rows, with no scales and no width.
+* Rationals: row i times L_i, the lcm of its denominators, by the one
+  clearing rule, ``_cleared_rows``; ``matrix.parse_matrix`` reads a rational
+  file straight into this form, with no ``Fraction`` per entry.
+* Polynomials: cleared by the same rule, a row's coefficients counting as
+  its entries (with no pass and no scales when every coefficient is an
+  ``int``, as in the Hückel matrices), then packed by Kronecker
+  substitution: f becomes the int f(2^W) (``pack_polynomial``), read back
+  from its balanced base-2^W digits (``unpack_polynomial``).  The one width
+  rule, ``_packed_rows``'s, bounds every coefficient of every minor below
+  2^(W - 1), so each unpacks exactly and a packed zero test is exact.
+
+Evaluation at 2^W is a ring homomorphism, and stage k entry (i, j) is the
+connected minor on rows i .. i + k, so the kernel run's is L_i ... L_{i+k}
+times the native one, evaluated: the zeros, and with them mitigation,
+restarts and the op counts, are the native run's, and every division is
+still checked.  Stages and determinants decode divided by those products.
 """
 
 from __future__ import annotations
@@ -65,6 +82,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Callable, NamedTuple
 
 DEFAULT_TOLERANCE = 1e-9
@@ -350,60 +368,6 @@ def _add_scaled_polynomials(dst, k, src):
     return out
 
 
-class NativeRing(NamedTuple):
-    """One ring, for arithmetic on native values; each is a module constant.
-
-    ``unwrap(rows)`` gives the native rows of rows of scalars, where scalars
-    come in, and ``wrap(value)`` the scalar of one native value, where one
-    goes out.  ``text(value)`` is one native value in the text syntax
-    ``parse_scalar`` reads.  ``constant(k)`` is the int k as a native value, and
-    ``add_scaled(dst, k, src)`` the row dst + k * src for an int k: every
-    number entry is computed, so -0.0 + 1 * 0.0 is 0.0, while a polynomial
-    entry is kept where its source is zero and is otherwise one polynomial
-    built straight from the coefficients d_t + k * s_t, with no scaled
-    polynomial in between.  ``divide(row, divisors)``, in the rings the
-    kernel divides in, gives a whole row's exact quotients, raising
-    ``DivisionByZero`` or ``InexactDivision`` when one fails.  ``is_zero(x)``
-    is the ring's zero test on a native value: ``not x`` on the exact rings,
-    and the real zero rule on ``REALS``.
-    """
-
-    unwrap: Callable
-    wrap: Callable
-    constant: Callable
-    text: Callable
-    add_scaled: Callable = lambda dst, k, src: [d + k * s for d, s in zip(dst, src)]
-    divide: Callable | None = None
-    is_zero: Callable = operator.not_
-
-
-def native_ring(rows) -> NativeRing:
-    """The ``NativeRing`` of a nonempty sequence of rows of scalars.
-
-    Raises TypeError when the entries are not scalars, and RingMismatch when
-    they belong to more than one ring, so unwrapped values never mix rings.
-    """
-    first = rows[0][0]
-    kind = type(first)
-    ring = _RINGS.get(kind)
-    if ring is None:
-        raise TypeError(f"entries must be scalars, got {kind.__name__}")
-    for r in rows:
-        for e in r:
-            if type(e) is not kind:
-                first._same_ring(e)
-    return ring
-
-
-def _values(rows):
-    return tuple(tuple([e.value for e in r]) for r in rows)
-
-
-# Kronecker substitution: a polynomial f with integer coefficients is the
-# int f(2^width).  Evaluation at 2^width is a ring homomorphism, so sums,
-# products and exact quotients of packed values are the packed results.
-
-
 def _width_error(width: int) -> ValueError:
     # at width 1 the balanced digit of 1 is -1, which would leave an
     # unpacked value unchanged forever
@@ -444,6 +408,77 @@ def unpack_polynomial(value: int, width: int, scale: int = 1) -> Polynomial:
     if scale == 1:
         return Polynomial._result(cs)
     return Polynomial([Fraction(c, scale) for c in cs])
+
+
+class KernelForm(NamedTuple):
+    """The rows the condensation kernel runs on, with the row scales L_i or
+    None, and the packing width W or None (see the module docstring)."""
+
+    rows: tuple
+    scales: tuple | None = None
+    width: int | None = None
+
+
+def _cleared_rows(rows):
+    """The one clearing rule: rational rows as integer rows, row i times
+    L_i, the lcm of its reduced denominators; returns the rows and the L_i.
+
+    Each row comes as its numerators and denominators, which need not be
+    reduced or positive; a zero denominator raises ZeroDivisionError.  The
+    lcm L' of the given denominators is a multiple of L_i, and the gcd of L'
+    and the row times L' is L' / L_i: a prime power that divides L_i exactly
+    leaves some entry of the row times L_i prime to it.  So the row is
+    scaled by L', and both are divided by that gcd.
+    """
+    cleared, scales = [], []
+    for nums, dens in rows:
+        scale = math.lcm(*dens)
+        row = [p * (scale // q) for p, q in zip(nums, dens)]
+        g = math.gcd(scale, *row)
+        if g > 1:
+            scale //= g
+            row = [v // g for v in row]
+        cleared.append(tuple(row))
+        scales.append(scale)
+    return tuple(cleared), tuple(scales)
+
+
+def _cleared_rationals(rows) -> KernelForm:
+    fractions = (([x.numerator for x in r], [x.denominator for x in r]) for r in rows)
+    return KernelForm(*_cleared_rows(fractions))
+
+
+def _rational_rows(rows, scales, width):
+    return tuple(tuple([Fraction(v, s) for v in r]) for r, s in zip(rows, scales))
+
+
+def _packed_rows(rows) -> KernelForm:
+    """Polynomial rows as their kernel form: cleared by ``_cleared_rows``, a
+    row's coefficients counting as its entries, unless every coefficient is
+    an ``int``, then packed at the width rule's W.
+
+    W is one more than the bit length of prod_i max(1, sum_j |m_ij|_1) over
+    the cleared rows, |.|_1 being the sum of a polynomial's coefficient
+    magnitudes.  That product bounds every coefficient of every minor, since
+    a minor's terms each take one entry from distinct rows, so every stage
+    entry and every intermediate of ``condense.elimination_det`` unpacks
+    exactly, and a packed divisor or pivot is 0 exactly when the polynomial
+    is.
+    """
+    coeffs = [[p.coeffs for p in r] for r in rows]
+    scales = None
+    if not all(type(c) is int for r in coeffs for cs in r for c in cs):
+        flat, scales, _ = _cleared_rationals([[c for cs in r for c in cs] for r in coeffs])
+        coeffs = [[list(islice(it, len(cs))) for cs in r] for it, r in zip(map(iter, flat), coeffs)]
+    bound = math.prod(max(1, sum(abs(c) for p in r for c in p)) for r in coeffs)
+    width = bound.bit_length() + 1
+    packed = tuple(tuple([pack_polynomial(p, width) for p in r]) for r in coeffs)
+    return KernelForm(packed, scales, width)
+
+
+def _unpacked_rows(rows, scales, width):
+    scaled = zip(rows, scales or repeat(1))
+    return tuple(tuple([unpack_polynomial(v, width, s) for v in r]) for r, s in scaled)
 
 
 # Whole-row divisions: every quotient of a row at once.
@@ -533,8 +568,9 @@ def plain_token(text: str) -> bool:
 
 def _text_int(text: str) -> int:
     """``int(text)``, for any number of plain decimal digits; a text that
-    breaks the token rule (``plain_token``) raises ValueError."""
-    if not plain_token(text):
+    breaks the token rule (``plain_token``) or holds whitespace, which
+    ``int`` strips, raises ValueError."""
+    if not plain_token(text) or text != text.strip():
         raise ValueError(f"not a plain decimal integer: {text!r}")
     try:
         return int(text)
@@ -551,16 +587,72 @@ def _fraction_text(f: Fraction) -> str:
     return f"{_int_text(f.numerator)}/{_int_text(f.denominator)}"
 
 
-# The integer ring, which the kernel also condenses rational and polynomial
-# matrices on; the kernel never divides in those two rings' own forms.
-INTEGERS = NativeRing(_values, ExactInteger._result, int, _int_text, divide=_divide_integers)
-RATIONALS = NativeRing(_values, ExactRational._result, Fraction, _fraction_text)
+class NativeRing(NamedTuple):
+    """One ring, for arithmetic on native values; each is a module constant.
+
+    ``unwrap(rows)`` gives the native rows of rows of scalars, where scalars
+    come in, and ``wrap(value)`` the scalar of one native value, where one
+    goes out.  ``text(value)`` is one native value in the text syntax
+    ``parse_scalar`` reads.  ``constant(k)`` is the int k as a native value, and
+    ``add_scaled(dst, k, src)`` the row dst + k * src for an int k: every
+    number entry is computed, so -0.0 + 1 * 0.0 is 0.0, while a polynomial
+    entry is kept where its source is zero and is otherwise one polynomial
+    built straight from the coefficients d_t + k * s_t, with no scaled
+    polynomial in between.  ``encode(rows)`` is the ``KernelForm`` of native
+    rows, and ``decode(rows, scales, width)`` the native rows of kernel rows
+    packed at ``width``, row i being scales[i] times the native one (1
+    when ``scales`` is None).  ``divide(row, divisors)``
+    gives a whole row of the kernel form's exact quotients, raising
+    ``DivisionByZero`` or ``InexactDivision`` when one fails.  ``is_zero(x)``
+    is the ring's zero test, on a native value or a kernel one: ``not x`` on
+    the exact rings, and the real zero rule on ``REALS``.
+    """
+
+    unwrap: Callable
+    wrap: Callable
+    constant: Callable
+    text: Callable
+    add_scaled: Callable = lambda dst, k, src: [d + k * s for d, s in zip(dst, src)]
+    divide: Callable = _divide_integers
+    is_zero: Callable = operator.not_
+    encode: Callable = KernelForm
+    decode: Callable = lambda rows, scales, width: rows
+
+
+def native_ring(rows) -> NativeRing:
+    """The ``NativeRing`` of a nonempty sequence of rows of scalars.
+
+    Raises TypeError when the entries are not scalars, and RingMismatch when
+    they belong to more than one ring, so unwrapped values never mix rings.
+    """
+    first = rows[0][0]
+    kind = type(first)
+    ring = _RINGS.get(kind)
+    if ring is None:
+        raise TypeError(f"entries must be scalars, got {kind.__name__}")
+    for r in rows:
+        for e in r:
+            if type(e) is not kind:
+                first._same_ring(e)
+    return ring
+
+
+def _values(rows):
+    return tuple(tuple([e.value for e in r]) for r in rows)
+
+
+INTEGERS = NativeRing(_values, ExactInteger._result, int, _int_text)
+RATIONALS = NativeRing(
+    _values, ExactRational._result, Fraction, _fraction_text,
+    encode=_cleared_rationals, decode=_rational_rows,
+)
 REALS = NativeRing(
     _values, ApproxReal._result, float, repr, divide=_divide_reals, is_zero=_real_zero
 )
 # a polynomial scalar is its own native value
 POLYNOMIALS = NativeRing(
-    tuple, lambda p: p, lambda k: Polynomial._result([k]), str, _add_scaled_polynomials
+    tuple, lambda p: p, lambda k: Polynomial._result([k]), str, _add_scaled_polynomials,
+    encode=_packed_rows, decode=_unpacked_rows,
 )
 _RINGS = {
     ExactInteger: INTEGERS, ExactRational: RATIONALS, ApproxReal: REALS, Polynomial: POLYNOMIALS

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from exactdet import cli, condense
-from exactdet import matrix as matrix_module
 from exactdet import ring as ring_module
 from exactdet.cli import main
 
@@ -642,8 +641,8 @@ class TestNoFractionPerEntry:
             built.clear()
             plans.clear()
             with monkeypatch.context() as m:
-                m.setattr(matrix_module, "Fraction", CountingFraction)
-                m.setattr(condense, "Fraction", CountingFraction)
+                # the rational ring decodes, and the scalars are built, there
+                m.setattr(ring_module, "Fraction", CountingFraction)
                 m.setattr(condense, "mitigate_interior_zeros", logging_mitigation)
                 assert run(capsys, "det", str(path)) == (0, det + "\n", "")
             assert plans == [plan]
@@ -815,11 +814,15 @@ class TestHuckel:
         [
             ("atoms 3\nedge 1 2\nedge 2 2\n", "line 3: self-loop on atom 2"),
             ("atoms 3\nedge 1 2\natoms 1\n", "line 3: repeated atoms line"),
+            # edge-file numbers keep the matrix token rule: int() read the
+            # Arabic-Indic digit and the "_" and printed allyl and 10 atoms
+            ("atoms 3\nedge 1 2\nedge \u0662 3\n", "line 3: bad edge indices ['\u0662', '3']"),
+            ("atoms 1_0\n", "line 1: bad atom count '1_0'"),
         ],
     )
     def test_edge_file_errors_name_line_and_atom(self, capsys, tmp_path, text, message):
         f = tmp_path / "loop.edges"
-        f.write_text(text)
+        f.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "huckel", "--edges", str(f), "--alpha", "-1", "--beta", "-1")
         assert (code, out) == (2, "")
         assert err == f"error: {f}: {message}\n"

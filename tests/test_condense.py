@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactdet import condense
+from exactdet import condense, huckel
 from exactdet import ring as ring_module
 from exactdet.condense import (
     CondensationTrace,
@@ -299,27 +299,29 @@ class TestKernel:
     def test_division_errors(self, ring, divisor, error, message):
         # the kernel raises what integer_quotient raises, never a bare
         # ZeroDivisionError, on every ring that condenses on integers
-        rows, kernel_ring, _ = condense._kernel_input(KERNEL_INPUTS[ring]())
-        assert rows == KERNEL_ROWS
+        m = KERNEL_INPUTS[ring]()
+        rows, divide = m.kernel.rows, m.native_ring.divide
+        assert [list(r) for r in rows] == KERNEL_ROWS
         if error is None:
-            assert condense._condense_rows(rows, divisor, kernel_ring.divide) == [[1, 1], [1, 2]]
+            assert condense._condense_rows(rows, divisor, divide) == [[1, 1], [1, 2]]
             return
         with pytest.raises(error) as err:
-            condense._condense_rows(rows, divisor, kernel_ring.divide)
+            condense._condense_rows(rows, divisor, divide)
         assert type(err.value) is error
         assert str(err.value) == message
 
     def test_integer_quotients_are_checked_as_they_are_formed(self, monkeypatch):
         # integer, cleared rational and packed polynomial runs, and their
-        # traces, never call the integer ring's row division: the kernel
-        # checks each quotient as it forms it, and only a failed row, which
-        # a run never has, is divided again
-        fused = ring_module.INTEGERS._replace(divide=no_row_division)
-        monkeypatch.setattr(condense, "INTEGERS", fused)
+        # traces, never call the integer row division, which every exact
+        # ring's kernel form divides by: the kernel checks each quotient as
+        # it forms it, and only a failed row, which a run never has, is
+        # divided again
+        assert ring_module.RATIONALS.divide is ring_module.POLYNOMIALS.divide is ring_module.INTEGERS.divide
+        monkeypatch.setattr(ring_module, "integer_quotient", no_row_division)
         rng = random.Random("fused-kernel")
         cases = [
-            Matrix([[rng.randint(-10**6, 10**6) for _ in range(9)] for _ in range(9)], fused),
-            Matrix([list(r) for r in RESTART4], fused),
+            int_matrix([[rng.randint(-10**6, 10**6) for _ in range(9)] for _ in range(9)]),
+            int_matrix(RESTART4),
             Matrix(
                 [[ExactRational(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(7)] for _ in range(7)]
             ),
@@ -931,7 +933,7 @@ def random_polynomial_matrix(rng, n, coefficient, zero_share):
 
 
 def clearing_packed_rows(rows):
-    """``condense._packed_rows`` by the clearing pass alone: every row times
+    """``ring._packed_rows`` by the clearing pass alone: every row times
     the lcm of its coefficients' denominators, whatever their type."""
     scales = [math.lcm(*{c.denominator for p in r for c in p.coeffs}) for r in rows]
     coeffs = [
@@ -989,10 +991,11 @@ class TestPackedPolynomials:
         def no_lcm(*args):
             raise AssertionError("integer rows had their denominators cleared")
 
-        monkeypatch.setattr(condense, "lcm", no_lcm)
+        monkeypatch.setattr(ring_module, "_cleared_rows", no_lcm)
         for m, (rows, width, scales) in zip(cases, expected):
             assert scales == [1] * m.n_rows
-            assert condense._packed_rows(m.native_rows) == (rows, width, scales)
+            # every L_i is 1, so the form has no scales
+            assert m.kernel == (tuple(map(tuple, rows)), None, width)
 
     @pytest.mark.parametrize(
         "system, width",
@@ -1005,7 +1008,7 @@ class TestPackedPolynomials:
         ],
     )
     def test_huckel_packing_widths(self, system, width):
-        assert condense._packed_rows(secular_matrix(system).native_rows)[1] == width
+        assert secular_matrix(system).kernel.width == width
 
     def test_rational_rows_that_need_repair_still_clear(self):
         # the chain of 6 with x/2 on the diagonal and 1/3 on its edges: the
@@ -1018,26 +1021,89 @@ class TestPackedPolynomials:
                 for i, r in enumerate(m.rows())
             ]
         )
-        packed = condense._packed_rows(m.native_rows)
-        assert packed == clearing_packed_rows(m.native_rows)
-        assert packed[2] == [6] * 6
+        rows, width, scales = clearing_packed_rows(m.native_rows)
+        assert m.kernel == (tuple(map(tuple, rows)), tuple(scales), width)
+        assert m.kernel.scales == (6,) * 6
         det, trace = condensation_det(m)
         assert trace.mitigation.plan == ("add", 1)
         assert trace.restarts == ((3, (2, 0)),)
         assert det == bareiss_det(m)
 
-    def test_rotations_pack_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("packed", [False, True], ids=["native", "packed"])
+    def test_rotations_pack_nothing(self, monkeypatch, packed):
         # RESTART4 times x, its identity plan excluded: the rotation by one
-        # row is accepted on the zero set and permutes the entries as they are
+        # row is accepted on the zero set and permutes the entries as they
+        # are, or the kernel form when the matrix already holds it
         m = Matrix([[Polynomial([0, v]) for v in r] for r in RESTART4])
+        if packed:
+            form = m.kernel
 
         def no_packing(*args):
-            raise AssertionError("a rotation packed the matrix")
+            raise AssertionError("a rotation packed or unpacked the matrix")
 
-        monkeypatch.setattr(condense, "pack_polynomial", no_packing)
-        out, log = mitigate_interior_zeros(m, exclude=[("rot", 0, 0)])
-        assert log.plan == ("rot", 1, 0)
+        with monkeypatch.context() as patched:
+            for name in ("pack_polynomial", "unpack_polynomial", "_cleared_rows"):
+                patched.setattr(ring_module, name, no_packing)
+            out, log = mitigate_interior_zeros(m, exclude=[("rot", 0, 0)])
+            assert log.plan == ("rot", 1, 0)
+        assert (out._kernel is None) is not packed
+        if packed:
+            assert out.kernel.rows == form.rows[1:] + form.rows[:1]
+            assert out.kernel.width == form.width
+        # the decoded native rows are the replayed ones
+        assert out.native_rows == replay_log(m, log).native_rows
         assert out == replay_log(m, log)
+
+    def test_a_rotated_rational_file_stays_cleared(self, monkeypatch):
+        # a parsed rational file holds only its kernel form; a rotation
+        # permutes its rows and scales, and builds no Fraction
+        m = parse_matrix("1/2 1/3 1/4\n1/5 0 1/7\n1/8 1/9 1/10\n")
+
+        def no_fraction(*args):
+            raise AssertionError("a rotation built a Fraction")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ring_module, "Fraction", no_fraction)
+            patched.setattr(ring_module, "_cleared_rows", no_fraction)
+            out, log = mitigate_interior_zeros(m)
+            assert log.plan == ("rot", 1, 0)
+        rows, scales, _ = m.kernel
+        assert out.kernel == (rows[1:] + rows[:1], scales[1:] + scales[:1], None)
+        assert out.native_rows == replay_log(m, log).native_rows
+
+    @pytest.mark.parametrize(
+        "system, packings",
+        [
+            (PiSystem.chain(6), 2),
+            (PiSystem.chain(8), 4),
+            (PiSystem.chain(10), 1),
+            (cycle(6), 2),
+            (cycle(8), 4),
+            (cycle(10), 1),
+            (NAPHTHALENE, 1),
+        ],
+    )
+    def test_each_matrix_packs_at_most_once(self, monkeypatch, system, packings):
+        # one packing per attempted matrix, and one for the input when it
+        # falls back; a trace or an elimination on a packed matrix packs it
+        # no more
+        packed = []
+
+        def counting(rows):
+            packed.append(rows)
+            return ring_module._packed_rows(rows)
+
+        ring = ring_module.POLYNOMIALS._replace(encode=counting)
+        monkeypatch.setattr(huckel, "POLYNOMIALS", ring)
+        sp = huckel.secular_polynomial(system)
+        assert len(packed) <= packings
+        assert len(set(packed)) == len(packed)
+        if sp.method == "condensation":
+            _, trace = condensation_det(secular_matrix(system))
+            before = len(packed)
+            assert trace.stages[-1].rows()[0][0] == sp.coeffs
+            assert condense.elimination_det(trace.mitigated) == sp.coeffs
+            assert len(packed) == before
 
     def test_repair_packs_nothing(self, monkeypatch):
         # the Hückel chain of 6 with every rotation excluded: the repair
@@ -1048,8 +1114,8 @@ class TestPackedPolynomials:
         def no_packing(*args):
             raise AssertionError("the repair packed or unpacked a polynomial")
 
-        monkeypatch.setattr(condense, "pack_polynomial", no_packing)
-        monkeypatch.setattr(condense, "unpack_polynomial", no_packing)
+        monkeypatch.setattr(ring_module, "pack_polynomial", no_packing)
+        monkeypatch.setattr(ring_module, "unpack_polynomial", no_packing)
         out, log = mitigate_interior_zeros(m, exclude=exclude)
         expected = reference_mitigation(m, exclude)
         assert log.plan == expected.plan == ("add", 0)

@@ -182,6 +182,21 @@ class TestPiSystem:
         with pytest.raises(ParseError):
             PiSystem.from_text("atoms 2\nbond 1 2\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("atoms 3\nedge 1 2\nedge \u0662 3\n", r"^line 3: bad edge indices \['\u0662', '3'\]$"),
+            ("atoms 1_0\n", "^line 1: bad atom count '1_0'$"),
+            ("atoms 3\nedge 1 +2\n", None),
+        ],
+    )
+    def test_from_text_reads_numbers_by_the_token_rule(self, text, message):
+        if message is None:
+            assert PiSystem.from_text(text) == PiSystem.from_edges(3, [(0, 1)])
+            return
+        with pytest.raises(ParseError, match=message):
+            PiSystem.from_text(text)
+
     def test_from_text_self_loop_names_its_line_and_atom(self):
         # atoms are 1-based in the file, and so in the message
         with pytest.raises(ParseError, match="^line 3: self-loop on atom 2$"):

@@ -436,11 +436,11 @@ def test_a_rational_file_reads_as_parse_scalar_reads_it(case):
 
     ref = Matrix([[scalar(t) for t in tokens[i * n : (i + 1) * n]] for i in range(n)])
     m = parse_matrix(text)
-    # the cleared form is the parse's own; the reference clears its Fractions
-    assert m.cleared == ref.cleared
+    # the kernel form is the parse's own; the reference clears its Fractions
+    assert m.kernel == ref.kernel
     assert m.native_rows == ref.native_rows
     assert m.zeros == ref.zeros
-    rows, scales = m.cleared
+    rows, scales, _ = m.kernel
     for native, cleared, scale in zip(m.native_rows, rows, scales):
         assert scale == math.lcm(*(x.denominator for x in native))
         assert list(cleared) == [x * scale for x in native]

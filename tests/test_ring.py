@@ -350,6 +350,15 @@ class TestText:
             with pytest.raises(ValueError):
                 parse_scalar(bad)
 
+    @pytest.mark.parametrize("length", [1, 5000], ids=["short", "past-4300-digits"])
+    @pytest.mark.parametrize("token", ["1/ {}", "1 /{}", "1/{} 2", "- {}/3", "{} 2/3"])
+    def test_parse_rejects_inner_whitespace_in_a_rational(self, token, length):
+        # int() strips the spaces around a part of a rational, but only up
+        # to the interpreter's digit limit
+        token = token.format("2" * length)
+        with pytest.raises(ValueError, match="^bad rational token"):
+            parse_scalar(token)
+
     @pytest.mark.parametrize(
         "token", ["1e400", "-1e400", "1" * 400 + ".0"], ids=["1e400", "-1e400", "400-digit"]
     )
