@@ -1,17 +1,15 @@
 """Dense matrices over one ring, with the submatrix vocabulary the
 condensation algorithm is phrased in.
 
-A ``Matrix`` is an immutable rectangular array of native values of one ring,
-scalars only on demand; nothing is mutated in place, so a condensation trace
-can keep every intermediate stage intact.  ``text_rows`` prints it by its
-ring's text rule on native values (``ring.NativeRing.text``).  Elementary row
-and column operations are not methods here: ``condense.replay_log`` applies
-them from a ``MitigationLog``; a rotation, which mitigation applies as one
-permutation, is ``Matrix.rotated``.
-
-A matrix also has the form the condensation kernel runs on,
-``Matrix.kernel`` (see ``ring``), built from its native rows, or they from
-it, when first read.
+A ``Matrix`` is an immutable rectangular array over one ring, held in two
+forms: its native values, ``native_rows``, and the form the condensation
+kernel runs on, ``kernel`` (see ``ring``), either built from the other when
+first read.  Nothing is mutated in place, so a condensation trace can keep
+every intermediate stage intact.  ``text_rows`` prints it by its ring's text
+rule on native values (``ring.NativeRing.text``).  Elementary row and column
+operations are not methods here: ``condense.replay_log`` applies them from a
+``MitigationLog``; a rotation, which mitigation applies as one permutation,
+is ``Matrix.rotated``.
 
 Submatrix terms used throughout the package:
 
@@ -33,9 +31,6 @@ from .ring import (
     INTEGERS,
     RATIONALS,
     REALS,
-    ApproxReal,
-    ExactInteger,
-    ExactRational,
     KernelForm,
     Scalar,
     _cleared_rows,
@@ -64,21 +59,19 @@ class ParseError(ValueError):
 
 
 class Matrix:
-    """An immutable matrix over one ring: ``native_rows`` of native values
-    and their ``ring.NativeRing``, ``native_ring``.  ``Matrix(rows)`` checks
-    the ring of rows of scalars once, unwraps them once and keeps them for
-    ``rows()``; ``Matrix(rows, ring)`` takes native rows of ``ring``, or with
-    a ``ring.KernelForm`` for ``rows`` that form, and wraps its scalars on the
-    first ``rows()`` or ``m[i, j]``.  The other of ``native_rows`` and
-    ``kernel`` is built by the ring's ``decode`` or ``encode`` when first
-    read, and kept.  ``zeros``, the (i, j) whose entry ``native_ring.is_zero``
-    counts as zero, is read once, off the kernel form when the matrix holds
-    it: the forms share their zeros.  ``rotated`` builds no form either.
+    """An immutable matrix over one ring, ``native_ring``, a
+    ``ring.NativeRing``.  Its two forms are ``native_rows`` and ``kernel``:
+    the one not given is built by the ring's ``decode`` or ``encode`` when
+    first read, and kept.  ``Matrix(rows)`` checks the ring of rows of
+    scalars once and keeps their native values; ``Matrix(rows, ring)`` takes
+    native rows of ``ring``, or with a ``ring.KernelForm`` for ``rows`` that
+    form.  ``rows()`` and ``m[i, j]`` wrap scalars on each read.  ``zeros``,
+    the (i, j) whose entry ``native_ring.is_zero`` counts as zero, is read
+    once, off the kernel form when the matrix holds it: the forms share their
+    zeros.  ``rotated`` builds no form either.
     """
 
-    __slots__ = (
-        "n_rows", "n_cols", "native_rows", "native_ring", "_kernel", "_rows", "_zeros"
-    )
+    __slots__ = ("n_rows", "n_cols", "native_ring", "_native", "_kernel", "_zeros")
 
     def __init__(self, rows, ring=None):
         form = rows if type(rows) is KernelForm else None
@@ -88,40 +81,36 @@ class Matrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        self._rows = None
         if ring is None:
             # raises TypeError unless all entries share one ring
             ring = native_ring(rows)
-            self._rows, rows = rows, ring.unwrap(rows)
+            rows = ring.unwrap(rows)
         self.native_ring = ring
         if form is None:
-            self.native_rows, self._kernel = rows, None
+            self._native, self._kernel = rows, None
         else:
-            self._kernel = KernelForm(rows, form.scales, form.width)
+            self._native, self._kernel = None, KernelForm(rows, form.scales, form.width)
         self.n_rows = len(rows)
         self.n_cols = width
         self._zeros = None
 
-    def __getattr__(self, name):
-        # called only for an attribute not found, such as an unset slot: a
-        # matrix built from its kernel form leaves native_rows unset until
-        # it is read, while reading a set slot costs nothing
-        if name != "native_rows":
-            raise AttributeError(f"'Matrix' object has no attribute {name!r}")
-        self.native_rows = self.native_ring.decode(*self._kernel)
-        return self.native_rows
+    @property
+    def native_rows(self) -> tuple:
+        if self._native is None:
+            self._native = self.native_ring.decode(*self._kernel)
+        return self._native
 
     @property
     def kernel(self) -> KernelForm:
         if self._kernel is None:
-            self._kernel = self.native_ring.encode(self.native_rows)
+            self._kernel = self.native_ring.encode(self._native)
         return self._kernel
 
     @property
     def zeros(self) -> frozenset:
         if self._zeros is None:
             ring, form = self.native_ring, self._kernel
-            rows = self.native_rows if form is None else form.rows
+            rows = self._native if form is None else form.rows
             self._zeros = frozenset(
                 (i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if ring.is_zero(x)
             )
@@ -129,13 +118,11 @@ class Matrix:
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
-        return self.rows()[i][j]
+        return self.native_ring.wrap(self.native_rows[i][j])
 
     def rows(self):
-        if self._rows is None:
-            wrap = self.native_ring.wrap
-            self._rows = tuple(tuple(map(wrap, r)) for r in self.native_rows)
-        return self._rows
+        wrap = self.native_ring.wrap
+        return tuple(tuple(map(wrap, r)) for r in self.native_rows)
 
     @property
     def is_square(self) -> bool:
@@ -247,7 +234,8 @@ def parse_matrix(text: str) -> Matrix:
     ``int()`` or ``float()`` per token.  If any token refuses, or a token
     breaks the token rule, the file is read again by ``parse_scalar``, which
     raises with that token's error and line, and reads integers past the
-    interpreter's digit limit.
+    interpreter's digit limit; each value is promoted to the file's ring by
+    its ``constant``, into the native matrix the first read builds.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -292,33 +280,27 @@ def parse_matrix(text: str) -> Matrix:
             )
         token_rows = [toks for _, toks in lines]
 
+    ring = RATIONALS if has_rational else REALS if has_real else INTEGERS
     if plain_token(flat):
         try:
             if has_rational:
-                return Matrix(KernelForm(*_cleared_rows(map(_ratios, token_rows))), RATIONALS)
-            if has_real:
-                return Matrix([list(map(_real_token, r)) for r in token_rows], REALS)
-            return Matrix([list(map(int, r)) for r in token_rows], INTEGERS)
+                return Matrix(KernelForm(*_cleared_rows(map(_ratios, token_rows))), ring)
+            read = _real_token if has_real else int
+            return Matrix([list(map(read, r)) for r in token_rows], ring)
         except (ValueError, ZeroDivisionError, OverflowError):
             pass
 
     def read(lineno, t):
         try:
-            s = parse_scalar(t)
+            return ring.constant(parse_scalar(t).value)
         except ValueError as e:
             raise ParseError(str(e), line=lineno) from e
-        if has_rational and isinstance(s, ExactInteger):
-            s = ExactRational(s.value)
-        elif has_real and isinstance(s, ExactInteger):
-            try:
-                s = ApproxReal(float(s.value))
-            except OverflowError as e:
-                raise ParseError("integer token too large for a real", line=lineno) from e
-        return s
+        except OverflowError as e:
+            raise ParseError("integer token too large for a real", line=lineno) from e
 
     entries = [read(lineno, t) for lineno, toks in lines for t in toks]
     width = len(token_rows[0])
-    return Matrix(entries[i : i + width] for i in range(0, len(entries), width))
+    return Matrix([entries[i : i + width] for i in range(0, len(entries), width)], ring)
 
 
 def _ratios(tokens):

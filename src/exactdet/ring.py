@@ -593,19 +593,21 @@ class NativeRing(NamedTuple):
     ``unwrap(rows)`` gives the native rows of rows of scalars, where scalars
     come in, and ``wrap(value)`` the scalar of one native value, where one
     goes out.  ``text(value)`` is one native value in the text syntax
-    ``parse_scalar`` reads.  ``constant(k)`` is the int k as a native value, and
-    ``add_scaled(dst, k, src)`` the row dst + k * src for an int k: every
-    number entry is computed, so -0.0 + 1 * 0.0 is 0.0, while a polynomial
-    entry is kept where its source is zero and is otherwise one polynomial
-    built straight from the coefficients d_t + k * s_t, with no scaled
-    polynomial in between.  ``encode(rows)`` is the ``KernelForm`` of native
-    rows, and ``decode(rows, scales, width)`` the native rows of kernel rows
-    packed at ``width``, row i being scales[i] times the native one (1
-    when ``scales`` is None).  ``divide(row, divisors)``
-    gives a whole row of the kernel form's exact quotients, raising
-    ``DivisionByZero`` or ``InexactDivision`` when one fails.  ``is_zero(x)``
-    is the ring's zero test, on a native value or a kernel one: ``not x`` on
-    the exact rings, and the real zero rule on ``REALS``.
+    ``parse_scalar`` reads.  ``constant(x)`` is x as a native value, for an
+    ``int`` x or, on the three number rings, a native value of the ring, by
+    which ``parse_matrix`` promotes a file's values.  ``add_scaled(dst, k,
+    src)`` is the row dst + k * src for an int k: every number entry is
+    computed, so -0.0 + 1 * 0.0 is 0.0, while a polynomial entry is kept where
+    its source is zero and is otherwise one polynomial built straight from the
+    coefficients d_t + k * s_t, with no scaled polynomial in between.
+    ``encode(rows)`` is the ``KernelForm`` of native rows, and ``decode(rows,
+    scales, width)`` the native rows of kernel rows packed at ``width``, row i
+    being scales[i] times the native one (1 when ``scales`` is None).
+    ``divide(row, divisors)`` gives a whole row of the kernel form's exact
+    quotients, raising ``DivisionByZero`` or ``InexactDivision`` when one
+    fails.  ``is_zero(x)`` is the ring's zero test, on a native value or a
+    kernel one: ``not x`` on the exact rings, and the real zero rule on
+    ``REALS``.
     """
 
     unwrap: Callable

@@ -24,7 +24,8 @@ from exactdet.condense import (
     replay_log,
 )
 from exactdet.huckel import PiSystem, secular_matrix
-from exactdet.matrix import IndexOutOfRange, Matrix, int_matrix, parse_matrix
+from exactdet import matrix as matrix_module
+from exactdet.matrix import IndexOutOfRange, Matrix, int_matrix, parse_matrix, text_rows
 from exactdet.oracle import bareiss_det, cofactor_det
 from exactdet.ring import (
     DEFAULT_TOLERANCE,
@@ -1056,7 +1057,16 @@ class TestPackedPolynomials:
 
     def test_a_rotated_rational_file_stays_cleared(self, monkeypatch):
         # a parsed rational file holds only its kernel form; a rotation
-        # permutes its rows and scales, and builds no Fraction
+        # permutes its rows and scales, and builds no Fraction; the rotated
+        # matrix's native rows are decoded once, when first read
+        decoded = []
+
+        def counting(*form):
+            decoded.append(form)
+            return ring_module._rational_rows(*form)
+
+        rationals = ring_module.RATIONALS._replace(decode=counting)
+        monkeypatch.setattr(matrix_module, "RATIONALS", rationals)
         m = parse_matrix("1/2 1/3 1/4\n1/5 0 1/7\n1/8 1/9 1/10\n")
 
         def no_fraction(*args):
@@ -1069,6 +1079,11 @@ class TestPackedPolynomials:
             assert log.plan == ("rot", 1, 0)
         rows, scales, _ = m.kernel
         assert out.kernel == (rows[1:] + rows[:1], scales[1:] + scales[:1], None)
+        assert out.zeros == {(0, 1)}
+        assert not decoded
+        assert out.native_rows is out.native_rows
+        assert text_rows(out) == ["1/5 0/1 1/7", "1/8 1/9 1/10", "1/2 1/3 1/4"]
+        assert decoded == [out.kernel]
         assert out.native_rows == replay_log(m, log).native_rows
 
     @pytest.mark.parametrize(

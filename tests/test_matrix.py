@@ -13,6 +13,7 @@ from exactdet.condense import (
     elimination_det,
     replay_log,
 )
+from exactdet import matrix as matrix_module
 from exactdet.matrix import (
     IndexOutOfRange,
     Matrix,
@@ -24,7 +25,14 @@ from exactdet.matrix import (
     parse_matrix,
 )
 from exactdet.oracle import bareiss_det, cofactor_det
-from exactdet.ring import ApproxReal, ExactInteger, ExactRational, Polynomial, parse_scalar
+from exactdet.ring import (
+    INTEGERS,
+    ApproxReal,
+    ExactInteger,
+    ExactRational,
+    Polynomial,
+    parse_scalar,
+)
 
 # 4x4 with a zero-free interior; its condensation path is fully clean.
 CLEAN4 = [[4, 2, 0, -3], [1, 1, 2, 2], [0, -1, 3, -1], [1, 2, 5, 1]]
@@ -41,6 +49,17 @@ class TestConstruction:
         m = int_matrix(CLEAN4)
         assert (m.n_rows, m.n_cols) == (4, 4)
         assert m[2, 1] == ExactInteger(-1)
+
+    def test_indexing_wraps_one_entry(self):
+        wrapped = []
+
+        def counting(x):
+            wrapped.append(x)
+            return ExactInteger(x)
+
+        m = Matrix([[5 * i + j for j in range(5)] for i in range(5)], INTEGERS._replace(wrap=counting))
+        assert m[3, 2] == ExactInteger(17)
+        assert wrapped == [17]
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
@@ -353,6 +372,43 @@ class TestTextFormat:
         if ring == "real":
             signs = [[math.copysign(1.0, e.value) for e in r] for r in m.rows()]
             assert signs == [[math.copysign(1.0, e.value) for e in r] for r in expected.rows()]
+
+    @pytest.mark.parametrize(
+        "ring, text",
+        [
+            ("integer", "7" * 5000 + " 2\n3 4\n"),
+            ("rational", "7" * 5000 + "/3 1\n3 1\n"),
+            ("integer", "1_0 2\n3 4\n"),
+        ],
+        ids=["long-integer", "long-rational", "underscore"],
+    )
+    def test_a_reread_promotes_native_values(self, monkeypatch, ring, text):
+        # a file read again token by token promotes each value to the file's
+        # ring; it infers no ring from a matrix of scalars
+        def scalar(t):
+            s = parse_scalar(t)
+            return ExactRational(s.value) if ring == "rational" else s
+
+        try:
+            expected = Matrix([list(map(scalar, line.split())) for line in text.splitlines()])
+        except ValueError as e:
+            expected = e
+
+        def no_inference(rows):
+            raise AssertionError("the parser built a matrix of scalars")
+
+        monkeypatch.setattr(matrix_module, "native_ring", no_inference)
+        if isinstance(expected, ValueError):
+            with pytest.raises(ParseError) as err:
+                parse_matrix(text)
+            assert str(err.value) == f"line 1: {expected}"
+            return
+        m = parse_matrix(text)
+        assert m == expected
+        assert m.native_ring is expected.native_ring
+        assert [type(x) for r in m.native_rows for x in r] == [
+            type(x) for r in expected.native_rows for x in r
+        ]
 
     @pytest.mark.parametrize(
         "text",
