@@ -16,13 +16,22 @@ the interior.
 
 The roots are exact up to one final rounding, with no tolerance and no
 iteration cap.  Yun's square-free decomposition over Q gives each distinct
-root its multiplicity.  Float seeds by Newton-Maehly are only hints: exact
-integer signs of p at dyadic points certify one root between neighbouring
-separators, or else Descartes' rule of signs isolates the roots by
-bisection.  Each root is then rounded to the nearest double by exact signs
-at the points midway between neighbouring doubles.  The secular matrix is
-symmetric, so p has only real roots, and each level is alpha - beta * x at
-the correctly rounded root x, listed once per multiplicity.
+root its multiplicity; of an even p = q(x^2), as of every alternant with an
+even number of atoms (the pairing theorem), it runs on q.  Float seeds by
+Newton-Maehly are only hints: exact integer signs of p at dyadic points
+certify one root between neighbouring separators, or else Descartes' rule
+of signs isolates the roots by bisection.  Each root is then rounded to the
+nearest double by exact signs at the points midway between neighbouring
+doubles.  The secular matrix is symmetric, so p has only real roots, and
+each level is alpha - beta * x at the correctly rounded root x, listed once
+per multiplicity.
+
+The pairing path takes each square-free factor f that is even once its root
+at 0 is split off, as every factor of an alternant's p is.  Its roots pair
+as r, -r, and f(0) != 0, so at most d/2 are positive: seeds, separators from
+0 and bisection from (0, 2^e) seek only those, and d/2 alternating brackets
+hold one each.  Ties-to-even rounding is symmetric, so each rounded x gives
+-x too.  Every other factor takes the full path.
 """
 
 from __future__ import annotations
@@ -106,9 +115,6 @@ class PiSystem:
         except ValueError as e:
             raise ParseError(str(e)) from e
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
 
 @dataclass(frozen=True)
 class SecularPolynomial:
@@ -134,16 +140,12 @@ def secular_matrix(system: PiSystem) -> Matrix:
     one = Polynomial([1])
     zero = Polynomial([])
     n = system.n_atoms
-    return Matrix(
-        [
-            [
-                x if i == j else (one if system.adjacent(i, j) else zero)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-        POLYNOMIALS,
-    )
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = x
+    for i, j in system.edges:
+        rows[i][j] = rows[j][i] = one
+    return Matrix(rows, POLYNOMIALS)
 
 
 def secular_polynomial(system: PiSystem) -> SecularPolynomial:
@@ -190,9 +192,21 @@ def _square_free_factors(p):
     A constant gcd(p, p') mod 2^61 - 1 proves p square-free by itself: a
     repeated factor of p divides p and p', and keeps its degree mod the
     prime, because p's leading coefficient does not vanish there.
+
+    An even p = q(x^2) goes through q: f(y) with f(0) != 0 gives the
+    square-free f(x^2), and y gives x with twice the multiplicity.
     """
     if len(p) < 2:
         return []
+    if _even(p):
+        factors = []
+        for f, multiplicity in _square_free_factors(p[::2]):
+            if not f[0]:  # y divides one factor at most, and once
+                factors.append(([0, 1], 2 * multiplicity))
+                f = f[1:]
+            if len(f) > 1:  # f(x^2): f's coefficients with zeros between
+                factors.append(([c for a in f for c in (0, a)][1:], multiplicity))
+        return factors
     dp = _derivative(p)
     if p[-1] % _PRIME and len(_gcd_mod_prime(p, dp)) == 1:
         return [(p, 1)]
@@ -208,6 +222,11 @@ def _square_free_factors(p):
         b, c = _quotient(b, g), _quotient(d, g)
         multiplicity += 1
     return factors
+
+
+def _even(f):
+    """Whether f(x) = q(x^2): every odd coefficient is 0."""
+    return not any(f[1::2])
 
 
 def _derivative(p):
@@ -280,6 +299,8 @@ def _real_roots(f):
        (``_isolated``).
     3. Exact signs of f between neighbouring doubles round each root
        (``_rounded``).
+
+    An even f takes the pairing path (module docstring): positive roots, mirrored.
     """
     roots = []
     if not f[0]:  # a simple root at 0, the only one f can have there
@@ -298,7 +319,8 @@ def _real_roots(f):
             hint = next((s for s in seeds if lo_x < s < hi_x), None)
             # just above lo, f has the sign of f(lo), or of f'(lo) at a root
             brackets.append((lo, hi, _sign(f, lo) or _sign(df, lo), hint))
-    return roots + [_rounded(f, *bracket) for bracket in brackets]
+    xs = [_rounded(f, *bracket) for bracket in brackets]
+    return roots + xs + ([-x for x in xs] if _even(f) else [])
 
 
 def _bound_exponent(f):
@@ -314,13 +336,13 @@ def _bound_exponent(f):
 def _seeds(f, e):
     """Float hints for the roots of f, ascending, by Newton-Maehly: Newton's
     method from 2^e downwards, each root deflated from the search for the
-    next.  Empty when a float overflows."""
+    next; of an even f, only the d/2 largest.  Empty when a float overflows."""
     try:
         cs = [float(c) for c in reversed(f)]
         bottom = -float(1 << e)
         x = -bottom
         found = []
-        for _ in range(len(f) - 1):
+        for _ in range((len(f) - 1) >> _even(f)):
             while True:
                 p = dp = 0.0
                 for c in cs:
@@ -343,11 +365,14 @@ def _certified(f, e, seeds):
 
     The separators are -2^e, the doubles midway between neighbouring seeds,
     and 2^e.  Where the sign of f alternates over them, none zero, each of
-    the d brackets holds an odd number of f's at most d real roots: one.
+    the d brackets holds an odd number of f's at most d real roots: one.  An
+    even f has d/2 brackets from 0, and at most d/2 positive roots.
     """
-    if len(seeds) != len(f) - 1:
+    even = _even(f)
+    if len(seeds) != (len(f) - 1) >> even:
         return None
-    cuts = [-(1 << e), *(a / 2 + b / 2 for a, b in zip(seeds, seeds[1:])), 1 << e]
+    first = 0 if even else -(1 << e)
+    cuts = [first, *(a / 2 + b / 2 for a, b in zip(seeds, seeds[1:])), 1 << e]
     if not all(a < b for a, b in zip(cuts, cuts[1:])):  # also false at a nan
         return None
     points = [_dyadic(c) for c in cuts]
@@ -367,10 +392,11 @@ def _isolated(f, e):
     in I are those of g in (0, 1).  The sign variations of
     (1 + t)^d g(1 / (1 + t)) bound their number and share its parity: 0 rules
     I out, 1 isolates a root, more bisect I.  For square-free f this ends.
+    Of an even f, only the positive roots are sought, from (0, 2^e).
     """
     d = len(f) - 1
     g = [c << (e * i) for i, c in enumerate(f)]
-    todo = [(g, 0, 0), (_taylor_shift(g, -1), -1, 0)]
+    todo = [(g, 0, 0)] if _even(f) else [(g, 0, 0), (_taylor_shift(g, -1), -1, 0)]
     out = []
     while todo:
         g, c, k = todo.pop()

@@ -123,7 +123,7 @@ def c60():
 
 def triangles(system):
     return sum(
-        system.adjacent(i, j) and system.adjacent(j, k) and system.adjacent(i, k)
+        {(i, j), (j, k), (i, k)} <= system.edges
         for i, j, k in itertools.combinations(range(system.n_atoms), 3)
     )
 
@@ -152,8 +152,7 @@ class TestPiSystem:
     def test_chain(self):
         s = PiSystem.chain(3)
         assert s.n_atoms == 3
-        assert s.adjacent(0, 1) and s.adjacent(2, 1)
-        assert not s.adjacent(0, 2)
+        assert s.edges == {(0, 1), (1, 2)}
 
     def test_single_atom(self):
         assert PiSystem.chain(1).edges == frozenset()
@@ -168,7 +167,7 @@ class TestPiSystem:
 
     def test_edge_normalization(self):
         s = PiSystem.from_edges(3, [(2, 0)])
-        assert s.adjacent(0, 2) and s.adjacent(2, 0)
+        assert s.edges == {(0, 2)}
 
     def test_from_text(self):
         text = "# allyl\natoms 3\nedge 1 2\nedge 2 3\n"
@@ -457,6 +456,112 @@ def test_float_seeds_are_only_hints(monkeypatch, spectra, kind):
     assert [energy_levels(sp, 0.0, -1.0) for sp in cases] == expected
     if kind != "offset":
         assert fallbacks
+
+
+def star(k):
+    """The star K1,k: one atom bonded to k others."""
+    return PiSystem.from_edges(k + 1, [(0, j) for j in range(1, k + 1)])
+
+
+def _bipartite(rng):
+    n = rng.randint(1, 10)
+    side = [rng.randint(0, 1) for _ in range(n)]
+    pairs = itertools.combinations(range(n), 2)
+    return PiSystem.from_edges(n, [(i, j) for i, j in pairs
+                                   if side[i] != side[j] and rng.random() < 0.5])
+
+
+# the seven huckel_spectrum molecules, then alternants of every shape the
+# pairing path meets: odd and even chains, even cycles, fused rings, stars
+# (zero levels of multiplicity k - 1) and isolated atoms (roots at 0)
+PAIRING_SYSTEMS = (
+    [PiSystem.chain(n) for n in (6, 8, 10)] + [cycle(n) for n in (6, 8, 10)] + [NAPHTHALENE]
+    + [PiSystem.chain(n) for n in range(3, 31)] + [cycle(n) for n in range(4, 13, 2)]
+    + [acene(3)] + [star(k) for k in range(2, 7)]
+    + [PiSystem.from_edges(7, [(0, 1), (1, 2), (4, 5)])]
+)
+
+
+def _monic(f):
+    return [Fraction(c, f[-1]) for c in f]
+
+
+def _product(factors):
+    """The product of the p^m over the pairs (p, m) of polynomial coefficients."""
+    product = Polynomial([1])
+    for f, multiplicity in factors:
+        for _ in range(multiplicity):
+            product = product * Polynomial(f)
+    return list(product.coeffs)
+
+
+class TestPairingPath:
+    """An even square-free factor has its positive roots solved exactly and
+    mirrored; the levels are those of the full path."""
+
+    def test_levels_match_the_full_path(self, monkeypatch):
+        rng = random.Random(31)
+        cases = (
+            [secular_polynomial(s) for s in PAIRING_SYSTEMS]
+            + [secular_polynomial(_bipartite(rng)) for _ in range(200)]
+            + [SecularPolynomial(Polynomial(cs)) for cs in (
+                [Fraction(1), 0, 0, 0, Fraction(1)],  # x^4 + 1: no real root
+                [Fraction(1), 0, Fraction(1), 0, Fraction(1)],  # x^4 + x^2 + 1: none
+                [Fraction(1, 4), 0, Fraction(-5, 4), 0, Fraction(1)],  # (x^2 - 1)(x^2 - 1/4)
+            )]
+        )
+        on = [energy_levels(sp, -1.0, -0.5) for sp in cases]
+        monkeypatch.setattr(huckel, "_even", lambda f: False)
+        off = [energy_levels(sp, -1.0, -0.5) for sp in cases]
+        assert on == off
+        assert on[-3:] == [[], [], sorted(-1.0 + 0.5 * x for x in (-1, -0.5, 0.5, 1))]
+
+    @pytest.mark.parametrize("system, calls", [
+        (PiSystem.chain(10), 5), (NAPHTHALENE, 5), (cycle(5), 3),
+    ], ids=["chain10", "naphthalene", "cycle5"])
+    def test_rounds_only_the_positive_half(self, monkeypatch, system, calls):
+        # cycle 5 is not alternant: its 3 distinct roots are all rounded;
+        # the seeds certify in each, so Descartes' rule is never needed
+        sp = secular_polynomial(system)
+        rounded = []
+        original = huckel._rounded
+        monkeypatch.setattr(
+            huckel, "_rounded", lambda *args: rounded.append(args) or original(*args)
+        )
+        monkeypatch.setattr(huckel, "_isolated", None)
+        levels = energy_levels(sp, 0.0, -1.0)
+        assert len(rounded) == calls and len(levels) == system.n_atoms
+
+    @staticmethod
+    def _check_factors(p, factors):
+        assert _monic(_product(factors)) == _monic(p)
+        for f, _ in factors:
+            assert len(huckel._gcd(f, huckel._derivative(f))) == 1
+        for (f, _), (g, _) in itertools.combinations(factors, 2):
+            assert len(huckel._gcd(f, g)) == 1
+
+    @pytest.mark.parametrize("system, expected", [
+        (cycle(8), {((0, 1), 2), ((-4, 0, 1), 1), ((-2, 0, 1), 2)}),
+        (star(3), {((0, 1), 2), ((-3, 0, 1), 1)}),
+    ], ids=["cycle8", "star3"])
+    def test_even_factors_through_q(self, system, expected):
+        p = list(secular_polynomial(system).coeffs.coeffs)
+        factors = huckel._square_free_factors(p)
+        self._check_factors(p, factors)
+        assert {(tuple(_monic(f)), m) for f, m in factors} == expected
+
+    def test_even_factors_of_random_polynomials(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            # x^(2k) times even factors, each to a power of 1 to 3
+            factors = [([0, 0, 1], rng.randint(0, 3))]
+            for _ in range(rng.randint(1, 3)):
+                f = [rng.randint(-6, 6) if i % 2 == 0 else 0 for i in range(rng.choice((3, 5)))]
+                f[-1] = f[-1] or 1
+                factors.append((f, rng.randint(1, 3)))
+            p = _product(factors)
+            assert huckel._even(p)
+            self._check_factors(p, huckel._square_free_factors(p))
 
 
 class TestSymbolicForm:
