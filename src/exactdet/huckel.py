@@ -16,22 +16,23 @@ the interior.
 
 The roots are exact up to one final rounding, with no tolerance and no
 iteration cap.  Yun's square-free decomposition over Q gives each distinct
-root its multiplicity; of an even p = q(x^2), as of every alternant with an
-even number of atoms (the pairing theorem), it runs on q.  Float seeds by
-Newton-Maehly are only hints: exact integer signs of p at dyadic points
-certify one root between neighbouring separators, or else Descartes' rule
-of signs isolates the roots by bisection.  Each root is then rounded to the
-nearest double by exact signs at the points midway between neighbouring
-doubles.  The secular matrix is symmetric, so p has only real roots, and
-each level is alpha - beta * x at the correctly rounded root x, listed once
-per multiplicity.
+root its multiplicity.  Float seeds by Newton-Maehly are only hints: exact
+integer signs of p at dyadic points certify one root between neighbouring
+separators, or else Descartes' rule of signs isolates the roots by
+bisection.  Each root is then rounded to the nearest double by exact signs
+at the points midway between neighbouring doubles.  The secular matrix is
+symmetric, so p has only real roots, and each level is alpha - beta * x at
+the correctly rounded root x, listed once per multiplicity.
 
-The pairing path takes each square-free factor f that is even once its root
-at 0 is split off, as every factor of an alternant's p is.  Its roots pair
-as r, -r, and f(0) != 0, so at most d/2 are positive: seeds, separators from
-0 and bisection from (0, 2^e) seek only those, and d/2 alternating brackets
-hold one each.  Ties-to-even rounding is symmetric, so each rounded x gives
--x too.  Every other factor takes the full path.
+The pairing path takes each square-free factor f that is even once a root
+at 0 is split off, as every factor of an alternant's p is.  By the pairing
+theorem that p is even or odd, so r and -r are roots of one multiplicity;
+Yun's factor holding the roots of one multiplicity is then even or odd, and
+an odd one holds the root 0.  The roots of f pair as r, -r, and f(0) != 0,
+so at most d/2 are positive: seeds, separators from 0 and bisection from
+(0, 2^e) seek only those, and d/2 alternating brackets hold one each.
+Ties-to-even rounding is symmetric, so each rounded x gives -x too.  Every
+other factor takes the full path.
 """
 
 from __future__ import annotations
@@ -182,34 +183,17 @@ def energy_levels(sp: SecularPolynomial, alpha: float, beta: float) -> list:
 # The polynomials below are lists of ints, lowest degree first, with no
 # trailing zeros.  A point is a dyadic pair (num, k), standing for num / 2^k.
 
-_PRIME = (1 << 61) - 1  # the modulus of the square-free fast path
-
 
 def _square_free_factors(p):
     """Yun's decomposition of p over Q: [(f, m), ...] with p a constant times
-    the product of the f^m, each f square-free and not constant.
+    the product of the f^m, each f primitive, square-free and not constant.
 
-    A constant gcd(p, p') mod 2^61 - 1 proves p square-free by itself: a
-    repeated factor of p divides p and p', and keeps its degree mod the
-    prime, because p's leading coefficient does not vanish there.
-
-    An even p = q(x^2) goes through q: f(y) with f(0) != 0 gives the
-    square-free f(x^2), and y gives x with twice the multiplicity.
+    The roots of f are those of p of multiplicity m.  Of an even or odd p,
+    r and -r have one multiplicity, so each f is even or odd too.
     """
     if len(p) < 2:
         return []
-    if _even(p):
-        factors = []
-        for f, multiplicity in _square_free_factors(p[::2]):
-            if not f[0]:  # y divides one factor at most, and once
-                factors.append(([0, 1], 2 * multiplicity))
-                f = f[1:]
-            if len(f) > 1:  # f(x^2): f's coefficients with zeros between
-                factors.append(([c for a in f for c in (0, a)][1:], multiplicity))
-        return factors
     dp = _derivative(p)
-    if p[-1] % _PRIME and len(_gcd_mod_prime(p, dp)) == 1:
-        return [(p, 1)]
     g = _gcd(p, dp)
     b, c = _quotient(p, g), _quotient(dp, g)
     factors = []
@@ -274,20 +258,6 @@ def _quotient(a, b):
         for i, bi in enumerate(b, k):
             r[i] -= c * bi
     return q
-
-
-def _gcd_mod_prime(a, b):
-    """The gcd of a and b reduced mod _PRIME, by Euclid over that field."""
-    a, b = _trim([c % _PRIME for c in a]), _trim([c % _PRIME for c in b])
-    while b:
-        inverse = pow(b[-1], -1, _PRIME)
-        while len(a) >= len(b):
-            q, shift = a[-1] * inverse % _PRIME, len(a) - len(b)
-            for i, c in enumerate(b, shift):
-                a[i] = (a[i] - q * c) % _PRIME
-            _trim(a)
-        a, b = b, a
-    return a
 
 
 def _real_roots(f):

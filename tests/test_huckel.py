@@ -350,6 +350,15 @@ class TestExactRoots:
                 p = p * Polynomial([-root, 1])
         assert roots_of(p.coeffs) == [-2.0] * 2 + [0.0] * 4 + [1.0] * 3
 
+    @pytest.mark.parametrize("p", [
+        [-2, 0, 1], [0, -3, 0, 1], [0, 0, -16, 0, 20, 0, -8, 0, 1], [-1, 1, 1],
+    ], ids=["x2-2", "x3-3x", "cycle8", "x2+x-1"])
+    @pytest.mark.parametrize("c", [-3, 2, Fraction(1, 2), Fraction(-7, 3)])
+    def test_scaling_moves_no_root(self, p, c):
+        # a square-free p reaches the root finder as its primitive part, a
+        # repeated-root p as primitive factors; neither depends on c
+        assert roots_of([c * a for a in p]) == roots_of(p)
+
     def test_only_real_roots_give_levels(self):
         assert roots_of([-1, 0, 0, 0, 1]) == [-1.0, 1.0]  # x^4 - 1
         assert roots_of([1, 0, 1]) == []  # x^2 + 1
@@ -517,11 +526,13 @@ class TestPairingPath:
         assert on[-3:] == [[], [], sorted(-1.0 + 0.5 * x for x in (-1, -0.5, 0.5, 1))]
 
     @pytest.mark.parametrize("system, calls", [
-        (PiSystem.chain(10), 5), (NAPHTHALENE, 5), (cycle(5), 3),
-    ], ids=["chain10", "naphthalene", "cycle5"])
+        (PiSystem.chain(10), 5), (NAPHTHALENE, 5), (cycle(5), 3), (cycle(8), 2),
+    ], ids=["chain10", "naphthalene", "cycle5", "cycle8"])
     def test_rounds_only_the_positive_half(self, monkeypatch, system, calls):
         # cycle 5 is not alternant: its 3 distinct roots are all rounded;
-        # the seeds certify in each, so Descartes' rule is never needed
+        # cycle 8's repeated roots +-sqrt 2 come in the odd factor x^3 - 2x,
+        # whose root 0 is split off; the seeds certify in each, so
+        # Descartes' rule is never needed
         sp = secular_polynomial(system)
         rounded = []
         original = huckel._rounded
@@ -534,21 +545,29 @@ class TestPairingPath:
 
     @staticmethod
     def _check_factors(p, factors):
+        """A square-free decomposition of the even or odd p, into factors
+        that are even once a root at 0 is split off."""
         assert _monic(_product(factors)) == _monic(p)
         for f, _ in factors:
             assert len(huckel._gcd(f, huckel._derivative(f))) == 1
+            assert huckel._even(f[1:] if f[0] == 0 else f)
         for (f, _), (g, _) in itertools.combinations(factors, 2):
             assert len(huckel._gcd(f, g)) == 1
 
     @pytest.mark.parametrize("system, expected", [
-        (cycle(8), {((0, 1), 2), ((-4, 0, 1), 1), ((-2, 0, 1), 2)}),
+        (cycle(8), {((-4, 0, 1), 1), ((0, -2, 0, 1), 2)}),
         (star(3), {((0, 1), 2), ((-3, 0, 1), 1)}),
     ], ids=["cycle8", "star3"])
-    def test_even_factors_through_q(self, system, expected):
+    def test_factors_of_an_alternant_are_even_or_odd(self, system, expected):
         p = list(secular_polynomial(system).coeffs.coeffs)
         factors = huckel._square_free_factors(p)
         self._check_factors(p, factors)
         assert {(tuple(_monic(f)), m) for f, m in factors} == expected
+
+    def test_pairing_systems_factor_symmetrically(self):
+        for system in PAIRING_SYSTEMS:
+            p = list(secular_polynomial(system).coeffs.coeffs)
+            self._check_factors(p, huckel._square_free_factors(p))
 
     def test_even_factors_of_random_polynomials(self):
         rng = random.Random(8)
