@@ -5,7 +5,10 @@ the first row, no zero skipping, so its multiplication count follows
 M(n) = n * (M(n-1) + 1) exactly and efficiency comparisons are well defined.
 ``bareiss_det`` is the second, structurally different oracle: one-step
 fraction-free elimination with row pivoting, exact over any of the exact
-rings.  ``jacobi_check`` verifies the 2x2-corner determinant identity
+rings.  Both compute on the matrix's native values, ``native_rows``, with
+its ring's ``is_zero`` and per-entry ``quotient``, and wrap only their
+result; they share no code with the condensation kernel or its fallback.
+``jacobi_check`` verifies the 2x2-corner determinant identity
 relating a matrix's entrywise adjugate to its interior, which is the reason
 condensation's divisions come out exact.  ``count_ratio`` instruments
 condensation on seeded random integer matrices and reports its
@@ -26,7 +29,7 @@ def cofactor_det(a: Matrix, ops: OpCount | None = None):
     """Determinant by first-row Laplace expansion (no zero skipping)."""
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
-    return _cofactor(a.rows(), ops if ops is not None else OpCount())
+    return a.native_ring.wrap(_cofactor(a.native_rows, ops if ops is not None else OpCount()))
 
 
 def cofactor_mults(n: int) -> int:
@@ -58,33 +61,33 @@ def bareiss_det(a: Matrix, ops: OpCount | None = None):
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
     ops = ops if ops is not None else OpCount()
-    n = a.n_rows
-    rows = [list(r) for r in a.rows()]
-    if n == 1:
-        return rows[0][0]
+    ring, n = a.native_ring, a.n_rows
+    is_zero, quotient = ring.is_zero, ring.quotient
+    rows = [list(r) for r in a.native_rows]
     sign = 1
     prev = None
     for k in range(n - 1):
-        if rows[k][k].is_zero():
+        if is_zero(rows[k][k]):
             for i in range(k + 1, n):
-                if not rows[i][k].is_zero():
+                if not is_zero(rows[i][k]):
                     rows[k], rows[i] = rows[i], rows[k]
                     sign = -sign
                     break
             else:
-                return a[0, 0].from_int(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                elt = rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]
-                ops.mults += 2
-                ops.adds += 1
-                if prev is not None:
-                    elt = elt.exact_div(prev)
-                    ops.divs += 1
-                rows[i][j] = elt
-        prev = rows[k][k]
+                return ring.wrap(ring.constant(0))
+        pivot, top = rows[k][k], rows[k][k + 1 :]
+        for r in rows[k + 1 :]:
+            lead = r[k]
+            r[k + 1 :] = [pivot * x - lead * y for x, y in zip(r[k + 1 :], top)]
+            if prev is not None:
+                r[k + 1 :] = [quotient(x, prev) for x in r[k + 1 :]]
+        m = (n - 1 - k) ** 2
+        ops.mults += 2 * m
+        ops.adds += m
+        ops.divs += m if prev is not None else 0
+        prev = pivot
     det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return ring.wrap(det if sign == 1 else -det)
 
 
 def jacobi_check(a: Matrix) -> bool:

@@ -30,15 +30,17 @@ Each ring's rules are stated once.  ``integer_quotient``,
 ``rational_quotient`` and ``real_quotient`` are the number rings' exact
 quotients, and ``Polynomial.exact_div`` the polynomial one: each holds its
 ring's zero-divisor test and division messages.  ``_real_zero`` is the one
-zero rule of the reals.  A scalar's ``exact_div`` calls them, and the kernel's
-``NativeRing.divide`` applies their rules to a whole row: the integer row
-division is ``integer_quotient`` entry by entry.  The stage kernel checks
-its integer quotients as it forms them, with ``divmod``, and divides a row
-by ``divide`` only when one fails, to raise that quotient's error.  The number
-scalars share their arithmetic, ``==`` and ``hash`` through ``_Number``, and
-``native_ring`` is the one check that entries share a ring.  Each ring's text
-rule on native values, ``NativeRing.text``, is stated once too; every printer
-and ``format_scalar`` apply it, and rationals print ``p/q`` even for q = 1.
+zero rule of the reals.  Each is its ring's per-entry ``NativeRing.quotient``,
+which a scalar's ``exact_div`` and the oracles call, and the row-level
+``NativeRing.divide`` applies their rules to a whole row of the kernel form:
+the integer row division is ``integer_quotient`` entry by entry.  The stage
+kernel checks its integer quotients as it forms them, with ``divmod``, and
+divides a row by ``divide`` only when one fails, to raise that quotient's
+error.  The number scalars share their arithmetic, ``==`` and ``hash``
+through ``_Number``, and ``native_ring`` is the one check that entries share
+a ring.  Each ring's text rule on native values, ``NativeRing.text``, is
+stated once too; every printer and ``format_scalar`` apply it, and rationals
+print ``p/q`` even for q = 1.
 
 Nothing on the hot path computes on these wrappers.  A ``Matrix`` holds
 native ``int``, ``Fraction``, ``float`` or ``Polynomial`` values with their
@@ -158,8 +160,8 @@ def real_quotient(x: float, d: float) -> float:
 class _Number(Scalar):
     """A scalar holding one native number ``value``.
 
-    A ring names its ``_quotient`` and gives its constructor and ``repr``;
-    ``is_zero`` is the zero test of the ring's ``NativeRing``.
+    A ring gives its constructor and ``repr``; ``is_zero`` and ``exact_div``
+    are the zero test and the quotient of the ring's ``NativeRing``.
     """
 
     __slots__ = ("value",)
@@ -190,7 +192,7 @@ class _Number(Scalar):
 
     def exact_div(self, other):
         self._same_ring(other)
-        return self._result(self._quotient(self.value, other.value))
+        return self._result(_RINGS[type(self)].quotient(self.value, other.value))
 
     def from_int(self, k: int):
         """A constant of this scalar's ring (used to build row-op factors)."""
@@ -206,7 +208,6 @@ class _Number(Scalar):
 class ExactInteger(_Number):
     __slots__ = ()
     ring = "integer"
-    _quotient = staticmethod(integer_quotient)
 
     def __init__(self, value: int):
         self.value = int(value)
@@ -218,7 +219,6 @@ class ExactInteger(_Number):
 class ExactRational(_Number):
     __slots__ = ()
     ring = "rational"
-    _quotient = staticmethod(rational_quotient)
 
     def __init__(self, numerator, denominator=1):
         # Fraction keeps lowest terms and a positive denominator for us.
@@ -234,7 +234,6 @@ class ApproxReal(_Number):
 
     __slots__ = ()
     ring = "real"
-    _quotient = staticmethod(real_quotient)
 
     def __init__(self, value: float):
         self.value = float(value)
@@ -603,8 +602,9 @@ class NativeRing(NamedTuple):
     ``encode(rows)`` is the ``KernelForm`` of native rows, and ``decode(rows,
     scales, width)`` the native rows of kernel rows packed at ``width``, row i
     being scales[i] times the native one (1 when ``scales`` is None).
-    ``divide(row, divisors)`` gives a whole row of the kernel form's exact
-    quotients, raising ``DivisionByZero`` or ``InexactDivision`` when one
+    ``quotient(x, d)`` is the exact quotient of two native values, and
+    ``divide(row, divisors)`` a whole row of the kernel form's exact
+    quotients; both raise ``DivisionByZero`` or ``InexactDivision`` when one
     fails.  ``is_zero(x)`` is the ring's zero test, on a native value or a
     kernel one: ``not x`` on the exact rings, and the real zero rule on
     ``REALS``.
@@ -615,6 +615,7 @@ class NativeRing(NamedTuple):
     constant: Callable
     text: Callable
     add_scaled: Callable = lambda dst, k, src: [d + k * s for d, s in zip(dst, src)]
+    quotient: Callable = integer_quotient
     divide: Callable = _divide_integers
     is_zero: Callable = operator.not_
     encode: Callable = KernelForm
@@ -646,15 +647,16 @@ def _values(rows):
 INTEGERS = NativeRing(_values, ExactInteger._result, int, _int_text)
 RATIONALS = NativeRing(
     _values, ExactRational._result, Fraction, _fraction_text,
-    encode=_cleared_rationals, decode=_rational_rows,
+    quotient=rational_quotient, encode=_cleared_rationals, decode=_rational_rows,
 )
 REALS = NativeRing(
-    _values, ApproxReal._result, float, repr, divide=_divide_reals, is_zero=_real_zero
+    _values, ApproxReal._result, float, repr,
+    quotient=real_quotient, divide=_divide_reals, is_zero=_real_zero,
 )
 # a polynomial scalar is its own native value
 POLYNOMIALS = NativeRing(
     tuple, lambda p: p, lambda k: Polynomial._result([k]), str, _add_scaled_polynomials,
-    encode=_packed_rows, decode=_unpacked_rows,
+    quotient=Polynomial.exact_div, encode=_packed_rows, decode=_unpacked_rows,
 )
 _RINGS = {
     ExactInteger: INTEGERS, ExactRational: RATIONALS, ApproxReal: REALS, Polynomial: POLYNOMIALS

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from exactdet import condense
+from exactdet import ring as ring_module
 from exactdet.condense import OpCount
+from exactdet.huckel import secular_matrix
 from exactdet.matrix import Matrix, TooSmall, int_matrix
 from exactdet.oracle import (
     bareiss_det,
@@ -13,13 +16,14 @@ from exactdet.oracle import (
     count_ratio,
     jacobi_check,
 )
-from exactdet.ring import ExactInteger, ExactRational, Polynomial
+from exactdet.ring import ApproxReal, ExactInteger, ExactRational, Polynomial
 
 from test_condense import matrices_built
+from test_elimination import cycle
 from test_matrix import CLEAN4, RESTART4, identity
 
 
-def cofactor_mults(n):
+def reference_mults(n):
     # M(n) = n * (M(n-1) + 1), M(1) = 0
     m = 0
     for k in range(2, n + 1):
@@ -42,7 +46,7 @@ class TestCofactorDet:
         m = int_matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         ops = OpCount()
         cofactor_det(m, ops)
-        assert ops.mults == cofactor_mults(n)
+        assert ops.mults == reference_mults(n) == cofactor_mults(n)
         assert ops.divs == 0
 
     def test_recursion_builds_no_matrix(self, monkeypatch):
@@ -90,6 +94,54 @@ class TestBareissDet:
         zero = Polynomial([])
         m = Matrix([[x, one, zero], [one, x, one], [zero, one, x]])
         assert bareiss_det(m) == Polynomial([0, -2, 0, 1])
+
+
+def six_by_six():
+    """6 x 6 integer, rational and real matrices, and the Hückel matrix of
+    the 6-cycle."""
+    rng = random.Random(66)
+    draw = lambda make: Matrix([[make() for _ in range(6)] for _ in range(6)])
+    return [
+        draw(lambda: ExactInteger(rng.randint(-10**6, 10**6))),
+        draw(lambda: ExactRational(rng.randint(-99, 99), rng.randint(1, 99))),
+        draw(lambda: ApproxReal(rng.uniform(-10, 10))),
+        secular_matrix(cycle(6)),
+    ]
+
+
+class TestOraclesOnNativeValues:
+    @pytest.mark.parametrize("oracle", [bareiss_det, cofactor_det])
+    def test_each_wraps_one_scalar(self, oracle):
+        for m in six_by_six():
+            wrapped = []
+
+            def counting(value, wrap=m.native_ring.wrap):
+                wrapped.append(value)
+                return wrap(value)
+
+            counted = Matrix(m.native_rows, m.native_ring._replace(wrap=counting))
+            assert oracle(counted) == oracle(m)
+            assert len(wrapped) == 1
+
+    def test_independent_of_the_kernel(self, monkeypatch):
+        # matrices built from native rows hold no kernel form, and their
+        # ring can neither build one nor divide a row of it
+        def boom(*args):
+            raise AssertionError("an oracle used the condensation kernel")
+
+        cases = []
+        for m in six_by_six():
+            ring = m.native_ring._replace(encode=boom, decode=boom, divide=boom)
+            for oracle in (bareiss_det, cofactor_det):
+                ops = OpCount()
+                cases.append((oracle, Matrix(m.native_rows, ring), oracle(m, ops), ops))
+        for name in ("_divide_integers", "_cleared_rows", "pack_polynomial"):
+            monkeypatch.setattr(ring_module, name, boom)
+        monkeypatch.setattr(condense, "elimination_det", boom)
+        for oracle, m, value, ops in cases:
+            counted = OpCount()
+            assert repr(oracle(m, counted)) == repr(value)
+            assert counted == ops
 
 
 entry = st.integers(min_value=-9, max_value=9)
@@ -163,14 +215,18 @@ class TestCountRatio:
         assert ratios == sorted(ratios, reverse=True)
 
     def test_closed_form_equals_counted_run(self):
+        # the closed form count_ratio reports against the recurrence, and
+        # both against a counted run
+        for n in range(1, 13):
+            assert cofactor_mults(n) == reference_mults(n)
         rng = random.Random(8)
-        for n in range(3, 9):
+        for n in range(2, 9):
             m = int_matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
             ops = OpCount()
             cofactor_det(m, ops)
-            assert ops.muldiv == ops.mults == cofactor_mults(n)
-        assert cofactor_mults(5) == 205
-        assert cofactor_mults(10) == 6235300
+            assert ops.muldiv == ops.mults == cofactor_mults(n) == reference_mults(n)
+        assert cofactor_mults(5) == reference_mults(5) == 205
+        assert cofactor_mults(10) == reference_mults(10) == 6235300
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
