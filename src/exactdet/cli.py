@@ -73,6 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["condense", "cofactor", "bareiss", "auto"],
         default="auto",
+        help="auto (the default) falls back to elimination where condense exits 4; "
+        "cofactor makes about 1.7 n! multiplications: seconds at n=10, minutes from n=12",
     )
     p_det.add_argument("--trace", action="store_true", help="print the condensation trace")
     p_det.add_argument("--count-ops", action="store_true", help="print operation tallies")
@@ -99,15 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_det(args) -> int:
+def _read(path, parse):
+    """``parse`` of the file's UTF-8 text (BOM allowed); None once an error is printed."""
     try:
-        with open(args.file, "r", encoding="utf-8-sig") as fh:
-            matrix = parse_matrix(fh.read())
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return parse(fh.read())
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     except (ParseError, UnicodeDecodeError) as e:
-        print(f"error: {args.file}: {e}", file=sys.stderr)
+        print(f"error: {path}: {e}", file=sys.stderr)
+    return None
+
+
+def cmd_det(args) -> int:
+    matrix = _read(args.file, parse_matrix)  # looked up per call: a rebinding sees every parse
+    if matrix is None:
         return EXIT_PARSE
     if not matrix.is_square:
         print(
@@ -184,21 +192,15 @@ def cmd_huckel(args) -> int:
     if args.tol <= 0:
         print("error: tol must be positive", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        if args.chain is not None:
-            if args.chain < 1:
-                print("error: chain length must be >= 1", file=sys.stderr)
-                return EXIT_PARSE
-            system = PiSystem.chain(args.chain)
-        else:
-            with open(args.edges, "r", encoding="utf-8-sig") as fh:
-                system = PiSystem.from_text(fh.read())
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ParseError, UnicodeDecodeError) as e:
-        print(f"error: {args.edges}: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.chain is not None:
+        if args.chain < 1:
+            print("error: chain length must be >= 1", file=sys.stderr)
+            return EXIT_PARSE
+        system = PiSystem.chain(args.chain)
+    else:
+        system = _read(args.edges, PiSystem.from_text)
+        if system is None:
+            return EXIT_PARSE
 
     if args.alpha >= 0 or args.beta >= 0:
         print(

@@ -422,10 +422,10 @@ def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:
     The scalar reference for the stage kernel, computed with the scalars'
     own ``*``, ``-`` and ``exact_div``.  ``divisor_interior`` is None exactly
     on the first round.  Zero or inexact divisions raise with the offending
-    (i, j) position attached, which is what the restart logic keys on;
-    ``ops`` then counts every minor up to and including the failing one, and
-    the divisions before it.  A divisor from another ring than ``current``
-    raises RingMismatch.
+    (i, j) position attached, for callers and tests (``condensation_det``
+    finds restarts with ``_interior_zero``); ``ops`` then counts every minor
+    up to and including the failing one, and the divisions before it.  A
+    divisor from another ring than ``current`` raises RingMismatch.
     """
     if not current.is_square or current.n_rows < 2:
         raise ValueError("condense_step needs a square matrix, n >= 2")

@@ -130,10 +130,6 @@ class SecularPolynomial:
     coeffs: Polynomial
     method: str = "condensation"
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.degree
-
 
 def secular_matrix(system: PiSystem) -> Matrix:
     """Reduced secular matrix: x on the diagonal, 1 on edges, 0 elsewhere."""
@@ -510,7 +506,7 @@ def symbolic_form(sp: SecularPolynomial) -> str:
     Each term c_k * x^k becomes c_k * (alpha-E)^k * beta^(n-k), rendered
     highest degree first with unit coefficients omitted.
     """
-    n = sp.degree
+    n = sp.coeffs.degree
     return terms_text(
         sp.coeffs.coeffs, lambda k: power_text("(alpha-E)", k) + power_text("beta", n - k)
     )

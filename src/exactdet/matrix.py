@@ -211,7 +211,7 @@ def adjugate(a: Matrix, det_fn) -> Matrix:
 
 
 def int_matrix(rows) -> Matrix:
-    """Build an ExactInteger matrix from plain ints (test/benchmark helper)."""
+    """An integer matrix on native ``int`` rows (test/benchmark helper)."""
     return Matrix([[int(v) for v in r] for r in rows], INTEGERS)
 
 

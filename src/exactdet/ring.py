@@ -113,8 +113,8 @@ class InexactDivision(ArithmeticError):
 class Scalar:
     """Base class for ring elements.  Values are immutable.
 
-    Every scalar has ``+``, ``-``, ``*``, unary ``-``, ``exact_div``,
-    ``is_zero`` and ``from_int``; its operands must come from its own ring.
+    Every scalar has ``+``, ``-``, ``*``, unary ``-``, ``exact_div`` and
+    ``is_zero``; its operands must come from its own ring.
     """
 
     __slots__ = ()
@@ -193,10 +193,6 @@ class _Number(Scalar):
     def exact_div(self, other):
         self._same_ring(other)
         return self._result(_RINGS[type(self)].quotient(self.value, other.value))
-
-    def from_int(self, k: int):
-        """A constant of this scalar's ring (used to build row-op factors)."""
-        return self._result(type(self.value)(k))
 
     def __eq__(self, other):
         return type(other) is type(self) and self.value == other.value
@@ -297,8 +293,6 @@ class Polynomial(Scalar):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self._result([])
-        if len(a) == 1:  # a constant, such as an additive repair's factor
-            return self._result([a[0] * y for y in b])
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -336,9 +330,6 @@ class Polynomial(Scalar):
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def from_int(self, k):
-        return Polynomial([k])
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs

@@ -465,9 +465,33 @@ class TestDet:
         assert run(capsys, "det", str(f)) == (0, "-2\n", "")
 
     def test_missing_file_exit_2(self, capsys):
-        code, _, err = run(capsys, "det", "no-such-file.txt")
-        assert code == 2
-        assert err
+        code, out, err = run(capsys, "det", "no-such-file.txt")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: 'no-such-file.txt'\n"
+
+    def test_method_help_states_the_fallback_and_the_cofactor_cost(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["det", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert exc.value.code == 0
+        assert "auto (the default) falls back to elimination where condense exits 4" in help_text
+        assert "cofactor makes about 1.7 n! multiplications" in help_text
+
+    @pytest.mark.parametrize("method", ["bareiss", "cofactor"])
+    def test_oracle_methods_have_no_trace(self, capsys, method):
+        assert run(capsys, "det", CLEAN4, "--trace", "--method", method) == (
+            0,
+            "-82\n",
+            f"trace: not available for method {method}\n",
+        )
+
+    @pytest.mark.parametrize("method", ["auto", "condense", "bareiss", "cofactor"])
+    def test_integer_token_in_a_real_file_keeps_no_sign(self, capsys, tmp_path, method):
+        # "-0" is an integer token, promoted by float(int(t)) to +0.0; read
+        # as float("-0") it would be -0.0, and the determinant would print -0.0
+        f = tmp_path / "minus_zero.txt"
+        f.write_text("-0 0.0\n0.0 1.0\n")
+        assert run(capsys, "det", str(f), "--method", method) == (0, "0.0\n", "")
 
     def test_non_square_exit_3(self, capsys, tmp_path):
         f = tmp_path / "rect.txt"
@@ -702,6 +726,9 @@ class TestBench:
         assert code == 0
         assert out.splitlines()[1].split() == "10  2  774.0  6235300.0  0.0001  95".split()
 
+    def test_zero_trials_exit_2(self, capsys):
+        assert run(capsys, "bench", "--trials", "0") == (2, "", "error: trials must be >= 1\n")
+
     def test_invalid_range_exit_2(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "2..5")
         assert code == 2
@@ -818,6 +845,9 @@ class TestHuckel:
             # Arabic-Indic digit and the "_" and printed allyl and 10 atoms
             ("atoms 3\nedge 1 2\nedge \u0662 3\n", "line 3: bad edge indices ['\u0662', '3']"),
             ("atoms 1_0\n", "line 1: bad atom count '1_0'"),
+            # errors of the whole file name no line
+            ("atoms 0\n", "a pi system needs at least one atom"),
+            ("# no atoms\n", "missing atoms line"),
         ],
     )
     def test_edge_file_errors_name_line_and_atom(self, capsys, tmp_path, text, message):
@@ -826,6 +856,16 @@ class TestHuckel:
         code, out, err = run(capsys, "huckel", "--edges", str(f), "--alpha", "-1", "--beta", "-1")
         assert (code, out) == (2, "")
         assert err == f"error: {f}: {message}\n"
+
+    def test_zero_chain_exit_2(self, capsys):
+        code, out, err = run(capsys, "huckel", "--chain", "0", "--alpha", "-1.0", "--beta", "-0.5")
+        assert (code, out, err) == (2, "", "error: chain length must be >= 1\n")
+
+    def test_missing_edge_file_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "missing.edges"
+        code, out, err = run(capsys, "huckel", "--edges", str(f), "--alpha", "-1.0", "--beta", "-0.5")
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{f}'\n"
 
     def test_undecodable_edge_file_exit_2(self, capsys, tmp_path):
         f = tmp_path / "latin1.edges"

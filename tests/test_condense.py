@@ -25,7 +25,7 @@ from exactdet.condense import (
 )
 from exactdet.huckel import PiSystem, secular_matrix
 from exactdet import matrix as matrix_module
-from exactdet.matrix import IndexOutOfRange, Matrix, int_matrix, parse_matrix, text_rows
+from exactdet.matrix import IndexOutOfRange, Matrix, TooSmall, int_matrix, parse_matrix, text_rows
 from exactdet.oracle import bareiss_det, cofactor_det
 from exactdet.ring import (
     DEFAULT_TOLERANCE,
@@ -113,6 +113,12 @@ def entry_reprs(m):
     return [[repr(e) for e in row] for row in m.rows()]
 
 
+def constant(x, k):
+    """The integer k in the ring of the scalar x, built by the scalar's own
+    constructor, so the reference repairs do not depend on the engine."""
+    return Polynomial([k]) if isinstance(x, Polynomial) else type(x)(k)
+
+
 def stepwise_stages(m):
     """Every stage of a condensation of ``m`` by ``condense_step``."""
     stages = [m]
@@ -123,6 +129,11 @@ def stepwise_stages(m):
 
 
 class TestCondenseStep:
+    @pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[7]]])
+    def test_needs_a_square_matrix_of_two_rows_or_more(self, rows):
+        with pytest.raises(ValueError, match=r"^condense_step needs a square matrix, n >= 2$"):
+            condense_step(int_matrix(rows), None, OpCount())
+
     def test_first_step_no_division(self):
         ops = OpCount()
         out = condense_step(int_matrix(CLEAN4), None, ops)
@@ -437,6 +448,17 @@ class TestRotationLog:
 
 
 class TestMitigation:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 2, 3], [4, 5, 6]], "mitigation needs a square matrix"),
+            ([[1, 2], [3, 4]], "mitigation needs n >= 3"),
+        ],
+    )
+    def test_too_small(self, rows, message):
+        with pytest.raises(TooSmall, match=message):
+            mitigate_interior_zeros(int_matrix(rows))
+
     def test_clean_interior_is_identity_plan(self):
         m = int_matrix(CLEAN4)
         out, log = mitigate_interior_zeros(m)
@@ -663,7 +685,7 @@ class TestMitigation:
         # with its messages
         rng = random.Random(f"rescanning-{kind}")
         entry = REPAIR_ENTRIES[kind]
-        zero = entry(rng).from_int(0)
+        zero = constant(entry(rng), 0)
         failed = set()
         for n in range(3, 10):
             for draw in range(6):
@@ -778,7 +800,7 @@ def reference_repair(rows, salt):
             return ops
         i, j = zero_at
         attempts[zero_at] = attempts.get(zero_at, 0) + 1
-        c = rows[0][0].from_int(salt + attempts[zero_at])
+        c = constant(rows[0][0], salt + attempts[zero_at])
         src = next((s for s in range(n) if s != i and not rows[s][j].is_zero()), None)
         if src is not None:
             op = ("add_scaled_row", src, i, c)
@@ -1231,7 +1253,7 @@ def zero_at_stage(rng, n, k, entry):
     corner is then set to make the minor singular."""
     rows = [[entry(rng) for _ in range(n)] for _ in range(n)]
     p, q = rng.randint(1, n - k - 2), rng.randint(1, n - k - 2)
-    zero = rows[0][0].from_int(0)
+    zero = constant(rows[0][0], 0)
     block = [r[q : q + k + 1] for r in rows[p : p + k + 1]]
     block[k][k] = zero
     lead = bareiss_det(Matrix([r[:k] for r in block[:k]]))
@@ -1253,7 +1275,7 @@ class TestEarlyStop:
         entries = STEPWISE_ENTRIES.get(kind, [EARLY_STOP_ENTRIES[kind]] * 3)
         sizes = range(4, 9 if kind != "polynomial" else 7)
         seen = set()
-        zero = entries[0](rng).from_int(0)
+        zero = constant(entries[0](rng), 0)
         cases = []
         for n in sizes:
             for k in range(1, n - 2):

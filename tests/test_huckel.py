@@ -241,7 +241,7 @@ class TestSecularPolynomial:
     def test_monic_degree_and_oracle_equivalence(self, n):
         s = PiSystem.chain(n)
         sp = secular_polynomial(s)
-        assert sp.degree == n
+        assert sp.coeffs.degree == n
         assert sp.coeffs.coeffs[-1] == 1
         assert sp.coeffs == cofactor_det(secular_matrix(s))
 

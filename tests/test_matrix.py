@@ -73,6 +73,12 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Matrix([[ExactInteger(1), ExactRational(1, 2)]])
 
+    def test_repr_and_hash(self):
+        m = int_matrix([[1, 2], [3, 4]])
+        assert repr(m) == "<Matrix 2x2 [1 2; 3 4]>"
+        twin = Matrix([[ExactInteger(1), ExactInteger(2)], [ExactInteger(3), ExactInteger(4)]])
+        assert twin == m and hash(twin) == hash(m)
+
 
 class TestZeroSet:
     def test_zeros_follow_the_native_zero_test_and_are_read_once(self, monkeypatch):
