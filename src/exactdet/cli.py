@@ -27,16 +27,10 @@ import math
 import os
 import sys
 
-from .condense import (
-    FallbackRequired,
-    OpCount,
-    condensation_det,
-    elimination_det,
-    render_trace,
-)
+from .condense import FallbackRequired, OpCount, condensation_det, render_trace
 from .huckel import PiSystem, energy_levels, secular_polynomial, symbolic_form
 from .matrix import ParseError, parse_matrix
-from .oracle import bareiss_det, cofactor_det, count_ratio
+from .oracle import bareiss_det, cofactor_det, count_ratio, elimination_det
 from .ring import ApproxReal, _frac_str, format_scalar
 
 EXIT_OK = 0

@@ -93,10 +93,9 @@ attempts and one last attempt, cheaper than a clean run, before its one
 elimination; one that falls back because the sparse rule ended the plan
 order before any attempt has made only its n^2 zero tests.  It raises
 ``FallbackRequired`` then, or when mitigation runs out of plans, so callers
-can switch to elimination: ``elimination_det``, fraction-free elimination
-with ``bareiss_det``'s pivots and op counts, run in every ring on the
-matrix's kernel form, whose intermediates are minors, not connected ones,
-of its scaled rows.
+can switch to elimination: ``oracle.elimination_det``, ``bareiss_det``'s
+loop run in every ring on the matrix's kernel form, whose intermediates are
+minors, not connected ones, of its scaled rows.
 """
 
 from __future__ import annotations
@@ -123,7 +122,7 @@ class UnremovableZero(ValueError):
 
 
 class FallbackRequired(RuntimeError):
-    """Condensation gave up; fall back to ``elimination_det``."""
+    """Condensation gave up; fall back to ``bareiss_det``'s loop on the kernel form."""
 
 
 @dataclass(slots=True)
@@ -363,57 +362,6 @@ def _decoded(a0: Matrix, stage, k: int):
     if scales is not None:
         scales = [prod(scales[i : i + k + 1]) for i in range(len(stage))]
     return a0.native_ring.decode(stage, scales, width)
-
-
-def elimination_det(a: Matrix, ops: OpCount | None = None):
-    """Determinant of ``a`` by fraction-free elimination on its kernel form,
-    ``Matrix.kernel``: ``bareiss_det``'s values and op counts.
-
-    The pivot is the first entry at or below the diagonal that the ring's
-    ``is_zero`` does not count as zero, as in ``bareiss_det``.  Each entry
-    below becomes p*x - f*y, divided by the previous pivot as the stage
-    kernel divides: on the integer ring each quotient is checked as it is
-    formed, and a row where one fails, or a real row, goes through the
-    ring's checked ``divide``.  Every entry of step k is a minor of the
-    scaled rows, so the packing width holds it, and the result decodes as
-    a condensation's does.
-    ``ops`` is charged per eliminated entry two multiplications, one
-    addition and, from the second step on, one division, step by step, so a
-    zero column stops it with ``bareiss_det``'s partial counts and returns
-    the zero of ``a``'s ring, the one scalar it builds.
-    """
-    if not a.is_square:
-        raise ValueError("determinant needs a square matrix")
-    ring = a.native_ring
-    rows, fused = [list(r) for r in a.kernel.rows], ring.divide is INTEGERS.divide
-    ops = ops if ops is not None else OpCount()
-    n, sign, prev = len(rows), 1, None
-    for k in range(n - 1):
-        if ring.is_zero(rows[k][k]):
-            i = next((i for i in range(k + 1, n) if not ring.is_zero(rows[i][k])), None)
-            if i is None:
-                return ring.wrap(ring.constant(0))
-            rows[k], rows[i] = rows[i], rows[k]
-            sign = -sign
-        p, top = rows[k][k], rows[k][k + 1 :]
-        for row in rows[k + 1 :]:
-            f, rest = row[k], row[k + 1 :]
-            if prev is not None and fused:
-                new = [
-                    q for x, y in zip(rest, top) for q, r in (divmod(p * x - f * y, prev),) if not r
-                ]
-                if len(new) == len(rest):
-                    row[k + 1 :] = new
-                    continue
-            new = [p * x - f * y for x, y in zip(rest, top)]
-            row[k + 1 :] = new if prev is None else ring.divide(new, [prev] * len(new))
-        entries = (n - 1 - k) ** 2
-        ops.mults += 2 * entries
-        ops.adds += entries
-        if prev is not None:
-            ops.divs += entries
-        prev = p
-    return ring.wrap(_decoded(a, [[sign * rows[-1][-1]]], n - 1)[0][0])
 
 
 def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:

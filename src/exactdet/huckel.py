@@ -10,9 +10,9 @@ polynomial p with det(secular) = beta^n * p(x), and the allowed energies are
 E = alpha - beta * x at the roots x of p.
 
 The determinant is computed symbolically by condensation, falling back to
-fraction-free elimination (``condense.elimination_det``, on the same packed
-integer rows the condensation kernel runs on) when mitigation cannot clear
-the interior.
+``oracle.elimination_det``, ``bareiss_det``'s fraction-free elimination run
+on the same packed integer rows the condensation kernel runs on, when
+mitigation cannot clear the interior.
 
 The roots are exact up to one final rounding, with no tolerance and no
 iteration cap.  Yun's square-free decomposition over Q gives each distinct
@@ -40,8 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .condense import FallbackRequired, condensation_det, elimination_det
+from .condense import FallbackRequired, condensation_det
 from .matrix import Matrix, ParseError
+from .oracle import elimination_det
 from .ring import POLYNOMIALS, Polynomial, _text_int, power_text, terms_text
 
 
@@ -122,9 +123,8 @@ class SecularPolynomial:
     """Reduced secular determinant: monic, degree n_atoms, variable x.
 
     ``method`` records which determinant route produced it: "condensation",
-    or "bareiss" for the fallback, fraction-free elimination by
-    ``condense.elimination_det``, which keeps the name ``bareiss_det`` gave
-    it so that the ``method:`` line stays the same.
+    or "bareiss" for the fallback, ``oracle.elimination_det``, which is
+    ``bareiss_det``'s loop on the packed rows.
     """
 
     coeffs: Polynomial

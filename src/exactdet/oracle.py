@@ -7,7 +7,8 @@ M(n) = n * (M(n-1) + 1) exactly and efficiency comparisons are well defined.
 fraction-free elimination with row pivoting, exact over any of the exact
 rings.  Both compute on the matrix's native values, ``native_rows``, with
 its ring's ``is_zero`` and per-entry ``quotient``, and wrap only their
-result; they share no code with the condensation kernel or its fallback.
+result; they share no code with the condensation kernel.  The fallback,
+``elimination_det``, runs ``bareiss_det``'s loop on the kernel form.
 ``jacobi_check`` verifies the 2x2-corner determinant identity
 relating a matrix's entrywise adjugate to its interior, which is the reason
 condensation's divisions come out exact.  ``count_ratio`` instruments
@@ -21,8 +22,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .condense import FallbackRequired, OpCount, condensation_det
+from .condense import FallbackRequired, OpCount, _decoded, condensation_det
 from .matrix import Matrix, TooSmall, int_matrix
+from .ring import REALS, integer_quotient, real_quotient
 
 
 def cofactor_det(a: Matrix, ops: OpCount | None = None):
@@ -60,34 +62,67 @@ def bareiss_det(a: Matrix, ops: OpCount | None = None):
     """Determinant by fraction-free elimination with zero-pivot row swaps."""
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
-    ops = ops if ops is not None else OpCount()
-    ring, n = a.native_ring, a.n_rows
-    is_zero, quotient = ring.is_zero, ring.quotient
-    rows = [list(r) for r in a.native_rows]
-    sign = 1
-    prev = None
+    ring = a.native_ring
+    det = _bareiss(a.native_rows, ring.is_zero, ring.quotient, ops if ops is not None else OpCount())
+    return ring.wrap(ring.constant(0) if det is None else det)
+
+
+def elimination_det(a: Matrix, ops: OpCount | None = None):
+    """Determinant of ``a`` by ``bareiss_det``'s loop on its kernel form,
+    ``Matrix.kernel``, with ``bareiss_det``'s values and op counts.
+
+    Every entry of step k is a minor of the scaled rows, so the packing
+    width holds it, and the result decodes as a condensation's does; it is
+    the one scalar built, the ring's zero on a zero column.
+    """
+    if not a.is_square:
+        raise ValueError("determinant needs a square matrix")
+    ring = a.native_ring
+    quotient = real_quotient if ring is REALS else integer_quotient
+    det = _bareiss(a.kernel.rows, ring.is_zero, quotient, ops if ops is not None else OpCount())
+    return ring.wrap(ring.constant(0) if det is None else _decoded(a, [[det]], a.n_rows - 1)[0][0])
+
+
+def _bareiss(rows, is_zero, quotient, ops):
+    """The one fraction-free elimination loop: the determinant of the
+    native rows ``rows``, or None on a column with no pivot.
+
+    The pivot is the first entry at or below the diagonal that ``is_zero``
+    does not count as zero; each entry below becomes p*x - f*y, divided by
+    the previous pivot by ``quotient``.  With ``integer_quotient`` a row's
+    quotients are formed and checked by ``divmod`` in one comprehension, as
+    in the stage kernel, and only a failed row is divided by ``quotient``,
+    to raise its error.  ``ops`` is charged step by step: per entry two
+    multiplications, one addition and, from the second step, one division.
+    """
+    rows = [list(r) for r in rows]
+    n, sign, prev = len(rows), 1, None
+    fused = quotient is integer_quotient
     for k in range(n - 1):
         if is_zero(rows[k][k]):
-            for i in range(k + 1, n):
-                if not is_zero(rows[i][k]):
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return ring.wrap(ring.constant(0))
-        pivot, top = rows[k][k], rows[k][k + 1 :]
-        for r in rows[k + 1 :]:
-            lead = r[k]
-            r[k + 1 :] = [pivot * x - lead * y for x, y in zip(r[k + 1 :], top)]
-            if prev is not None:
-                r[k + 1 :] = [quotient(x, prev) for x in r[k + 1 :]]
+            i = next((i for i in range(k + 1, n) if not is_zero(rows[i][k])), None)
+            if i is None:
+                return None
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
+        p, top = rows[k][k], rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            f, rest = row[k], row[k + 1 :]
+            if prev is None:
+                row[k + 1 :] = [p * x - f * y for x, y in zip(rest, top)]
+                continue
+            if fused:
+                new = [q for x, y in zip(rest, top) for q, r in (divmod(p * x - f * y, prev),) if not r]
+                if len(new) == len(rest):
+                    row[k + 1 :] = new
+                    continue
+            row[k + 1 :] = [quotient(p * x - f * y, prev) for x, y in zip(rest, top)]
         m = (n - 1 - k) ** 2
         ops.mults += 2 * m
         ops.adds += m
         ops.divs += m if prev is not None else 0
-        prev = pivot
-    det = rows[n - 1][n - 1]
-    return ring.wrap(det if sign == 1 else -det)
+        prev = p
+    return rows[-1][-1] if sign == 1 else -rows[-1][-1]
 
 
 def jacobi_check(a: Matrix) -> bool:

@@ -49,9 +49,9 @@ Each ring is one fixed ``NativeRing``: ``INTEGERS``, ``RATIONALS``, ``REALS``
 and ``POLYNOMIALS``.  ``NativeRing.is_zero`` is the ring's zero test on one
 value, ``not x`` on the exact rings and the real zero rule on ``REALS``;
 ``Matrix.zeros``, the zero set mitigation reads, and the pivot test of
-``condense.elimination_det``, the fallback, use it, and the kernel's real
-zero stop applies the same rule to a whole stage, so a real scalar and a
-real matrix judge zeros alike.
+``oracle._bareiss``, the oracle's and the fallback's elimination, use it,
+and the kernel's real zero stop applies the same rule to a whole stage, so
+a real scalar and a real matrix judge zeros alike.
 
 The kernel form.  Condensation divides exactly only in an integral domain,
 so the stage kernel runs every exact ring on the integers, and the reals as
@@ -451,7 +451,7 @@ def _packed_rows(rows) -> KernelForm:
     the cleared rows, |.|_1 being the sum of a polynomial's coefficient
     magnitudes.  That product bounds every coefficient of every minor, since
     a minor's terms each take one entry from distinct rows, so every stage
-    entry and every intermediate of ``condense.elimination_det`` unpacks
+    entry and every intermediate of ``oracle.elimination_det`` unpacks
     exactly, and a packed divisor or pivot is 0 exactly when the polynomial
     is.
     """
@@ -475,8 +475,8 @@ def _unpacked_rows(rows, scales, width):
 
 
 def _divide_integers(row, divisors):
-    # the stage kernel and the fallback check integer quotients as they form
-    # them (see condense) and come here only for a row where one failed
+    # the stage kernel checks integer quotients as it forms them (see
+    # condense) and comes here only for a row where one failed
     return list(map(integer_quotient, row, divisors))
 
 

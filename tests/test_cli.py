@@ -500,6 +500,12 @@ class TestDet:
         assert code == 3
         assert "not square" in err
 
+    def test_two_token_first_line_is_a_row(self, capsys, tmp_path):
+        # "1.0 2.0" fails int(), so it is read as a row, not an "n m" header
+        f = tmp_path / "rect.txt"
+        f.write_text("1.0 2.0\n3.0 4.0\n5.0 6.0\n")
+        assert run(capsys, "det", str(f)) == (3, "", f"error: {f}: matrix is 3x2, not square\n")
+
     def test_strict_condense_fallback_exit_4(self, capsys, tmp_path):
         f = tmp_path / "zero.txt"
         f.write_text("0 0 0 0\n" * 4)
@@ -535,31 +541,40 @@ HOT_PATH_FILES = {
 }
 
 
-def scalars_built(capsys, *argv):
-    """Run the CLI with ``argv``; return its (code, out) and the number of
-    number scalars it built."""
-    # every number scalar is made by an __init__ or by _Number._result
-    # (ApproxReal._result calls __init__); the rings hold bound methods,
-    # so the calls are counted by their code, not by patching the classes
-    makers = {
-        ring_module._Number._result.__func__.__code__,
-        ring_module.ExactInteger.__init__.__code__,
-        ring_module.ExactRational.__init__.__code__,
-        ring_module.ApproxReal.__init__.__code__,
-    }
+def profiled_calls(codes, call):
+    """``call()`` and the number of calls it made to Python functions whose
+    code is in ``codes``, counted under a profiler hook."""
     made = []
 
     def counting(frame, event, arg):
-        if event == "call" and frame.f_code in makers:
+        if event == "call" and frame.f_code in codes:
             made.append(frame.f_code)
 
     previous = sys.getprofile()
     sys.setprofile(counting)
     try:
-        code, out, _ = run(capsys, *argv)
+        result = call()
     finally:
         sys.setprofile(previous)
-    return (code, out), len(made)
+    return result, len(made)
+
+
+# every number scalar is made by an __init__ or by _Number._result
+# (ApproxReal._result calls __init__); the rings hold bound methods, so the
+# calls are counted by their code, not by patching the classes
+SCALAR_MAKERS = {
+    ring_module._Number._result.__func__.__code__,
+    ring_module.ExactInteger.__init__.__code__,
+    ring_module.ExactRational.__init__.__code__,
+    ring_module.ApproxReal.__init__.__code__,
+}
+
+
+def scalars_built(capsys, *argv):
+    """Run the CLI with ``argv``; return its (code, out) and the number of
+    number scalars it built."""
+    (code, out, _), made = profiled_calls(SCALAR_MAKERS, lambda: run(capsys, *argv))
+    return (code, out), made
 
 
 class TestNoWrapperOnTheHotPath:

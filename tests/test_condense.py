@@ -26,7 +26,7 @@ from exactdet.condense import (
 from exactdet.huckel import PiSystem, secular_matrix
 from exactdet import matrix as matrix_module
 from exactdet.matrix import IndexOutOfRange, Matrix, TooSmall, int_matrix, parse_matrix, text_rows
-from exactdet.oracle import bareiss_det, cofactor_det
+from exactdet.oracle import bareiss_det, cofactor_det, elimination_det
 from exactdet.ring import (
     DEFAULT_TOLERANCE,
     ApproxReal,
@@ -1139,7 +1139,7 @@ class TestPackedPolynomials:
             _, trace = condensation_det(secular_matrix(system))
             before = len(packed)
             assert trace.stages[-1].rows()[0][0] == sp.coeffs
-            assert condense.elimination_det(trace.mitigated) == sp.coeffs
+            assert elimination_det(trace.mitigated) == sp.coeffs
             assert len(packed) == before
 
     def test_repair_packs_nothing(self, monkeypatch):
@@ -1796,7 +1796,7 @@ def auto_det(m):
     try:
         return condensation_det(m)[0]
     except FallbackRequired:
-        return condense.elimination_det(m)
+        return elimination_det(m)
 
 
 def with_zeros_at(rng, n, count):
@@ -1851,7 +1851,7 @@ class TestSparseShortcut:
             det = condensation_det(m)[0]
         except FallbackRequired as e:
             assert "exceeds 2C" in str(e)
-            det = condense.elimination_det(m)
+            det = elimination_det(m)
         assert salts[:1] == [0]
         assert plans[0] == (("rot", 5, 5) if rotation else ("add", 0))
         assert det == bareiss_det(m)

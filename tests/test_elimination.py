@@ -1,12 +1,14 @@
 """``elimination_det``, the fallback of every ring, against ``bareiss_det``.
 
-The fallback eliminates on the kernel's native rows (integers, cleared
-rationals, packed polynomials, floats) where ``bareiss_det`` eliminates on
-scalars, and the CLI and ``secular_polynomial`` print its result and op
-counts under the name "bareiss", so both must agree exactly: the ``repr``
-of the value, which tells -0.0 from 0.0 and shows a nan that ``==`` would
-not match, and the ``OpCount``, early singular returns included.  Both
-test real pivots by the one real zero rule, so they agree on every matrix.
+The fallback is ``bareiss_det``'s loop, ``oracle._bareiss``, run on the
+kernel's rows (integers, cleared rationals, packed polynomials, floats)
+where ``bareiss_det`` runs it on native values, and the CLI and
+``secular_polynomial`` print its result and op counts under the name
+"bareiss", so both must agree exactly: the ``repr`` of the value, which
+tells -0.0 from 0.0 and shows a nan that ``==`` would not match, and the
+``OpCount``, early singular returns included.  On integer and real matrices
+both run the loop on the same rows, so the comparison checks the clearing,
+packing and decoding of rationals and polynomials.
 """
 
 import pathlib
@@ -17,14 +19,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exactdet import condense
 from exactdet.cli import main
-from exactdet.condense import OpCount, elimination_det
+from exactdet.condense import OpCount
 from exactdet.huckel import PiSystem, secular_matrix
-from exactdet.matrix import Matrix, int_matrix
-from exactdet.oracle import bareiss_det
-from exactdet.ring import INTEGERS, ApproxReal, ExactInteger, ExactRational, Polynomial
+from exactdet.matrix import Matrix, int_matrix, parse_matrix
+from exactdet.oracle import bareiss_det, elimination_det
+from exactdet.ring import ApproxReal, ExactInteger, ExactRational, Polynomial, integer_quotient
 
+from test_cli import SCALAR_MAKERS, profiled_calls
 from test_sweep_digest import SEED, sweep_cases
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -77,29 +79,37 @@ def test_pivot_swaps_flip_the_sign():
     assert elimination_det(int_matrix([[0, 1], [1, 0]])) == ExactInteger(-1)
 
 
-def test_integer_rows_check_each_quotient_as_it_is_formed(monkeypatch):
-    # on the kernel's integer rows (integers, cleared rationals, packed
-    # polynomials) each entry's quotient by the previous pivot is checked
-    # as it is formed, so a step never divides a row through the ring's row
-    # division, nor builds a row of copies of the pivot for it; pivots,
-    # values and counts stay bareiss_det's
+def test_integer_rows_check_each_quotient_as_it_is_formed():
+    # on integer rows (native integers in bareiss_det, and the kernel's
+    # cleared rationals and packed polynomials in elimination_det) each
+    # entry's quotient by the previous pivot is checked as it is formed, so
+    # a step calls integer_quotient for no entry and never divides a row
+    # through the ring's row division; pivots, values and counts stay
+    # bareiss_det's
     def no_row_division(*args):
         raise AssertionError("a row was divided by the ring's row division")
 
-    fused = INTEGERS._replace(divide=no_row_division)
-    monkeypatch.setattr(condense, "INTEGERS", fused)
     rng = random.Random("fused-elimination")
-    cases = [
-        Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], fused)
-        for n in range(2, 10)
+    integers = [
+        int_matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]) for n in range(2, 10)
     ]
-    cases.append(Matrix([[0, 1, 2], [0, 3, 1], [4, 1, 1]], fused))
-    cases.append(
+    integers.append(int_matrix([[0, 1, 2], [0, 3, 1], [4, 1, 1]]))
+    kernels = integers + [
         Matrix([[ExactRational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)] for _ in range(6)])
-    )
-    cases += [secular_matrix(s) for s in (PiSystem.chain(8), cycle(8), NAPHTHALENE)]
-    for m in cases:
+    ]
+    kernels += [secular_matrix(s) for s in (PiSystem.chain(8), cycle(8), NAPHTHALENE)]
+    cases = [(bareiss_det, m) for m in integers] + [(elimination_det, m) for m in kernels]
+    for det, m in cases:
+        m = Matrix(m.native_rows, m.native_ring._replace(divide=no_row_division))
+        assert profiled_calls({integer_quotient.__code__}, lambda: det(m))[1] == 0
         assert_same_as_bareiss(m)
+
+
+def test_a_fallback_builds_only_its_result():
+    # a parsed rational file holds only its cleared integer rows; the result
+    # is decoded once and wrapped once, so it is the one scalar built
+    m = parse_matrix((FIXTURES / "rational_falls_back4.txt").read_text())
+    assert profiled_calls(SCALAR_MAKERS, lambda: elimination_det(m)) == (ExactRational(-5, 21), 1)
 
 
 def test_refuses_non_square():

@@ -10,7 +10,6 @@ from exactdet.condense import (
     FallbackRequired,
     MitigationLog,
     condensation_det,
-    elimination_det,
     replay_log,
 )
 from exactdet import matrix as matrix_module
@@ -24,7 +23,7 @@ from exactdet.matrix import (
     int_matrix,
     parse_matrix,
 )
-from exactdet.oracle import bareiss_det, cofactor_det
+from exactdet.oracle import bareiss_det, cofactor_det, elimination_det
 from exactdet.ring import (
     INTEGERS,
     ApproxReal,
@@ -138,6 +137,15 @@ class TestConnectedMinor:
         with pytest.raises(IndexOutOfRange):
             m.connected_minor(2, 2, 3)
 
+    def test_size_and_column_bounds(self):
+        m = int_matrix([[1, 2], [3, 4]])
+        with pytest.raises(IndexOutOfRange) as info:
+            m.connected_minor(0, 0, 0)
+        assert str(info.value) == "minor size must be >= 1"
+        with pytest.raises(IndexOutOfRange) as info:
+            m.connected_minor(0, 1, 2)
+        assert str(info.value) == "cols [1, 3) out of range"
+
     def test_composition(self):
         rng = random.Random(7)
         m = int_matrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)])
@@ -179,6 +187,15 @@ class TestDeleteRowCol:
     def test_identity(self):
         assert identity(3).delete_row_col(1, 1) == identity(2)
 
+    def test_too_small_and_out_of_range(self):
+        with pytest.raises(TooSmall):
+            int_matrix([[5]]).delete_row_col(0, 0)
+        m = int_matrix([[1, 2], [3, 4]])
+        for (i, j), message in [((2, 0), "row 2 outside 0..1"), ((0, -1), "column -1 outside 0..1")]:
+            with pytest.raises(IndexOutOfRange) as info:
+                m.delete_row_col(i, j)
+            assert str(info.value) == message
+
 
 class TestAdjugate:
     def test_2x2_formula(self):
@@ -187,6 +204,10 @@ class TestAdjugate:
 
     def test_identity(self):
         assert adjugate(identity(3), cofactor_det) == identity(3)
+
+    def test_too_small(self):
+        with pytest.raises(TooSmall):
+            adjugate(int_matrix([[5]]), cofactor_det)
 
     def test_corner_identity_value(self):
         adj = adjugate(int_matrix(CLEAN4), cofactor_det)

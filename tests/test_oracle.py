@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exactdet import condense
+from exactdet import oracle as oracle_module
 from exactdet import ring as ring_module
 from exactdet.condense import OpCount
 from exactdet.huckel import secular_matrix
@@ -95,6 +95,10 @@ class TestBareissDet:
         m = Matrix([[x, one, zero], [one, x, one], [zero, one, x]])
         assert bareiss_det(m) == Polynomial([0, -2, 0, 1])
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="^determinant needs a square matrix$"):
+            bareiss_det(int_matrix([[1, 2, 3], [4, 5, 6]]))
+
 
 def six_by_six():
     """6 x 6 integer, rational and real matrices, and the Hückel matrix of
@@ -137,7 +141,7 @@ class TestOraclesOnNativeValues:
                 cases.append((oracle, Matrix(m.native_rows, ring), oracle(m, ops), ops))
         for name in ("_divide_integers", "_cleared_rows", "pack_polynomial"):
             monkeypatch.setattr(ring_module, name, boom)
-        monkeypatch.setattr(condense, "elimination_det", boom)
+        monkeypatch.setattr(oracle_module, "elimination_det", boom)
         for oracle, m, value, ops in cases:
             counted = OpCount()
             assert repr(oracle(m, counted)) == repr(value)
