@@ -33,9 +33,7 @@ clears them with determinant-preserving elementary operations before the run
 starts; if a zero only surfaces in a later stage, ``condensation_det``
 restarts from the original matrix under the next untried transform.  Swap
 parity is tracked in a ``MitigationLog`` whose sign multiplies the final
-result.  One function, ``_apply_operation``, applies a logged operation to a
-list of row lists in place: additive repair on native values, with the
-ring's ``add_scaled``, and ``replay_log`` on scalars.
+result; ``replay_log`` re-applies its operations to scalars.
 
 Mitigation plans are tried in a fixed order so results are reproducible:
 
@@ -76,12 +74,13 @@ attempt is charged once, a stopped one through minor (i, j) of stage k + 2
 but not its division, a complete one through stage n - 1.
 
 Mitigation reads the input's zero set once, ``Matrix.zeros``, which every
-attempt of a run shares, and wraps no value but the repair's factors.  A
-rotation, ``Matrix.rotated``, permutes the input's kernel form and its
-scales when the input holds it, else its native rows, so it builds no form
-the input does not hold.  Additive repair computes on native values, ``Fraction``s on a
-rational input, and re-tests only the entries whose source entry is
-nonzero, by the zero rule of ``Matrix.zeros``.
+attempt of a run shares, and wraps no value.  A rotation, ``Matrix.rotated``,
+permutes the input's kernel form and scales when the input holds it, else
+its native rows.  Additive repair adds ints d + k*s on the kernel form,
+cleared rational rows at a common scale; a polynomial input is packed for it
+once, at four times the width rule's W, room for the Hückel matrices'
+repairs, and again only where its row bounds outgrow that.  It re-tests
+only the entries whose source entry is nonzero, by ``Matrix.zeros``'s rule.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``.  ``condensation_det`` also bounds the work of failed
@@ -100,19 +99,22 @@ minors, not connected ones, of its scaled rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from math import prod
 
 from .matrix import IndexOutOfRange, Matrix, TooSmall, text_rows
 from .ring import (
     DEFAULT_TOLERANCE,
     INTEGERS,
+    POLYNOMIALS,
     REALS,
     DivisionByZero,
     InexactDivision,
-    NativeRing,
+    _packed_rows,
+    _packing_width,
+    _repacked,
     format_scalar,
 )
 
@@ -149,22 +151,22 @@ class MitigationLog:
 
     Operations are tuples: ``("swap_rows", i, j)``, ``("swap_cols", i, j)``,
     ``("add_scaled_row", src, dst, c)``, ``("add_scaled_col", src, dst, c)``.
-    A log given its operations, such as additive repair's, has ``sign``
-    (-1)**(number of swaps) among them; additions never change it.
+    A log has ``sign`` (-1)**(number of swaps); additions never change it.
 
     A rotation's log, ``MitigationLog.rotation(n, r, c)``, holds only its
     plan ("rot", r, c), and its sign is (-1)**((r + c)(n - 1)), read off
     the plan.  Its operations, the (r + c)(n - 1) adjacent swaps of
-    ``_rotation_swaps``, are built when first read, as ``render_trace``,
-    ``replay_log`` and ``repr`` do, and kept, so every read gives the same
-    tuple and a run that reads only the sign builds none.
+    ``_rotation_swaps``, are built when first read, as ``replay_log`` and
+    ``repr`` do, and kept, so every read gives the same tuple and a run
+    that reads only the sign builds none.  A repair's log keeps its factors
+    as ints k until then, with their ring ``_ring`` to wrap them.
     """
 
-    __slots__ = ("_operations", "_size", "plan")
+    __slots__ = ("_operations", "_size", "_ring", "plan")
 
     def __init__(self, operations=(), plan=None):
         self._operations = tuple(operations)
-        self._size = None
+        self._size = self._ring = None
         self.plan = plan
 
     @classmethod
@@ -179,6 +181,9 @@ class MitigationLog:
         if self._operations is None:
             _, r, c = self.plan
             self._operations = tuple(_rotation_swaps(self._size, r, c))
+        elif self._ring is not None:
+            ring, ops, self._ring = self._ring, self._operations, None
+            self._operations = tuple((*op[:3], ring.wrap(ring.constant(op[3]))) for op in ops)
         return self._operations
 
     @property
@@ -192,46 +197,6 @@ class MitigationLog:
 
     def __repr__(self):
         return f"MitigationLog({list(self.operations)!r}, plan={self.plan!r})"
-
-
-def _apply_operation(rows: list, op: tuple, add_scaled) -> None:
-    """Apply one ``MitigationLog`` operation to a list of row lists, in place.
-
-    An addition's new row or column is ``add_scaled(dst, c, src)``, with the
-    operation's factor c, on scalars or native values.  Indices come from the
-    log, which ``replay_log`` takes from its caller, so they are checked: an
-    index outside the matrix (negative ones included) or equal source and
-    destination raises IndexOutOfRange, and an unknown kind raises ValueError.
-    """
-    kind = op[0]
-    if kind in ("swap_rows", "add_scaled_row"):
-        axis, size = "row", len(rows)
-    elif kind in ("swap_cols", "add_scaled_col"):
-        axis, size = "column", len(rows[0])
-    else:
-        raise ValueError(f"unknown mitigation operation {kind!r}")
-    src, dst = op[1], op[2]
-    for k in (src, dst):
-        if not 0 <= k < size:
-            raise IndexOutOfRange(f"{axis} {k} outside 0..{size - 1}")
-    if src == dst:
-        raise IndexOutOfRange(f"{kind} needs two distinct {axis}s")
-    if kind == "swap_rows":
-        rows[src], rows[dst] = rows[dst], rows[src]
-    elif kind == "swap_cols":
-        for r in rows:
-            r[src], r[dst] = r[dst], r[src]
-    elif kind == "add_scaled_row":
-        rows[dst] = add_scaled(rows[dst], op[3], rows[src])
-    else:
-        column = add_scaled([r[dst] for r in rows], op[3], [r[src] for r in rows])
-        for r, x in zip(rows, column):
-            r[dst] = x
-
-
-def _add_scaled_scalars(dst, c, src):
-    # only the zero Polynomial is falsy: every number entry is computed
-    return [d + c * s if s else d for d, s in zip(dst, src)]
 
 
 @dataclass(frozen=True)
@@ -360,7 +325,7 @@ def _decoded(a0: Matrix, stage, k: int):
     ``decode``: row i of the stage is L_i ... L_{i+k} times the native one."""
     _, scales, width = a0.kernel
     if scales is not None:
-        scales = [prod(scales[i : i + k + 1]) for i in range(len(stage))]
+        scales = [math.prod(scales[i : i + k + 1]) for i in range(len(stage))]
     return a0.native_ring.decode(stage, scales, width)
 
 
@@ -407,30 +372,28 @@ def _rotation_swaps(n: int, row_shift: int, col_shift: int) -> list:
     return row_swaps + col_swaps
 
 
-def _additive_repair(rows, zeros: set, salt: int, ring: NativeRing) -> list:
-    """Clear the interior zeros of the native rows ``rows``, of the ring
-    ``ring``, by adding scaled rows/columns, in place; return the operations.
+def _additive_repair(form, bounds, zeros: set, salt: int, is_zero):
+    """Clear the interior zeros of the kernel form ``form`` (packed rows with
+    their |.|_1 ``bounds``) by adding k times a row/column, for int k; return
+    the repaired form, packed wider if its bounds ask, and the operations.
 
-    ``zeros`` holds every (i, j) where ``rows`` has a zero; it picks each
+    ``zeros`` holds every (i, j) where ``form`` has a zero; it picks each
     zero's source, and the least of its interior positions, row by row, is
     the zero to clear.  After each operation only the entries whose source
-    entry is nonzero by exact falsiness (``rows[src][t]``) are re-tested,
-    with the zero rule of ``Matrix.zeros``, ``ring.is_zero``: adding k times
-    a 0 keeps an entry's zero test, while a real source below the tolerance
-    may still move its destination across it.  Each operation adds k times
-    its source for an int k, applied by ``_apply_operation`` with
-    ``ring.add_scaled``, and is logged with the scalar constant k of the
-    ring, the factor ``replay_log`` applies.
-    ``salt`` shifts the starting factor so successive restart rounds produce
-    distinct transforms.  Raises UnremovableZero when a zero has no nonzero
-    source in its row or column, or when the repair budget runs out.
+    entry is nonzero by exact falsiness are re-tested, by the ring's zero
+    test ``is_zero``: adding k times a 0 keeps an entry's zero test, while a
+    real source below the tolerance may still move its destination across
+    it.  ``salt`` shifts the starting factor so successive restart rounds
+    produce distinct transforms.  Raises UnremovableZero when a zero has no
+    nonzero source in its row or column, or when the repair budget runs out.
     """
-    n, is_zero = len(rows), ring.is_zero
+    rows, scales = [list(r) for r in form.rows], form.scales and list(form.scales)
+    width, bounds, n = form.width, bounds and list(bounds), len(rows)
     inner = {(i, j) for i, j in zeros if 0 < i < n - 1 and 0 < j < n - 1}
     attempts, ops = {}, []
     for _ in range(4 * n * n):
         if not inner:
-            return ops
+            break
         zero_at = min(inner)  # the first interior zero, row by row
         i, j = zero_at
         attempts[zero_at] = attempts.get(zero_at, 0) + 1
@@ -447,8 +410,8 @@ def _additive_repair(rows, zeros: set, salt: int, ring: NativeRing) -> list:
                 )
             op = ("add_scaled_col", src, j, k)
             changed = [(s, j) for s, r in enumerate(rows) if r[src]]
-        _apply_operation(rows, op, ring.add_scaled)
-        ops.append(op[:3] + (ring.wrap(ring.constant(k)),))
+        width = _add_scaled(rows, scales, bounds, width, op)
+        ops.append(op)
         for p in changed:
             s, t = p
             if is_zero(rows[s][t]):
@@ -458,7 +421,40 @@ def _additive_repair(rows, zeros: set, salt: int, ring: NativeRing) -> list:
             else:
                 zeros.discard(p)
                 inner.discard(p)
-    raise UnremovableZero("additive repair budget exhausted")
+    else:
+        raise UnremovableZero("additive repair budget exhausted")
+    if width is not None and _packing_width(bounds) > width:
+        rows, width = _repacked(rows, width, bounds)
+    return form._replace(rows=rows, scales=scales, width=width), ops
+
+
+def _add_scaled(rows, scales, bounds, width, op):
+    """Apply the addition ``op`` to kernel rows in place; return their width.
+    A row's addition takes both rows to the lcm of their scales, then divides
+    cleared rationals by their gcd with it.  Packed rows' bounds grow by the
+    triangle inequality (a column's by at most 1 + k times), and the rows are
+    packed again before one reaches 2^(W - 1), past which entries may not unpack."""
+    kind, src, dst, k = op
+    a, c, col = 1, k, kind == "add_scaled_col"
+    if scales is not None and not col:
+        scale = math.lcm(scales[src], scales[dst])
+        a, c = scale // scales[dst], k * (scale // scales[src])
+    if bounds is not None:
+        if col:
+            bounds[:] = [b + k * b if r[src] else b for b, r in zip(bounds, rows)]
+        else:
+            bounds[dst] = a * bounds[dst] + c * bounds[src]
+        if max(bounds).bit_length() >= width:
+            rows[:], width = _repacked(rows, width, bounds)
+    if col:
+        for r in rows:
+            r[dst] += k * r[src]
+        return width
+    rows[dst] = [a * d + c * s for d, s in zip(rows[dst], rows[src])]
+    if scales is not None:
+        g = math.gcd(scale, *rows[dst]) if width is None else 1
+        scales[dst], rows[dst] = scale // g, [v // g for v in rows[dst]]
+    return width
 
 
 def _column_shifts(zeros, n: int, r: int):
@@ -512,11 +508,10 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
     ``a.zeros``; ``exclude`` skips plans already consumed by earlier restarts.
     A rotation is ``Matrix.rotated``, which permutes ``a``'s kernel form and
     its scales when ``a`` holds it, else its native rows.  Additive repair
-    computes on a copy of the native rows, and logs its operations as it
-    applies them.  Raises
-    UnremovableZero when no plan succeeds, and, with its own message, before
-    any repair when no rotation is accepted, n >= 10 and at least n^2 / 3
-    entries are zero.
+    computes on a copy of ``a.kernel``, or of the wider packing a polynomial
+    ``a`` keeps for it.  Raises UnremovableZero when no plan succeeds, and,
+    with its own message, before any repair when no rotation is accepted,
+    n >= 10 and at least n^2 / 3 entries are zero.
     """
     if not a.is_square:
         raise TooSmall("mitigation needs a square matrix")
@@ -527,9 +522,13 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
         if plan in excluded:
             continue
         if plan[0] == "add":
-            rows = [list(r) for r in a.native_rows]
-            ops = _additive_repair(rows, set(a.zeros), plan[1], ring)
-            return Matrix(rows, ring), MitigationLog(ops, plan)
+            if ring.decode is POLYNOMIALS.decode and a._repair is None:
+                a._repair = _packed_rows(a.native_rows, 4)
+            base = a._repair or (a.kernel, None)
+            form, ops = _additive_repair(*base, set(a.zeros), plan[1], ring.is_zero)
+            log = MitigationLog(ops, plan)
+            log._ring = ring
+            return Matrix(form, ring), log
         _, r, c = plan
         log = MitigationLog.rotation(a.n_rows, r, c)
         if r == c == 0:
@@ -596,7 +595,7 @@ def condensation_det(a: Matrix):
                 _charge(ops, n, k + 2, zero)
                 wasted += ops.muldiv - charged
                 if log.plan[0] == "add":
-                    wasted += n * len(log.operations)
+                    wasted += n * len(log._operations)
                 if wasted > budget:
                     raise FallbackRequired(
                         "the work W charged to failed attempts exceeds 2C,"
@@ -612,10 +611,39 @@ def condensation_det(a: Matrix):
 
 
 def replay_log(a: Matrix, log: MitigationLog) -> Matrix:
-    """Re-apply a mitigation log to a matrix (trace reproducibility)."""
+    """Re-apply a mitigation log to a matrix (trace reproducibility).
+
+    The log's operations apply to scalars.  Their indices come from the
+    caller, so they are checked: an index outside the matrix (negative ones
+    included) or equal source and destination raises IndexOutOfRange, and an
+    unknown kind raises ValueError.
+    """
     rows = [list(r) for r in a.rows()]
     for op in log.operations:
-        _apply_operation(rows, op, _add_scaled_scalars)
+        kind = op[0]
+        if kind in ("swap_rows", "add_scaled_row"):
+            axis, size = "row", len(rows)
+        elif kind in ("swap_cols", "add_scaled_col"):
+            axis, size = "column", len(rows[0])
+        else:
+            raise ValueError(f"unknown mitigation operation {kind!r}")
+        src, dst = op[1], op[2]
+        for k in (src, dst):
+            if not 0 <= k < size:
+                raise IndexOutOfRange(f"{axis} {k} outside 0..{size - 1}")
+        if src == dst:
+            raise IndexOutOfRange(f"{kind} needs two distinct {axis}s")
+        if kind == "swap_rows":
+            rows[src], rows[dst] = rows[dst], rows[src]
+        elif kind == "swap_cols":
+            for r in rows:
+                r[src], r[dst] = r[dst], r[src]
+        elif kind == "add_scaled_row":
+            # only the zero Polynomial is falsy: every number entry is computed
+            rows[dst] = [d + op[3] * s if s else d for d, s in zip(rows[dst], rows[src])]
+        else:
+            for r in rows:
+                r[dst] = r[dst] + op[3] * r[src] if r[src] else r[dst]
     return Matrix(rows)
 
 
@@ -631,10 +659,9 @@ def render_trace(trace: CondensationTrace) -> str:
         lines.extend(text_rows(stage))
     for stage_k, pos in trace.restarts:
         lines.append(f"restart: zero divisor at stage {stage_k}, minor ({pos[0]}, {pos[1]})")
-    for op in trace.mitigation.operations:
-        if op[0].startswith("swap"):
-            lines.append(f"{op[0]} {op[1]} {op[2]}")
-        else:
-            lines.append(f"{op[0]} {op[1]} {op[2]} {format_scalar(op[3])}")
-    lines.append(f"sign: {trace.mitigation.sign:+d}")
+    log, ring = trace.mitigation, trace.mitigation._ring
+    text = format_scalar if ring is None else lambda k: ring.text(ring.constant(k))
+    for op in log.operations if ring is None else log._operations:  # int factors unwrapped
+        lines.append(" ".join([*map(str, op[:3]), *map(text, op[3:])]))
+    lines.append(f"sign: {log.sign:+d}")
     return "\n".join(lines) + "\n"

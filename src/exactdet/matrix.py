@@ -68,10 +68,11 @@ class Matrix:
     form.  ``rows()`` and ``m[i, j]`` wrap scalars on each read.  ``zeros``,
     the (i, j) whose entry ``native_ring.is_zero`` counts as zero, is read
     once, off the kernel form when the matrix holds it: the forms share their
-    zeros.  ``rotated`` builds no form either.
+    zeros.  ``rotated`` builds no form either.  ``_repair`` keeps additive
+    repair's packing of a polynomial matrix (see ``condense``).
     """
 
-    __slots__ = ("n_rows", "n_cols", "native_ring", "_native", "_kernel", "_zeros")
+    __slots__ = ("n_rows", "n_cols", "native_ring", "_native", "_kernel", "_zeros", "_repair")
 
     def __init__(self, rows, ring=None):
         form = rows if type(rows) is KernelForm else None
@@ -92,7 +93,7 @@ class Matrix:
             self._native, self._kernel = None, KernelForm(rows, form.scales, form.width)
         self.n_rows = len(rows)
         self.n_cols = width
-        self._zeros = None
+        self._zeros = self._repair = None
 
     @property
     def native_rows(self) -> tuple:

@@ -48,10 +48,11 @@ native ``int``, ``Fraction``, ``float`` or ``Polynomial`` values with their
 Each ring is one fixed ``NativeRing``: ``INTEGERS``, ``RATIONALS``, ``REALS``
 and ``POLYNOMIALS``.  ``NativeRing.is_zero`` is the ring's zero test on one
 value, ``not x`` on the exact rings and the real zero rule on ``REALS``;
-``Matrix.zeros``, the zero set mitigation reads, and the pivot test of
-``oracle._bareiss``, the oracle's and the fallback's elimination, use it,
-and the kernel's real zero stop applies the same rule to a whole stage, so
-a real scalar and a real matrix judge zeros alike.
+``Matrix.zeros``, the zero set mitigation reads, additive repair's re-tests
+on the kernel form and the pivot test of ``oracle._bareiss``, the oracle's
+and the fallback's elimination, use it, and the kernel's real zero stop
+applies the same rule to a whole stage, so a real scalar and a real matrix
+judge zeros alike.
 
 The kernel form.  Condensation divides exactly only in an integral domain,
 so the stage kernel runs every exact ring on the integers, and the reals as
@@ -69,7 +70,7 @@ builds it from native rows and its ``decode`` reads native rows back; a
   ``int``, as in the Hückel matrices), then packed by Kronecker
   substitution: f becomes the int f(2^W) (``pack_polynomial``), read back
   from its balanced base-2^W digits (``unpack_polynomial``).  The one width
-  rule, ``_packed_rows``'s, bounds every coefficient of every minor below
+  rule, ``_packing_width``, bounds every coefficient of every minor below
   2^(W - 1), so each unpacks exactly and a packed zero test is exact.
 
 Evaluation at 2^W is a ring homomorphism, and stage k entry (i, j) is the
@@ -346,18 +347,6 @@ class Polynomial(Scalar):
         return terms_text(self.coeffs, lambda k: power_text("x", k))
 
 
-def _add_scaled_polynomials(dst, k, src):
-    out = list(dst)
-    for t, s in enumerate(src):
-        if s.coeffs:
-            cs = list(out[t].coeffs)
-            cs += [0] * (len(s.coeffs) - len(cs))
-            for u, c in enumerate(s.coeffs):
-                cs[u] += k * c
-            out[t] = Polynomial._result(cs)
-    return out
-
-
 def _width_error(width: int) -> ValueError:
     # at width 1 the balanced digit of 1 is -1, which would leave an
     # unpacked value unchanged forever
@@ -442,28 +431,40 @@ def _rational_rows(rows, scales, width):
     return tuple(tuple([Fraction(v, s) for v in r]) for r, s in zip(rows, scales))
 
 
-def _packed_rows(rows) -> KernelForm:
-    """Polynomial rows as their kernel form: cleared by ``_cleared_rows``, a
-    row's coefficients counting as its entries, unless every coefficient is
-    an ``int``, then packed at the width rule's W.
+def _packing_width(bounds) -> int:
+    """The one width rule: one more than the bit length of prod_i max(1, b_i),
+    b_i bounding the sum over cleared row i of |.|_1, a polynomial's sum of
+    coefficient magnitudes.  That product bounds every coefficient of every
+    minor, whose terms each take one entry from distinct rows, so every
+    stage entry and every intermediate of ``oracle.elimination_det`` unpacks
+    exactly at W or wider, and a packed divisor or pivot is 0 exactly when
+    the polynomial is."""
+    return math.prod(max(1, b) for b in bounds).bit_length() + 1
 
-    W is one more than the bit length of prod_i max(1, sum_j |m_ij|_1) over
-    the cleared rows, |.|_1 being the sum of a polynomial's coefficient
-    magnitudes.  That product bounds every coefficient of every minor, since
-    a minor's terms each take one entry from distinct rows, so every stage
-    entry and every intermediate of ``oracle.elimination_det`` unpacks
-    exactly, and a packed divisor or pivot is 0 exactly when the polynomial
-    is.
-    """
+
+def _packed_rows(rows, stretch=1):
+    """Polynomial rows as their kernel form, cleared by ``_cleared_rows``
+    unless every coefficient is an ``int``, a row's coefficients counting as
+    its entries, then packed at ``stretch`` times the width rule's W; and
+    the |.|_1 sum of each of its rows."""
     coeffs = [[p.coeffs for p in r] for r in rows]
     scales = None
     if not all(type(c) is int for r in coeffs for cs in r for c in cs):
         flat, scales, _ = _cleared_rationals([[c for cs in r for c in cs] for r in coeffs])
         coeffs = [[list(islice(it, len(cs))) for cs in r] for it, r in zip(map(iter, flat), coeffs)]
-    bound = math.prod(max(1, sum(abs(c) for p in r for c in p)) for r in coeffs)
-    width = bound.bit_length() + 1
+    bounds = [sum(abs(c) for p in r for c in p) for r in coeffs]
+    width = stretch * _packing_width(bounds)
     packed = tuple(tuple([pack_polynomial(p, width) for p in r]) for r in coeffs)
-    return KernelForm(packed, scales, width)
+    return KernelForm(packed, scales, width), bounds
+
+
+def _repacked(rows, width: int, bounds):
+    """Rows packed at ``width``, whose entries' coefficients are below
+    2^(width - 1) in magnitude, as lists packed at the width rule's W for
+    the row bounds ``bounds``; and that W."""
+    new = _packing_width(bounds)
+    repack = lambda v: pack_polynomial(unpack_polynomial(v, width).coeffs, new)
+    return [list(map(repack, r)) for r in rows], new
 
 
 def _unpacked_rows(rows, scales, width):
@@ -585,16 +586,12 @@ class NativeRing(NamedTuple):
     goes out.  ``text(value)`` is one native value in the text syntax
     ``parse_scalar`` reads.  ``constant(x)`` is x as a native value, for an
     ``int`` x or, on the three number rings, a native value of the ring, by
-    which ``parse_matrix`` promotes a file's values.  ``add_scaled(dst, k,
-    src)`` is the row dst + k * src for an int k: every number entry is
-    computed, so -0.0 + 1 * 0.0 is 0.0, while a polynomial entry is kept where
-    its source is zero and is otherwise one polynomial built straight from the
-    coefficients d_t + k * s_t, with no scaled polynomial in between.
-    ``encode(rows)`` is the ``KernelForm`` of native rows, and ``decode(rows,
-    scales, width)`` the native rows of kernel rows packed at ``width``, row i
-    being scales[i] times the native one (1 when ``scales`` is None).
-    ``quotient(x, d)`` is the exact quotient of two native values, and
-    ``divide(row, divisors)`` a whole row of the kernel form's exact
+    which ``parse_matrix`` promotes a file's values and a logged repair factor
+    k is read.  ``encode(rows)`` is the ``KernelForm`` of native rows, and
+    ``decode(rows, scales, width)`` the native rows of kernel rows packed at
+    ``width``, row i being scales[i] times the native one (1 when ``scales``
+    is None).  ``quotient(x, d)`` is the exact quotient of two native values,
+    and ``divide(row, divisors)`` a whole row of the kernel form's exact
     quotients; both raise ``DivisionByZero`` or ``InexactDivision`` when one
     fails.  ``is_zero(x)`` is the ring's zero test, on a native value or a
     kernel one: ``not x`` on the exact rings, and the real zero rule on
@@ -605,7 +602,6 @@ class NativeRing(NamedTuple):
     wrap: Callable
     constant: Callable
     text: Callable
-    add_scaled: Callable = lambda dst, k, src: [d + k * s for d, s in zip(dst, src)]
     quotient: Callable = integer_quotient
     divide: Callable = _divide_integers
     is_zero: Callable = operator.not_
@@ -646,8 +642,9 @@ REALS = NativeRing(
 )
 # a polynomial scalar is its own native value
 POLYNOMIALS = NativeRing(
-    tuple, lambda p: p, lambda k: Polynomial._result([k]), str, _add_scaled_polynomials,
-    quotient=Polynomial.exact_div, encode=_packed_rows, decode=_unpacked_rows,
+    tuple, lambda p: p, lambda k: Polynomial._result([k]), str,
+    quotient=Polynomial.exact_div, decode=_unpacked_rows,
+    encode=lambda rows: _packed_rows(rows)[0],
 )
 _RINGS = {
     ExactInteger: INTEGERS, ExactRational: RATIONALS, ApproxReal: REALS, Polynomial: POLYNOMIALS

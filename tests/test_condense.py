@@ -3,6 +3,7 @@ import itertools
 import math
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -679,11 +680,14 @@ class TestMitigation:
 
     @pytest.mark.parametrize("kind", RINGS)
     def test_repair_matches_the_rescanning_loop(self, kind):
-        # seeded sparse matrices, n = 3..9, every salt: the repair that keeps
-        # its interior zeros logs, repairs and leaves the zero set as the
-        # loop that rescans the interior and re-tests whole lines, and fails
-        # with its messages
+        # seeded sparse matrices, n = 3..9, every salt: the repair on the
+        # kernel form, which keeps its interior zeros, logs, repairs (its rows
+        # decoded) and leaves the zero set as the loop on native values that
+        # rescans the interior and re-tests whole lines, and fails with its
+        # messages; polynomials are packed at the width rule's W as well as
+        # at mitigation's wider one, so repairs outgrow their width
         rng = random.Random(f"rescanning-{kind}")
+        stretches = (1, 4) if kind == "polynomial" else (None,)
         entry = REPAIR_ENTRIES[kind]
         zero = constant(entry(rng), 0)
         failed = set()
@@ -697,8 +701,9 @@ class TestMitigation:
                     m = [[zero if i == s or j == t else x for t, x in enumerate(r)] for s, r in enumerate(m)]
                 m = Matrix(m)
                 for salt in range(n):
-                    expected = repair_outcome(rescanning_repair, m, salt)
-                    assert repair_outcome(condense._additive_repair, m, salt) == expected
+                    expected = repair_outcome(m, salt, rescanning_repair)
+                    for stretch in stretches:
+                        assert repair_outcome(m, salt, stretch=stretch) == expected
                     failed.add(expected[0].startswith("UnremovableZero"))
         assert failed == {True, False}
 
@@ -720,12 +725,14 @@ class TestMitigation:
             ]
         )
         assert m.zeros == {(0, 2), (1, 1), (1, 2)}
-        rows, zeros = [list(r) for r in m.native_rows], set(m.zeros)
-        ops = condense._additive_repair(rows, zeros, 0, m.native_ring)
-        assert ops == [("add_scaled_row", 0, 1, ApproxReal(1.0))]
-        assert rows[1] == [2.0, 1.0, 8e-10 + 5e-10, 2.0]
+        zeros = set(m.zeros)
+        form, ops = condense._additive_repair(m.kernel, None, zeros, 0, m.native_ring.is_zero)
+        assert ops == [("add_scaled_row", 0, 1, 1)]
+        assert form.rows[1] == [2.0, 1.0, 8e-10 + 5e-10, 2.0]
         assert zeros == {(0, 2)}
-        assert repair_outcome(rescanning_repair, m, 0) == repair_outcome(condense._additive_repair, m, 0)
+        assert repair_outcome(m, 0, rescanning_repair) == repair_outcome(m, 0)
+        _, log = mitigate_interior_zeros(m, exclude=rotation_order(4))
+        assert log.operations == (("add_scaled_row", 0, 1, ApproxReal(1.0)),)
 
     def test_real_repair_adds_a_zero_source(self):
         # -0.0 + 1.0 * 0.0 is 0.0: a zero number source is added, not skipped
@@ -815,10 +822,13 @@ def reference_repair(rows, salt):
 
 
 def rescanning_repair(rows, zeros, salt, ring):
-    """``_additive_repair`` as it was before it kept its interior zeros: it
-    rescans the interior for the first zero before every operation and
-    re-tests the whole row or column each operation changed.  The reference
-    for the loop that re-tests only the entries with a nonzero source."""
+    """``_additive_repair`` as it was before it kept its interior zeros and
+    computed on the kernel form: on the native rows ``rows``, in place, it
+    rescans the interior for the first zero before every operation, adds
+    the ring's constant k times the source with the ring's native ``+`` and
+    ``*``, and re-tests the whole row or column each operation changed.  The
+    reference for the loop that re-tests only the entries with a nonzero
+    source; returns the operations, each with its int k."""
     n = len(rows)
     interior = [(i, j) for i in range(1, n - 1) for j in range(1, n - 1)]
     attempts, ops = {}, []
@@ -841,8 +851,13 @@ def rescanning_repair(rows, zeros, salt, ring):
                 )
             op = ("add_scaled_col", src, j, k)
             changed = [(s, j) for s in range(n)]
-        condense._apply_operation(rows, op, ring.add_scaled)
-        ops.append(op[:3] + (ring.wrap(ring.constant(k)),))
+        c = ring.constant(k)
+        if op[0] == "add_scaled_row":
+            rows[i] = [d + c * x for d, x in zip(rows[i], rows[src])]
+        else:
+            for r in rows:
+                r[j] = r[j] + c * r[src]
+        ops.append(op)
         for s, t in changed:
             if ring.is_zero(rows[s][t]):
                 zeros.add((s, t))
@@ -863,16 +878,29 @@ REPAIR_ENTRIES = {
 }
 
 
-def repair_outcome(repair, m, salt):
-    """What ``repair`` does to a copy of ``m``'s native rows and zero set:
-    the reprs of its operations or its UnremovableZero message, of the
-    repaired rows, and the zero set it leaves."""
-    rows, zeros = [list(r) for r in m.native_rows], set(m.zeros)
+def repair_outcome(m, salt, reference=None, stretch=4):
+    """What additive repair with ``salt`` does to ``m``: the repr of its
+    operations or its UnremovableZero message, the reprs of the repaired
+    native rows (None when it fails), and the zero set it leaves.  Without
+    a ``reference`` it is ``condense._additive_repair`` on ``m``'s kernel
+    form, polynomials packed at ``stretch`` times the width rule's W, its
+    rows decoded; a ``reference`` repairs a copy of the native rows."""
+    zeros, ring = set(m.zeros), m.native_ring
     try:
-        result = repr(repair(rows, zeros, salt, m.native_ring))
+        if reference is not None:
+            rows = [list(r) for r in m.native_rows]
+            ops = reference(rows, zeros, salt, ring)
+        else:
+            packed = ring is ring_module.POLYNOMIALS
+            base = ring_module._packed_rows(m.native_rows, stretch) if packed else (m.kernel, None)
+            form, ops = condense._additive_repair(*base, zeros, salt, ring.is_zero)
+            rows = Matrix(form, ring).native_rows
+            if ring is ring_module.RATIONALS:
+                # each row keeps the scale the clearing rule gives it
+                assert (tuple(map(tuple, form.rows)), tuple(form.scales)) == ring.encode(rows)[:2]
     except UnremovableZero as e:
-        result = f"UnremovableZero: {e}"
-    return result, [[repr(x) for x in r] for r in rows], zeros
+        return f"UnremovableZero: {e}", None, zeros
+    return repr(ops), [[repr(x) for x in r] for r in rows], zeros
 
 
 def reference_mitigation(a, exclude=()):
@@ -968,7 +996,43 @@ def clearing_packed_rows(rows):
     return [[ring_module.pack_polynomial(p, width) for p in r] for r in coeffs], width, scales
 
 
+def repair_coefficients(coefficient):
+    """Polynomials of degree at most 2 with coefficients ``coefficient``,
+    zero in about half the draws."""
+    poly = st.lists(coefficient, min_size=1, max_size=3).map(Polynomial)
+    return st.one_of(st.just(Polynomial([])), poly)
+
+
+# entries whose zeros make repairs, restarts and fallbacks common
+REPAIRED_ENTRIES = {
+    "integer-polynomial": repair_coefficients(st.integers(-2, 2)),
+    "rational-polynomial": repair_coefficients(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))),
+    "rational": st.builds(ExactRational, st.sampled_from([0, 0, 1, -1, 2]), st.integers(1, 3)),
+}
+
+
 class TestPackedPolynomials:
+    @pytest.mark.parametrize("kind", sorted(REPAIRED_ENTRIES))
+    @settings(max_examples=120)
+    @given(data=st.data())
+    def test_runs_match_the_native_reference(self, kind, data):
+        # the repair on the kernel form against the native-value reference,
+        # condense_step on its replayed log: value, op counts, restarts, the
+        # log and the printed trace, which prints the factors unwrapped
+        n = data.draw(st.integers(3, 6))
+        m = Matrix(data.draw(st.lists(st.lists(REPAIRED_ENTRIES[kind], min_size=n, max_size=n), min_size=n, max_size=n)))
+        expected = reference_condensation(m)
+        try:
+            det, trace = condensation_det(m)
+        except FallbackRequired:
+            assert expected is None
+            return
+        ref_det, log, restarts, ops, _ = expected
+        text = render_trace(trace)
+        assert (repr(det), trace.restarts, trace.ops) == (repr(ref_det), restarts, ops)
+        assert repr(trace.mitigation) == repr(log)
+        assert text == render_trace(CondensationTrace(replay_log(m, log), log, ops, restarts))
+
     @pytest.mark.parametrize("field", ["integer", "rational"])
     def test_matches_bareiss_and_stepwise_replay(self, field):
         # Z[x] coefficients up to 10^6, Q[x] ones p/q with q up to 99; the
@@ -1128,7 +1192,7 @@ class TestPackedPolynomials:
 
         def counting(rows):
             packed.append(rows)
-            return ring_module._packed_rows(rows)
+            return ring_module._packed_rows(rows)[0]
 
         ring = ring_module.POLYNOMIALS._replace(encode=counting)
         monkeypatch.setattr(huckel, "POLYNOMIALS", ring)
@@ -1142,22 +1206,125 @@ class TestPackedPolynomials:
             assert elimination_det(trace.mitigated) == sp.coeffs
             assert len(packed) == before
 
-    def test_repair_packs_nothing(self, monkeypatch):
-        # the Hückel chain of 6 with every rotation excluded: the repair
-        # computes on the Polynomial entries and gives the scalar reference
-        m = secular_matrix(PiSystem.chain(6))
-        exclude = rotation_order(6)
+    @pytest.mark.parametrize("system", [PiSystem.chain(8), cycle(8)], ids=["chain8", "cycle8"])
+    def test_a_run_packs_its_input_once(self, monkeypatch, system):
+        # three attempts after additive repair, ("add", 0) to ("add", 2),
+        # before the run falls back: the input's n^2 entries are packed once
+        # for every repair, and no repaired matrix is packed again
+        packed = []
+        pack = ring_module.pack_polynomial
 
-        def no_packing(*args):
-            raise AssertionError("the repair packed or unpacked a polynomial")
+        def counting(coeffs, width):
+            packed.append(width)
+            return pack(coeffs, width)
 
-        monkeypatch.setattr(ring_module, "pack_polynomial", no_packing)
-        monkeypatch.setattr(ring_module, "unpack_polynomial", no_packing)
+        monkeypatch.setattr(ring_module, "pack_polynomial", counting)
+        salts = counted_repairs(monkeypatch)
+        with pytest.raises(FallbackRequired):
+            condensation_det(secular_matrix(system))
+        assert salts == [0, 1, 2]
+        assert len(packed) == 8 * 8
+
+    @pytest.mark.parametrize(
+        "system", [PiSystem.chain(6), cycle(6), PiSystem.chain(8), cycle(8)],
+        ids=["chain6", "cycle6", "chain8", "cycle8"],
+    )
+    def test_repair_builds_no_polynomial(self, monkeypatch, system):
+        # the repair adds packed ints: no Polynomial is built while it runs,
+        # its factors included
+        inside, built = [False], []
+        original_repair = condense._additive_repair
+        result, init = Polynomial._result.__func__, Polynomial.__init__
+
+        def repairing(*args):
+            inside[0] = True
+            try:
+                return original_repair(*args)
+            finally:
+                inside[0] = False
+
+        def counting_result(cls, cs):
+            built.append(inside[0])
+            return result(cls, cs)
+
+        def counting_init(self, coeffs=()):
+            built.append(inside[0])
+            init(self, coeffs)
+
+        monkeypatch.setattr(condense, "_additive_repair", repairing)
+        monkeypatch.setattr(Polynomial, "_result", classmethod(counting_result))
+        monkeypatch.setattr(Polynomial, "__init__", counting_init)
+        try:
+            condensation_det(secular_matrix(system))
+        except FallbackRequired:
+            pass
+        assert built and not any(built)
+
+    def test_an_untraced_repaired_run_wraps_no_factor(self):
+        # chain 6 condenses under ("add", 1) after a restart and wraps only
+        # its determinant, chain 8 falls back and wraps nothing; the log
+        # wraps its factors when its operations are read, and a trace prints
+        # them unwrapped
+        for system, det_wraps in ((PiSystem.chain(6), 1), (PiSystem.chain(8), 0)):
+            m = secular_matrix(system)
+            wrapped = []
+
+            def counting(value, wrap=m.native_ring.wrap):
+                wrapped.append(value)
+                return wrap(value)
+
+            counted = Matrix(m.native_rows, m.native_ring._replace(wrap=counting))
+            try:
+                _, trace = condensation_det(counted)
+            except FallbackRequired:
+                assert (det_wraps, wrapped) == (0, [])
+                continue
+            assert trace.mitigation.plan == ("add", 1)
+            assert len(wrapped) == det_wraps
+            text = render_trace(trace)
+            assert len(wrapped) == det_wraps and "add_scaled_row" in text
+            factors = [op[3] for op in trace.mitigation.operations]
+            assert factors == [Polynomial([2])] * 6
+            assert len(wrapped) == det_wraps + 6
+            assert render_trace(trace) == text
+
+    def test_a_repair_that_outgrows_its_width_packs_again(self, monkeypatch):
+        # row 0 holds 2^100 x in every column and column 1 is zero below it,
+        # so each of the five interior zeros there takes row 0: the repaired
+        # rows' bounds ask for more than the four times the input's width
+        # the repair starts at, and the repaired matrix is packed again, at
+        # the width rule's W for them, once
+        big, one, zero = Polynomial([0, 2**100]), Polynomial([1]), Polynomial([])
+        m = Matrix([[big] * 7] + [[one, zero] + [one] * 5 for _ in range(6)])
+        repacks = []
+        repacked = condense._repacked
+
+        def counting(*args):
+            # the width packed at, and whether an addition asked for it
+            repacks.append((args[1], sys._getframe(1).f_code.co_name == "_add_scaled"))
+            return repacked(*args)
+
+        monkeypatch.setattr(condense, "_repacked", counting)
+        exclude = rotation_order(7)
         out, log = mitigate_interior_zeros(m, exclude=exclude)
         expected = reference_mitigation(m, exclude)
         assert log.plan == expected.plan == ("add", 0)
-        assert log.operations == expected.operations
+        assert repr(log) == repr(expected)
+        assert len(log.operations) == 5
         assert out == replay_log(m, expected)
+        assert repacks == [(4 * m.kernel.width, False)]
+        # the bounds are the rows' exact |.|_1 here, so the width is the rule's
+        assert out.kernel.width == Matrix(out.native_rows, m.native_ring).kernel.width > repacks[0][0]
+        assert elimination_det(out) == bareiss_det(m)
+        # unit rows packed at the width rule's W, 2: the first addition takes
+        # a row's bound to 2, where an entry might no longer unpack, so the
+        # rows are packed again before it, and again as the repair goes on
+        units = [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0]]
+        m = Matrix([[Polynomial([v]) for v in r] for r in units])
+        for salt in range(5):
+            repacks.clear()
+            assert repair_outcome(m, salt, stretch=1) == repair_outcome(m, salt, rescanning_repair)
+            assert repacks[0] == (2, True) and len(repacks) >= 3
 
     def test_huckel_run_multiplies_no_polynomials(self, monkeypatch):
         # condensation runs on packed ints; a repair only multiplies by
@@ -1677,9 +1844,9 @@ def counted_repairs(monkeypatch):
     salts = []
     original = condense._additive_repair
 
-    def counting(rows, zeros, salt, ring):
+    def counting(form, bounds, zeros, salt, is_zero):
         salts.append(salt)
-        return original(rows, zeros, salt, ring)
+        return original(form, bounds, zeros, salt, is_zero)
 
     monkeypatch.setattr(condense, "_additive_repair", counting)
     return salts

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exactdet import oracle as oracle_module
 from exactdet import ring as ring_module
 from exactdet.condense import OpCount
 from exactdet.huckel import secular_matrix
@@ -14,6 +13,7 @@ from exactdet.oracle import (
     cofactor_det,
     cofactor_mults,
     count_ratio,
+    elimination_det,
     jacobi_check,
 )
 from exactdet.ring import ApproxReal, ExactInteger, ExactRational, Polynomial
@@ -128,24 +128,33 @@ class TestOraclesOnNativeValues:
             assert len(wrapped) == 1
 
     def test_independent_of_the_kernel(self, monkeypatch):
-        # matrices built from native rows hold no kernel form, and their
-        # ring can neither build one nor divide a row of it
+        # matrices built from native rows hold no kernel form, their ring can
+        # neither build one, decode one nor divide a row of it, and the
+        # module functions that clear and pack one fail too
         def boom(*args):
             raise AssertionError("an oracle used the condensation kernel")
 
-        cases = []
-        for m in six_by_six():
+        cases, natives = [], six_by_six()
+        for m in natives:
             ring = m.native_ring._replace(encode=boom, decode=boom, divide=boom)
             for oracle in (bareiss_det, cofactor_det):
                 ops = OpCount()
                 cases.append((oracle, Matrix(m.native_rows, ring), oracle(m, ops), ops))
-        for name in ("_divide_integers", "_cleared_rows", "pack_polynomial"):
+        for name in ("_cleared_rows", "pack_polynomial"):
             monkeypatch.setattr(ring_module, name, boom)
-        monkeypatch.setattr(oracle_module, "elimination_det", boom)
         for oracle, m, value, ops in cases:
             counted = OpCount()
             assert repr(oracle(m, counted)) == repr(value)
             assert counted == ops
+        # the patches are live: the kernel's elimination raises under them,
+        # on the patched rings, and, where the kernel form is cleared or
+        # packed (rationals, polynomials), on the rings as they are
+        for _, m, _, _ in cases:
+            with pytest.raises(AssertionError, match="condensation kernel"):
+                elimination_det(m)
+        for m in natives[1], natives[3]:
+            with pytest.raises(AssertionError, match="condensation kernel"):
+                elimination_det(m)
 
 
 entry = st.integers(min_value=-9, max_value=9)
