@@ -51,9 +51,10 @@ Mitigation plans are tried in a fixed order so results are reproducible:
 Rotations are judged on the input's zero set: rotating by r rows and c
 columns clears the interior exactly when each zero lies in row r or r - 1 or
 in column c or c - 1 (mod n).  The walk decides that once per row shift r,
-when the order first reaches it: the zeros outside rows r and r - 1 must lie
-in columns c and c - 1, so with none of them every c is accepted, with one
-or two columns the c whose pair holds them, and with more, none.  The
+when the order first reaches it, and the input keeps the decision for the
+walks of its restarts: the zeros outside rows r and r - 1 must lie in
+columns c and c - 1, so with none of them every c is accepted, with one or
+two columns the c whose pair holds them, and with more, none.  The
 identity plan is thus accepted exactly when the interior has no zero.  Only
 the accepted plan is applied, as one index permutation, and its
 ``MitigationLog`` is that permutation plus a sign: it records the plan and
@@ -476,20 +477,21 @@ def _column_shifts(zeros, n: int, r: int):
     return {c for j in cols for c in (j, (j + 1) % n) if cols <= {c, (c - 1) % n}}
 
 
-def _plans(zeros, n: int):
+def _plans(zeros, n: int, shifts: list):
     """The plans that may clear the interior of an n x n matrix whose zeros
     are at ``zeros``, in the documented order: the rotations it accepts,
     then every additive repair.  A row shift's column shifts are found when
-    the order first reaches it, all of them before the first repair.  When
-    no rotation is accepted, n >= 10 and at least n^2 / 3 entries are zero,
-    it raises UnremovableZero instead of offering a repair."""
-    shifts = []
-    for r in range(n):
-        shifts.append(_column_shifts(zeros, n, r))
-        if 0 in shifts[r]:
+    the order first reaches it, all of them before the first repair, and
+    kept in ``shifts`` for every later walk on the same zeros.  When no
+    rotation is accepted, n >= 10 and at least n^2 / 3 entries are zero, it
+    raises UnremovableZero instead of offering a repair."""
+    for r, cs in enumerate(shifts):
+        if cs is None:
+            cs = shifts[r] = sorted(_column_shifts(zeros, n, r))
+        if 0 in cs:
             yield ("rot", r, 0)
     for r, cs in enumerate(shifts):
-        for c in sorted(cs):
+        for c in cs:
             if c:
                 yield ("rot", r, c)
     if n >= 10 and 3 * len(zeros) >= n * n and not any(shifts):
@@ -506,19 +508,22 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
 
     Plans are tried in the fixed order documented at module level, judged on
     ``a.zeros``; ``exclude`` skips plans already consumed by earlier restarts.
-    A rotation is ``Matrix.rotated``, which permutes ``a``'s kernel form and
-    its scales when ``a`` holds it, else its native rows.  Additive repair
-    computes on a copy of ``a.kernel``, or of the wider packing a polynomial
-    ``a`` keeps for it.  Raises UnremovableZero when no plan succeeds, and,
-    with its own message, before any repair when no rotation is accepted,
-    n >= 10 and at least n^2 / 3 entries are zero.
+    ``a`` keeps each row shift's column shifts, so the restarts of a run scan
+    its zeros once per row shift.  A rotation is ``Matrix.rotated``, which
+    permutes ``a``'s kernel form and its scales when ``a`` holds it, else its
+    native rows.  Additive repair computes on a copy of ``a.kernel``, or of
+    the wider packing a polynomial ``a`` keeps for it.  Raises UnremovableZero
+    when no plan succeeds, and, with its own message, before any repair when
+    no rotation is accepted, n >= 10 and at least n^2 / 3 entries are zero.
     """
     if not a.is_square:
         raise TooSmall("mitigation needs a square matrix")
     if a.n_rows < 3:
         raise TooSmall("mitigation needs n >= 3 (smaller sizes have no interior)")
     excluded, ring = set(exclude), a.native_ring
-    for plan in _plans(a.zeros, a.n_rows):
+    if a._shifts is None:
+        a._shifts = [None] * a.n_rows
+    for plan in _plans(a.zeros, a.n_rows, a._shifts):
         if plan in excluded:
             continue
         if plan[0] == "add":

@@ -9,10 +9,10 @@ adjacent atoms, 0 otherwise.  Its determinant is a monic integer-coefficient
 polynomial p with det(secular) = beta^n * p(x), and the allowed energies are
 E = alpha - beta * x at the roots x of p.
 
-The determinant is computed symbolically by condensation, falling back to
-``oracle.elimination_det``, ``bareiss_det``'s fraction-free elimination run
-on the same packed integer rows the condensation kernel runs on, when
-mitigation cannot clear the interior.
+The determinant is computed symbolically by condensation, falling back, when
+mitigation cannot clear the interior, to ``oracle.elimination_det``,
+``bareiss_det``'s loop on packed integer rows; of a bipartite system, only
+on its half x^2 I - B^T B, for the smaller colour class (``_alternant_det``).
 
 The roots are exact up to one final rounding, with no tolerance and no
 iteration cap.  Yun's square-free decomposition over Q gives each distinct
@@ -123,8 +123,8 @@ class SecularPolynomial:
     """Reduced secular determinant: monic, degree n_atoms, variable x.
 
     ``method`` records which determinant route produced it: "condensation",
-    or "bareiss" for the fallback, ``oracle.elimination_det``, which is
-    ``bareiss_det``'s loop on the packed rows.
+    or "bareiss" for the fallback, ``bareiss_det``'s loop on packed rows,
+    which eliminates only the bipartite half where there is one.
     """
 
     coeffs: Polynomial
@@ -152,9 +152,39 @@ def secular_polynomial(system: PiSystem) -> SecularPolynomial:
         det, _ = condensation_det(m)
         method = "condensation"
     except FallbackRequired:
-        det = elimination_det(m)
+        halves = _bipartition(system)
+        det = elimination_det(m) if halves is None else _alternant_det(system.n_atoms, *halves)
         method = "bareiss"
     return SecularPolynomial(det, method)
+
+
+def _bipartition(system):
+    """The smaller colour class of a bipartite system, and each atom's neighbours."""
+    near = [set() for _ in range(system.n_atoms)]
+    for i, j in system.edges:
+        near[i].add(j)
+        near[j].add(i)
+    colour = [None] * system.n_atoms
+    for start in range(system.n_atoms):
+        if colour[start] is None:
+            colour[start], todo = 0, [start]
+            for i in todo:  # breadth first: todo grows as the search goes
+                for j in near[i]:
+                    if colour[j] is None:
+                        colour[j] = 1 - colour[i]
+                        todo.append(j)
+    if any(colour[i] == colour[j] for i, j in system.edges):
+        return None  # an odd cycle
+    return min(([a for a, c in enumerate(colour) if c == k] for k in (0, 1)), key=len), near
+
+
+def _alternant_det(n, small, near):
+    """det(xI - A) = x^(n - 2 n2) q(x^2), B the bonds to the n2 atoms ``small``
+    in A = [[0, B], [B^T, 0]]: q(y) = det(yI - B^T B), by the Schur complement
+    of xI, eliminated n2 x n2; (B^T B)[a][b] counts the neighbours a, b share."""
+    y = [[Polynomial._result([-len(near[a] & near[b]), int(a == b)]) for b in small] for a in small]
+    q = elimination_det(Matrix(y, POLYNOMIALS)).coeffs if small else (1,)
+    return Polynomial._result([0] * (n - 2 * len(small)) + [c for k in q for c in (0, k)][1:])
 
 
 def energy_levels(sp: SecularPolynomial, alpha: float, beta: float) -> list:

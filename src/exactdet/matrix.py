@@ -69,10 +69,11 @@ class Matrix:
     the (i, j) whose entry ``native_ring.is_zero`` counts as zero, is read
     once, off the kernel form when the matrix holds it: the forms share their
     zeros.  ``rotated`` builds no form either.  ``_repair`` keeps additive
-    repair's packing of a polynomial matrix (see ``condense``).
+    repair's packing of a polynomial matrix, and ``_shifts`` the column
+    shifts mitigation found for each row shift (see ``condense``).
     """
 
-    __slots__ = ("n_rows", "n_cols", "native_ring", "_native", "_kernel", "_zeros", "_repair")
+    __slots__ = ("n_rows", "n_cols", "native_ring", "_native", "_kernel", "_zeros", "_repair", "_shifts")
 
     def __init__(self, rows, ring=None):
         form = rows if type(rows) is KernelForm else None
@@ -93,7 +94,7 @@ class Matrix:
             self._native, self._kernel = None, KernelForm(rows, form.scales, form.width)
         self.n_rows = len(rows)
         self.n_cols = width
-        self._zeros = self._repair = None
+        self._zeros = self._repair = self._shifts = None
 
     @property
     def native_rows(self) -> tuple:

@@ -221,9 +221,9 @@ energy levels:
 -0.06030737921409157
 """
 
-# chains of 3-16 atoms, cycles of 3-12 (1-based edges) and naphthalene
+# chains of 3-16 and 30 atoms, cycles of 3-12 (1-based edges) and naphthalene
 HUCKEL_MOLECULES = {
-    **{f"chain{n}": (n, None) for n in range(3, 17)},
+    **{f"chain{n}": (n, None) for n in (*range(3, 17), 30)},
     **{f"cycle{n}": (n, [(k, k % n + 1) for k in range(1, n + 1)]) for n in range(3, 13)},
     "naphthalene": (10, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1),
                          (5, 7), (7, 8), (8, 9), (9, 10), (10, 6)]),

@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -511,6 +512,71 @@ class TestMitigation:
         z = int_matrix([[0] * 4 for _ in range(4)])
         with pytest.raises(UnremovableZero):
             mitigate_interior_zeros(z)
+
+    def test_a_matrix_finds_each_row_shifts_columns_once(self, monkeypatch):
+        # repeated calls on one matrix, with exclusions shrinking as well as
+        # growing, return what a fresh matrix returns; each row shift's
+        # column shifts are found once; the two zeros in row 2 let every
+        # rotation with row shift 2 or 3, or column shift 3, clear them
+        rows = [[0 if (i, j) in {(2, 2), (2, 3)} else 1 + i * j % 5 for j in range(6)] for i in range(6)]
+        order = [("rot", 0, 0)]  # rejected: the interior holds zeros
+        while order[-1] != ("add", 5):
+            order.append(mitigate_interior_zeros(int_matrix(rows), exclude=order)[1].plan)
+        calls = [order[:k] for k in (3, 1, 0, len(order) - 1, 2, len(order))]
+        fresh = [mitigate_interior_zeros(int_matrix(rows), exclude=e) for e in calls[:-1]]
+        m, walked = int_matrix(rows), []
+        original = condense._column_shifts
+        monkeypatch.setattr(
+            condense, "_column_shifts", lambda *args: walked.append(args[2]) or original(*args)
+        )
+        for exclude, (out, log) in zip(calls, fresh):
+            got, got_log = mitigate_interior_zeros(m, exclude=exclude)
+            assert (got_log.plan, got_log.operations, got) == (log.plan, log.operations, out)
+        with pytest.raises(UnremovableZero, match="every mitigation plan failed or was excluded"):
+            mitigate_interior_zeros(m, exclude=calls[-1])
+        assert walked == list(range(6))
+        assert len(order) == 1 + 16 + 6 and ("rot", 1, 3) in order
+
+    @pytest.mark.parametrize("exclude", [[], [("rot", 0, 0)], [("add", 0)]])
+    def test_the_sparse_rule_ends_every_walk(self, exclude):
+        # the order ends with the rule's refusal, on the first call and on
+        # every later call on the same matrix
+        m = with_zeros_at(random.Random("zeros-34"), 10, 34)
+        assert shortcut_applies(m)
+        for _ in range(3):
+            with pytest.raises(UnremovableZero, match=SHORTCUT):
+                mitigate_interior_zeros(m, exclude=exclude)
+
+    def test_threads_sharing_a_matrix_agree(self):
+        # the column shifts a matrix keeps are plain data, which racing walks
+        # write alike, so runs on one matrix from several threads agree with
+        # a run on a fresh copy; a switch every microsecond interleaves them
+        rng = random.Random(17)
+        draws = [[[rng.choice([0, 0, 1, -1, 2]) for _ in range(7)] for _ in range(7)] for _ in range(12)]
+
+        def outcome(m):
+            try:
+                value, trace = condensation_det(m)
+                return value, trace.restarts
+            except FallbackRequired as e:
+                return str(e)
+
+        expected = [outcome(int_matrix(rows)) for rows in draws]
+        assert sum(isinstance(o, tuple) and len(o[1]) > 1 for o in expected) >= 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rows, want in zip(draws * 5, expected * 5):
+                m, got = int_matrix(rows), []
+                threads = [threading.Thread(target=lambda: got.append(outcome(m))) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [want] * 6
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_replay_matches_returned_matrix(self):
         m = int_matrix([[(i + j) % 2 for j in range(4)] for i in range(4)])

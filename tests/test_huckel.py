@@ -6,6 +6,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from exactdet import condense, huckel
 from exactdet.huckel import (
@@ -17,7 +19,7 @@ from exactdet.huckel import (
     symbolic_form,
 )
 from exactdet.matrix import Matrix, ParseError
-from exactdet.oracle import bareiss_det, cofactor_det
+from exactdet.oracle import bareiss_det, cofactor_det, elimination_det
 from exactdet.ring import Polynomial
 
 X = Polynomial([0, 1])
@@ -581,6 +583,80 @@ class TestPairingPath:
             p = _product(factors)
             assert huckel._even(p)
             self._check_factors(p, huckel._square_free_factors(p))
+
+
+def halved(system):
+    """The fallback's determinant of a bipartite system, by its bipartite half."""
+    return huckel._alternant_det(system.n_atoms, *huckel._bipartition(system))
+
+
+def full(system):
+    """The fallback's determinant before the halving: the full secular matrix."""
+    return elimination_det(secular_matrix(system))
+
+
+class TestAlternantFallback:
+    """A bipartite system's fallback eliminates x^2 I - B^T B, n2 x n2 for the
+    smaller colour class, and gives elimination's polynomial on xI - A."""
+
+    @pytest.mark.parametrize("system", [
+        *PAIRING_SYSTEMS,
+        *(star(k) for k in range(1, 9)),
+        *(PiSystem(n, frozenset()) for n in (1, 2, 5)),  # edgeless: x^n
+        PiSystem.from_edges(9, [(0, 3), (3, 5), (5, 8), (2, 7)]),  # 1, 4, 6 isolated
+        PiSystem.from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 1), (6, 7)]),  # 0, 5 isolated
+    ])
+    def test_equals_elimination_on_the_full_matrix(self, system):
+        p = halved(system)
+        assert p == full(system)
+        assert p.degree == system.n_atoms and p.coeffs[-1] == 1
+        assert all(type(c) is int for c in p.coeffs)
+
+    @given(data=st.data())
+    def test_random_bipartite_graphs(self, data):
+        # _bipartite's draws, atoms relabelled: the colour classes interleave
+        system = _bipartite(data.draw(st.randoms(use_true_random=False)))
+        label = data.draw(st.permutations(range(system.n_atoms)))
+        system = PiSystem.from_edges(system.n_atoms, [(label[i], label[j]) for i, j in system.edges])
+        assert halved(system) == full(system)
+        assert secular_polynomial(system).coeffs == full(system)
+
+    def test_smaller_colour_class(self):
+        small, near = huckel._bipartition(star(4))
+        assert small == [0] and near[0] == {1, 2, 3, 4}
+        small, _ = huckel._bipartition(PiSystem.chain(7))
+        assert sorted(small) == [1, 3, 5]
+
+    @pytest.mark.parametrize("system", [cycle(5), cycle(7), cycle(9), c60()],
+                             ids=["cycle5", "cycle7", "cycle9", "c60"])
+    def test_odd_rings_take_the_full_matrix(self, monkeypatch, system):
+        # not bipartite: no 2-colouring, and the halved path is never entered
+        def refuse(*args):
+            raise AssertionError("a system that is not bipartite took the halved path")
+
+        assert huckel._bipartition(system) is None
+        monkeypatch.setattr(huckel, "_alternant_det", refuse)
+        sp = secular_polynomial(system)
+        assert sp.method == ("condensation" if system == cycle(5) else "bareiss")
+        if system.n_atoms < 60:
+            assert sp.coeffs == full(system)
+
+    @pytest.mark.parametrize("system, sizes", [
+        (PiSystem.chain(8), [4]), (cycle(8), [4]), (PiSystem.chain(9), [4]),
+        (PiSystem.chain(10), [5]), (cycle(10), [5]), (NAPHTHALENE, [5]),
+        (PiSystem.chain(30), [15]), (acene(3), [7]), (cycle(9), [9]),
+    ], ids=["chain8", "cycle8", "chain9", "chain10", "cycle10", "naphthalene",
+            "chain30", "anthracene", "cycle9"])
+    def test_the_fallback_eliminates_the_smaller_half(self, monkeypatch, system, sizes):
+        eliminated = []
+        original = huckel.elimination_det
+        monkeypatch.setattr(
+            huckel, "elimination_det", lambda a: eliminated.append(a.n_rows) or original(a)
+        )
+        sp = secular_polynomial(system)
+        assert sp.method == "bareiss"
+        assert eliminated == sizes
+        assert sp.coeffs == full(system)
 
 
 class TestSymbolicForm:
