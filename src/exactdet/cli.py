@@ -54,7 +54,10 @@ def _sizes(text: str):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; parsing leaves it unchanged."""
+    """The CLI's parser, built once per process; parsing leaves it unchanged.
+
+    ``parser.commands`` maps each command name to its subparser.
+    """
     parser = argparse.ArgumentParser(
         prog="exactdet",
         description="Exact determinants by condensation, with oracles and a Hückel solver.",
@@ -92,14 +95,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="still accepted, and must be finite and positive, but no longer affects "
         "the levels: each is alpha - beta*x at the double nearest the exact root x",
     )
+    parser.commands = sub.choices
     return parser
 
 
 def _read(path, parse):
-    """``parse`` of the file's UTF-8 text (BOM allowed); None once an error is printed."""
+    """``parse`` of the file's UTF-8 text (BOM allowed); None once an error is printed.
+
+    The bytes are decoded once, with no newline translation: both parsers
+    split lines with ``str.splitlines``, which breaks at ``\\r\\n`` and at a
+    lone ``\\r`` as universal newlines do.
+    """
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return parse(fh.read())
+        with open(path, "rb", buffering=0) as fh:
+            return parse(fh.read().decode("utf-8-sig"))
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
     except (ParseError, UnicodeDecodeError) as e:
@@ -219,7 +228,26 @@ def cmd_huckel(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command argv names; argv defaults to ``sys.argv[1:]``.
+
+    When argv[0] names a command, that command's subparser reads the rest
+    and any leftover argument is reported as ``parse_args`` reports it.  The
+    top-level pass it skips would only re-classify every argument (each
+    negative number through the option-prefix search as well) before
+    handing all of them to the same subparser.  Any other argv, empty, a
+    help flag, an unknown command or a leading ``--``, takes the full parse.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    subparser = parser.commands.get(argv[0]) if argv else None
+    if subparser is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = subparser.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     command = {"det": cmd_det, "bench": cmd_bench, "huckel": cmd_huckel}[args.command]
     try:
         status = command(args)

@@ -454,10 +454,12 @@ class TestDet:
         # traceback and exited 1
         f = tmp_path / "latin1.txt"
         f.write_bytes(b"1 2\n3 \xe9\n")
-        code, out, err = run(capsys, "det", str(f))
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {f}: 'utf-8' codec can't decode byte 0xe9")
-        assert err.count("\n") == 1
+        assert run(capsys, "det", str(f)) == (
+            2,
+            "",
+            f"error: {f}: 'utf-8' codec can't decode byte 0xe9 in position 6: "
+            "invalid continuation byte\n",
+        )
 
     def test_byte_order_mark_accepted(self, capsys, tmp_path):
         f = tmp_path / "bom.txt"
@@ -887,10 +889,12 @@ class TestHuckel:
     def test_undecodable_edge_file_exit_2(self, capsys, tmp_path):
         f = tmp_path / "latin1.edges"
         f.write_bytes(b"# \xe9thyl\natoms 2\nedge 1 2\n")
-        code, out, err = run(capsys, "huckel", "--edges", str(f), "--alpha", "-1", "--beta", "-1")
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {f}: 'utf-8' codec can't decode byte 0xe9")
-        assert err.count("\n") == 1
+        assert run(capsys, "huckel", "--edges", str(f), "--alpha", "-1", "--beta", "-1") == (
+            2,
+            "",
+            f"error: {f}: 'utf-8' codec can't decode byte 0xe9 in position 2: "
+            "invalid continuation byte\n",
+        )
 
     def test_edge_file_with_byte_order_mark(self, capsys, tmp_path):
         f = tmp_path / "bom.edges"
@@ -1003,3 +1007,125 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert run(capsys, "det", CLEAN4) == (0, "-82\n", "")
     assert run(capsys, "det", RESTART4) == (0, "-163\n", "")
     assert built.count("exactdet") == 1
+
+
+def outcome(capsys, call, argv):
+    """Exit code (a SystemExit's too), stdout and stderr of ``call(argv)``."""
+    try:
+        code = call(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def full_parse(argv):
+    """The reference path: the top-level parse of all of argv, then the command."""
+    args = cli.build_parser().parse_args(argv)
+    return getattr(cli, f"cmd_{args.command}")(args)
+
+
+LEVELS = ["--alpha", "-1.0", "--beta", "-0.5"]
+
+
+def argv_id(argv):
+    """A test id that names the fixture files, not where the checkout is."""
+    names = {CLEAN4: "CLEAN4", ALLYL: "ALLYL"}
+    return " ".join(names.get(a, a) for a in argv) or "no-args"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--he"],
+        ["det", "-h"],
+        ["bench", "-h"],
+        ["huckel", "-h"],
+        ["Det", CLEAN4],
+        ["nope"],
+        ["--", "det", CLEAN4],
+        ["det", "--", CLEAN4],
+        ["det", CLEAN4, "--"],
+        ["det", CLEAN4, "extra"],
+        ["det", CLEAN4, "extra", "--x"],
+        ["det", CLEAN4, "--method=cofactor"],
+        ["det", CLEAN4, "--method", "nope"],
+        ["det", CLEAN4, "--method"],
+        ["det", CLEAN4, "--tr"],
+        ["det", CLEAN4, "-1"],
+        ["huckel", "--chain", "3", *LEVELS, "-1"],
+        ["huckel", "--chain", "3", "--alpha=-1", "--beta=-0.5"],
+        ["huckel", "--al", "-1", "--be", "-1", "--ch", "3"],
+        ["huckel", "--chain", "3", "--edges", ALLYL, *LEVELS],
+        ["huckel", "--chain", "3", "--alpha", "-1.0"],
+        ["huckel", "--chain", "x", *LEVELS],
+        ["huckel", "--chain", "3", "--alpha", "nan", "--beta", "-0.5"],
+        ["bench", "--sizes", "bad"],
+        ["bench", "--trials", "0"],
+        ["bench", "extra"],
+    ],
+    ids=argv_id,
+)
+def test_command_parse_matches_the_full_parse(capsys, argv):
+    # main hands argv[1:] straight to the command's subparser; exit code,
+    # stdout and stderr are those of the top-level parse it skips
+    expected = outcome(capsys, full_parse, list(argv))
+    assert outcome(capsys, main, list(argv)) == expected
+
+
+def test_argv_defaults_to_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["exactdet", "det", CLEAN4, "extra"])
+    code, out, err = outcome(capsys, lambda argv: main(), None)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "exactdet: error: unrecognized arguments: extra"
+    monkeypatch.setattr(sys, "argv", ["exactdet", "det", CLEAN4])
+    assert outcome(capsys, lambda argv: main(), None) == (0, "-82\n", "")
+
+
+class TestReader:
+    """Both file commands read their input the same way: UTF-8 with an
+    optional byte-order mark, lines broken at \\n, \\r\\n or a lone \\r."""
+
+    COMMANDS = {
+        "det": (["det"], b"1 2\n3 4\n", b"1 2\n3 \xe9\n", 6),
+        "huckel": (["huckel", *LEVELS, "--edges"], b"atoms 3\nedge 1 2\nedge 2 3\n",
+                   b"# \xe9thyl\natoms 2\nedge 1 2\n", 2),
+    }
+
+    def read(self, capsys, command, path):
+        return run(capsys, *self.COMMANDS[command][0], str(path))
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "bom, newline", [(b"", b"\r\n"), (b"", b"\r"), (b"\xef\xbb\xbf", b"\r\n")],
+        ids=["crlf", "cr", "bom-crlf"],
+    )
+    def test_line_breaks(self, capsys, tmp_path, command, bom, newline):
+        text = self.COMMANDS[command][1]
+        lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
+        lf.write_bytes(text)
+        other.write_bytes(bom + text.replace(b"\n", newline))
+        expected = self.read(capsys, command, lf)
+        assert (expected[0], expected[2]) == (0, "")
+        assert self.read(capsys, command, other) == expected
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_undecodable_byte_after_a_byte_order_mark(self, capsys, tmp_path, command):
+        # the position counts from the first byte after the mark
+        _, _, text, position = self.COMMANDS[command]
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"\xef\xbb\xbf" + text)
+        assert self.read(capsys, command, f) == (
+            2,
+            "",
+            f"error: {f}: 'utf-8' codec can't decode byte 0xe9 in position {position}: "
+            "invalid continuation byte\n",
+        )
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_directory(self, capsys, tmp_path, command):
+        assert self.read(capsys, command, tmp_path) == (
+            2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        )
