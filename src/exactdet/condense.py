@@ -13,13 +13,14 @@ The stage kernel, ``_condense_rows``, computes only the recurrence: the 2x2
 minors of native values (see ``ring.NativeRing``) and their exact quotients.
 ``condensation_det`` runs it on the mitigated matrix's kernel form,
 ``Matrix.kernel``: integer rows for every exact ring, the reals as they are
-(see ``ring``).  On the integers it makes one pass per stage row: each minor
-is formed and its ``divmod`` quotient checked for a zero remainder in one
-comprehension, and only a row where a division fails is divided again by
-the ring's ``divide``, to raise ``integer_quotient``'s error.  The reals
-divide each row of minors by their ``divide``, which holds the real zero
-rule.  The run keeps only the previous two stages and decodes and wraps
-only the result.
+(see ``ring``), dividing by the ring's one kernel division rule,
+``ring.kernel_quotient``.  On the integers it makes one pass per stage row:
+each minor is formed and its ``divmod`` quotient checked for a zero
+remainder in one comprehension, and only a row where a division fails is
+formed again and divided entry by entry by ``integer_quotient``, to raise
+its error.  The reals divide each minor by ``real_quotient``, which holds
+the real zero rule.  The run keeps only the previous two stages and decodes
+and wraps only the result.
 A ``CondensationTrace`` stores stage 0; when first read, its stages are read
 off a repeat of the run's kernel rows and decoded by the ring's ``decode``,
 and its pre-division matrices are the 2x2 minors of each stage in the
@@ -108,7 +109,6 @@ from itertools import chain
 from .matrix import IndexOutOfRange, Matrix, TooSmall, text_rows
 from .ring import (
     DEFAULT_TOLERANCE,
-    INTEGERS,
     POLYNOMIALS,
     REALS,
     DivisionByZero,
@@ -117,6 +117,8 @@ from .ring import (
     _packing_width,
     _repacked,
     format_scalar,
+    integer_quotient,
+    kernel_quotient,
 )
 
 
@@ -225,7 +227,7 @@ class CondensationTrace:
     @cached_property
     def stages(self) -> tuple:
         a0, ring = self.mitigated, self.mitigated.native_ring
-        later = _stage_rows(a0.kernel.rows, ring.divide)
+        later = _stage_rows(a0.kernel.rows, kernel_quotient(ring))
         return (a0,) + tuple(Matrix(_decoded(a0, s, k), ring) for k, s in enumerate(later, 1))
 
     @cached_property
@@ -234,27 +236,27 @@ class CondensationTrace:
         return tuple(Matrix(_condense_rows(s.native_rows, None, None), ring) for s in stages)
 
 
-def _condense_rows(current, divisor, divide) -> list:
+def _condense_rows(current, divisor, quotient) -> list:
     """The stage kernel: one condensation round on native rows.
 
     Each entry is a 2x2 consecutive minor of ``current``.  With a
     ``divisor`` (the interior rows of the stage two rounds back, None on the
-    first round), each entry is divided exactly by its divisor entry, and a
-    failed division raises; ``condensation_det`` ends an attempt before its
-    zero divisor, so in a run none does.  ``divide`` is the ring's
-    ``NativeRing.divide``.  On the integers, the kernel form of every exact
-    ring, each row is one pass: every minor is formed and its ``divmod``
-    quotient checked for a zero remainder in one comprehension.  A row where
-    a check fails, and every row of the reals, is formed as minors and
-    divided by ``divide``, which on the integers raises at the first failed
-    division what ``integer_quotient`` raises:
+    first round), each entry is divided exactly by its divisor entry with
+    the per-entry ``quotient``, the ring's ``kernel_quotient``, and a failed
+    division raises; ``condensation_det`` ends an attempt before its zero
+    divisor, so in a run none does.  With ``integer_quotient``, the kernel
+    form of every exact ring, each row is one pass, as in
+    ``oracle._bareiss``: every minor is formed and its ``divmod`` quotient
+    checked for a zero remainder in one comprehension.  A row where a check
+    fails, and every row of the reals, is divided entry by entry by
+    ``quotient``, which raises at the first failed division
     ``DivisionByZero`` or ``InexactDivision``, never a bare
     ``ZeroDivisionError``.  The kernel counts nothing; ``_charge`` does.
     """
     pairs = zip(current, current[1:])
     if divisor is None:
         return [_minors(top, bottom) for top, bottom in pairs]
-    fused = divide is INTEGERS.divide
+    fused = quotient is integer_quotient
     out = []
     for (top, bottom), under in zip(pairs, divisor):
         if fused:
@@ -270,7 +272,8 @@ def _condense_rows(current, divisor, divide) -> list:
             if len(row) == len(under):
                 out.append(row)
                 continue
-        out.append(divide(_minors(top, bottom), under))
+        cells = zip(top, top[1:], bottom, bottom[1:], under)
+        out.append([quotient(a * d - b * c, e) for a, b, c, d, e in cells])
     return out
 
 
@@ -279,16 +282,16 @@ def _minors(top, bottom) -> list:
     return [a * d - b * c for a, b, c, d in zip(top, top[1:], bottom, bottom[1:])]
 
 
-def _stage_rows(rows, divide):
+def _stage_rows(rows, quotient):
     """Yield stages 1 .. n-1 of the native rows ``rows`` (stage 0).
 
     Only the previous two stages are kept: the one to condense and the one
-    whose interior divides it, by ``divide``.
+    whose interior divides it, entry by entry by ``quotient``.
     """
     prev, current = None, rows
     for _ in range(len(rows) - 1):
         divisor = None if prev is None else [r[1:-1] for r in prev[1:-1]]
-        prev, current = current, _condense_rows(current, divisor, divide)
+        prev, current = current, _condense_rows(current, divisor, quotient)
         yield current
 
 
@@ -582,7 +585,7 @@ def condensation_det(a: Matrix):
             except UnremovableZero as e:
                 raise FallbackRequired(str(e)) from e
         rows, ring = a0.kernel.rows, a0.native_ring
-        for k, stage in enumerate(chain([rows], _stage_rows(rows, ring.divide))):
+        for k, stage in enumerate(chain([rows], _stage_rows(rows, kernel_quotient(ring)))):
             if ring is REALS:
                 # an interior entry divides two rounds on; a zero divisor
                 # is inside this bound too, so an aborted attempt always

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .condense import FallbackRequired, OpCount, _decoded, condensation_det
 from .matrix import Matrix, TooSmall, int_matrix
-from .ring import REALS, integer_quotient, real_quotient
+from .ring import integer_quotient, kernel_quotient
 
 
 def cofactor_det(a: Matrix, ops: OpCount | None = None):
@@ -69,7 +69,8 @@ def bareiss_det(a: Matrix, ops: OpCount | None = None):
 
 def elimination_det(a: Matrix, ops: OpCount | None = None):
     """Determinant of ``a`` by ``bareiss_det``'s loop on its kernel form,
-    ``Matrix.kernel``, with ``bareiss_det``'s values and op counts.
+    ``Matrix.kernel``, dividing by the ring's ``kernel_quotient`` as the
+    stage kernel does, with ``bareiss_det``'s values and op counts.
 
     Every entry of step k is a minor of the scaled rows, so the packing
     width holds it, and the result decodes as a condensation's does; it is
@@ -77,9 +78,8 @@ def elimination_det(a: Matrix, ops: OpCount | None = None):
     """
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
-    ring = a.native_ring
-    quotient = real_quotient if ring is REALS else integer_quotient
-    det = _bareiss(a.kernel.rows, ring.is_zero, quotient, ops if ops is not None else OpCount())
+    ring, ops = a.native_ring, ops if ops is not None else OpCount()
+    det = _bareiss(a.kernel.rows, ring.is_zero, kernel_quotient(ring), ops)
     return ring.wrap(ring.constant(0) if det is None else _decoded(a, [[det]], a.n_rows - 1)[0][0])
 
 

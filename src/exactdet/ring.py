@@ -31,16 +31,17 @@ Each ring's rules are stated once.  ``integer_quotient``,
 quotients, and ``Polynomial.exact_div`` the polynomial one: each holds its
 ring's zero-divisor test and division messages.  ``_real_zero`` is the one
 zero rule of the reals.  Each is its ring's per-entry ``NativeRing.quotient``,
-which a scalar's ``exact_div`` and the oracles call, and the row-level
-``NativeRing.divide`` applies their rules to a whole row of the kernel form:
-the integer row division is ``integer_quotient`` entry by entry.  The stage
-kernel checks its integer quotients as it forms them, with ``divmod``, and
-divides a row by ``divide`` only when one fails, to raise that quotient's
-error.  The number scalars share their arithmetic, ``==`` and ``hash``
-through ``_Number``, and ``native_ring`` is the one check that entries share
-a ring.  Each ring's text rule on native values, ``NativeRing.text``, is
-stated once too; every printer and ``format_scalar`` apply it, and rationals
-print ``p/q`` even for q = 1.
+which a scalar's ``exact_div`` and ``bareiss_det`` call.  The kernel form has
+one division rule, ``kernel_quotient``: ``real_quotient`` on the reals and
+``integer_quotient`` on every other ring, whose kernel form is integers.
+The stage kernel and ``oracle._bareiss`` take that per-entry quotient; given
+``integer_quotient`` they check each quotient as they form it, with
+``divmod``, and call it only on a row where one fails, to raise its error.
+The number scalars share their arithmetic, ``==`` and ``hash`` through
+``_Number``, and ``native_ring`` is the one check that entries share a ring.
+Each ring's text rule on native values, ``NativeRing.text``, is stated once
+too; every printer and ``format_scalar`` apply it, and rationals print
+``p/q`` even for q = 1.
 
 Nothing on the hot path computes on these wrappers.  A ``Matrix`` holds
 native ``int``, ``Fraction``, ``float`` or ``Polynomial`` values with their
@@ -472,21 +473,6 @@ def _unpacked_rows(rows, scales, width):
     return tuple(tuple([unpack_polynomial(v, width, s) for v in r]) for r, s in scaled)
 
 
-# Whole-row divisions: every quotient of a row at once.
-
-
-def _divide_integers(row, divisors):
-    # the stage kernel checks integer quotients as it forms them (see
-    # condense) and comes here only for a row where one failed
-    return list(map(integer_quotient, row, divisors))
-
-
-def _divide_reals(row, divisors):
-    if any(map(_real_zero, divisors)):
-        raise DivisionByZero("real division by (near-)zero")
-    return [x / d for x, d in zip(row, divisors)]
-
-
 def _coefficient(c):
     """A polynomial coefficient: an ``int`` when integral, else a ``Fraction``."""
     if type(c) is int:
@@ -591,11 +577,10 @@ class NativeRing(NamedTuple):
     ``decode(rows, scales, width)`` the native rows of kernel rows packed at
     ``width``, row i being scales[i] times the native one (1 when ``scales``
     is None).  ``quotient(x, d)`` is the exact quotient of two native values,
-    and ``divide(row, divisors)`` a whole row of the kernel form's exact
-    quotients; both raise ``DivisionByZero`` or ``InexactDivision`` when one
-    fails.  ``is_zero(x)`` is the ring's zero test, on a native value or a
-    kernel one: ``not x`` on the exact rings, and the real zero rule on
-    ``REALS``.
+    which raises ``DivisionByZero`` or ``InexactDivision`` when it fails; the
+    kernel form divides by ``kernel_quotient(ring)``.  ``is_zero(x)`` is the
+    ring's zero test, on a native value or a kernel one: ``not x`` on the
+    exact rings, and the real zero rule on ``REALS``.
     """
 
     unwrap: Callable
@@ -603,7 +588,6 @@ class NativeRing(NamedTuple):
     constant: Callable
     text: Callable
     quotient: Callable = integer_quotient
-    divide: Callable = _divide_integers
     is_zero: Callable = operator.not_
     encode: Callable = KernelForm
     decode: Callable = lambda rows, scales, width: rows
@@ -638,7 +622,7 @@ RATIONALS = NativeRing(
 )
 REALS = NativeRing(
     _values, ApproxReal._result, float, repr,
-    quotient=real_quotient, divide=_divide_reals, is_zero=_real_zero,
+    quotient=real_quotient, is_zero=_real_zero,
 )
 # a polynomial scalar is its own native value
 POLYNOMIALS = NativeRing(
@@ -649,6 +633,13 @@ POLYNOMIALS = NativeRing(
 _RINGS = {
     ExactInteger: INTEGERS, ExactRational: RATIONALS, ApproxReal: REALS, Polynomial: POLYNOMIALS
 }
+
+
+def kernel_quotient(ring: NativeRing) -> Callable:
+    """The exact quotient of ``ring``'s kernel form: ``real_quotient`` on
+    ``REALS``, whose kernel form is its floats, and ``integer_quotient`` on
+    every other ring, whose kernel form is integers."""
+    return real_quotient if ring is REALS else integer_quotient
 
 
 def parse_scalar(token: str) -> Scalar:

@@ -38,8 +38,12 @@ from exactdet.ring import (
     InexactDivision,
     Polynomial,
     RingMismatch,
+    integer_quotient,
+    kernel_quotient,
+    real_quotient,
 )
 
+from test_cli import profiled_calls
 from test_elimination import NAPHTHALENE, cycle
 from test_matrix import CLEAN4, RESTART4, identity
 
@@ -285,8 +289,8 @@ KERNEL_INPUTS = {
 }
 
 
-def no_row_division(*args):
-    raise AssertionError("a row was divided by the ring's row division")
+# stage 0 of a real kernel round; its 2x2 minors are exact in floats
+REAL_ROWS = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.5], [7.0, 8.5, 9.0]]
 
 
 square_ints = st.integers(2, 6).flatmap(
@@ -314,24 +318,25 @@ class TestKernel:
         # the kernel raises what integer_quotient raises, never a bare
         # ZeroDivisionError, on every ring that condenses on integers
         m = KERNEL_INPUTS[ring]()
-        rows, divide = m.kernel.rows, m.native_ring.divide
+        rows = m.kernel.rows
         assert [list(r) for r in rows] == KERNEL_ROWS
+        assert kernel_quotient(m.native_ring) is integer_quotient
         if error is None:
-            assert condense._condense_rows(rows, divisor, divide) == [[1, 1], [1, 2]]
+            assert condense._condense_rows(rows, divisor, integer_quotient) == [[1, 1], [1, 2]]
             return
         with pytest.raises(error) as err:
-            condense._condense_rows(rows, divisor, divide)
+            condense._condense_rows(rows, divisor, integer_quotient)
         assert type(err.value) is error
         assert str(err.value) == message
 
-    def test_integer_quotients_are_checked_as_they_are_formed(self, monkeypatch):
+    def test_integer_quotients_are_checked_as_they_are_formed(self):
         # integer, cleared rational and packed polynomial runs, and their
-        # traces, never call the integer row division, which every exact
-        # ring's kernel form divides by: the kernel checks each quotient as
-        # it forms it, and only a failed row, which a run never has, is
-        # divided again
-        assert ring_module.RATIONALS.divide is ring_module.POLYNOMIALS.divide is ring_module.INTEGERS.divide
-        monkeypatch.setattr(ring_module, "integer_quotient", no_row_division)
+        # traces, never call integer_quotient, by which every exact ring's
+        # kernel form divides: the kernel checks each quotient as it forms
+        # it, and only a failed row, which a run never has, is divided again
+        # entry by entry
+        rings = (ring_module.INTEGERS, ring_module.RATIONALS, ring_module.POLYNOMIALS)
+        assert {kernel_quotient(r) for r in rings} == {integer_quotient}
         rng = random.Random("fused-kernel")
         cases = [
             int_matrix([[rng.randint(-10**6, 10**6) for _ in range(9)] for _ in range(9)]),
@@ -341,17 +346,23 @@ class TestKernel:
             ),
             secular_matrix(PiSystem.chain(6)),
         ]
-        for m in cases:
+
+        def run(m):
             det, trace = condensation_det(m)
+            return det, trace, trace.stages
+
+        for m in cases:
+            (det, trace, stages), calls = profiled_calls({integer_quotient.__code__}, lambda: run(m))
+            assert calls == 0
             assert det == bareiss_det(m)
-            assert list(trace.stages) == stepwise_stages(trace.mitigated)
+            assert list(stages) == stepwise_stages(trace.mitigated)
 
     @given(rows=square_ints)
     def test_stages_equal_condense_step(self, rows):
         # every kernel stage of a seeded integer matrix is condense_step's,
         # and a zero divisor raises the same error in both
         stages = [int_matrix(rows)]
-        kernel = condense._stage_rows([list(r) for r in rows], ring_module.INTEGERS.divide)
+        kernel = condense._stage_rows([list(r) for r in rows], integer_quotient)
         for k in range(1, len(rows)):
             divisor = stages[k - 2].interior() if k >= 2 else None
             try:
@@ -375,12 +386,31 @@ class TestKernel:
             want = condense_step(int_matrix(rows), int_matrix(divisor), OpCount())
         except (DivisionByZero, InexactDivision) as e:
             with pytest.raises(type(e)) as err:
-                condense._condense_rows(rows, divisor, ring_module.INTEGERS.divide)
+                condense._condense_rows(rows, divisor, integer_quotient)
             assert type(err.value) is type(e)
             assert str(err.value) == str(e)
         else:
-            got = condense._condense_rows(rows, divisor, ring_module.INTEGERS.divide)
+            got = condense._condense_rows(rows, divisor, integer_quotient)
             assert got == [list(r) for r in want.native_rows]
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 1e-10, -1e-10])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 1)])
+    def test_real_division_by_near_zero(self, zero, at):
+        # a real divisor the real zero rule counts as zero raises the real
+        # quotient's error, never a bare ZeroDivisionError
+        divisor = [[1.0, 2.0], [0.5, 3.0]]
+        divisor[at[0]][at[1]] = zero
+        with pytest.raises(DivisionByZero) as err:
+            condense._condense_rows(REAL_ROWS, divisor, real_quotient)
+        assert type(err.value) is DivisionByZero
+        assert str(err.value) == "real division by (near-)zero"
+
+    def test_real_division_is_plain(self):
+        # a divisor above the zero rule's tolerance divides as floats do
+        divisor = [[1e-8, 2.0], [0.5, -3.0]]
+        minors = [[-3.0, -2.0], [-1.0, -10.25]]
+        got = condense._condense_rows(REAL_ROWS, divisor, real_quotient)
+        assert got == [[x / d for x, d in zip(m, e)] for m, e in zip(minors, divisor)]
 
 
 ROTATIONS = [(n, r, c) for n in range(3, 10) for r in range(n) for c in range(n)]
@@ -1546,9 +1576,9 @@ class TestEarlyStop:
         calls = []
         original = condense._condense_rows
 
-        def counting(current, divisor, divide):
+        def counting(current, divisor, quotient):
             calls.append(len(current))
-            return original(current, divisor, divide)
+            return original(current, divisor, quotient)
 
         monkeypatch.setattr(condense, "_condense_rows", counting)
         rng = random.Random("no-work-after-zero")

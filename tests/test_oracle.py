@@ -129,14 +129,14 @@ class TestOraclesOnNativeValues:
 
     def test_independent_of_the_kernel(self, monkeypatch):
         # matrices built from native rows hold no kernel form, their ring can
-        # neither build one, decode one nor divide a row of it, and the
-        # module functions that clear and pack one fail too
+        # neither build one nor decode one, and the module functions that
+        # clear and pack one fail too
         def boom(*args):
             raise AssertionError("an oracle used the condensation kernel")
 
         cases, natives = [], six_by_six()
         for m in natives:
-            ring = m.native_ring._replace(encode=boom, decode=boom, divide=boom)
+            ring = m.native_ring._replace(encode=boom, decode=boom)
             for oracle in (bareiss_det, cofactor_det):
                 ops = OpCount()
                 cases.append((oracle, Matrix(m.native_rows, ring), oracle(m, ops), ops))

@@ -10,7 +10,6 @@ from exactdet.condense import condensation_det
 from exactdet.matrix import Matrix, parse_matrix
 from exactdet.ring import (
     DEFAULT_TOLERANCE,
-    INTEGERS,
     REALS,
     ApproxReal,
     DivisionByZero,
@@ -139,20 +138,6 @@ class TestExactDiv:
     def test_polynomial_quotient_over_the_rationals(self):
         assert poly(1).exact_div(poly(2)) == poly(Fraction(1, 2))
         assert poly(0, 3, 1).exact_div(poly(0, 2)) == poly(Fraction(3, 2), Fraction(1, 2))
-
-    def test_integer_row_division_fails_by_the_scalar_rule(self):
-        # the kernel's whole-row division raises the scalar quotient's error
-        assert INTEGERS.divide([6, 8], [3, 4]) == [2, 2]
-        for row, divisors, error in (([6, 2], [3, 4], InexactDivision), ([6, 2], [0, 1], DivisionByZero)):
-            with pytest.raises(error) as by_row:
-                INTEGERS.divide(row, divisors)
-            with pytest.raises(error) as by_scalar:
-                for x, d in zip(row, divisors):
-                    ExactInteger(x).exact_div(ExactInteger(d))
-            assert str(by_row.value) == str(by_scalar.value)
-        assert str(by_row.value) == "integer division by zero"
-        with pytest.raises(InexactDivision, match="^4 does not divide 2$"):
-            INTEGERS.divide([6, 2], [3, 4])
 
 
 class TestIsZero:
