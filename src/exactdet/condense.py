@@ -76,13 +76,13 @@ attempt is charged once, a stopped one through minor (i, j) of stage k + 2
 but not its division, a complete one through stage n - 1.
 
 Mitigation reads the input's zero set once, ``Matrix.zeros``, which every
-attempt of a run shares, and wraps no value.  A rotation, ``Matrix.rotated``,
-permutes the input's kernel form and scales when the input holds it, else
-its native rows.  Additive repair adds ints d + k*s on the kernel form,
-cleared rational rows at a common scale; a polynomial input is packed for it
-once, at four times the width rule's W, room for the Hückel matrices'
-repairs, and again only where its row bounds outgrow that.  It re-tests
-only the entries whose source entry is nonzero, by ``Matrix.zeros``'s rule.
+attempt of a run shares, and wraps no value.  A rotation permutes the
+input's kernel form, so a run encodes its input at most once.  Additive
+repair adds ints d + k*s on the kernel form, cleared rational rows at a
+common scale; a polynomial input is packed for it once, at four times the
+width rule's W, room for the Hückel matrices' repairs, and again only where
+its row bounds outgrow that.  It re-tests only the entries whose source
+entry is nonzero, by ``Matrix.zeros``'s rule.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``.  ``condensation_det`` also bounds the work of failed
@@ -227,8 +227,9 @@ class CondensationTrace:
     @cached_property
     def stages(self) -> tuple:
         a0, ring = self.mitigated, self.mitigated.native_ring
-        later = _stage_rows(a0.kernel.rows, kernel_quotient(ring))
-        return (a0,) + tuple(Matrix(_decoded(a0, s, k), ring) for k, s in enumerate(later, 1))
+        form, decode = a0.kernel, ring.decode
+        later = enumerate(_stage_rows(form.rows, kernel_quotient(ring)), 1)
+        return (a0,) + tuple(Matrix(form.decoded(decode, s, k), ring) for k, s in later)
 
     @cached_property
     def starred(self) -> tuple:
@@ -322,15 +323,6 @@ def _charge(ops: OpCount, n: int, stage: int, position=None) -> None:
     ops.mults += 2 * minors
     ops.adds += minors
     ops.divs += divs
-
-
-def _decoded(a0: Matrix, stage, k: int):
-    """Stage k of the kernel run of ``a0`` as native rows, by the ring's
-    ``decode``: row i of the stage is L_i ... L_{i+k} times the native one."""
-    _, scales, width = a0.kernel
-    if scales is not None:
-        scales = [math.prod(scales[i : i + k + 1]) for i in range(len(stage))]
-    return a0.native_ring.decode(stage, scales, width)
 
 
 def condense_step(current: Matrix, divisor_interior, ops: OpCount) -> Matrix:
@@ -512,12 +504,12 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
     Plans are tried in the fixed order documented at module level, judged on
     ``a.zeros``; ``exclude`` skips plans already consumed by earlier restarts.
     ``a`` keeps each row shift's column shifts, so the restarts of a run scan
-    its zeros once per row shift.  A rotation is ``Matrix.rotated``, which
-    permutes ``a``'s kernel form and its scales when ``a`` holds it, else its
-    native rows.  Additive repair computes on a copy of ``a.kernel``, or of
-    the wider packing a polynomial ``a`` keeps for it.  Raises UnremovableZero
-    when no plan succeeds, and, with its own message, before any repair when
-    no rotation is accepted, n >= 10 and at least n^2 / 3 entries are zero.
+    its zeros once per row shift.  A rotation permutes ``a.kernel``, its rows
+    and scales, built at most once.  Additive repair computes on a copy of
+    ``a.kernel``, or of the wider packing a polynomial ``a`` keeps for it.
+    Raises UnremovableZero when no plan succeeds, and, with its own message,
+    before any repair when no rotation is accepted, n >= 10 and at least
+    n^2 / 3 entries are zero.
     """
     if not a.is_square:
         raise TooSmall("mitigation needs a square matrix")
@@ -541,7 +533,7 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
         log = MitigationLog.rotation(a.n_rows, r, c)
         if r == c == 0:
             return a, log
-        return a.rotated(r, c), log
+        return Matrix(a.kernel.rotated(r, c), ring), log
     raise UnremovableZero("every mitigation plan failed or was excluded")
 
 
@@ -613,7 +605,7 @@ def condensation_det(a: Matrix):
                 break
         else:
             _charge(ops, n, n - 1)
-            result = _decoded(a0, stage, k)[0][0]
+            result = a0.kernel.decoded(ring.decode, stage, k)[0][0]
             result = ring.wrap(-result if log.sign < 0 else result)
             return result, CondensationTrace(a0, log, ops, tuple(restarts), warning)
 

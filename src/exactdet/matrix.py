@@ -9,7 +9,7 @@ every intermediate stage intact.  ``text_rows`` prints it by its ring's text
 rule on native values (``ring.NativeRing.text``).  Elementary row and column
 operations are not methods here: ``condense.replay_log`` applies them from a
 ``MitigationLog``; a rotation, which mitigation applies as one permutation,
-is ``Matrix.rotated``.
+is ``ring.KernelForm.rotated``.
 
 Submatrix terms used throughout the package:
 
@@ -68,9 +68,9 @@ class Matrix:
     form.  ``rows()`` and ``m[i, j]`` wrap scalars on each read.  ``zeros``,
     the (i, j) whose entry ``native_ring.is_zero`` counts as zero, is read
     once, off the kernel form when the matrix holds it: the forms share their
-    zeros.  ``rotated`` builds no form either.  ``_repair`` keeps additive
-    repair's packing of a polynomial matrix, and ``_shifts`` the column
-    shifts mitigation found for each row shift (see ``condense``).
+    zeros.  ``_repair`` keeps additive repair's packing of a polynomial
+    matrix, and ``_shifts`` the column shifts mitigation found for each row
+    shift (see ``condense``).
     """
 
     __slots__ = ("n_rows", "n_cols", "native_ring", "_native", "_kernel", "_zeros", "_repair", "_shifts")
@@ -91,7 +91,7 @@ class Matrix:
         if form is None:
             self._native, self._kernel = rows, None
         else:
-            self._native, self._kernel = None, KernelForm(rows, form.scales, form.width)
+            self._native, self._kernel = None, form._replace(rows=rows)
         self.n_rows = len(rows)
         self.n_cols = width
         self._zeros = self._repair = self._shifts = None
@@ -143,16 +143,6 @@ class Matrix:
 
     def __repr__(self):
         return f"<Matrix {self.n_rows}x{self.n_cols} [{'; '.join(text_rows(self))}]>"
-
-    def rotated(self, r: int, c: int) -> "Matrix":
-        """This matrix rotated up by r rows and left by c columns: its kernel
-        form, scales included, when it holds one, else its native rows."""
-        rotate = lambda rows: [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
-        if self._kernel is None:
-            return Matrix(rotate(self.native_rows), self.native_ring)
-        rows, scales, width = self._kernel
-        scales = scales and scales[r:] + scales[:r]
-        return Matrix(KernelForm(rotate(rows), scales, width), self.native_ring)
 
     def _check_row(self, i):
         if not 0 <= i < self.n_rows:

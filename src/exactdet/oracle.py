@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .condense import FallbackRequired, OpCount, _decoded, condensation_det
+from .condense import FallbackRequired, OpCount, condensation_det
 from .matrix import Matrix, TooSmall, int_matrix
 from .ring import integer_quotient, kernel_quotient
 
@@ -78,9 +78,10 @@ def elimination_det(a: Matrix, ops: OpCount | None = None):
     """
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
-    ring, ops = a.native_ring, ops if ops is not None else OpCount()
-    det = _bareiss(a.kernel.rows, ring.is_zero, kernel_quotient(ring), ops)
-    return ring.wrap(ring.constant(0) if det is None else _decoded(a, [[det]], a.n_rows - 1)[0][0])
+    ring, form, ops = a.native_ring, a.kernel, ops if ops is not None else OpCount()
+    det = _bareiss(form.rows, ring.is_zero, kernel_quotient(ring), ops)
+    det = ring.constant(0) if det is None else form.decoded(ring.decode, [[det]], a.n_rows - 1)[0][0]
+    return ring.wrap(det)
 
 
 def _bareiss(rows, is_zero, quotient, ops):

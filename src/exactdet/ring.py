@@ -60,7 +60,9 @@ so the stage kernel runs every exact ring on the integers, and the reals as
 they are.  A ``KernelForm`` holds the rows the kernel runs on, the row
 scales L_i or None, and the packing width W or None.  A ring's ``encode``
 builds it from native rows and its ``decode`` reads native rows back; a
-``Matrix`` builds either form from the other at most once.
+``Matrix`` builds either form from the other at most once.  A form rotates
+its rows with their scales (``KernelForm.rotated``); only this module and
+additive repair read its scales or its width.
 
 * Integers and reals: the native rows, with no scales and no width.
 * Rationals: row i times L_i, the lcm of its denominators, by the one
@@ -78,7 +80,7 @@ Evaluation at 2^W is a ring homomorphism, and stage k entry (i, j) is the
 connected minor on rows i .. i + k, so the kernel run's is L_i ... L_{i+k}
 times the native one, evaluated: the zeros, and with them mitigation,
 restarts and the op counts, are the native run's, and every division is
-still checked.  Stages and determinants decode divided by those products.
+still checked.  ``KernelForm.decoded`` divides a stage by those products.
 """
 
 from __future__ import annotations
@@ -397,6 +399,18 @@ class KernelForm(NamedTuple):
     rows: tuple
     scales: tuple | None = None
     width: int | None = None
+
+    def rotated(self, r: int, c: int) -> "KernelForm":
+        """These rows rotated up by r and left by c, each keeping its scale."""
+        rows, scales = self.rows, self.scales
+        rows = [row[c:] + row[:c] for row in rows[r:] + rows[:r]]
+        return KernelForm(rows, scales and scales[r:] + scales[:r], self.width)
+
+    def decoded(self, decode: Callable, stage, k: int):
+        """Stage k of a kernel run on these rows as native rows, by a ring's
+        ``decode``: its row i is L_i ... L_{i+k} times the native one."""
+        scales = self.scales and [math.prod(self.scales[i : i + k + 1]) for i in range(len(stage))]
+        return decode(stage, scales, self.width)
 
 
 def _cleared_rows(rows):

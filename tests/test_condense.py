@@ -1213,29 +1213,60 @@ class TestPackedPolynomials:
         assert det == bareiss_det(m)
 
     @pytest.mark.parametrize("packed", [False, True], ids=["native", "packed"])
-    def test_rotations_pack_nothing(self, monkeypatch, packed):
+    def test_rotations_permute_the_input_kernel_form(self, monkeypatch, packed):
         # RESTART4 times x, its identity plan excluded: the rotation by one
-        # row is accepted on the zero set and permutes the entries as they
-        # are, or the kernel form when the matrix already holds it
+        # row is accepted on the zero set and permutes the input's kernel
+        # form, which a matrix of native entries packs once for it
         m = Matrix([[Polynomial([0, v]) for v in r] for r in RESTART4])
         if packed:
-            form = m.kernel
+            m.kernel
+        pack, packings = ring_module.pack_polynomial, []
 
-        def no_packing(*args):
-            raise AssertionError("a rotation packed or unpacked the matrix")
+        def counting(*args):
+            packings.append(args)
+            return pack(*args)
+
+        def no_unpacking(*args):
+            raise AssertionError("a rotation unpacked or cleared the matrix")
 
         with monkeypatch.context() as patched:
-            for name in ("pack_polynomial", "unpack_polynomial", "_cleared_rows"):
-                patched.setattr(ring_module, name, no_packing)
+            patched.setattr(ring_module, "pack_polynomial", counting)
+            for name in ("unpack_polynomial", "_cleared_rows"):
+                patched.setattr(ring_module, name, no_unpacking)
             out, log = mitigate_interior_zeros(m, exclude=[("rot", 0, 0)])
             assert log.plan == ("rot", 1, 0)
-        assert (out._kernel is None) is not packed
-        if packed:
-            assert out.kernel.rows == form.rows[1:] + form.rows[:1]
-            assert out.kernel.width == form.width
+        # the rotation read the input's kernel form, packed once, and holds
+        # only its rows rotated, at its width
+        assert len(packings) == (0 if packed else 16)
+        form = m._kernel
+        assert out._native is None
+        assert out.kernel.rows == form.rows[1:] + form.rows[:1]
+        assert out.kernel.width == form.width
         # the decoded native rows are the replayed ones
         assert out.native_rows == replay_log(m, log).native_rows
         assert out == replay_log(m, log)
+
+    def test_a_run_encodes_its_input_once(self, monkeypatch):
+        # the identity plan is rejected on the interior zero at (1, 2), the
+        # rotation by one row restarts at stage 3 and the rotation by two
+        # condenses: both rotations permute the input's one kernel form
+        rows = [[2, -2, -1, 3], [-2, -1, 0, 3], [-3, -3, 3, -2], [3, 2, -2, -3]]
+        polynomial = Matrix([[Polynomial([0, v]) for v in r] for r in rows])
+        rational = Matrix([[Fraction(v, i + 2) for v in r] for i, r in enumerate(rows)], ring_module.RATIONALS)
+        for m, name, calls in ((polynomial, "pack_polynomial", 16), (rational, "_cleared_rows", 1)):
+            encode, encodings = getattr(ring_module, name), []
+
+            def counting(*args):
+                encodings.append(args)
+                return encode(*args)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(ring_module, name, counting)
+                det, trace = condensation_det(m)
+            assert trace.restarts == ((3, (0, 0)),)
+            assert trace.mitigation.plan == ("rot", 2, 0)
+            assert len(encodings) == calls
+            assert det == bareiss_det(m)
 
     def test_a_rotated_rational_file_stays_cleared(self, monkeypatch):
         # a parsed rational file holds only its kernel form; a rotation

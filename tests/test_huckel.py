@@ -469,6 +469,37 @@ def test_float_seeds_are_only_hints(monkeypatch, spectra, kind):
         assert fallbacks
 
 
+def _nearest_double(b, d, sign):
+    """The double nearest (b + sign * sqrt(d)) / 2, from ``math.isqrt`` at
+    1100 fractional bits."""
+    root = math.isqrt(d << 2200)
+    return float(Fraction((b << 1100) + sign * root, 2 << 1100))
+
+
+@pytest.mark.parametrize("coeffs, roots, levels, overflows", [
+    # x^2 - 10^400: x = ±10^200
+    ([-10**400, 0, 1], [(0, 4 * 10**400, -1), (0, 4 * 10**400, 1)], [-5e199, 5e199], True),
+    # x^4 - 10^400: its real roots x = ±10^100, where x^2 = 10^200
+    ([-10**400, 0, 0, 0, 1], [(0, 4 * 10**200, -1), (0, 4 * 10**200, 1)], [-5e99, 5e99], True),
+    # x^2 - 10^302 x + 10^300, x near 1/100 and near 10^302: the
+    # coefficients fit a double, so the float seeds are tried
+    ([10**300, -10**302, 1], [(10**302, 10**604 - 4 * 10**300, s) for s in (-1, 1)], [-0.995, 5e301], False),
+])
+def test_levels_of_coefficients_past_the_doubles(monkeypatch, coeffs, roots, levels, overflows):
+    """Where a float overflows, ``_seeds`` gives no seeds, and the Descartes
+    path alone isolates the roots; each level, overflow or not, is that of
+    the double nearest the exact root."""
+    seeds, isolated = [], []
+    float_seeds, descartes = huckel._seeds, huckel._isolated
+    monkeypatch.setattr(huckel, "_seeds", lambda f, e: seeds.append(float_seeds(f, e)) or seeds[-1])
+    monkeypatch.setattr(huckel, "_isolated", lambda f, e: isolated.append(f) or descartes(f, e))
+    sp = SecularPolynomial(Polynomial([Fraction(c) for c in coeffs]))
+    assert energy_levels(sp, -1.0, -0.5) == levels
+    assert levels == sorted(-1.0 - -0.5 * _nearest_double(*root) for root in roots)
+    assert (seeds == [[]]) is overflows
+    assert isolated or not overflows
+
+
 def star(k):
     """The star K1,k: one atom bonded to k others."""
     return PiSystem.from_edges(k + 1, [(0, j) for j in range(1, k + 1)])
