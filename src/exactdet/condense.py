@@ -52,8 +52,8 @@ Mitigation plans are tried in a fixed order so results are reproducible:
 Rotations are judged on the input's zero set: rotating by r rows and c
 columns clears the interior exactly when each zero lies in row r or r - 1 or
 in column c or c - 1 (mod n).  The walk decides that once per row shift r,
-when the order first reaches it, and the input keeps the decision for the
-walks of its restarts: the zeros outside rows r and r - 1 must lie in
+when the order first reaches it, and a run makes one walk, which each of
+its restarts resumes: the zeros outside rows r and r - 1 must lie in
 columns c and c - 1, so with none of them every c is accepted, with one or
 two columns the c whose pair holds them, and with more, none.  The
 identity plan is thus accepted exactly when the interior has no zero.  Only
@@ -79,10 +79,12 @@ Mitigation reads the input's zero set once, ``Matrix.zeros``, which every
 attempt of a run shares, and wraps no value.  A rotation permutes the
 input's kernel form, so a run encodes its input at most once.  Additive
 repair adds ints d + k*s on the kernel form, cleared rational rows at a
-common scale; a polynomial input is packed for it once, at four times the
-width rule's W, room for the Hückel matrices' repairs, and again only where
-its row bounds outgrow that.  It re-tests only the entries whose source
-entry is nonzero, by ``Matrix.zeros``'s rule.
+common scale; a polynomial input is packed for it once per run, at four
+times the width rule's W, room for the Hückel matrices' repairs, and again
+only where its row bounds outgrow that.  It re-tests only the entries whose
+source entry is nonzero, by ``Matrix.zeros``'s rule.  The plans a run has
+used, its walk and its repair packing are the run's own, a ``_Run``: the
+input keeps only its forms and zero set, so threads may share it.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
 ``UnremovableZero``.  ``condensation_det`` also bounds the work of failed
@@ -472,18 +474,17 @@ def _column_shifts(zeros, n: int, r: int):
     return {c for j in cols for c in (j, (j + 1) % n) if cols <= {c, (c - 1) % n}}
 
 
-def _plans(zeros, n: int, shifts: list):
+def _plans(zeros, n: int):
     """The plans that may clear the interior of an n x n matrix whose zeros
     are at ``zeros``, in the documented order: the rotations it accepts,
     then every additive repair.  A row shift's column shifts are found when
-    the order first reaches it, all of them before the first repair, and
-    kept in ``shifts`` for every later walk on the same zeros.  When no
+    the order first reaches it, all of them before the first repair.  When no
     rotation is accepted, n >= 10 and at least n^2 / 3 entries are zero, it
     raises UnremovableZero instead of offering a repair."""
-    for r, cs in enumerate(shifts):
-        if cs is None:
-            cs = shifts[r] = sorted(_column_shifts(zeros, n, r))
-        if 0 in cs:
+    shifts = []
+    for r in range(n):
+        shifts.append(sorted(_column_shifts(zeros, n, r)))
+        if 0 in shifts[r]:
             yield ("rot", r, 0)
     for r, cs in enumerate(shifts):
         for c in cs:
@@ -498,42 +499,53 @@ def _plans(zeros, n: int, shifts: list):
         yield ("add", salt)
 
 
+class _Run(list):
+    """The mitigation state of one condensation run on ``a``: the plans it
+    accepted, in order, its walk of ``_plans``, which each restart resumes,
+    and ``repair``, the kernel form and row bounds additive repair copies."""
+
+    __slots__ = ("walk", "repair")
+
+    def __init__(self, a: Matrix, used=()):
+        super().__init__(used)
+        self.walk, self.repair = _plans(a.zeros, a.n_rows), None
+
+
 def mitigate_interior_zeros(a: Matrix, exclude=()):
     """Transform ``a`` so its interior holds no zeros; return (matrix, log).
 
     Plans are tried in the fixed order documented at module level, judged on
     ``a.zeros``; ``exclude`` skips plans already consumed by earlier restarts.
-    ``a`` keeps each row shift's column shifts, so the restarts of a run scan
-    its zeros once per row shift.  A rotation permutes ``a.kernel``, its rows
+    ``condensation_det`` passes its run for ``exclude``: the call resumes the
+    run's walk, so a run scans ``a``'s zeros once per row shift, and adds the
+    plan it accepts to the run.  A rotation permutes ``a.kernel``, its rows
     and scales, built at most once.  Additive repair computes on a copy of
-    ``a.kernel``, or of the wider packing a polynomial ``a`` keeps for it.
-    Raises UnremovableZero when no plan succeeds, and, with its own message,
-    before any repair when no rotation is accepted, n >= 10 and at least
-    n^2 / 3 entries are zero.
+    ``a.kernel``, or of a wider packing of a polynomial ``a``, made once per
+    run.  Raises UnremovableZero when no plan succeeds, and, with its own
+    message, before any repair when no rotation is accepted, n >= 10 and at
+    least n^2 / 3 entries are zero.
     """
     if not a.is_square:
         raise TooSmall("mitigation needs a square matrix")
     if a.n_rows < 3:
         raise TooSmall("mitigation needs n >= 3 (smaller sizes have no interior)")
-    excluded, ring = set(exclude), a.native_ring
-    if a._shifts is None:
-        a._shifts = [None] * a.n_rows
-    for plan in _plans(a.zeros, a.n_rows, a._shifts):
-        if plan in excluded:
+    run, ring = exclude if isinstance(exclude, _Run) else _Run(a, exclude), a.native_ring
+    for plan in run.walk:
+        if plan in run:
             continue
         if plan[0] == "add":
-            if ring.decode is POLYNOMIALS.decode and a._repair is None:
-                a._repair = _packed_rows(a.native_rows, 4)
-            base = a._repair or (a.kernel, None)
-            form, ops = _additive_repair(*base, set(a.zeros), plan[1], ring.is_zero)
+            if run.repair is None:
+                polynomial = ring.decode is POLYNOMIALS.decode
+                run.repair = _packed_rows(a.native_rows, 4) if polynomial else (a.kernel, None)
+            form, ops = _additive_repair(*run.repair, set(a.zeros), plan[1], ring.is_zero)
             log = MitigationLog(ops, plan)
-            log._ring = ring
-            return Matrix(form, ring), log
-        _, r, c = plan
-        log = MitigationLog.rotation(a.n_rows, r, c)
-        if r == c == 0:
-            return a, log
-        return Matrix(a.kernel.rotated(r, c), ring), log
+            log._ring, out = ring, Matrix(form, ring)
+        else:
+            _, r, c = plan
+            log = MitigationLog.rotation(a.n_rows, r, c)
+            out = a if r == c == 0 else Matrix(a.kernel.rotated(r, c), ring)
+        run.append(plan)
+        return out, log
     raise UnremovableZero("every mitigation plan failed or was excluded")
 
 
@@ -565,7 +577,7 @@ def condensation_det(a: Matrix):
     ops, clean = OpCount(), OpCount()
     _charge(clean, n, n - 1)
     budget, wasted = 2 * clean.muldiv, 0
-    excluded = []
+    run = _Run(a) if n >= 3 else None
     restarts = []
     warning = False
     while True:
@@ -573,7 +585,7 @@ def condensation_det(a: Matrix):
             a0, log = a, MitigationLog()
         else:
             try:
-                a0, log = mitigate_interior_zeros(a, exclude=excluded)
+                a0, log = mitigate_interior_zeros(a, exclude=run)
             except UnremovableZero as e:
                 raise FallbackRequired(str(e)) from e
         rows, ring = a0.kernel.rows, a0.native_ring
@@ -601,7 +613,6 @@ def condensation_det(a: Matrix):
                         "the work W charged to failed attempts exceeds 2C,"
                         " C being a clean run's muldiv"
                     )
-                excluded.append(log.plan)
                 break
         else:
             _charge(ops, n, n - 1)

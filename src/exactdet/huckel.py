@@ -332,7 +332,7 @@ def _bound_exponent(f):
 def _seeds(f, e):
     """Float hints for the roots of f, ascending, by Newton-Maehly: Newton's
     method from 2^e downwards, each root deflated from the search for the
-    next; of an even f, only the d/2 largest.  Empty when a float overflows."""
+    next; of an even f, only the d/2 largest.  Empty once a float overflows."""
     try:
         cs = [float(c) for c in reversed(f)]
         bottom = -float(1 << e)
@@ -344,6 +344,8 @@ def _seeds(f, e):
                 for c in cs:
                     dp = dp * x + p
                     p = p * x + c
+                if not (math.isfinite(p) and math.isfinite(dp)):  # overflowed, raising nothing
+                    return []
                 nx = x - p / (dp - p * sum(1.0 / (x - r) for r in found))
                 if not bottom < nx < x:  # the descent has stopped
                     break

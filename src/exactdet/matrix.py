@@ -68,12 +68,11 @@ class Matrix:
     form.  ``rows()`` and ``m[i, j]`` wrap scalars on each read.  ``zeros``,
     the (i, j) whose entry ``native_ring.is_zero`` counts as zero, is read
     once, off the kernel form when the matrix holds it: the forms share their
-    zeros.  ``_repair`` keeps additive repair's packing of a polynomial
-    matrix, and ``_shifts`` the column shifts mitigation found for each row
-    shift (see ``condense``).
+    zeros.  A matrix keeps nothing else: a run's mitigation state is the
+    run's own (see ``condense``).
     """
 
-    __slots__ = ("n_rows", "n_cols", "native_ring", "_native", "_kernel", "_zeros", "_repair", "_shifts")
+    __slots__ = ("n_rows", "n_cols", "native_ring", "_native", "_kernel", "_zeros")
 
     def __init__(self, rows, ring=None):
         form = rows if type(rows) is KernelForm else None
@@ -94,7 +93,7 @@ class Matrix:
             self._native, self._kernel = None, form._replace(rows=rows)
         self.n_rows = len(rows)
         self.n_cols = width
-        self._zeros = self._repair = self._shifts = None
+        self._zeros = None
 
     @property
     def native_rows(self) -> tuple:

@@ -46,6 +46,7 @@ from exactdet.ring import (
 from test_cli import profiled_calls
 from test_elimination import NAPHTHALENE, cycle
 from test_matrix import CLEAN4, RESTART4, identity
+from test_perfbench import TWO_RESTARTS
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 STAGE1 = [[2, 4, 6], [-1, 5, -8], [1, -11, 8]]
@@ -543,11 +544,12 @@ class TestMitigation:
         with pytest.raises(UnremovableZero):
             mitigate_interior_zeros(z)
 
-    def test_a_matrix_finds_each_row_shifts_columns_once(self, monkeypatch):
+    def test_repeated_calls_on_a_matrix_agree_with_fresh_ones(self, monkeypatch):
         # repeated calls on one matrix, with exclusions shrinking as well as
-        # growing, return what a fresh matrix returns; each row shift's
-        # column shifts are found once; the two zeros in row 2 let every
-        # rotation with row shift 2 or 3, or column shift 3, clear them
+        # growing, return what a fresh matrix returns; each call walks the
+        # order once, finding each row shift's column shifts once, in order;
+        # the two zeros in row 2 let every rotation with row shift 2 or 3,
+        # or column shift 3, clear them
         rows = [[0 if (i, j) in {(2, 2), (2, 3)} else 1 + i * j % 5 for j in range(6)] for i in range(6)]
         order = [("rot", 0, 0)]  # rejected: the interior holds zeros
         while order[-1] != ("add", 5):
@@ -560,11 +562,12 @@ class TestMitigation:
             condense, "_column_shifts", lambda *args: walked.append(args[2]) or original(*args)
         )
         for exclude, (out, log) in zip(calls, fresh):
+            walked.clear()
             got, got_log = mitigate_interior_zeros(m, exclude=exclude)
             assert (got_log.plan, got_log.operations, got) == (log.plan, log.operations, out)
+            assert walked == list(range(len(walked)))
         with pytest.raises(UnremovableZero, match="every mitigation plan failed or was excluded"):
             mitigate_interior_zeros(m, exclude=calls[-1])
-        assert walked == list(range(6))
         assert len(order) == 1 + 16 + 6 and ("rot", 1, 3) in order
 
     @pytest.mark.parametrize("exclude", [[], [("rot", 0, 0)], [("add", 0)]])
@@ -578,9 +581,10 @@ class TestMitigation:
                 mitigate_interior_zeros(m, exclude=exclude)
 
     def test_threads_sharing_a_matrix_agree(self):
-        # the column shifts a matrix keeps are plain data, which racing walks
-        # write alike, so runs on one matrix from several threads agree with
-        # a run on a fresh copy; a switch every microsecond interleaves them
+        # a run keeps its mitigation state to itself, and the caches a
+        # matrix fills are plain data that racing reads build alike, so runs
+        # on one matrix from several threads agree with a run on a fresh
+        # copy; a switch every microsecond interleaves them
         rng = random.Random(17)
         draws = [[[rng.choice([0, 0, 1, -1, 2]) for _ in range(7)] for _ in range(7)] for _ in range(12)]
 
@@ -607,6 +611,42 @@ class TestMitigation:
                 assert got == [want] * 6
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "m, plan, restarts",
+        [
+            (parse_matrix(TWO_RESTARTS), ("rot", 0, 2), 2),
+            (secular_matrix(PiSystem.chain(6)), ("add", 1), 1),
+        ],
+        ids=["two_restarts", "chain6"],
+    )
+    def test_a_run_leaves_its_input_unchanged(self, m, plan, restarts):
+        # the mitigation state of a run is the run's: once the input's two
+        # forms and zero set have been read, every slot keeps its object
+        m.kernel, m.native_rows, m.zeros
+        slots = {name: getattr(m, name) for name in Matrix.__slots__}
+        _, trace = condensation_det(m)
+        assert (trace.mitigation.plan, len(trace.restarts)) == (plan, restarts)
+        assert [name for name, value in slots.items() if getattr(m, name) is not value] == []
+
+    @pytest.mark.parametrize(
+        "m, restarts",
+        [(parse_matrix(TWO_RESTARTS), 2), (secular_matrix(PiSystem.chain(6)), 1)],
+        ids=["two_restarts", "chain6"],
+    )
+    def test_a_run_walks_the_plan_order_once(self, monkeypatch, m, restarts):
+        # a restart resumes the run's walk: one walk per run, and one
+        # column-shift scan per row shift it reaches
+        walks, walked = [], []
+        plans, column_shifts = condense._plans, condense._column_shifts
+        monkeypatch.setattr(condense, "_plans", lambda *args: walks.append(args) or plans(*args))
+        monkeypatch.setattr(
+            condense, "_column_shifts", lambda *args: walked.append(args[2]) or column_shifts(*args)
+        )
+        _, trace = condensation_det(m)
+        assert len(trace.restarts) == restarts
+        assert len(walks) == 1
+        assert walked == list(range(m.n_rows))
 
     def test_replay_matches_returned_matrix(self):
         m = int_matrix([[(i + j) % 2 for j in range(4)] for i in range(4)])

@@ -482,8 +482,8 @@ def _nearest_double(b, d, sign):
     # x^4 - 10^400: its real roots x = ±10^100, where x^2 = 10^200
     ([-10**400, 0, 0, 0, 1], [(0, 4 * 10**200, -1), (0, 4 * 10**200, 1)], [-5e99, 5e99], True),
     # x^2 - 10^302 x + 10^300, x near 1/100 and near 10^302: the
-    # coefficients fit a double, so the float seeds are tried
-    ([10**300, -10**302, 1], [(10**302, 10**604 - 4 * 10**300, s) for s in (-1, 1)], [-0.995, 5e301], False),
+    # coefficients fit a double, but f(2^1004), where Newton starts, does not
+    ([10**300, -10**302, 1], [(10**302, 10**604 - 4 * 10**300, s) for s in (-1, 1)], [-0.995, 5e301], True),
 ])
 def test_levels_of_coefficients_past_the_doubles(monkeypatch, coeffs, roots, levels, overflows):
     """Where a float overflows, ``_seeds`` gives no seeds, and the Descartes
@@ -498,6 +498,12 @@ def test_levels_of_coefficients_past_the_doubles(monkeypatch, coeffs, roots, lev
     assert levels == sorted(-1.0 - -0.5 * _nearest_double(*root) for root in roots)
     assert (seeds == [[]]) is overflows
     assert isolated or not overflows
+
+
+def test_no_seeds_once_a_newton_step_is_not_finite():
+    # f(2^1004) overflows to inf without raising OverflowError, and the
+    # descent would stop at its start, 2^1004, which is no root
+    assert huckel._seeds([10**300, -10**302, 1], 1004) == []
 
 
 def star(k):
