@@ -44,25 +44,18 @@ Mitigation plans are tried in a fixed order so results are reproducible:
 4. combined row and column rotations,
    but when the zero set accepts no rotation, n >= 10 and at least n^2 / 3
    entries are zero, the order ends here: such sparse inputs all but never
-   condense, and their repairs cost several eliminations,
+   condense, and their repairs cost several eliminations; a run whose
+   ``repair`` is off, as ``huckel``'s are, always ends it here,
 5. additive repair: for each surviving interior zero, add a row (or failing
    that, a column) holding a nonzero entry at the offending position, with
    the scale escalating 1, 2, 3, ... on repeated failure at one position.
 
-Rotations are judged on the input's zero set: rotating by r rows and c
-columns clears the interior exactly when each zero lies in row r or r - 1 or
-in column c or c - 1 (mod n).  The walk decides that once per row shift r,
-when the order first reaches it, and a run makes one walk, which each of
-its restarts resumes: the zeros outside rows r and r - 1 must lie in
-columns c and c - 1, so with none of them every c is accepted, with one or
-two columns the c whose pair holds them, and with more, none.  The
-identity plan is thus accepted exactly when the interior has no zero.  Only
-the accepted plan is applied, as one index permutation, and its
-``MitigationLog`` is that permutation plus a sign: it records the plan and
-reads its sign, (-1)^((r + c)(n - 1)), off it in O(1).  The
-(r + c)(n - 1) adjacent swaps that ``replay_log`` re-applies and
-``render_trace`` prints are built only when a reader asks for the log's
-operations, so a run that is not traced builds none.
+Rotations are judged on the input's zero set, by ``_column_shifts`` once
+per row shift when the order first reaches it; a run makes one walk, which
+each of its restarts resumes, and the identity plan is accepted exactly
+when the interior has no zero.  Only the accepted plan is applied, as one
+index permutation, and its ``MitigationLog`` is that permutation plus a
+sign, whose adjacent swaps are built only when a reader asks for them.
 
 An attempt ends at the stage that holds its zero divisor, in every ring.
 ``condensation_det`` tests each stage's interior as soon as it exists, for
@@ -71,34 +64,26 @@ which, when it trips, finds the first entry ``NativeRing.is_zero`` counts
 as zero.  If that first zero, row by row, is at (i + 1, j + 1) of stage k,
 the attempt stops there and records the restart (k + 2, (i, j)).  ``OpCount``
 follows the paper's schedule, which ``_charge`` alone states: per minor two
-multiplications, one addition and, from stage 2 on, one division.  Each
-attempt is charged once, a stopped one through minor (i, j) of stage k + 2
-but not its division, a complete one through stage n - 1.
+multiplications, one addition and, from stage 2 on, one division.
 
 Mitigation reads the input's zero set once, ``Matrix.zeros``, which every
 attempt of a run shares, and wraps no value.  A rotation permutes the
 input's kernel form, so a run encodes its input at most once.  Additive
 repair adds ints d + k*s on the kernel form, cleared rational rows at a
 common scale; a polynomial input is packed for it once per run, at four
-times the width rule's W, room for the Hückel matrices' repairs, and again
-only where its row bounds outgrow that.  It re-tests only the entries whose
-source entry is nonzero, by ``Matrix.zeros``'s rule.  The plans a run has
-used, its walk and its repair packing are the run's own, a ``_Run``: the
-input keeps only its forms and zero set, so threads may share it.
+times the width rule's W, room for a few repairs, and again only where its
+row bounds outgrow that.  It re-tests only the entries whose source entry
+is nonzero, by ``Matrix.zeros``'s rule.  A run's used plans, walk, repair
+switch and repair packing are its own, a ``_Run``: the input keeps only its
+forms and zero set, so threads may share it.
 
 A matrix that defeats all of this (e.g. the zero matrix) raises
-``UnremovableZero``.  ``condensation_det`` also bounds the work of failed
-attempts, in the op counter's units: the muldiv ``_charge`` charges each,
-plus n per additive-repair operation (the n entries of the line it
-changes).  Once that exceeds two clean runs' muldiv it stops, so a run that
-falls back has made n^2 zero tests on its input, at most two clean runs of
-attempts and one last attempt, cheaper than a clean run, before its one
-elimination; one that falls back because the sparse rule ended the plan
-order before any attempt has made only its n^2 zero tests.  It raises
-``FallbackRequired`` then, or when mitigation runs out of plans, so callers
-can switch to elimination: ``oracle.elimination_det``, ``bareiss_det``'s
-loop run in every ring on the matrix's kernel form, whose intermediates are
-minors, not connected ones, of its scaled rows.
+``UnremovableZero``.  ``condensation_det`` bounds the work of failed
+attempts in the op counter's units, and raises ``FallbackRequired`` past
+that bound or when mitigation runs out of plans, so callers can switch to
+elimination: ``oracle.elimination_det``, ``bareiss_det``'s loop run in every
+ring on the matrix's kernel form, whose intermediates are minors, not
+connected ones, of its scaled rows.
 """
 
 from __future__ import annotations
@@ -502,13 +487,14 @@ def _plans(zeros, n: int):
 class _Run(list):
     """The mitigation state of one condensation run on ``a``: the plans it
     accepted, in order, its walk of ``_plans``, which each restart resumes,
-    and ``repair``, the kernel form and row bounds additive repair copies."""
+    ``repair``, whether the walk goes on past the rotations to additive
+    repair, and ``packing``, the kernel form and row bounds repair copies."""
 
-    __slots__ = ("walk", "repair")
+    __slots__ = ("walk", "repair", "packing")
 
-    def __init__(self, a: Matrix, used=()):
+    def __init__(self, a: Matrix, used=(), repair=True):
         super().__init__(used)
-        self.walk, self.repair = _plans(a.zeros, a.n_rows), None
+        self.walk, self.repair, self.packing = _plans(a.zeros, a.n_rows), repair, None
 
 
 def mitigate_interior_zeros(a: Matrix, exclude=()):
@@ -517,13 +503,11 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
     Plans are tried in the fixed order documented at module level, judged on
     ``a.zeros``; ``exclude`` skips plans already consumed by earlier restarts.
     ``condensation_det`` passes its run for ``exclude``: the call resumes the
-    run's walk, so a run scans ``a``'s zeros once per row shift, and adds the
-    plan it accepts to the run.  A rotation permutes ``a.kernel``, its rows
-    and scales, built at most once.  Additive repair computes on a copy of
-    ``a.kernel``, or of a wider packing of a polynomial ``a``, made once per
-    run.  Raises UnremovableZero when no plan succeeds, and, with its own
-    message, before any repair when no rotation is accepted, n >= 10 and at
-    least n^2 / 3 entries are zero.
+    run's walk, so a run scans ``a``'s zeros once per row shift, adds the
+    plan it accepts to the run, and offers no repair when the run's
+    ``repair`` is off.  Raises UnremovableZero when no plan succeeds, and,
+    with its own message, before any repair when no rotation is accepted,
+    n >= 10 and at least n^2 / 3 entries are zero.
     """
     if not a.is_square:
         raise TooSmall("mitigation needs a square matrix")
@@ -534,10 +518,12 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
         if plan in run:
             continue
         if plan[0] == "add":
-            if run.repair is None:
+            if not run.repair:
+                break
+            if run.packing is None:
                 polynomial = ring.decode is POLYNOMIALS.decode
-                run.repair = _packed_rows(a.native_rows, 4) if polynomial else (a.kernel, None)
-            form, ops = _additive_repair(*run.repair, set(a.zeros), plan[1], ring.is_zero)
+                run.packing = _packed_rows(a.native_rows, 4) if polynomial else (a.kernel, None)
+            form, ops = _additive_repair(*run.packing, set(a.zeros), plan[1], ring.is_zero)
             log = MitigationLog(ops, plan)
             log._ring, out = ring, Matrix(form, ring)
         else:
@@ -549,7 +535,7 @@ def mitigate_interior_zeros(a: Matrix, exclude=()):
     raise UnremovableZero("every mitigation plan failed or was excluded")
 
 
-def condensation_det(a: Matrix):
+def condensation_det(a: Matrix, *, _repair=True):
     """Determinant of ``a`` by condensation; returns (value, trace).
 
     Runs mitigation first (for n >= 3; smaller sizes have no interior),
@@ -557,7 +543,8 @@ def condensation_det(a: Matrix):
     multiplies the result by the accumulated swap sign.  Each attempt runs
     on the mitigated matrix's kernel form (see ``ring``), keeps two live
     stages and decodes and wraps only the result; an attempt ends at the
-    stage whose interior holds its zero divisor.
+    stage whose interior holds its zero divisor.  ``_repair=False``, the
+    run's ``repair`` (``huckel``'s), ends the plan order after the rotations.
 
     The work spent on failed attempts is bounded in the op counter's units.
     Each failed attempt adds to a tally W the muldiv ``_charge`` charged it
@@ -577,7 +564,7 @@ def condensation_det(a: Matrix):
     ops, clean = OpCount(), OpCount()
     _charge(clean, n, n - 1)
     budget, wasted = 2 * clean.muldiv, 0
-    run = _Run(a) if n >= 3 else None
+    run = _Run(a, repair=_repair) if n >= 3 else None
     restarts = []
     warning = False
     while True:

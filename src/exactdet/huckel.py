@@ -9,10 +9,11 @@ adjacent atoms, 0 otherwise.  Its determinant is a monic integer-coefficient
 polynomial p with det(secular) = beta^n * p(x), and the allowed energies are
 E = alpha - beta * x at the roots x of p.
 
-The determinant is computed symbolically by condensation, falling back, when
-mitigation cannot clear the interior, to ``oracle.elimination_det``,
-``bareiss_det``'s loop on packed integer rows; of a bipartite system, only
-on its half x^2 I - B^T B, for the smaller colour class (``_alternant_det``).
+The graph is coloured first.  A bipartite system, n2 atoms in its smaller
+colour class, has p(x) = x^(n - 2 n2) q(x^2), q the determinant of its half
+yI - B^T B (``_alternant_det``); any other has the full matrix's.  Either is
+condensed with rotations alone, or, where none clears it, eliminated by
+``oracle.elimination_det``, ``bareiss_det``'s loop on packed integer rows.
 
 The roots are exact up to one final rounding, with no tolerance and no
 iteration cap.  Yun's square-free decomposition over Q gives each distinct
@@ -122,9 +123,9 @@ class PiSystem:
 class SecularPolynomial:
     """Reduced secular determinant: monic, degree n_atoms, variable x.
 
-    ``method`` records which determinant route produced it: "condensation",
-    or "bareiss" for the fallback, ``bareiss_det``'s loop on packed rows,
-    which eliminates only the bipartite half where there is one.
+    ``method`` records the route: "condensation" when the bipartite half, or
+    an odd system's full matrix, condensed with rotations alone, "bareiss"
+    when ``bareiss_det``'s loop on packed rows eliminated it.
     """
 
     coeffs: Polynomial
@@ -133,9 +134,7 @@ class SecularPolynomial:
 
 def secular_matrix(system: PiSystem) -> Matrix:
     """Reduced secular matrix: x on the diagonal, 1 on edges, 0 elsewhere."""
-    x = Polynomial([0, 1])
-    one = Polynomial([1])
-    zero = Polynomial([])
+    x, one, zero = Polynomial._result([0, 1]), Polynomial._result([1]), Polynomial._result([])
     n = system.n_atoms
     rows = [[zero] * n for _ in range(n)]
     for i in range(n):
@@ -146,26 +145,29 @@ def secular_matrix(system: PiSystem) -> Matrix:
 
 
 def secular_polynomial(system: PiSystem) -> SecularPolynomial:
-    """Symbolic determinant of the reduced secular matrix."""
-    m = secular_matrix(system)
+    """Symbolic determinant of the reduced secular matrix (module docstring)."""
+    n, halves = system.n_atoms, _bipartition(system)
+    if halves is not None and not halves[0]:  # no bond: the half is empty, p = x^n
+        return SecularPolynomial(Polynomial._result([0] * n + [1]))
+    m = secular_matrix(system) if halves is None else _half(*halves)
     try:
-        det, _ = condensation_det(m)
-        method = "condensation"
+        det, method = condensation_det(m, _repair=False)[0], "condensation"
     except FallbackRequired:
-        halves = _bipartition(system)
-        det = elimination_det(m) if halves is None else _alternant_det(system.n_atoms, *halves)
-        method = "bareiss"
-    return SecularPolynomial(det, method)
+        det, method = elimination_det(m), "bareiss"
+    return SecularPolynomial(det if halves is None else _alternant_det(n, det), method)
 
 
 def _bipartition(system):
-    """The smaller colour class of a bipartite system, and each atom's neighbours."""
-    near = [set() for _ in range(system.n_atoms)]
+    """The smaller colour class and each atom's neighbours; None for an odd cycle."""
+    n = system.n_atoms
+    if 4 * len(system.edges) > n * n:
+        return None  # more than n^2 / 4 bonds close a triangle (Mantel)
+    near = [set() for _ in range(n)]
     for i, j in system.edges:
         near[i].add(j)
         near[j].add(i)
-    colour = [None] * system.n_atoms
-    for start in range(system.n_atoms):
+    colour = [None] * n
+    for start in range(n):
         if colour[start] is None:
             colour[start], todo = 0, [start]
             for i in todo:  # breadth first: todo grows as the search goes
@@ -173,18 +175,21 @@ def _bipartition(system):
                     if colour[j] is None:
                         colour[j] = 1 - colour[i]
                         todo.append(j)
-    if any(colour[i] == colour[j] for i, j in system.edges):
-        return None  # an odd cycle
-    return min(([a for a, c in enumerate(colour) if c == k] for k in (0, 1)), key=len), near
+                    elif colour[j] == colour[i]:
+                        return None
+    small = [a for a in range(n) if colour[a]]
+    return (small if 2 * len(small) < n else [a for a in range(n) if not colour[a]]), near
 
 
-def _alternant_det(n, small, near):
-    """det(xI - A) = x^(n - 2 n2) q(x^2), B the bonds to the n2 atoms ``small``
-    in A = [[0, B], [B^T, 0]]: q(y) = det(yI - B^T B), by the Schur complement
-    of xI, eliminated n2 x n2; (B^T B)[a][b] counts the neighbours a, b share."""
+def _half(small, near) -> Matrix:
+    """yI - B^T B, B the bonds to ``small`` in A; (B^T B)[a][b] counts shared neighbours."""
     y = [[Polynomial._result([-len(near[a] & near[b]), int(a == b)]) for b in small] for a in small]
-    q = elimination_det(Matrix(y, POLYNOMIALS)).coeffs if small else (1,)
-    return Polynomial._result([0] * (n - 2 * len(small)) + [c for k in q for c in (0, k)][1:])
+    return Matrix(y, POLYNOMIALS)
+
+
+def _alternant_det(n, q):
+    """det(xI - A) = x^(n - 2 n2) q(x^2), A = [[0, B], [B^T, 0]], q the half's det."""
+    return Polynomial._result([0] * (n - 2 * q.degree) + [c for k in q.coeffs for c in (0, k)][1:])
 
 
 def energy_levels(sp: SecularPolynomial, alpha: float, beta: float) -> list:

@@ -19,8 +19,10 @@ matrix, so it is taken from ``cofactor_mults`` rather than run.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .condense import FallbackRequired, OpCount, condensation_det
 from .matrix import Matrix, TooSmall, int_matrix
@@ -28,10 +30,16 @@ from .ring import integer_quotient, kernel_quotient
 
 
 def cofactor_det(a: Matrix, ops: OpCount | None = None):
-    """Determinant by first-row Laplace expansion (no zero skipping)."""
+    """Determinant by first-row Laplace expansion (no zero skipping), on ints
+    for rationals: each row scaled by the lcm of its denominators."""
     if not a.is_square:
         raise ValueError("determinant needs a square matrix")
-    return a.native_ring.wrap(_cofactor(a.native_rows, ops if ops is not None else OpCount()))
+    ring, rows, ops = a.native_ring, a.native_rows, ops if ops is not None else OpCount()
+    if ring.constant is not Fraction:
+        return ring.wrap(_cofactor(rows, ops))
+    scales = [math.lcm(*(x.denominator for x in r)) for r in rows]
+    rows = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)]
+    return ring.wrap(Fraction(_cofactor(rows, ops), math.prod(scales)))
 
 
 def cofactor_mults(n: int) -> int:

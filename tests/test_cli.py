@@ -204,11 +204,12 @@ divs: 9
 adds: 28
 """
 
-# chain 8 defeats every mitigation plan, so this is the Bareiss fallback route
+# chain 8's full matrix defeats every rotation, but its bipartite half
+# yI - B^T B (4 x 4) has no interior zero and condenses as it is
 GOLDEN_CHAIN8 = """\
 polynomial: x^8 - 7*x^6 + 15*x^4 - 10*x^2 + 1
 coefficients: 1 0 -10 0 15 0 -7 0 1
-method: bareiss
+method: condensation
 symbolic: (alpha-E)^8 - 7*(alpha-E)^6*beta^2 + 15*(alpha-E)^4*beta^4 - 10*(alpha-E)^2*beta^6 + beta^8
 energy levels:
 -1.9396926207859084

@@ -1352,9 +1352,10 @@ class TestPackedPolynomials:
         ],
     )
     def test_each_matrix_packs_at_most_once(self, monkeypatch, system, packings):
-        # one packing per attempted matrix, and one for the input when it
-        # falls back; a trace or an elimination on a packed matrix packs it
-        # no more
+        # at most one packing per attempted matrix, and one for the input
+        # when it falls back; a trace or an elimination on a packed matrix
+        # packs it no more.  A secular polynomial condenses the half
+        # yI - B^T B of these bipartite systems.
         packed = []
 
         def counting(rows):
@@ -1367,10 +1368,11 @@ class TestPackedPolynomials:
         assert len(packed) <= packings
         assert len(set(packed)) == len(packed)
         if sp.method == "condensation":
-            _, trace = condensation_det(secular_matrix(system))
+            _, trace = condensation_det(huckel._half(*huckel._bipartition(system)))
             before = len(packed)
-            assert trace.stages[-1].rows()[0][0] == sp.coeffs
-            assert elimination_det(trace.mitigated) == sp.coeffs
+            q = trace.stages[-1].rows()[0][0]
+            assert huckel._alternant_det(system.n_atoms, q) == sp.coeffs
+            assert elimination_det(trace.mitigated) == q
             assert len(packed) == before
 
     @pytest.mark.parametrize("system", [PiSystem.chain(8), cycle(8)], ids=["chain8", "cycle8"])

@@ -266,12 +266,13 @@ class TestSecularPolynomial:
         cs = secular_polynomial(PiSystem.chain(n)).coeffs.coeffs
         assert cs[n - 1] == 0
 
-    @pytest.mark.parametrize("system", [
-        PiSystem.chain(10), cycle(10), NAPHTHALENE, acene(5), cycle(30),
+    @pytest.mark.parametrize("system, method", [
+        (PiSystem.chain(10), "bareiss"), (cycle(10), "bareiss"), (NAPHTHALENE, "condensation"),
+        (acene(5), "bareiss"), (cycle(30), "bareiss"),
     ], ids=["chain10", "cycle10", "naphthalene", "pentacene", "cycle30"])
-    def test_sparse_molecules_skip_additive_repair(self, monkeypatch, system):
-        # no rotation clears their zeros, n >= 10 and most entries are zero,
-        # so they go straight to elimination, with no repair tried
+    def test_sparse_molecules_skip_additive_repair(self, monkeypatch, system, method):
+        # no secular matrix is repaired: naphthalene's half condenses after a
+        # rotation, and no rotation clears the others' halves or matrices
         repairs = []
         original = condense._additive_repair
         monkeypatch.setattr(
@@ -279,18 +280,16 @@ class TestSecularPolynomial:
         )
         sp = secular_polynomial(system)
         assert repairs == []
-        assert sp.method == "bareiss"
+        assert sp.method == method
         assert sp.coeffs == bareiss_det(secular_matrix(system))
 
     def test_coefficients_are_ints(self):
         # the secular matrix lives in Z[x], and so do condensation's and
-        # Bareiss's minors (chain 8 falls back to Bareiss)
-        sp = secular_polynomial(PiSystem.chain(8))
-        assert sp.method == "bareiss"
-        assert all(type(c) is int for c in sp.coeffs.coeffs)
-        assert all(
-            type(c) is int for c in secular_polynomial(PiSystem.chain(5)).coeffs.coeffs
-        )
+        # Bareiss's minors (chain 8's half condenses, chain 10's is eliminated)
+        for n, method in ((8, "condensation"), (10, "bareiss"), (5, "condensation")):
+            sp = secular_polynomial(PiSystem.chain(n))
+            assert sp.method == method
+            assert all(type(c) is int for c in sp.coeffs.coeffs)
 
 
 class TestEnergyLevels:
@@ -623,8 +622,10 @@ class TestPairingPath:
 
 
 def halved(system):
-    """The fallback's determinant of a bipartite system, by its bipartite half."""
-    return huckel._alternant_det(system.n_atoms, *huckel._bipartition(system))
+    """Elimination's determinant of a bipartite system, by its bipartite half."""
+    small, near = huckel._bipartition(system)
+    q = elimination_det(huckel._half(small, near)) if small else ONE
+    return huckel._alternant_det(system.n_atoms, q)
 
 
 def full(system):
@@ -667,33 +668,83 @@ class TestAlternantFallback:
     @pytest.mark.parametrize("system", [cycle(5), cycle(7), cycle(9), c60()],
                              ids=["cycle5", "cycle7", "cycle9", "c60"])
     def test_odd_rings_take_the_full_matrix(self, monkeypatch, system):
-        # not bipartite: no 2-colouring, and the halved path is never entered
+        # not bipartite: no 2-colouring, and the halved path is never entered;
+        # no rotation clears the full matrix, and it is not repaired
         def refuse(*args):
             raise AssertionError("a system that is not bipartite took the halved path")
 
         assert huckel._bipartition(system) is None
         monkeypatch.setattr(huckel, "_alternant_det", refuse)
         sp = secular_polynomial(system)
-        assert sp.method == ("condensation" if system == cycle(5) else "bareiss")
+        assert sp.method == "bareiss"
         if system.n_atoms < 60:
             assert sp.coeffs == full(system)
 
-    @pytest.mark.parametrize("system, sizes", [
-        (PiSystem.chain(8), [4]), (cycle(8), [4]), (PiSystem.chain(9), [4]),
-        (PiSystem.chain(10), [5]), (cycle(10), [5]), (NAPHTHALENE, [5]),
-        (PiSystem.chain(30), [15]), (acene(3), [7]), (cycle(9), [9]),
+    @pytest.mark.parametrize("system, size, method", [
+        (PiSystem.chain(8), 4, "condensation"), (cycle(8), 4, "condensation"),
+        (PiSystem.chain(9), 4, "condensation"), (PiSystem.chain(10), 5, "bareiss"),
+        (cycle(10), 5, "bareiss"), (NAPHTHALENE, 5, "condensation"),
+        (PiSystem.chain(30), 15, "bareiss"), (acene(3), 7, "bareiss"), (cycle(9), 9, "bareiss"),
     ], ids=["chain8", "cycle8", "chain9", "chain10", "cycle10", "naphthalene",
             "chain30", "anthracene", "cycle9"])
-    def test_the_fallback_eliminates_the_smaller_half(self, monkeypatch, system, sizes):
-        eliminated = []
-        original = huckel.elimination_det
+    def test_the_fallback_eliminates_the_smaller_half(self, monkeypatch, system, size, method):
+        # the smaller half, or an odd system's full matrix, is condensed, and
+        # eliminated only when no rotation clears it
+        condensed, eliminated = [], []
+        condensing, eliminating = huckel.condensation_det, huckel.elimination_det
         monkeypatch.setattr(
-            huckel, "elimination_det", lambda a: eliminated.append(a.n_rows) or original(a)
+            huckel, "condensation_det",
+            lambda a, **kw: condensed.append(a.n_rows) or condensing(a, **kw),
+        )
+        monkeypatch.setattr(
+            huckel, "elimination_det", lambda a: eliminated.append(a.n_rows) or eliminating(a)
         )
         sp = secular_polynomial(system)
-        assert sp.method == "bareiss"
-        assert eliminated == sizes
+        assert sp.method == method
+        assert condensed == [size]
+        assert eliminated == ([size] if method == "bareiss" else [])
         assert sp.coeffs == full(system)
+
+
+# Whether each system condenses: the half yI - B^T B of a bipartite one
+# (empty for chain 1, whose p = x takes no matrix), or an odd one's full
+# matrix, by rotations alone
+CONDENSES = {
+    **{f"chain{n}": (PiSystem.chain(n), n <= 9) for n in range(1, 11)},
+    **{f"cycle{n}": (cycle(n), n in (3, 4, 6, 8)) for n in range(3, 11)},
+    "naphthalene": (NAPHTHALENE, True),
+    "acene1": (acene(1), True),
+}
+
+
+class TestRouteByTheGraph:
+    """A bipartite system condenses its half, an odd one its full matrix,
+    with rotations alone; either is eliminated when no rotation clears it."""
+
+    @pytest.mark.parametrize("name", CONDENSES)
+    def test_method(self, name):
+        system, condenses = CONDENSES[name]
+        assert secular_polynomial(system).method == ("condensation" if condenses else "bareiss")
+
+    def test_no_additive_repair(self, monkeypatch):
+        systems = (
+            [PiSystem.chain(n) for n in range(1, 31)] + [cycle(n) for n in range(3, 31)]
+            + [NAPHTHALENE] + [acene(k) for k in range(1, 9)]
+        )
+        repairs = []
+        original = condense._additive_repair
+        monkeypatch.setattr(
+            condense, "_additive_repair", lambda *args: repairs.append(args) or original(*args)
+        )
+        for system in systems:
+            secular_polynomial(system)
+        assert repairs == []
+
+    def test_coefficients_equal_elimination_on_the_full_matrix(self, spectra):
+        system, sp, _ = spectra["c60"]
+        assert sp.coeffs == full(system)
+        for system in [*PAIRING_SYSTEMS, cycle(5), cycle(7), cycle(9)]:
+            assert secular_polynomial(system).coeffs == full(system)
 
 
 class TestSymbolicForm:

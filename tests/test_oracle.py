@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -64,6 +65,22 @@ class TestCofactorDet:
         m = Matrix([[ExactRational(1, 2), ExactRational(1, 3)],
                     [ExactRational(1, 4), ExactRational(1, 5)]])
         assert cofactor_det(m) == ExactRational(1, 60)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rational_rows_expand_over_ints(self, monkeypatch, n):
+        # each row is cleared by the lcm of its own denominators, so the
+        # expansion multiplies no Fraction and keeps the schedule's count
+        rng = random.Random(f"rational-{n}")
+        m = Matrix([[ExactRational(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n)]
+                    for _ in range(n)])
+        expected = bareiss_det(m)
+        products = []
+        multiply = Fraction.__mul__
+        monkeypatch.setattr(Fraction, "__mul__", lambda p, q: products.append(q) or multiply(p, q))
+        ops = OpCount()
+        assert cofactor_det(m, ops) == expected
+        assert products == []
+        assert ops.mults == cofactor_mults(n) and ops.divs == 0
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
